@@ -450,6 +450,43 @@ func BenchmarkRiskMapGen(b *testing.B) {
 	}
 }
 
+// BenchmarkPlannerWarmUp measures a served model's warm-up: registration
+// (a fresh PlannerModel, so the ladder memo starts cold), maps at the four
+// serving efforts, then a plan for every patrol post — the sequence a
+// serving replica runs before its caches are warm.
+func BenchmarkPlannerWarmUp(b *testing.B) {
+	sc := benchScenario(b, "MFNP")
+	split, err := sc.Data.SplitByTestYear(benchLastYear(sc), 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := Train(split.Train, TrainOptions{
+		Kind: GPBiW, Thresholds: 5, Members: 5, GPMaxTrain: 80, Seed: 53, Workers: 0,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	testFrom, _ := sc.Data.StepsForYear(benchLastYear(sc))
+	ctx := context.Background()
+	svc := NewService()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := svc.AddModel(ctx, "m", m, sc.Data, testFrom-1); err != nil {
+			b.Fatal(err)
+		}
+		for _, e := range []float64{1, 1.5, 2, 2.5} {
+			if _, _, err := svc.RiskMaps(ctx, "m", e); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for post := range sc.Park.Posts {
+			if _, err := svc.Plan(ctx, "m", post, 0.9); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkTable2Sweep measures the whole six-model Table II column for one
 // park fanned out over the worker pool — the multi-model sweep the parallel
 // layer is built for.

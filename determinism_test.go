@@ -107,9 +107,10 @@ func TestBatchPredictionMatchesPointwise(t *testing.T) {
 }
 
 // TestPlannerModelConcurrentLookups hammers one PlannerModel from many
-// goroutines — mixed Detect/Uncertainty/RiskMap calls over overlapping cells
-// and efforts — and checks every value against a sequential reference. Run
-// under -race this doubles as the memo's data-race proof.
+// goroutines — whole-map sweeps racing batched Eval calls over overlapping
+// cells and efforts — and checks every value against a sequential
+// reference. Run under -race this doubles as the ladder memo's data-race
+// proof.
 func TestPlannerModelConcurrentLookups(t *testing.T) {
 	sc := smallScenario(t, 27, false)
 	year := sc.Data.Steps[len(sc.Data.Steps)-1].Year
@@ -149,7 +150,7 @@ func TestPlannerModelConcurrentLookups(t *testing.T) {
 			defer wg.Done()
 			e := efforts[g%len(efforts)]
 			if g%4 == 0 {
-				// Whole-map readers race against pointwise readers. Report
+				// Whole-map readers race against Eval readers. Report
 				// through errCh: t.Fatal must not run off the test goroutine.
 				got := pm.RiskMap(e)
 				if len(got) != len(wantDetect[e]) {
@@ -164,14 +165,28 @@ func TestPlannerModelConcurrentLookups(t *testing.T) {
 				}
 				return
 			}
+			// Batched lookups: every 7th cell from a per-goroutine offset,
+			// each paired with a per-cell effort, in batches of 16.
+			var cells []int
+			var effs []float64
 			for cell := g % 7; cell < n; cell += 7 {
-				if got := pm.Detect(cell, e); got != wantDetect[e][cell] {
-					errCh <- errMismatch(cell, got, wantDetect[e][cell])
-					return
-				}
-				if got := pm.Uncertainty(cell, e); got != wantUnc[e][cell] {
-					errCh <- errMismatch(cell, got, wantUnc[e][cell])
-					return
+				cells = append(cells, cell)
+				effs = append(effs, efforts[(cell+g)%len(efforts)])
+			}
+			for lo := 0; lo < len(cells); lo += 16 {
+				hi := min(lo+16, len(cells))
+				gs, nus := make([]float64, hi-lo), make([]float64, hi-lo)
+				pm.Eval(cells[lo:hi], effs[lo:hi], gs, nus)
+				for k, cell := range cells[lo:hi] {
+					e := effs[lo+k]
+					if gs[k] != wantDetect[e][cell] {
+						errCh <- errMismatch(cell, gs[k], wantDetect[e][cell])
+						return
+					}
+					if nus[k] != wantUnc[e][cell] {
+						errCh <- errMismatch(cell, nus[k], wantUnc[e][cell])
+						return
+					}
 				}
 			}
 		}(g)

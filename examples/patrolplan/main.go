@@ -49,12 +49,15 @@ func main() {
 			log.Fatal(err)
 		}
 		// Effort-weighted mean uncertainty of the plan.
+		g := make([]float64, region.NumCells())
+		nu := make([]float64, region.NumCells())
+		ps.Model.Eval(region.Cells, p.Effort, g, nu)
 		var wUnc, tot float64
-		for i, cell := range region.Cells {
+		for i := range region.Cells {
 			if p.Effort[i] <= 0 {
 				continue
 			}
-			wUnc += p.Effort[i] * ps.Model.Uncertainty(cell, p.Effort[i])
+			wUnc += p.Effort[i] * nu[i]
 			tot += p.Effort[i]
 		}
 		if tot > 0 {

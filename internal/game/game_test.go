@@ -28,15 +28,14 @@ type varyModel struct {
 	park *geo.Park
 }
 
-func (m varyModel) Detect(cell int, effort float64) float64 {
-	r := 0.2 + 0.6*m.park.FeatureByName("animal_density").V[cell]
-	return 1 - math.Exp(-r*effort)
-}
-
-func (m varyModel) Uncertainty(cell int, effort float64) float64 {
-	// Uncertainty grows with distance from patrol posts (less data there).
-	d := m.park.FeatureByName("dist_patrol_post").V[cell]
-	return math.Min(0.9, d/15)
+func (m varyModel) Eval(cells []int, efforts []float64, g, nu []float64) {
+	for i, cell := range cells {
+		r := 0.2 + 0.6*m.park.FeatureByName("animal_density").V[cell]
+		g[i] = 1 - math.Exp(-r*efforts[i])
+		// Uncertainty grows with distance from patrol posts (less data there).
+		d := m.park.FeatureByName("dist_patrol_post").V[cell]
+		nu[i] = math.Min(0.9, d/15)
+	}
 }
 
 func regions(t *testing.T, park *geo.Park, k int) []*plan.Region {

@@ -220,20 +220,70 @@ func (m *Model) PredictForEffort(x []float64, c float64) float64 {
 // bagged trees). Weak learners without uncertainty contribute zero variance.
 func (m *Model) PredictWithVarianceForEffort(x []float64, c float64) (p, variance float64) {
 	n := m.qualifiedUpTo(c)
+	ps, vs := make([]float64, n), make([]float64, n)
+	for i := 0; i < n; i++ {
+		if m.weights[i] <= 0 {
+			continue
+		}
+		if uc, ok := m.classifiers[i].(ml.UncertaintyClassifier); ok {
+			ps[i], vs[i] = uc.PredictWithVariance(x)
+		} else {
+			ps[i] = m.classifiers[i].PredictProba(x)
+		}
+	}
+	return m.CombineRungs(ps, vs, x, c)
+}
+
+// NumRungs returns the ladder size: the number of weak learners.
+func (m *Model) NumRungs() int { return len(m.classifiers) }
+
+// QualifiedRungs returns how many leading rungs of the ladder are qualified
+// at planned effort c — the prefix a prediction at c combines.
+func (m *Model) QualifiedRungs(c float64) int { return m.qualifiedUpTo(c) }
+
+// PredictRungsFlat evaluates the weak learners of rungs [lo, hi) on every
+// row of X: p[i-lo][row] and v[i-lo][row] are rung i's probability and
+// variance. A weak learner's output does not depend on the planned effort,
+// so a caller may keep these per row and combine any qualified prefix later
+// with CombineRungs. Rungs run concurrently (Config.Workers). Zero-weight
+// rungs never enter a combination and are not evaluated (their columns read
+// zero), and a learner without uncertainty has a zero variance column.
+func (m *Model) PredictRungsFlat(X ml.Matrix, lo, hi int) (p, v [][]float64) {
+	p = make([][]float64, hi-lo)
+	v = make([][]float64, hi-lo)
+	par.ForEach(m.cfg.Workers, hi-lo, func(k int) {
+		i := lo + k
+		uc, ok := m.classifiers[i].(ml.UncertaintyClassifier)
+		switch {
+		case m.weights[i] <= 0:
+			p[k], v[k] = make([]float64, X.Rows), make([]float64, X.Rows)
+		case ok:
+			p[k], v[k] = ml.PredictWithVarianceAllFlat(uc, X)
+		default:
+			p[k], v[k] = ml.PredictAllFlat(m.classifiers[i], X), make([]float64, X.Rows)
+		}
+	})
+	return p, v
+}
+
+// CombineRungs reduces one point's rung outputs to the ensemble prediction
+// at planned effort c: the weight-normalized average of the qualified
+// prefix, in ladder order. p[i] and v[i] hold rung i's outputs for the point
+// (at least QualifiedRungs(c) entries; those of zero-weight rungs are
+// ignored). When every qualified weight is zero it falls back to the
+// pointwise PredictForEffort on x — a uniform average of PredictProba, not
+// of the uncertainty-path means — with zero variance. Every variance-aware
+// prediction path ends here, so they agree bit for bit.
+func (m *Model) CombineRungs(p, v, x []float64, c float64) (prob, variance float64) {
+	n := m.qualifiedUpTo(c)
 	var num, den, vnum float64
 	for i := 0; i < n; i++ {
 		w := m.weights[i]
 		if w <= 0 {
 			continue
 		}
-		var pi, vi float64
-		if uc, ok := m.classifiers[i].(ml.UncertaintyClassifier); ok {
-			pi, vi = uc.PredictWithVariance(x)
-		} else {
-			pi = m.classifiers[i].PredictProba(x)
-		}
-		num += w * pi
-		vnum += w * vi
+		num += w * p[i]
+		vnum += w * v[i]
 		den += w
 	}
 	if den == 0 {
@@ -287,43 +337,13 @@ func (m *Model) PredictForEffortBatch(X [][]float64, c float64) []float64 {
 }
 
 // PredictWithVarianceForEffortBatch scores every row of X with uncertainty
-// at one planned effort, batching across qualified classifiers like
-// PredictForEffortBatch.
+// at one planned effort: PredictWithVarianceForEffortFlat over a flat copy
+// of X (flat and [][] paths return the same floats).
 func (m *Model) PredictWithVarianceForEffortBatch(X [][]float64, c float64) (p, variance []float64) {
-	nq := m.qualifiedUpTo(c)
-	type clfOut struct{ p, v []float64 }
-	outs := par.Map(m.cfg.Workers, nq, func(i int) clfOut {
-		if uc, ok := m.classifiers[i].(ml.UncertaintyClassifier); ok {
-			pi, vi := ml.PredictWithVarianceAll(uc, X, 1)
-			return clfOut{p: pi, v: vi}
-		}
-		return clfOut{p: ml.PredictAll(m.classifiers[i], X)}
-	})
-	p = make([]float64, len(X))
-	variance = make([]float64, len(X))
-	for row := range X {
-		var num, den, vnum float64
-		for i := 0; i < nq; i++ {
-			w := m.weights[i]
-			if w <= 0 {
-				continue
-			}
-			num += w * outs[i].p[row]
-			if outs[i].v != nil {
-				vnum += w * outs[i].v[row]
-			}
-			den += w
-		}
-		if den == 0 {
-			// Rare all-zero-weight case: defer to the pointwise fallback,
-			// which averages PredictProba (not the uncertainty-path mean)
-			// uniformly over the qualified classifiers.
-			p[row], variance[row] = m.PredictForEffort(X[row], c), 0
-			continue
-		}
-		p[row], variance[row] = num/den, vnum/den
+	if len(X) == 0 {
+		return []float64{}, []float64{}
 	}
-	return p, variance
+	return m.PredictWithVarianceForEffortFlat(ml.MatrixFromRows(X), c)
 }
 
 // PredictForEffortFlat is PredictForEffortBatch over a flat matrix: the
@@ -345,41 +365,22 @@ func (m *Model) PredictForEffortFlat(X ml.Matrix, c float64) []float64 {
 	return out
 }
 
-// PredictWithVarianceForEffortFlat is PredictWithVarianceForEffortBatch over
-// a flat matrix, with the same classifier-order weighted combination.
+// PredictWithVarianceForEffortFlat scores every row of a flat matrix with
+// uncertainty at one planned effort: the qualified rungs score the shared
+// backing array concurrently (PredictRungsFlat), then CombineRungs reduces
+// each row in ladder order, matching PredictWithVarianceForEffort bit for
+// bit.
 func (m *Model) PredictWithVarianceForEffortFlat(X ml.Matrix, c float64) (p, variance []float64) {
 	nq := m.qualifiedUpTo(c)
-	type clfOut struct{ p, v []float64 }
-	outs := par.Map(m.cfg.Workers, nq, func(i int) clfOut {
-		if uc, ok := m.classifiers[i].(ml.UncertaintyClassifier); ok {
-			pi, vi := ml.PredictWithVarianceAllFlat(uc, X)
-			return clfOut{p: pi, v: vi}
-		}
-		return clfOut{p: ml.PredictAllFlat(m.classifiers[i], X)}
-	})
+	rp, rv := m.PredictRungsFlat(X, 0, nq)
 	p = make([]float64, X.Rows)
 	variance = make([]float64, X.Rows)
+	pi, vi := make([]float64, nq), make([]float64, nq)
 	for row := range p {
-		var num, den, vnum float64
-		for i := 0; i < nq; i++ {
-			w := m.weights[i]
-			if w <= 0 {
-				continue
-			}
-			num += w * outs[i].p[row]
-			if outs[i].v != nil {
-				vnum += w * outs[i].v[row]
-			}
-			den += w
+		for i := range pi {
+			pi[i], vi[i] = rp[i][row], rv[i][row]
 		}
-		if den == 0 {
-			// Rare all-zero-weight case: defer to the pointwise fallback,
-			// which averages PredictProba (not the uncertainty-path mean)
-			// uniformly over the qualified classifiers.
-			p[row], variance[row] = m.PredictForEffort(X.Row(row), c), 0
-			continue
-		}
-		p[row], variance[row] = num/den, vnum/den
+		p[row], variance[row] = m.CombineRungs(pi, vi, X.Row(row), c)
 	}
 	return p, variance
 }

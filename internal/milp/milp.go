@@ -75,12 +75,10 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (Result, error) {
 		deadline = time.Now().Add(opts.TimeLimit)
 	}
 
-	intSet := make(map[int]bool, len(intVars))
 	for _, j := range intVars {
 		if j < 0 || j >= p.NumVariables() {
 			return Result{}, fmt.Errorf("milp: integer variable %d out of range", j)
 		}
-		intSet[j] = true
 	}
 
 	solveNode := func(nd *node) (lp.Solution, error) {
@@ -159,10 +157,11 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (Result, error) {
 		if haveIncumbent && sol.Obj <= bestObj+math.Abs(bestObj)*opts.RelGap {
 			continue
 		}
-		// Find the most fractional integer variable.
+		// Find the most fractional integer variable; ties go to the first
+		// in intVars order, so branching never depends on map order.
 		branch := -1
 		bestFrac := opts.IntTol
-		for j := range intSet {
+		for _, j := range intVars {
 			f := frac(sol.X[j])
 			if f > bestFrac {
 				bestFrac = f

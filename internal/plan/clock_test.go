@@ -1,8 +1,11 @@
 package plan
 
 import (
+	"reflect"
 	"testing"
 	"time"
+
+	"paws/internal/milp"
 )
 
 // steppingClock is a fake clock advancing one second per reading, so a
@@ -68,6 +71,45 @@ func TestSolveHierarchicalRuntimeDeterministic(t *testing.T) {
 			ref = p.Runtime
 		} else if p.Runtime != ref {
 			t.Fatalf("Runtime not reproducible: run 1 = %v, run 2 = %v", ref, p.Runtime)
+		}
+	}
+}
+
+// TestDefaultMILPBudgetHasNoWallClock pins the budget a default plan hands
+// milp.Solve: the deterministic node budget and a zero TimeLimit, so the
+// refinement never reads the clock and a plan never depends on machine load.
+// A caller's explicit budget passes through unchanged.
+func TestDefaultMILPBudgetHasNoWallClock(t *testing.T) {
+	if got := (Config{}).milpOptions(); got.TimeLimit != 0 || got.MaxNodes != 150 {
+		t.Fatalf("default MILP options = %+v, want TimeLimit 0 and MaxNodes 150", got)
+	}
+	want := milp.Options{TimeLimit: time.Second, MaxNodes: 7}
+	if got := (Config{MILP: want}).milpOptions(); got != want {
+		t.Fatalf("explicit MILP options = %+v, want %+v", got, want)
+	}
+}
+
+// TestSolveMILPReproducible solves a staircase instance — many equally
+// fractional SOS2 binaries — repeatedly: branch-and-bound must explore the
+// same nodes and return the same plan every time.
+func TestSolveMILPReproducible(t *testing.T) {
+	park := planPark(t)
+	region, err := NewRegion(park, park.Posts[0], 2, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{T: 5, K: 2, Segments: 4, Solver: SolverMILP}
+	ref, err := Solve(region, nonConcaveModel{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 2; run <= 4; run++ {
+		p, err := Solve(region, nonConcaveModel{}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Nodes != ref.Nodes || p.Objective != ref.Objective || !reflect.DeepEqual(p.Effort, ref.Effort) {
+			t.Fatalf("run %d: %d nodes, objective %v; run 1: %d nodes, objective %v", run, p.Nodes, p.Objective, ref.Nodes, ref.Objective)
 		}
 	}
 }

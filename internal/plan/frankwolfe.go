@@ -218,8 +218,9 @@ func (f *fwProblem) lineSearch(c, d []float64) float64 {
 	return gamma
 }
 
-// buildFW samples the utilities and constructs the Frank-Wolfe problem.
-func buildFW(region *Region, model CellModel, cfg Config, maxEffort float64, pwls []milp.PWL) *fwProblem {
+// buildFW constructs the Frank-Wolfe problem over the concave hulls of the
+// sampled utilities.
+func buildFW(region *Region, cfg Config, maxEffort float64, pwls []milp.PWL) *fwProblem {
 	f := &fwProblem{region: region, T: cfg.T, K: cfg.K, maxEffort: maxEffort}
 	f.hull = make([]concaveHull, len(pwls))
 	for i, p := range pwls {

@@ -212,19 +212,21 @@ func TestSolverAutoAtLeastFrankWolfe(t *testing.T) {
 // in the MILP path.
 type nonConcaveModel struct{}
 
-func (nonConcaveModel) Detect(cell int, effort float64) float64 {
-	// Flat, then a jump past 3 km: sampled at breakpoints {0,2,4,…} this
-	// gives increasing slopes, which is non-concave.
-	if effort < 3 {
-		return 0.01 * float64(cell%3+1)
+func (nonConcaveModel) Eval(cells []int, efforts []float64, g, nu []float64) {
+	for i, cell := range cells {
+		// Flat, then a jump past 3 km: sampled at breakpoints {0,2,4,…} this
+		// gives increasing slopes, which is non-concave.
+		switch effort := efforts[i]; {
+		case effort < 3:
+			g[i] = 0.01 * float64(cell%3+1)
+		case effort < 6:
+			g[i] = 0.3
+		default:
+			g[i] = 0.35
+		}
+		nu[i] = 0
 	}
-	if effort < 6 {
-		return 0.3
-	}
-	return 0.35
 }
-
-func (nonConcaveModel) Uncertainty(cell int, effort float64) float64 { return 0 }
 
 func TestSolverMILPRefinesNonConcave(t *testing.T) {
 	park := planPark(t)

@@ -210,22 +210,32 @@ type coarseModel struct {
 	samples [][]int
 }
 
-func (cm *coarseModel) Detect(sc int, effort float64) float64 {
-	s := cm.samples[sc]
-	var sum float64
-	for _, cell := range s {
-		sum += cm.base.Detect(cell, effort)
+// Eval queries every sampled member of every requested super-cell in one
+// base call, then averages each super-cell's members in sample order.
+func (cm *coarseModel) Eval(supers []int, efforts []float64, g, nu []float64) {
+	var cells []int
+	var effs []float64
+	for i, sc := range supers {
+		for _, cell := range cm.samples[sc] {
+			cells = append(cells, cell)
+			effs = append(effs, efforts[i])
+		}
 	}
-	return sum / float64(len(s))
-}
-
-func (cm *coarseModel) Uncertainty(sc int, effort float64) float64 {
-	s := cm.samples[sc]
-	var sum float64
-	for _, cell := range s {
-		sum += cm.base.Uncertainty(cell, effort)
+	fg := make([]float64, len(cells))
+	fnu := make([]float64, len(cells))
+	cm.base.Eval(cells, effs, fg, fnu)
+	k := 0
+	for i, sc := range supers {
+		m := len(cm.samples[sc])
+		var sg, snu float64
+		for j := k; j < k+m; j++ {
+			sg += fg[j]
+			snu += fnu[j]
+		}
+		g[i] = sg / float64(m)
+		nu[i] = snu / float64(m)
+		k += m
 	}
-	return sum / float64(len(s))
 }
 
 // growFineRegion expands a connected region from the post, always absorbing

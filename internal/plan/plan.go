@@ -39,11 +39,13 @@ import (
 )
 
 // CellModel is the black-box predictive interface the planner optimizes.
-// Detect must return a value in [0,1]; Uncertainty must return the squashed
-// uncertainty score in [0,1].
+// Eval pairs cells[i] with efforts[i] and writes g[i] = g_v(c), the
+// detection probability in [0,1], and nu[i] = ν_v(c), the squashed
+// uncertainty score in [0,1], for v = cells[i] and c = efforts[i]. The
+// planner asks for a whole region's queries in one call, so an
+// implementation can batch its model evaluation.
 type CellModel interface {
-	Detect(cell int, effort float64) float64
-	Uncertainty(cell int, effort float64) float64
+	Eval(cells []int, efforts []float64, g, nu []float64)
 }
 
 // Region is the planning neighborhood of one patrol post.
@@ -209,22 +211,29 @@ func Solve(region *Region, model CellModel, cfg Config) (*Plan, error) {
 
 	// Sample the robust utility U_v(c) = g_v(c)·(1 − β·ν_v(c)) at the PWL
 	// breakpoints — both factors depend on the same scalar c, so the product
-	// is univariate (DESIGN.md).
-	pwls := make([]milp.PWL, n)
+	// is univariate (DESIGN.md). The whole region is sampled in one query.
+	bp := cfg.Segments + 1
+	cells := make([]int, n*bp)
+	efforts := make([]float64, n*bp)
 	for i := 0; i < n; i++ {
-		cell := region.Cells[i]
-		xs := make([]float64, cfg.Segments+1)
-		ys := make([]float64, cfg.Segments+1)
-		for k := 0; k <= cfg.Segments; k++ {
-			c := maxEffort * float64(k) / float64(cfg.Segments)
-			xs[k] = c
-			g := model.Detect(cell, c)
-			nu := model.Uncertainty(cell, c)
-			ys[k] = g - cfg.Beta*g*nu
+		for k := 0; k < bp; k++ {
+			cells[i*bp+k] = region.Cells[i]
+			efforts[i*bp+k] = maxEffort * float64(k) / float64(cfg.Segments)
 		}
-		f, err := milp.NewPWL(xs, ys)
+	}
+	g := make([]float64, n*bp)
+	nu := make([]float64, n*bp)
+	model.Eval(cells, efforts, g, nu)
+	pwls := make([]milp.PWL, n)
+	ys := make([]float64, bp)
+	for i := 0; i < n; i++ {
+		for k := range ys {
+			j := i*bp + k
+			ys[k] = g[j] - cfg.Beta*g[j]*nu[j]
+		}
+		f, err := milp.NewPWL(efforts[i*bp:(i+1)*bp], ys)
 		if err != nil {
-			return nil, fmt.Errorf("plan: cell %d PWL: %w", cell, err)
+			return nil, fmt.Errorf("plan: cell %d PWL: %w", region.Cells[i], err)
 		}
 		pwls[i] = f
 	}
@@ -244,7 +253,7 @@ func Solve(region *Region, model CellModel, cfg Config) (*Plan, error) {
 		if iters <= 0 {
 			iters = 250
 		}
-		fw := buildFW(region, model, cfg, maxEffort, pwls)
+		fw := buildFW(region, cfg, maxEffort, pwls)
 		effort := fw.solveFrankWolfe(iters)
 		out.Effort = effort
 		out.Objective = exactObj(effort)
@@ -409,14 +418,7 @@ func solveMILPPath(region *Region, cfg Config, pwls []milp.PWL, maxEffort float6
 	// non-concave. The search dives to an incumbent first, so even a small
 	// node budget yields an adjacency-feasible solution.
 	if len(allBinaries) > 0 {
-		opts := cfg.MILP
-		if opts.MaxNodes <= 0 {
-			opts.MaxNodes = 150
-		}
-		if opts.TimeLimit <= 0 {
-			opts.TimeLimit = 10 * time.Second
-		}
-		res, err := milp.Solve(p, allBinaries, opts)
+		res, err := milp.Solve(p, allBinaries, cfg.milpOptions())
 		if err == nil && (res.Status == lp.Optimal || res.Status == lp.IterLimit) && res.X != nil {
 			eff := extract(res.X)
 			if obj := exactObj(eff); obj > out.Objective {
@@ -432,6 +434,18 @@ func solveMILPPath(region *Region, cfg Config, pwls []milp.PWL, maxEffort float6
 	return out, nil
 }
 
+// milpOptions is the branch-and-bound budget the refinement runs under:
+// cfg.MILP with a default node budget. The budget is deterministic — no
+// wall-clock limit unless the caller sets MILP.TimeLimit — so a default plan
+// never depends on machine load.
+func (cfg Config) milpOptions() milp.Options {
+	opts := cfg.MILP
+	if opts.MaxNodes <= 0 {
+		opts.MaxNodes = 150
+	}
+	return opts
+}
+
 func negOnes(k int) []float64 {
 	o := make([]float64, k)
 	for i := range o {
@@ -443,12 +457,13 @@ func negOnes(k int) []float64 {
 // Evaluate computes the exact (non-PWL) robust utility of an effort
 // allocation under the model: Σ_v g_v(c_v)·(1 − β·ν_v(c_v)).
 func Evaluate(region *Region, model CellModel, effort []float64, beta float64) float64 {
+	n := region.NumCells()
+	g := make([]float64, n)
+	nu := make([]float64, n)
+	model.Eval(region.Cells, effort[:n], g, nu)
 	var u float64
-	for i, cell := range region.Cells {
-		c := effort[i]
-		g := model.Detect(cell, c)
-		nu := model.Uncertainty(cell, c)
-		u += g - beta*g*nu
+	for i := range g {
+		u += g[i] - beta*g[i]*nu[i]
 	}
 	return u
 }

@@ -28,16 +28,15 @@ type saturatingModel struct {
 	unc  map[int]float64
 }
 
-func (m saturatingModel) Detect(cell int, effort float64) float64 {
-	r := m.rate[cell]
-	if r == 0 {
-		r = 0.3
+func (m saturatingModel) Eval(cells []int, efforts []float64, g, nu []float64) {
+	for i, cell := range cells {
+		r := m.rate[cell]
+		if r == 0 {
+			r = 0.3
+		}
+		g[i] = 1 - math.Exp(-r*efforts[i])
+		nu[i] = m.unc[cell]
 	}
-	return 1 - math.Exp(-r*effort)
-}
-
-func (m saturatingModel) Uncertainty(cell int, effort float64) float64 {
-	return m.unc[cell]
 }
 
 func TestNewRegion(t *testing.T) {

@@ -22,6 +22,9 @@ var (
 	fixtureSvc  *paws.Service
 	fixtureErr  error
 	fixtureN    int // park cells
+	// fixtureReg re-registers the fixture model on another service (see
+	// coldServer).
+	fixtureReg func(ctx context.Context, svc *paws.Service) error
 )
 
 func testService(t *testing.T) *paws.Service {
@@ -59,6 +62,10 @@ func testService(t *testing.T) *paws.Service {
 		}
 		fixtureSvc = svc
 		fixtureN = sc.Park.Grid.NumCells()
+		fixtureReg = func(ctx context.Context, svc *paws.Service) error {
+			_, err := svc.AddModel(ctx, "default", m, sc.Data, testFrom-1)
+			return err
+		}
 	})
 	if fixtureErr != nil {
 		t.Fatal(fixtureErr)
@@ -68,6 +75,18 @@ func testService(t *testing.T) *paws.Service {
 
 func testServer(t *testing.T, cfg Config) *Server {
 	return New(testService(t), cfg)
+}
+
+// coldServer serves the fixture model from a fresh registration on its own
+// service, so no earlier test has warmed its planner memo: a park-wide
+// riskmap on it is real model work.
+func coldServer(t *testing.T, cfg Config) *Server {
+	testService(t)
+	svc := paws.NewService(paws.WithWorkers(2))
+	if err := fixtureReg(context.Background(), svc); err != nil {
+		t.Fatal(err)
+	}
+	return New(svc, cfg)
 }
 
 // do runs one request through the handler and decodes the JSON response.
@@ -238,8 +257,8 @@ func TestRiskMapCacheHit(t *testing.T) {
 // TestRequestDeadline checks an unmeetable per-request deadline surfaces as
 // 504 — the ctx reached mid-sweep and aborted the work.
 func TestRequestDeadline(t *testing.T) {
-	s := testServer(t, Config{})
-	// A park-wide GP sweep at a fresh effort cannot finish in 1ms.
+	s := coldServer(t, Config{})
+	// A cold park-wide GP sweep over the whole ladder cannot finish in 1ms.
 	status, raw := do(t, s, http.MethodPost, "/v1/riskmap",
 		RiskMapRequest{Model: "default", Effort: 97.25, TimeoutMS: 1}, nil)
 	if status != http.StatusGatewayTimeout {

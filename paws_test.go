@@ -157,7 +157,9 @@ func TestPlannerModel(t *testing.T) {
 			t.Fatalf("uncertainty %v", unc[cell])
 		}
 		// Cache consistency.
-		if pm.Detect(cell, 1) != risk[cell] {
+		var g, nu [1]float64
+		pm.Eval([]int{cell}, []float64{1}, g[:], nu[:])
+		if g[0] != risk[cell] || nu[0] != unc[cell] {
 			t.Fatal("cache inconsistency")
 		}
 	}

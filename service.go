@@ -29,9 +29,9 @@ import (
 //
 // A Service is safe for concurrent use: registry mutation takes a write
 // lock, queries a read lock, and the underlying models are immutable after
-// training (the PlannerModel memo uses per-cell locks). Concurrent queries
-// are deterministic — the same request returns byte-identical floats no
-// matter what else is in flight.
+// training (the PlannerModel ladder memo publishes through atomics and fills
+// single-flight). Concurrent queries are deterministic — the same request
+// returns byte-identical floats no matter what else is in flight.
 type Service struct {
 	defaults settings
 

@@ -100,28 +100,31 @@ func TestTrainCtxDeadlineMidTraining(t *testing.T) {
 func TestRiskMapCtxDeadlineAbortsSweepEarly(t *testing.T) {
 	svc, _ := serviceFixture(t, GPBiW)
 	sm, _ := svc.Served("default")
+	n := sm.Park().Grid.NumCells()
 
 	// Expired before the sweep starts: nothing may be evaluated.
+	before := sm.pm.evals.Load()
 	dead, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	if _, _, err := svc.RiskMaps(dead, "default", 1.5); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("RiskMaps past deadline: err = %v, want context.DeadlineExceeded", err)
 	}
+	if got := sm.pm.evals.Load(); got != before {
+		t.Fatalf("expired sweep evaluated %d rungs, want 0", got-before)
+	}
 
-	// Expiring mid-sweep: the partial memo must be strictly smaller than the
-	// park — the sweep stopped early — and the error must still surface.
+	// Expiring mid-sweep: the memoized prefix must cover strictly fewer
+	// cells than the park — the sweep stopped early — and the error must
+	// still surface. The sweep runs sequentially at an effort that
+	// qualifies the whole ladder, so it spans several chunks of real work.
+	sm.pm.Workers = 1
+	const top = 8
 	short, cancel2 := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel2()
-	if _, _, err := svc.RiskMaps(short, "default", 2.5); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := svc.RiskMaps(short, "default", top); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("RiskMaps with 2ms budget: err = %v, want context.DeadlineExceeded", err)
 	}
-	evaluated := 0
-	for cell := range sm.pm.memo {
-		if _, ok := sm.pm.memo[cell].get(2.5); ok {
-			evaluated++
-		}
-	}
-	if n := len(sm.pm.memo); evaluated >= n {
+	if covered := sm.pm.covered(top); covered >= n {
 		t.Fatalf("all %d cells evaluated despite the 2ms deadline (sweep did not abort early)", n)
 	}
 
@@ -130,8 +133,8 @@ func TestRiskMapCtxDeadlineAbortsSweepEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(risk) != len(sm.pm.memo) || len(unc) != len(risk) {
-		t.Fatalf("map sizes %d/%d, want %d", len(risk), len(unc), len(sm.pm.memo))
+	if len(risk) != n || len(unc) != len(risk) {
+		t.Fatalf("map sizes %d/%d, want %d", len(risk), len(unc), n)
 	}
 }
 
