@@ -12,6 +12,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"paws/internal/ml"
 )
 
 // kindOutputs trains one model with the given worker count and returns its
@@ -91,8 +93,9 @@ func TestBatchPredictionMatchesPointwise(t *testing.T) {
 				t.Fatal(err)
 			}
 			const effort = 1.3
-			probs := m.PredictForEffortBatch(X, effort)
-			ps, vs := m.PredictWithVarianceBatch(X, effort)
+			Xm := ml.MatrixFromRows(X)
+			probs := m.PredictForEffortFlat(Xm, effort)
+			ps, vs := m.PredictWithVarianceFlat(Xm, effort)
 			for i, x := range X {
 				if want := m.PredictForEffort(x, effort); probs[i] != want {
 					t.Fatalf("point %d: batch %v != pointwise %v", i, probs[i], want)

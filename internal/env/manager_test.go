@@ -270,28 +270,52 @@ func TestManagerConcurrentStorm(t *testing.T) {
 }
 
 // TestManagerShutdownWaitsForInflight: Shutdown returns only after the
-// in-flight step completes (or reports the context error if it cannot).
+// in-flight step completes. The test holds the session's mutex so the step
+// parks inside Step, past its lookup, before Shutdown starts.
 func TestManagerShutdownWaitsForInflight(t *testing.T) {
 	ctx := context.Background()
 	f := testFixture(t)
-	m := NewManager(ManagerConfig{})
+	clock := &fakeClock{t: time.Unix(1000, 0)}
+	m := NewManager(ManagerConfig{now: clock.now})
 	snap, err := m.Create(newSessionEnv(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	started := make(chan struct{})
+	m.mu.Lock()
+	s := m.sessions[snap.ID]
+	m.mu.Unlock()
+	s.mu.Lock()
+	clock.advance(time.Second)
+	stamp := clock.now()
 	stepped := make(chan error, 1)
 	go func() {
-		close(started)
 		_, _, _, err := m.Step(ctx, snap.ID, uniformEffort(f.cells))
 		stepped <- err
 	}()
-	<-started
-	if err := m.Shutdown(ctx); err != nil {
-		t.Fatal(err)
+	// Step stamps lastUsed in the critical section that counts the step in
+	// flight, so once the stamp shows, Shutdown has a step to wait for.
+	for {
+		m.mu.Lock()
+		inflight := s.lastUsed.Equal(stamp)
+		m.mu.Unlock()
+		if inflight {
+			break
+		}
+		time.Sleep(time.Millisecond)
 	}
+	shut := make(chan error, 1)
+	go func() { shut <- m.Shutdown(ctx) }()
+	select {
+	case err := <-shut:
+		t.Fatalf("Shutdown returned (%v) while a step was in flight", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	s.mu.Unlock()
 	if err := <-stepped; err != nil {
 		t.Fatalf("in-flight step failed across shutdown: %v", err)
+	}
+	if err := <-shut; err != nil {
+		t.Fatal(err)
 	}
 	if st := m.Stats(); st.Sessions != 0 {
 		t.Fatalf("sessions survived shutdown: %+v", st)

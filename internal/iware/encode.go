@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 
 	"paws/internal/ml"
 )
@@ -46,7 +47,9 @@ func (m *Model) GobEncode() ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// GobDecode implements gob.GobDecoder.
+// GobDecode implements gob.GobDecoder. Save only writes fitted ladders: one
+// classifier and weight per threshold, thresholds ascending (qualification
+// binary-searches them), and every rung of one feature width.
 func (m *Model) GobDecode(b []byte) error {
 	var st modelState
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
@@ -55,10 +58,14 @@ func (m *Model) GobDecode(b []byte) error {
 	if len(st.Thresholds) == 0 || len(st.Classifiers) != len(st.Thresholds) || len(st.Weights) != len(st.Thresholds) {
 		return errors.New("iware: corrupt encoding: ladder size mismatch")
 	}
-	for _, c := range st.Classifiers {
-		if c == nil {
-			return errors.New("iware: corrupt encoding: nil classifier")
+	for i := 1; i < len(st.Thresholds); i++ {
+		// Negated so a NaN threshold fails too.
+		if !(st.Thresholds[i-1] <= st.Thresholds[i]) {
+			return fmt.Errorf("iware: corrupt encoding: thresholds %v are not ascending", st.Thresholds)
 		}
+	}
+	if _, err := ml.CommonWidth(st.Classifiers); err != nil {
+		return fmt.Errorf("iware: corrupt encoding: %w", err)
 	}
 	m.cfg = Config{
 		Thresholds:  st.Cfg.Thresholds,

@@ -161,8 +161,8 @@ func filterIndices(y []int, efforts []float64, threshold float64) []int {
 	return idx
 }
 
-// fitPossiblyDegenerate trains c, substituting the empirical base rate when
-// the filtered subset is empty or single-class and the learner cannot cope.
+// fitPossiblyDegenerate trains c on one ladder slice's filtered subset. An
+// empty subset is an error; a single-class one goes to the learner as is.
 func fitPossiblyDegenerate(c ml.Classifier, X [][]float64, y []int) error {
 	if len(X) == 0 {
 		return errors.New("empty filtered training set")
@@ -178,6 +178,9 @@ func (m *Model) Weights() []float64 { return m.weights }
 
 // Classifiers exposes the fitted weak learners (for diagnostics).
 func (m *Model) Classifiers() []ml.Classifier { return m.classifiers }
+
+// NumFeatures returns the feature-vector width the ladder was fitted on.
+func (m *Model) NumFeatures() int { return m.classifiers[0].NumFeatures() }
 
 // qualifiedUpTo returns the number of leading classifiers qualified for a
 // planned effort c: those with θ_i ≤ c. At least one classifier is always
@@ -258,9 +261,9 @@ func (m *Model) PredictRungsFlat(X ml.Matrix, lo, hi int) (p, v [][]float64) {
 		case m.weights[i] <= 0:
 			p[k], v[k] = make([]float64, X.Rows), make([]float64, X.Rows)
 		case ok:
-			p[k], v[k] = ml.PredictWithVarianceAllFlat(uc, X)
+			p[k], v[k] = uc.PredictWithVarianceFlat(X)
 		default:
-			p[k], v[k] = ml.PredictAllFlat(m.classifiers[i], X), make([]float64, X.Rows)
+			p[k], v[k] = m.classifiers[i].PredictProbaFlat(X), make([]float64, X.Rows)
 		}
 	})
 	return p, v
@@ -316,43 +319,14 @@ func (m *Model) combineQualified(preds []float64, nq int) float64 {
 	return num / den
 }
 
-// PredictForEffortBatch scores every row of X at one planned effort. The
-// qualified classifiers each score the whole batch concurrently
-// (Config.Workers) through their batch fast path; per-point combination then
-// runs in classifier order, matching PredictForEffort bit for bit.
-func (m *Model) PredictForEffortBatch(X [][]float64, c float64) []float64 {
-	nq := m.qualifiedUpTo(c)
-	preds := par.Map(m.cfg.Workers, nq, func(i int) []float64 {
-		return ml.PredictAll(m.classifiers[i], X)
-	})
-	out := make([]float64, len(X))
-	perPoint := make([]float64, nq)
-	for v := range X {
-		for i := 0; i < nq; i++ {
-			perPoint[i] = preds[i][v]
-		}
-		out[v] = m.combineQualified(perPoint, nq)
-	}
-	return out
-}
-
-// PredictWithVarianceForEffortBatch scores every row of X with uncertainty
-// at one planned effort: PredictWithVarianceForEffortFlat over a flat copy
-// of X (flat and [][] paths return the same floats).
-func (m *Model) PredictWithVarianceForEffortBatch(X [][]float64, c float64) (p, variance []float64) {
-	if len(X) == 0 {
-		return []float64{}, []float64{}
-	}
-	return m.PredictWithVarianceForEffortFlat(ml.MatrixFromRows(X), c)
-}
-
-// PredictForEffortFlat is PredictForEffortBatch over a flat matrix: the
-// qualified classifiers score the shared backing array directly, and the
-// per-point combination still runs in classifier order.
+// PredictForEffortFlat scores every row of X at one planned effort. The
+// qualified classifiers each score the whole matrix concurrently
+// (Config.Workers); per-point combination then runs in classifier order,
+// matching PredictForEffort bit for bit.
 func (m *Model) PredictForEffortFlat(X ml.Matrix, c float64) []float64 {
 	nq := m.qualifiedUpTo(c)
 	preds := par.Map(m.cfg.Workers, nq, func(i int) []float64 {
-		return ml.PredictAllFlat(m.classifiers[i], X)
+		return m.classifiers[i].PredictProbaFlat(X)
 	})
 	out := make([]float64, X.Rows)
 	perPoint := make([]float64, nq)
@@ -387,9 +361,10 @@ func (m *Model) PredictWithVarianceForEffortFlat(X ml.Matrix, c float64) (p, var
 
 // PredictPoints scores test points at their recorded efforts — the Table II
 // evaluation mode. Points are scored in vectorized form: classifier i batch-
-// predicts exactly the points whose recorded effort qualifies it, with
-// classifiers running concurrently (Config.Workers); the per-point weighted
-// combination is unchanged, so results match the pointwise path bit for bit.
+// predicts one matrix of exactly the points whose recorded effort qualifies
+// it, with classifiers running concurrently (Config.Workers); the per-point
+// weighted combination is unchanged, so results match the pointwise path bit
+// for bit.
 func (m *Model) PredictPoints(X [][]float64, efforts []float64) []float64 {
 	nq := make([]int, len(X))
 	maxQ := 0
@@ -411,7 +386,7 @@ func (m *Model) PredictPoints(X [][]float64, efforts []float64) []float64 {
 			}
 		}
 		dense := make([]float64, len(X))
-		for k, p := range ml.PredictAll(m.classifiers[i], rows) {
+		for k, p := range m.classifiers[i].PredictProbaFlat(ml.MatrixFromRows(rows)) {
 			dense[idx[k]] = p
 		}
 		return dense
@@ -488,11 +463,12 @@ func optimizeWeights(ctx context.Context, X [][]float64, y []int, efforts []floa
 		if err := c.Fit(task.fx, task.fy); err != nil {
 			return fmt.Errorf("iware: CV classifier %d: %w", task.i, err)
 		}
-		valX := make([][]float64, len(task.valIdx))
+		// X is rectangular (FitCtx checked it), so rows copy in whole.
+		valX := ml.NewMatrix(len(task.valIdx), len(X[0]))
 		for k, v := range task.valIdx {
-			valX[k] = X[v]
+			copy(valX.Row(k), X[v])
 		}
-		for k, p := range ml.PredictAll(c, valX) {
+		for k, p := range c.PredictProbaFlat(valX) {
 			preds[task.valIdx[k]][task.i] = p
 		}
 		return nil

@@ -2,6 +2,8 @@ package iware
 
 import (
 	"testing"
+
+	"paws/internal/ml"
 )
 
 // fitWithWorkers trains one iWare-E model on the synthetic poaching data
@@ -61,9 +63,10 @@ func TestVectorizedPredictionsMatchPointwise(t *testing.T) {
 		}
 	}
 	// Uniform-effort batch paths.
+	Qm := ml.MatrixFromRows(Q)
 	for _, c := range []float64{0, 1.2, 2.9} {
-		probs := m.PredictForEffortBatch(Q, c)
-		ps, vs := m.PredictWithVarianceForEffortBatch(Q, c)
+		probs := m.PredictForEffortFlat(Qm, c)
+		ps, vs := m.PredictWithVarianceForEffortFlat(Qm, c)
 		for i := range Q {
 			if want := m.PredictForEffort(Q[i], c); probs[i] != want {
 				t.Fatalf("effort %v point %d: batch %v != pointwise %v", c, i, probs[i], want)

@@ -128,7 +128,7 @@ func (e *Ensemble) FitCtx(ctx context.Context, X [][]float64, y []int) error {
 		}
 		bx, by := ml.Subset(X, y, idx)
 		m := e.base(seeds[b])
-		if err := fitWithFallback(m, bx, by); err != nil {
+		if err := m.Fit(bx, by); err != nil {
 			return fmt.Errorf("bagging: member %d: %w", b, err)
 		}
 		members[b] = m
@@ -148,18 +148,6 @@ func (e *Ensemble) FitCtx(ctx context.Context, X [][]float64, y []int) error {
 	// event stream).
 	e.progress = nil
 	return nil
-}
-
-// fitWithFallback replaces a member that cannot be fit on a single-class bag
-// with a constant classifier (frequent under extreme imbalance).
-func fitWithFallback(m ml.Classifier, X [][]float64, y []int) error {
-	neg, pos := ml.ClassCounts(y)
-	if neg == 0 || pos == 0 {
-		if cc, ok := m.(*ml.ConstantClassifier); ok {
-			return cc.Fit(X, y)
-		}
-	}
-	return m.Fit(X, y)
 }
 
 // sampleBag draws one bootstrap bag. In balanced mode, each bag gets all
@@ -204,6 +192,14 @@ func (e *Ensemble) capFor(size int) int {
 // Members returns the fitted ensemble members.
 func (e *Ensemble) Members() []ml.Classifier { return e.members }
 
+// NumFeatures returns the feature-vector width the members were fitted on.
+func (e *Ensemble) NumFeatures() int {
+	if len(e.members) == 0 {
+		return 0
+	}
+	return e.members[0].NumFeatures()
+}
+
 // calibrate divides the balanced-sampling odds inflation out of a member
 // probability (identity for plain bagging).
 func (e *Ensemble) calibrate(p float64) float64 {
@@ -226,37 +222,16 @@ func (e *Ensemble) PredictProba(x []float64) float64 {
 	return s / float64(len(e.members))
 }
 
-// PredictProbaBatch returns the mean calibrated member probability for every
+// PredictProbaFlat returns the mean calibrated member probability for every
 // row of X. Members are scored concurrently (Config.Workers), each over the
-// whole batch via its own batch fast path; the aggregation always sums in
-// member order, so the output matches pointwise PredictProba exactly.
-func (e *Ensemble) PredictProbaBatch(X [][]float64) []float64 {
-	if len(e.members) == 0 {
-		panic(ml.ErrNotFitted)
-	}
-	memberPreds := par.Map(e.cfg.Workers, len(e.members), func(b int) []float64 {
-		return ml.PredictAll(e.members[b], X)
-	})
-	out := make([]float64, len(X))
-	for v := range out {
-		var s float64
-		for _, preds := range memberPreds {
-			s += e.calibrate(preds[v])
-		}
-		out[v] = s / float64(len(e.members))
-	}
-	return out
-}
-
-// PredictProbaFlat is PredictProbaBatch over a flat matrix: members score
-// the shared backing array directly (ml.PredictAllFlat), and the aggregation
-// still sums in member order, so the floats are unchanged.
+// whole matrix; the aggregation always sums in member order, so the output
+// matches pointwise PredictProba exactly.
 func (e *Ensemble) PredictProbaFlat(X ml.Matrix) []float64 {
 	if len(e.members) == 0 {
 		panic(ml.ErrNotFitted)
 	}
 	memberPreds := par.Map(e.cfg.Workers, len(e.members), func(b int) []float64 {
-		return ml.PredictAllFlat(e.members[b], X)
+		return e.members[b].PredictProbaFlat(X)
 	})
 	out := make([]float64, X.Rows)
 	for v := range out {
@@ -294,9 +269,7 @@ func (e *Ensemble) PredictWithVariance(x []float64) (p, variance float64) {
 		var pi, vi float64
 		if um, ok := m.(ml.UncertaintyClassifier); ok {
 			pi, vi = um.PredictWithVariance(x)
-			if _, isConst := m.(*ml.ConstantClassifier); !isConst {
-				hasIntrinsic = true
-			}
+			hasIntrinsic = true
 			intrinsic += vi
 		} else {
 			pi = m.PredictProba(x)
@@ -314,75 +287,22 @@ func (e *Ensemble) PredictWithVariance(x []float64) (p, variance float64) {
 	return mean, between
 }
 
-// PredictWithVarianceBatch returns PredictWithVariance for every row of X.
-// Members predict concurrently over the whole batch; the per-point Welford
+// PredictWithVarianceFlat returns PredictWithVariance for every row of X.
+// Members predict concurrently over the whole matrix; the per-row Welford
 // recursion then runs in member order, reproducing the pointwise floats bit
 // for bit.
-func (e *Ensemble) PredictWithVarianceBatch(X [][]float64) ([]float64, []float64) {
-	if len(e.members) == 0 {
-		panic(ml.ErrNotFitted)
-	}
-	type memberOut struct {
-		p, v      []float64
-		intrinsic bool // counts toward the hasIntrinsic flag
-	}
-	outs := par.Map(e.cfg.Workers, len(e.members), func(b int) memberOut {
-		m := e.members[b]
-		if um, ok := m.(ml.UncertaintyClassifier); ok {
-			p, v := ml.PredictWithVarianceAll(um, X, 1)
-			_, isConst := m.(*ml.ConstantClassifier)
-			return memberOut{p: p, v: v, intrinsic: !isConst}
-		}
-		return memberOut{p: ml.PredictAll(m, X)}
-	})
-	n := float64(len(e.members))
-	ps := make([]float64, len(X))
-	vs := make([]float64, len(X))
-	for row := range X {
-		var mean, m2, intrinsic float64
-		hasIntrinsic := false
-		for i, mo := range outs {
-			pi := mo.p[row]
-			if mo.v != nil {
-				if mo.intrinsic {
-					hasIntrinsic = true
-				}
-				intrinsic += mo.v[row]
-			}
-			pi = e.calibrate(pi)
-			delta := pi - mean
-			mean += delta / float64(i+1)
-			m2 += delta * (pi - mean)
-		}
-		between := m2 / n
-		ps[row] = mean
-		if hasIntrinsic {
-			vs[row] = intrinsic/n + between
-		} else {
-			vs[row] = between
-		}
-	}
-	return ps, vs
-}
-
-// PredictWithVarianceFlat is PredictWithVarianceBatch over a flat matrix,
-// with the same member-order Welford recursion per row.
 func (e *Ensemble) PredictWithVarianceFlat(X ml.Matrix) ([]float64, []float64) {
 	if len(e.members) == 0 {
 		panic(ml.ErrNotFitted)
 	}
-	type memberOut struct {
-		p, v      []float64
-		intrinsic bool // counts toward the hasIntrinsic flag
-	}
+	// v is nil for a member without intrinsic variance.
+	type memberOut struct{ p, v []float64 }
 	outs := par.Map(e.cfg.Workers, len(e.members), func(b int) memberOut {
-		m := e.members[b]
-		if um, ok := m.(ml.UncertaintyClassifier); ok {
-			p, v := ml.PredictWithVarianceAllFlat(um, X)
-			_, isConst := m.(*ml.ConstantClassifier)
-			return memberOut{p: p, v: v, intrinsic: !isConst}
+		if um, ok := e.members[b].(ml.UncertaintyClassifier); ok {
+			p, v := um.PredictWithVarianceFlat(X)
+			return memberOut{p, v}
 		}
-		return memberOut{p: ml.PredictAllFlat(m, X)}
+		return memberOut{p: e.members[b].PredictProbaFlat(X)}
 	})
 	n := float64(len(e.members))
 	ps := make([]float64, X.Rows)
@@ -393,9 +313,7 @@ func (e *Ensemble) PredictWithVarianceFlat(X ml.Matrix) ([]float64, []float64) {
 		for i, mo := range outs {
 			pi := mo.p[row]
 			if mo.v != nil {
-				if mo.intrinsic {
-					hasIntrinsic = true
-				}
+				hasIntrinsic = true
 				intrinsic += mo.v[row]
 			}
 			pi = e.calibrate(pi)

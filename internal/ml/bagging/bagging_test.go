@@ -168,20 +168,6 @@ func TestMaxSampleCount(t *testing.T) {
 	}
 }
 
-func TestSingleClassBagFallsBackToConstant(t *testing.T) {
-	// All-negative training data with a constant-capable base.
-	X := [][]float64{{1}, {2}, {3}, {4}, {5}}
-	y := []int{0, 0, 0, 0, 0}
-	base := func(seed int64) ml.Classifier { return &ml.ConstantClassifier{} }
-	e := New(base, Config{Members: 3, Seed: 14})
-	if err := e.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if p := e.PredictProba([]float64{1}); p != 0 {
-		t.Fatalf("all-negative data should predict 0, got %v", p)
-	}
-}
-
 func TestEnsembleDeterministic(t *testing.T) {
 	X, y := blobs(100, 100, 15)
 	e1 := New(treeFactory(4), Config{Members: 8, Seed: 16})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 
 	"paws/internal/ml"
 )
@@ -41,15 +42,23 @@ func (e *Ensemble) GobEncode() ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// GobDecode implements gob.GobDecoder.
+// GobDecode implements gob.GobDecoder. Save only writes fitted ensembles: at
+// least one member, all of one feature width, and one in-bag count row of
+// NTrain entries per member (the jackknife indexes it).
 func (e *Ensemble) GobDecode(b []byte) error {
 	var st ensembleState
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
 		return err
 	}
-	for _, m := range st.Members {
-		if m == nil {
-			return errors.New("bagging: corrupt encoding: nil member")
+	if _, err := ml.CommonWidth(st.Members); err != nil {
+		return fmt.Errorf("bagging: corrupt encoding: %w", err)
+	}
+	if len(st.InBag) != len(st.Members) {
+		return fmt.Errorf("bagging: corrupt encoding: %d in-bag rows for %d members", len(st.InBag), len(st.Members))
+	}
+	for m, counts := range st.InBag {
+		if len(counts) != st.NTrain {
+			return fmt.Errorf("bagging: corrupt encoding: in-bag row %d has %d counts, want %d", m, len(counts), st.NTrain)
 		}
 	}
 	e.cfg, e.members, e.inBag = st.Cfg, st.Members, st.InBag

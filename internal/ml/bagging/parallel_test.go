@@ -72,8 +72,9 @@ func TestBatchMatchesPointwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	Q := X[:60]
-	probs := e.PredictProbaBatch(Q)
-	ps, vs := e.PredictWithVarianceBatch(Q)
+	Qm := ml.MatrixFromRows(Q)
+	probs := e.PredictProbaFlat(Qm)
+	ps, vs := e.PredictWithVarianceFlat(Qm)
 	for i, q := range Q {
 		if probs[i] != e.PredictProba(q) {
 			t.Fatalf("point %d: proba batch mismatch", i)

@@ -3,6 +3,7 @@ package gp
 import (
 	"testing"
 
+	"paws/internal/ml"
 	"paws/internal/rng"
 	"paws/internal/stats"
 )
@@ -31,14 +32,15 @@ func TestPredictBatchMatchesPointwise(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		Q = append(Q, []float64{r.NormFloat64(), r.NormFloat64()})
 	}
-	ps, vs := g.PredictWithVarianceBatch(Q)
+	Qm := ml.MatrixFromRows(Q)
+	ps, vs := g.PredictWithVarianceFlat(Qm)
 	for i, q := range Q {
 		p, v := g.PredictWithVariance(q)
 		if ps[i] != p || vs[i] != v {
 			t.Fatalf("point %d: batch (%v, %v) != pointwise (%v, %v)", i, ps[i], vs[i], p, v)
 		}
 	}
-	probs := g.PredictProbaBatch(Q)
+	probs := g.PredictProbaFlat(Qm)
 	for i, q := range Q {
 		if probs[i] != g.PredictProba(q) {
 			t.Fatalf("point %d: proba batch mismatch", i)

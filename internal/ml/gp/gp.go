@@ -252,19 +252,6 @@ func (g *GP) PredictWithVariance(x []float64) (float64, float64) {
 	return correctOdds(p, g.oddsInflation), variance
 }
 
-// PredictProbaBatch returns the class probability for every row of X.
-func (g *GP) PredictProbaBatch(X [][]float64) []float64 {
-	p, _ := g.PredictWithVarianceBatch(X)
-	return p
-}
-
-// PredictWithVarianceBatch is the [][]float64 compatibility wrapper around
-// PredictWithVarianceFlat: rows are copied into a flat matrix (a storage
-// change only) and scored on the columnar path.
-func (g *GP) PredictWithVarianceBatch(X [][]float64) ([]float64, []float64) {
-	return g.PredictWithVarianceFlat(ml.MatrixFromRows(X))
-}
-
 // PredictProbaFlat returns the class probability for every row of a flat
 // matrix.
 func (g *GP) PredictProbaFlat(X ml.Matrix) []float64 {
@@ -388,6 +375,9 @@ func (g *GP) LatentAt(x []float64) (mean, variance float64) {
 
 // TrainSize returns the size of the training subsample actually used.
 func (g *GP) TrainSize() int { return g.xf.Rows }
+
+// NumFeatures returns the feature-vector width the GP was fitted on.
+func (g *GP) NumFeatures() int { return g.xf.Cols }
 
 // LengthScale returns the resolved RBF length scale.
 func (g *GP) LengthScale() float64 { return g.ls }

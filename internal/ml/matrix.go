@@ -20,7 +20,7 @@ func NewMatrix(rows, cols int) Matrix {
 }
 
 // MatrixFromRows copies X into a freshly allocated flat matrix. Rows must be
-// rectangular; it panics otherwise (callers validate with CheckXY upstream).
+// rectangular; it panics otherwise (callers check row widths first).
 func MatrixFromRows(X [][]float64) Matrix {
 	if len(X) == 0 {
 		return Matrix{}
@@ -53,70 +53,4 @@ func (m Matrix) ToRows() [][]float64 {
 		out[i] = m.Row(i)
 	}
 	return out
-}
-
-// FlatBatchClassifier is a BatchClassifier that can additionally score a flat
-// row-major matrix directly, without per-row slice headers or gather copies.
-// Implementations must return exactly the floats the pointwise path would —
-// flat layout is a storage change, never an arithmetic one.
-type FlatBatchClassifier interface {
-	Classifier
-	// PredictProbaFlat returns PredictProba for every row of X.
-	PredictProbaFlat(X Matrix) []float64
-}
-
-// FlatBatchUncertaintyClassifier is the flat form of
-// BatchUncertaintyClassifier.
-type FlatBatchUncertaintyClassifier interface {
-	UncertaintyClassifier
-	// PredictWithVarianceFlat returns PredictWithVariance for every row of X
-	// as parallel probability and variance slices.
-	PredictWithVarianceFlat(X Matrix) (p, variance []float64)
-}
-
-// PredictAllFlat scores every row of a flat matrix, preferring the flat fast
-// path, then the [][]-batch path over zero-copy row views, then pointwise.
-func PredictAllFlat(c Classifier, X Matrix) []float64 {
-	if fc, ok := c.(FlatBatchClassifier); ok {
-		return fc.PredictProbaFlat(X)
-	}
-	if bc, ok := c.(BatchClassifier); ok {
-		return bc.PredictProbaBatch(X.ToRows())
-	}
-	out := make([]float64, X.Rows)
-	for i := range out {
-		out[i] = c.PredictProba(X.Row(i))
-	}
-	return out
-}
-
-// PredictWithVarianceAllFlat scores every row of a flat matrix with
-// uncertainty, with PredictAllFlat's dispatch order.
-func PredictWithVarianceAllFlat(c UncertaintyClassifier, X Matrix) (p, variance []float64) {
-	if fc, ok := c.(FlatBatchUncertaintyClassifier); ok {
-		return fc.PredictWithVarianceFlat(X)
-	}
-	if bc, ok := c.(BatchUncertaintyClassifier); ok {
-		return bc.PredictWithVarianceBatch(X.ToRows())
-	}
-	p = make([]float64, X.Rows)
-	variance = make([]float64, X.Rows)
-	for i := range p {
-		p[i], variance[i] = c.PredictWithVariance(X.Row(i))
-	}
-	return p, variance
-}
-
-// PredictProbaFlat returns the stored constant for every row.
-func (c *ConstantClassifier) PredictProbaFlat(X Matrix) []float64 {
-	out := make([]float64, X.Rows)
-	for i := range out {
-		out[i] = c.P
-	}
-	return out
-}
-
-// PredictWithVarianceFlat returns the constant with zero variance per row.
-func (c *ConstantClassifier) PredictWithVarianceFlat(X Matrix) ([]float64, []float64) {
-	return c.PredictProbaFlat(X), make([]float64, X.Rows)
 }

@@ -1,7 +1,16 @@
 // Package ml defines the model interfaces and shared utilities of the PAWS
-// predictive layer: binary probabilistic classifiers, classifiers with
-// per-prediction uncertainty, feature standardization, and cross-validation
-// folds. Concrete learners live in the subpackages tree, bagging, svm and gp.
+// predictive layer. There are two interfaces: Classifier, a binary
+// probabilistic classifier, and UncertaintyClassifier, one that also
+// quantifies per-prediction uncertainty. Each predicts in two forms:
+// pointwise on one feature vector, and batched on a flat row-major Matrix.
+// A batched method returns exactly the floats its pointwise twin returns
+// row by row — the flat layout is a storage change, never an arithmetic
+// one. Matrix is the only batch format: a caller holding [][]float64
+// converts once with MatrixFromRows. Training stays on [][]float64.
+//
+// The package also holds feature standardization and cross-validation
+// folds. Concrete learners live in the subpackages tree, svm, gp and
+// bagging.
 package ml
 
 import (
@@ -9,7 +18,6 @@ import (
 	"fmt"
 	"math"
 
-	"paws/internal/par"
 	"paws/internal/rng"
 )
 
@@ -24,6 +32,11 @@ var ErrNoData = errors.New("ml: empty training set")
 type Classifier interface {
 	Fit(X [][]float64, y []int) error
 	PredictProba(x []float64) float64
+	// PredictProbaFlat returns PredictProba for every row of X.
+	PredictProbaFlat(X Matrix) []float64
+	// NumFeatures returns the feature-vector width the model was fitted on
+	// (0 before Fit).
+	NumFeatures() int
 }
 
 // UncertaintyClassifier additionally quantifies per-prediction uncertainty.
@@ -32,25 +45,9 @@ type Classifier interface {
 type UncertaintyClassifier interface {
 	Classifier
 	PredictWithVariance(x []float64) (p, variance float64)
-}
-
-// BatchClassifier is a Classifier with a vectorized prediction path: scoring
-// a whole matrix at once lets implementations amortize per-call setup (the
-// GP's batched back-substitution, the ensemble's per-member dispatch) that a
-// one-point-at-a-time loop repays on every row. Implementations must return
-// exactly the floats the pointwise path would.
-type BatchClassifier interface {
-	Classifier
-	// PredictProbaBatch returns PredictProba for every row of X.
-	PredictProbaBatch(X [][]float64) []float64
-}
-
-// BatchUncertaintyClassifier is the batched form of UncertaintyClassifier.
-type BatchUncertaintyClassifier interface {
-	UncertaintyClassifier
-	// PredictWithVarianceBatch returns PredictWithVariance for every row of
-	// X as parallel probability and variance slices.
-	PredictWithVarianceBatch(X [][]float64) (p, variance []float64)
+	// PredictWithVarianceFlat returns PredictWithVariance for every row of X
+	// as parallel probability and variance slices.
+	PredictWithVarianceFlat(X Matrix) (p, variance []float64)
 }
 
 // Factory builds a fresh, untrained classifier. Ensembles and
@@ -58,42 +55,22 @@ type BatchUncertaintyClassifier interface {
 // independent seed.
 type Factory func(seed int64) Classifier
 
-// PredictAll applies PredictProba to every row of X, preferring the batch
-// fast path when c implements BatchClassifier.
-func PredictAll(c Classifier, X [][]float64) []float64 {
-	return PredictAllParallel(c, X, 1)
-}
-
-// PredictAllParallel scores every row of X on up to workers goroutines (see
-// par.Workers for the count semantics). Batch implementations are dispatched
-// in index-ordered chunks, so the output is identical for any worker count.
-func PredictAllParallel(c Classifier, X [][]float64, workers int) []float64 {
-	out := make([]float64, len(X))
-	if bc, ok := c.(BatchClassifier); ok {
-		par.ForEachChunk(workers, len(X), func(lo, hi int) {
-			copy(out[lo:hi], bc.PredictProbaBatch(X[lo:hi]))
-		})
-		return out
+// CommonWidth returns the feature width every classifier in cs was fitted
+// on: the check an ensemble decoded from a model file runs over its members.
+// It fails when cs is empty, holds a nil, or the widths disagree.
+func CommonWidth(cs []Classifier) (int, error) {
+	if len(cs) == 0 {
+		return 0, errors.New("ml: no classifiers")
 	}
-	par.ForEach(workers, len(X), func(i int) { out[i] = c.PredictProba(X[i]) })
-	return out
-}
-
-// PredictWithVarianceAll scores every row of X with uncertainty on up to
-// workers goroutines, preferring the batch fast path.
-func PredictWithVarianceAll(c UncertaintyClassifier, X [][]float64, workers int) (p, variance []float64) {
-	p = make([]float64, len(X))
-	variance = make([]float64, len(X))
-	if bc, ok := c.(BatchUncertaintyClassifier); ok {
-		par.ForEachChunk(workers, len(X), func(lo, hi int) {
-			ps, vs := bc.PredictWithVarianceBatch(X[lo:hi])
-			copy(p[lo:hi], ps)
-			copy(variance[lo:hi], vs)
-		})
-		return p, variance
+	for i, c := range cs {
+		if c == nil {
+			return 0, fmt.Errorf("ml: classifier %d is nil", i)
+		}
+		if w, w0 := c.NumFeatures(), cs[0].NumFeatures(); w != w0 {
+			return 0, fmt.Errorf("ml: classifier %d is %d features wide, classifier 0 is %d", i, w, w0)
+		}
 	}
-	par.ForEach(workers, len(X), func(i int) { p[i], variance[i] = c.PredictWithVariance(X[i]) })
-	return p, variance
+	return cs[0].NumFeatures(), nil
 }
 
 // CheckXY validates a training set shape.
@@ -234,39 +211,4 @@ func ClassCounts(y []int) (neg, pos int) {
 		}
 	}
 	return neg, pos
-}
-
-// ConstantClassifier predicts a fixed probability; it is the fallback when a
-// training subset is degenerate (single-class), which happens routinely
-// under 1:200 imbalance.
-type ConstantClassifier struct{ P float64 }
-
-// Fit sets P to the positive rate of y.
-func (c *ConstantClassifier) Fit(X [][]float64, y []int) error {
-	if len(y) == 0 {
-		return ErrNoData
-	}
-	neg, pos := ClassCounts(y)
-	c.P = float64(pos) / float64(neg+pos)
-	return nil
-}
-
-// PredictProba returns the stored constant.
-func (c *ConstantClassifier) PredictProba(x []float64) float64 { return c.P }
-
-// PredictWithVariance returns the constant with zero variance.
-func (c *ConstantClassifier) PredictWithVariance(x []float64) (float64, float64) { return c.P, 0 }
-
-// PredictProbaBatch returns the stored constant for every row.
-func (c *ConstantClassifier) PredictProbaBatch(X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	for i := range out {
-		out[i] = c.P
-	}
-	return out
-}
-
-// PredictWithVarianceBatch returns the constant with zero variance per row.
-func (c *ConstantClassifier) PredictWithVarianceBatch(X [][]float64) ([]float64, []float64) {
-	return c.PredictProbaBatch(X), make([]float64, len(X))
 }

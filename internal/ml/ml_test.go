@@ -119,28 +119,3 @@ func TestClassCounts(t *testing.T) {
 		t.Fatalf("counts = %d,%d", neg, pos)
 	}
 }
-
-func TestConstantClassifier(t *testing.T) {
-	c := &ConstantClassifier{}
-	if err := c.Fit([][]float64{{1}, {2}, {3}, {4}}, []int{1, 0, 0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	if c.PredictProba(nil) != 0.25 {
-		t.Fatalf("P = %v want 0.25", c.P)
-	}
-	p, v := c.PredictWithVariance(nil)
-	if p != 0.25 || v != 0 {
-		t.Fatal("PredictWithVariance wrong")
-	}
-	if err := c.Fit(nil, nil); err != ErrNoData {
-		t.Fatal("expected ErrNoData")
-	}
-}
-
-func TestPredictAll(t *testing.T) {
-	c := &ConstantClassifier{P: 0.7}
-	out := PredictAll(c, [][]float64{{1}, {2}})
-	if len(out) != 2 || out[0] != 0.7 || out[1] != 0.7 {
-		t.Fatalf("PredictAll = %v", out)
-	}
-}

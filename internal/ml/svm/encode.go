@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 
 	"paws/internal/ml"
 )
@@ -34,14 +35,19 @@ func (s *SVM) GobEncode() ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// GobDecode implements gob.GobDecoder.
+// GobDecode implements gob.GobDecoder. Save only writes fitted models, and
+// predicting standardizes the input and dots it with the weights, so an
+// unfitted encoding or one whose widths disagree is rejected.
 func (s *SVM) GobDecode(b []byte) error {
 	var st svmState
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
 		return err
 	}
-	if st.Fitted && (st.Std == nil || len(st.W) == 0) {
-		return errors.New("svm: corrupt encoding: fitted model without weights")
+	if !st.Fitted || st.Std == nil || len(st.W) == 0 {
+		return errors.New("svm: corrupt encoding: unfitted model")
+	}
+	if len(st.Std.Mean) != len(st.W) || len(st.Std.Scale) != len(st.W) {
+		return fmt.Errorf("svm: corrupt encoding: %d weights but a standardizer of %d means and %d scales", len(st.W), len(st.Std.Mean), len(st.Std.Scale))
 	}
 	s.cfg, s.std, s.w, s.b = st.Cfg, st.Std, st.W, st.B
 	s.plattA, s.plattB, s.fitted = st.PlattA, st.PlattB, st.Fitted

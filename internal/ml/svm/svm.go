@@ -168,26 +168,8 @@ func (s *SVM) PredictProba(x []float64) float64 {
 	return stats.Logistic(s.plattA*s.decision(z) + s.plattB)
 }
 
-// PredictProbaBatch scores every row of X, reusing one standardization
-// buffer across the batch instead of allocating per point.
-func (s *SVM) PredictProbaBatch(X [][]float64) []float64 {
-	if !s.fitted {
-		panic(ml.ErrNotFitted)
-	}
-	out := make([]float64, len(X))
-	if len(X) == 0 {
-		return out
-	}
-	z := make([]float64, len(X[0]))
-	for i, x := range X {
-		s.std.TransformInto(x, z)
-		out[i] = stats.Logistic(s.plattA*s.decision(z) + s.plattB)
-	}
-	return out
-}
-
-// PredictProbaFlat scores every row of a flat matrix with
-// PredictProbaBatch's one-buffer standardization — the columnar fast path.
+// PredictProbaFlat scores every row of a flat matrix, reusing one
+// standardization buffer across the batch instead of allocating per point.
 func (s *SVM) PredictProbaFlat(X ml.Matrix) []float64 {
 	if !s.fitted {
 		panic(ml.ErrNotFitted)
@@ -214,3 +196,6 @@ func (s *SVM) Decision(x []float64) float64 {
 
 // Weights returns the learned weight vector (standardized space).
 func (s *SVM) Weights() []float64 { return s.w }
+
+// NumFeatures returns the feature-vector width the SVM was fitted on.
+func (s *SVM) NumFeatures() int { return len(s.w) }

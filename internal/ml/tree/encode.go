@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 )
 
 func init() {
@@ -33,7 +34,9 @@ func toState(n *node) *nodeState {
 	}
 }
 
-func fromState(s *nodeState) (*node, error) {
+// fromState rebuilds the subtree at s, rejecting a split on a feature
+// outside [0, nFeat): predicting through it would index past the input.
+func fromState(s *nodeState, nFeat int) (*node, error) {
 	if s == nil {
 		return nil, nil
 	}
@@ -44,11 +47,14 @@ func fromState(s *nodeState) (*node, error) {
 	if n.leaf {
 		return n, nil
 	}
+	if n.feature < 0 || n.feature >= nFeat {
+		return nil, fmt.Errorf("tree: corrupt encoding: split on feature %d of %d", n.feature, nFeat)
+	}
 	var err error
-	if n.left, err = fromState(s.Left); err != nil {
+	if n.left, err = fromState(s.Left, nFeat); err != nil {
 		return nil, err
 	}
-	if n.right, err = fromState(s.Right); err != nil {
+	if n.right, err = fromState(s.Right, nFeat); err != nil {
 		return nil, err
 	}
 	if n.left == nil || n.right == nil {
@@ -71,13 +77,17 @@ func (t *Tree) GobEncode() ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// GobDecode implements gob.GobDecoder.
+// GobDecode implements gob.GobDecoder. Save only writes fitted trees, so an
+// encoding without a root or features is rejected.
 func (t *Tree) GobDecode(b []byte) error {
 	var st treeState
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
 		return err
 	}
-	root, err := fromState(st.Root)
+	if st.Root == nil || st.NFeat < 1 {
+		return fmt.Errorf("tree: corrupt encoding: unfitted tree (%d features)", st.NFeat)
+	}
+	root, err := fromState(st.Root, st.NFeat)
 	if err != nil {
 		return err
 	}

@@ -200,15 +200,6 @@ func (t *Tree) PredictProba(x []float64) float64 {
 	return nd.prob
 }
 
-// PredictProbaBatch scores every row of X with one tree walk per row.
-func (t *Tree) PredictProbaBatch(X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	for i, x := range X {
-		out[i] = t.PredictProba(x)
-	}
-	return out
-}
-
 // PredictProbaFlat scores every row of a flat matrix with one tree walk per
 // row, iterating the backing array without per-row slice headers.
 func (t *Tree) PredictProbaFlat(X ml.Matrix) []float64 {
@@ -218,6 +209,9 @@ func (t *Tree) PredictProbaFlat(X ml.Matrix) []float64 {
 	}
 	return out
 }
+
+// NumFeatures returns the feature-vector width the tree was fitted on.
+func (t *Tree) NumFeatures() int { return t.nFeat }
 
 // Depth returns the maximum depth of the fitted tree (0 for a stump).
 func (t *Tree) Depth() int { return depth(t.root) }

@@ -450,26 +450,9 @@ func (m *Model) PredictWithVariance(features []float64, effort float64) (p, vari
 	return m.plain.PredictWithVariance(features)
 }
 
-// PredictForEffortBatch scores many feature vectors at one planned effort
-// through the model's batch fast path.
-func (m *Model) PredictForEffortBatch(X [][]float64, effort float64) []float64 {
-	if m.iw != nil {
-		return m.iw.PredictForEffortBatch(X, effort)
-	}
-	return m.plain.PredictProbaBatch(X)
-}
-
-// PredictWithVarianceBatch scores many feature vectors with uncertainty at
-// one planned effort through the model's batch fast path.
-func (m *Model) PredictWithVarianceBatch(X [][]float64, effort float64) (p, variance []float64) {
-	if m.iw != nil {
-		return m.iw.PredictWithVarianceForEffortBatch(X, effort)
-	}
-	return m.plain.PredictWithVarianceBatch(X)
-}
-
-// PredictForEffortFlat is PredictForEffortBatch over a flat row-major
-// matrix — the columnar fast path the planner and serving layers use.
+// PredictForEffortFlat scores every row of a flat row-major matrix at one
+// planned effort — the batch path the planner and serving layers use. It
+// matches PredictForEffort row for row, bit for bit.
 func (m *Model) PredictForEffortFlat(X ml.Matrix, effort float64) []float64 {
 	if m.iw != nil {
 		return m.iw.PredictForEffortFlat(X, effort)
@@ -477,8 +460,8 @@ func (m *Model) PredictForEffortFlat(X ml.Matrix, effort float64) []float64 {
 	return m.plain.PredictProbaFlat(X)
 }
 
-// PredictWithVarianceFlat is PredictWithVarianceBatch over a flat row-major
-// matrix.
+// PredictWithVarianceFlat is PredictForEffortFlat returning the model's
+// uncertainty too; it matches PredictWithVariance row for row.
 func (m *Model) PredictWithVarianceFlat(X ml.Matrix, effort float64) (p, variance []float64) {
 	if m.iw != nil {
 		return m.iw.PredictWithVarianceForEffortFlat(X, effort)
@@ -489,20 +472,16 @@ func (m *Model) PredictWithVarianceFlat(X ml.Matrix, effort float64) (p, varianc
 // PredictPoints scores test points at their recorded efforts via the
 // vectorized prediction paths.
 func (m *Model) PredictPoints(pts []dataset.Point) []float64 {
-	if m.iw != nil {
-		X := make([][]float64, len(pts))
-		eff := make([]float64, len(pts))
-		for i, p := range pts {
-			X[i] = p.Features
-			eff[i] = p.Effort
-		}
-		return m.iw.PredictPoints(X, eff)
-	}
 	X := make([][]float64, len(pts))
+	eff := make([]float64, len(pts))
 	for i, p := range pts {
 		X[i] = p.Features
+		eff[i] = p.Effort
 	}
-	return m.plain.PredictProbaBatch(X)
+	if m.iw != nil {
+		return m.iw.PredictPoints(X, eff)
+	}
+	return m.plain.PredictProbaFlat(ml.MatrixFromRows(X))
 }
 
 // AUC evaluates the model on test points.

@@ -126,6 +126,15 @@ func LoadModel(r io.Reader) (*Model, error) {
 	if env.Kind.IsIWare() != (env.IW != nil) {
 		return nil, fmt.Errorf("%w: kind %v does not match stored state", ErrBadModelFile, env.Kind)
 	}
+	width := 0
+	if env.IW != nil {
+		width = env.IW.NumFeatures()
+	} else {
+		width = env.Plain.NumFeatures()
+	}
+	if width != env.NumFeatures {
+		return nil, fmt.Errorf("%w: learners are %d features wide, header says %d", ErrBadModelFile, width, env.NumFeatures)
+	}
 	return &Model{Kind: env.Kind, opts: env.Opts, numFeatures: env.NumFeatures, plain: env.Plain, iw: env.IW}, nil
 }
 

@@ -318,18 +318,13 @@ const predictChunkSize = 256
 // between chunks. Output is deterministic and independent of worker count
 // and concurrent load.
 func (s *Service) Predict(ctx context.Context, name string, X [][]float64, effort float64, opts ...Option) ([]float64, error) {
-	sm, err := s.served(name)
+	sm, Xm, err := s.predictInput(name, X)
 	if err != nil {
 		return nil, err
 	}
-	for i, row := range X {
-		if len(row) != sm.featureDim {
-			return nil, fmt.Errorf("paws: predict row %d has %d features, model %q expects %d", i, len(row), name, sm.featureDim)
-		}
-	}
-	out := make([]float64, len(X))
-	err = par.ForEachSliceCtx(ctx, s.settingsFor(opts).workers, len(X), predictChunkSize, func(lo, hi int) {
-		copy(out[lo:hi], sm.Model.PredictForEffortBatch(X[lo:hi], effort))
+	out := make([]float64, Xm.Rows)
+	err = par.ForEachSliceCtx(ctx, s.settingsFor(opts).workers, Xm.Rows, predictChunkSize, func(lo, hi int) {
+		copy(out[lo:hi], sm.Model.PredictForEffortFlat(Xm.Slice(lo, hi), effort))
 	})
 	if err != nil {
 		return nil, err
@@ -337,21 +332,32 @@ func (s *Service) Predict(ctx context.Context, name string, X [][]float64, effor
 	return out, nil
 }
 
-// PredictWithVariance is Predict returning the model's uncertainty too.
-func (s *Service) PredictWithVariance(ctx context.Context, name string, X [][]float64, effort float64, opts ...Option) (p, variance []float64, err error) {
+// predictInput resolves the model a Predict call names and converts its rows
+// to one flat matrix, after checking every row's width (MatrixFromRows
+// panics on ragged rows).
+func (s *Service) predictInput(name string, X [][]float64) (*ServedModel, ml.Matrix, error) {
 	sm, err := s.served(name)
 	if err != nil {
-		return nil, nil, err
+		return nil, ml.Matrix{}, err
 	}
 	for i, row := range X {
 		if len(row) != sm.featureDim {
-			return nil, nil, fmt.Errorf("paws: predict row %d has %d features, model %q expects %d", i, len(row), name, sm.featureDim)
+			return nil, ml.Matrix{}, fmt.Errorf("paws: predict row %d has %d features, model %q expects %d", i, len(row), name, sm.featureDim)
 		}
 	}
-	p = make([]float64, len(X))
-	variance = make([]float64, len(X))
-	err = par.ForEachSliceCtx(ctx, s.settingsFor(opts).workers, len(X), predictChunkSize, func(lo, hi int) {
-		ps, vs := sm.Model.PredictWithVarianceBatch(X[lo:hi], effort)
+	return sm, ml.MatrixFromRows(X), nil
+}
+
+// PredictWithVariance is Predict returning the model's uncertainty too.
+func (s *Service) PredictWithVariance(ctx context.Context, name string, X [][]float64, effort float64, opts ...Option) (p, variance []float64, err error) {
+	sm, Xm, err := s.predictInput(name, X)
+	if err != nil {
+		return nil, nil, err
+	}
+	p = make([]float64, Xm.Rows)
+	variance = make([]float64, Xm.Rows)
+	err = par.ForEachSliceCtx(ctx, s.settingsFor(opts).workers, Xm.Rows, predictChunkSize, func(lo, hi int) {
+		ps, vs := sm.Model.PredictWithVarianceFlat(Xm.Slice(lo, hi), effort)
 		copy(p[lo:hi], ps)
 		copy(variance[lo:hi], vs)
 	})

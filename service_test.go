@@ -192,6 +192,43 @@ func TestServicePredictConcurrentDeterministic(t *testing.T) {
 	}
 }
 
+// TestServicePredictMatchesPointwise pins Predict and PredictWithVariance,
+// which convert their rows to one flat matrix and score it in
+// predictChunkSize chunks, to the pointwise model bit for bit.
+func TestServicePredictMatchesPointwise(t *testing.T) {
+	ctx := context.Background()
+	for _, kind := range []ModelKind{GPBiW, DTB} {
+		t.Run(kind.String(), func(t *testing.T) {
+			svc, sc := serviceFixture(t, kind)
+			sm, _ := svc.Served("default")
+			pts := sc.Data.AllPoints()
+			X := make([][]float64, 600) // three chunks, the last one partial
+			for i := range X {
+				X[i] = pts[(i*7)%len(pts)].Features
+			}
+			const effort = 1.3
+			for _, workers := range []int{1, 4} {
+				probs, err := svc.Predict(ctx, "default", X, effort, WithWorkers(workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ps, vs, err := svc.PredictWithVariance(ctx, "default", X, effort, WithWorkers(workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, x := range X {
+					if want := sm.Model.PredictForEffort(x, effort); probs[i] != want {
+						t.Fatalf("workers=%d row %d: Predict %v != pointwise %v", workers, i, probs[i], want)
+					}
+					if wp, wv := sm.Model.PredictWithVariance(x, effort); ps[i] != wp || vs[i] != wv {
+						t.Fatalf("workers=%d row %d: PredictWithVariance (%v, %v) != pointwise (%v, %v)", workers, i, ps[i], vs[i], wp, wv)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestServicePredictValidation checks unknown models and malformed rows are
 // rejected before any model work.
 func TestServicePredictValidation(t *testing.T) {
