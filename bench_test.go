@@ -400,22 +400,28 @@ func BenchmarkChiSquared(b *testing.B) {
 // Outputs are byte-identical across -cpu values (see determinism_test.go);
 // only the wall-clock changes.
 
-// BenchmarkEnsembleTrain measures one GPB-iW training run — the paper's
-// preferred model and the most expensive Table II cell — with member and
-// ladder fits fanned out over the worker pool.
+// BenchmarkEnsembleTrain measures one iWare-E training run with member and
+// ladder fits fanned out over the worker pool: GPB-iW, the paper's preferred
+// model and the most expensive Table II cell, and DTB-iW, whose bagged trees
+// are the weak learner a simulated season retrains.
 func BenchmarkEnsembleTrain(b *testing.B) {
 	sc := benchScenario(b, "MFNP")
 	split, err := sc.Data.SplitByTestYear(benchLastYear(sc), 3)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Train(split.Train, TrainOptions{
-			Kind: GPBiW, Thresholds: 5, Members: 5, GPMaxTrain: 80, Seed: 51, Workers: 0,
-		}); err != nil {
-			b.Fatal(err)
-		}
+	for _, opts := range []TrainOptions{
+		{Kind: GPBiW, Thresholds: 5, Members: 5, GPMaxTrain: 80, Seed: 51, Workers: 0},
+		{Kind: DTBiW, Thresholds: 5, Members: 5, Seed: 51, Workers: 0},
+	} {
+		b.Run(opts.Kind.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Train(split.Train, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -80,14 +80,22 @@ type Stats struct {
 // session is the Manager's record of one environment. The Manager lock
 // guards the map and the bookkeeping fields; the per-session mutex
 // serializes Step/Reset compute so concurrent requests against one ID
-// execute in some serial order instead of racing the Env.
+// execute in some serial order instead of racing the Env. Step takes the
+// Manager lock inside the session mutex, never the other way round.
 type session struct {
 	id      string
 	env     *Env
 	created time.Time
 
-	mu       sync.Mutex // serializes env access
-	lastUsed time.Time  // guarded by the Manager lock
+	mu sync.Mutex // serializes env access
+
+	// Guarded by the Manager lock. season, months and done copy the Env's
+	// state after its latest step, so readers under the Manager lock never
+	// touch the Env while a step mutates it.
+	lastUsed time.Time
+	season   int
+	months   int
+	done     bool
 }
 
 // Manager retains stepped environments by ID. All methods are safe for
@@ -140,7 +148,8 @@ func (m *Manager) Create(e *Env) (Snapshot, error) {
 		id = fmt.Sprintf("e-%s-%06d", m.cfg.IDPrefix, m.nextID)
 	}
 	now := m.cfg.now()
-	s := &session{id: id, env: e, created: now, lastUsed: now}
+	s := &session{id: id, env: e, created: now, lastUsed: now,
+		season: e.Season(), months: e.Months(), done: e.Done()}
 	m.sessions[id] = s
 	m.created++
 	return m.snapshotLocked(s), nil
@@ -162,18 +171,17 @@ func (m *Manager) lookupLocked(id string) (*session, error) {
 	return nil, fmt.Errorf("%w %q", ErrUnknownSession, id)
 }
 
-// snapshotLocked builds a Snapshot; callers hold the Manager lock. The Env
-// fields it reads are only mutated under the session mutex by Step, which
-// also holds the Manager lock briefly before and after compute — stale
-// reads here are bounded to "a step is in flight right now".
+// snapshotLocked builds a Snapshot; callers hold the Manager lock. It reads
+// the session's copy of the Env state, which lags only while a step is in
+// flight, and the Env's immutable Config.
 func (m *Manager) snapshotLocked(s *session) Snapshot {
 	return Snapshot{
 		ID:       s.id,
 		Park:     s.env.Config().Park.Name,
-		Season:   s.env.Season(),
+		Season:   s.season,
 		Seasons:  s.env.Config().Seasons,
-		Months:   s.env.Months(),
-		Done:     s.env.Done(),
+		Months:   s.months,
+		Done:     s.done,
 		Created:  s.created,
 		LastUsed: s.lastUsed,
 	}
@@ -212,14 +220,16 @@ func (m *Manager) Step(ctx context.Context, id string, effort []float64) (*Obs, 
 
 	s.mu.Lock()
 	o, st, done, err := s.env.Step(ctx, effort)
-	s.mu.Unlock()
-
+	// Copy the Env state before releasing the session, so a step that
+	// finished earlier cannot overwrite a later one's copy.
 	m.mu.Lock()
 	s.lastUsed = m.cfg.now()
+	s.season, s.months, s.done = s.env.Season(), s.env.Months(), s.env.Done()
 	if err == nil {
 		m.steps++
 	}
 	m.mu.Unlock()
+	s.mu.Unlock()
 	return o, st, done, err
 }
 
@@ -244,7 +254,7 @@ func (m *Manager) Stats() Stats {
 	m.evictLocked()
 	st := Stats{Sessions: len(m.sessions), Created: m.created, Steps: m.steps}
 	for _, s := range m.sessions {
-		if !s.env.Done() {
+		if !s.done {
 			st.Active++
 		}
 	}
@@ -323,7 +333,7 @@ func (m *Manager) evictDoneLocked(k int) {
 	}
 	var done []*session
 	for _, s := range m.sessions {
-		if s.env.Done() {
+		if s.done {
 			done = append(done, s)
 		}
 	}

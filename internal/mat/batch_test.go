@@ -1,58 +1,50 @@
 package mat
 
 import (
+	"math"
 	"testing"
 
 	"paws/internal/rng"
 )
 
-// TestSolveLowerBatchMatchesSolveLower asserts the batched forward
-// substitution is bit-identical to the one-RHS-at-a-time path.
-func TestSolveLowerBatchMatchesSolveLower(t *testing.T) {
+// TestSolveLowerFlatMatchesSolveLower asserts the flat multi-RHS forward
+// substitution is bit-identical to the one-RHS-at-a-time path, for RHS
+// counts that exercise the four-way unroll, its tail, both, and neither.
+func TestSolveLowerFlatMatchesSolveLower(t *testing.T) {
 	r := rng.New(3)
-	n := 17
-	// Random SPD matrix A = MᵀM + n·I.
-	m := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			m.Set(i, j, r.NormFloat64())
-		}
-	}
-	a := Mul(Transpose(m), m)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, a.At(i, i)+float64(n))
-	}
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	B := make([][]float64, 9)
-	for k := range B {
-		B[k] = make([]float64, n)
-		for i := range B[k] {
-			B[k][i] = r.NormFloat64()
-		}
-	}
-	got := ch.SolveLowerBatch(B)
-	for k, b := range B {
-		want := ch.SolveLower(b)
-		for i := range want {
-			if got[k][i] != want[i] {
-				t.Fatalf("rhs %d component %d: batch %v != pointwise %v", k, i, got[k][i], want[i])
+	for _, n := range []int{1, 2, 17, 121} {
+		// Random SPD matrix A = MᵀM + n·I.
+		m := NewDense(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				m.Set(i, j, r.NormFloat64())
 			}
 		}
-	}
-}
-
-func TestSolveLowerBatchEmpty(t *testing.T) {
-	a := NewDense(2, 2)
-	a.Set(0, 0, 4)
-	a.Set(1, 1, 9)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := ch.SolveLowerBatch(nil); len(out) != 0 {
-		t.Fatalf("empty batch returned %d rows", len(out))
+		a := Mul(Transpose(m), m)
+		for i := 0; i < n; i++ {
+			a.Set(i, i, a.At(i, i)+float64(n))
+		}
+		ch, err := NewCholesky(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nrhs := range []int{0, 1, 3, 4, 5, 9} {
+			B := make([]float64, nrhs*n)
+			for i := range B {
+				B[i] = r.NormFloat64()
+			}
+			want := make([][]float64, nrhs)
+			for k := range want {
+				want[k] = ch.SolveLower(B[k*n : (k+1)*n])
+			}
+			ch.SolveLowerFlat(B, nrhs)
+			for k := range want {
+				for i, w := range want[k] {
+					if got := B[k*n+i]; math.Float64bits(got) != math.Float64bits(w) {
+						t.Fatalf("n=%d nrhs=%d rhs %d component %d: flat %v != pointwise %v", n, nrhs, k, i, got, w)
+					}
+				}
+			}
+		}
 	}
 }

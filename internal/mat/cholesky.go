@@ -101,40 +101,11 @@ func (c *Cholesky) SolveLower(b []float64) []float64 {
 	return y
 }
 
-// SolveLowerBatch solves L·Y = B for many right-hand sides in a single
-// forward pass over L: each row of L is read once and applied to every RHS,
-// instead of once per RHS as repeated SolveLower calls would. B holds one
-// right-hand side per row and is not modified; the result uses the same
-// layout. Per-RHS arithmetic matches SolveLower exactly (same operations in
-// the same order), so results are bit-identical to the one-at-a-time path.
-func (c *Cholesky) SolveLowerBatch(B [][]float64) [][]float64 {
-	m := len(B)
-	Y := make([][]float64, m)
-	for r, b := range B {
-		if len(b) != c.n {
-			panic(fmt.Sprintf("mat: SolveLowerBatch rhs %d length %d want %d", r, len(b), c.n))
-		}
-		Y[r] = make([]float64, c.n)
-	}
-	for i := 0; i < c.n; i++ {
-		row := c.l.Row(i)
-		for r := 0; r < m; r++ {
-			s := B[r][i]
-			yr := Y[r]
-			for k := 0; k < i; k++ {
-				s -= row[k] * yr[k]
-			}
-			yr[i] = s / row[i]
-		}
-	}
-	return Y
-}
-
 // SolveLowerFlat solves L·Y = B in place for nrhs right-hand sides stored
-// contiguously in B (row-major, one RHS per stride-n row). It is the
-// allocation-free columnar counterpart of SolveLowerBatch: one forward pass
-// over L serves every RHS, and the RHS loop is unrolled four ways so each
-// loaded L row element feeds four independent accumulators. Per-RHS
+// contiguously in B (row-major, one RHS per stride-n row). One forward pass
+// over L serves every RHS, instead of one pass per RHS as repeated
+// SolveLower calls would make, and the RHS loop is unrolled four ways so
+// each loaded L row element feeds four independent accumulators. Per-RHS
 // arithmetic still runs in SolveLower's exact order (k ascending, one
 // subtraction per step), so results are bit-identical to the one-at-a-time
 // path — the unroll only interleaves independent RHS streams.

@@ -2,11 +2,19 @@
 // impurity, depth/leaf-size controls and per-split feature subsampling.
 // Bagged ensembles of these trees (package bagging) reproduce the paper's
 // DTB weak learner, equivalent to a random forest (Section V-C).
+//
+// The split search sorts each candidate feature's node values per class
+// with a typed sort and merge-walks the two classes in ascending order,
+// scoring the boundary above each distinct value once every sample tied at
+// it, of either class, is on the left. The chosen split therefore depends
+// only on each class's values, not on sample order, and is bit-identical
+// to one combined sorted scan: the same boundaries, counts, Gini arithmetic
+// and (v + next) / 2 thresholds. Features must be finite.
 package tree
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"paws/internal/ml"
 	"paws/internal/rng"
@@ -63,12 +71,13 @@ func (t *Tree) Fit(X [][]float64, y []int) error {
 		idx[i] = i
 	}
 	r := rng.New(t.cfg.Seed)
-	t.root = t.grow(X, y, idx, 0, r)
+	t.root = t.grow(X, y, idx, 0, r, make([]float64, len(X)))
 	return nil
 }
 
-// grow recursively builds the tree over the sample indices idx.
-func (t *Tree) grow(X [][]float64, y []int, idx []int, depth int, r *rng.RNG) *node {
+// grow recursively builds the tree over the sample indices idx, which it
+// partitions in place. buf is bestSplit's scratch, shared by every node.
+func (t *Tree) grow(X [][]float64, y []int, idx []int, depth int, r *rng.RNG, buf []float64) *node {
 	pos := 0
 	for _, i := range idx {
 		pos += y[i]
@@ -80,76 +89,96 @@ func (t *Tree) grow(X [][]float64, y []int, idx []int, depth int, r *rng.RNG) *n
 		nd.leaf = true
 		return nd
 	}
-	feat, thr, ok := t.bestSplit(X, y, idx, r)
+	feat, thr, ok := t.bestSplit(X, y, idx, pos, r, buf)
 	if !ok {
 		nd.leaf = true
 		return nd
 	}
-	var left, right []int
-	for _, i := range idx {
+	nLeft := 0
+	for k, i := range idx {
 		if X[i][feat] <= thr {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
+			idx[nLeft], idx[k] = i, idx[nLeft]
+			nLeft++
 		}
 	}
-	if len(left) < t.cfg.MinLeaf || len(right) < t.cfg.MinLeaf {
+	if nLeft < t.cfg.MinLeaf || n-nLeft < t.cfg.MinLeaf {
 		nd.leaf = true
 		return nd
 	}
 	nd.feature = feat
 	nd.threshold = thr
-	nd.left = t.grow(X, y, left, depth+1, r)
-	nd.right = t.grow(X, y, right, depth+1, r)
+	nd.left = t.grow(X, y, idx[:nLeft], depth+1, r, buf)
+	nd.right = t.grow(X, y, idx[nLeft:], depth+1, r, buf)
 	return nd
 }
 
 // bestSplit searches candidate features for the split minimizing weighted
-// Gini impurity. Features are subsampled when MaxFeatures is set.
-func (t *Tree) bestSplit(X [][]float64, y []int, idx []int, r *rng.RNG) (feat int, thr float64, ok bool) {
+// Gini impurity over the samples idx, pos of them positive, by the per-class
+// merge walk the package doc describes. Features are subsampled when
+// MaxFeatures is set. buf holds at least len(idx) values.
+func (t *Tree) bestSplit(X [][]float64, y []int, idx []int, pos int, r *rng.RNG, buf []float64) (feat int, thr float64, ok bool) {
 	candidates := t.candidateFeatures(r)
 	n := len(idx)
-	bestGini := gini(countPos(y, idx), n) // must strictly improve on parent
+	bestGini := gini(pos, n) // must strictly improve on parent
 	bestFeat, bestThr := -1, 0.0
 
-	type sv struct {
-		v float64
-		y int
-	}
-	vals := make([]sv, n)
+	posV, negV := buf[:pos], buf[pos:n]
 	for _, f := range candidates {
-		for i, id := range idx {
-			vals[i] = sv{X[id][f], y[id]}
+		p, q := 0, 0
+		for _, id := range idx {
+			if y[id] == 1 {
+				posV[p] = X[id][f]
+				p++
+			} else {
+				negV[q] = X[id][f]
+				q++
+			}
 		}
-		sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
-		posLeft, nLeft := 0, 0
-		posTotal := 0
-		for _, v := range vals {
-			posTotal += v.y
-		}
-		for i := 0; i < n-1; i++ {
-			posLeft += vals[i].y
-			nLeft++
-			if vals[i].v == vals[i+1].v {
-				continue // cannot split between equal values
+		slices.Sort(posV)
+		slices.Sort(negV)
+		// i and j count each class's samples left of the boundary above v.
+		// v may come from either class: only ±0 tie with different bits,
+		// and (±0 + next) / 2 is the same either way.
+		i, j := 0, 0
+		v := lowest(posV, 0, negV, 0)
+		for {
+			for i < len(posV) && posV[i] == v {
+				i++
 			}
-			if nLeft < t.cfg.MinLeaf || n-nLeft < t.cfg.MinLeaf {
-				continue
+			for j < len(negV) && negV[j] == v {
+				j++
 			}
-			gl := gini(posLeft, nLeft)
-			gr := gini(posTotal-posLeft, n-nLeft)
-			g := (float64(nLeft)*gl + float64(n-nLeft)*gr) / float64(n)
-			if g < bestGini-1e-12 {
-				bestGini = g
-				bestFeat = f
-				bestThr = (vals[i].v + vals[i+1].v) / 2
+			nLeft := i + j
+			if nLeft == n || n-nLeft < t.cfg.MinLeaf {
+				break
 			}
+			next := lowest(posV, i, negV, j)
+			if nLeft >= t.cfg.MinLeaf {
+				gl := gini(i, nLeft)
+				gr := gini(pos-i, n-nLeft)
+				g := (float64(nLeft)*gl + float64(n-nLeft)*gr) / float64(n)
+				if g < bestGini-1e-12 {
+					bestGini = g
+					bestFeat = f
+					bestThr = (v + next) / 2
+				}
+			}
+			v = next
 		}
 	}
 	if bestFeat < 0 {
 		return 0, 0, false
 	}
 	return bestFeat, bestThr, true
+}
+
+// lowest returns the smaller of the sorted slices' next values a[i] and
+// b[j], skipping an exhausted slice; one of them must have values left.
+func lowest(a []float64, i int, b []float64, j int) float64 {
+	if j == len(b) || (i < len(a) && a[i] < b[j]) {
+		return a[i]
+	}
+	return b[j]
 }
 
 func (t *Tree) candidateFeatures(r *rng.RNG) []int {
@@ -162,14 +191,6 @@ func (t *Tree) candidateFeatures(r *rng.RNG) []int {
 		return out
 	}
 	return r.SampleWithoutReplacement(t.nFeat, k)
-}
-
-func countPos(y []int, idx []int) int {
-	pos := 0
-	for _, i := range idx {
-		pos += y[i]
-	}
-	return pos
 }
 
 // gini returns the Gini impurity of a node with pos positives out of n.

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"paws/internal/rng"
@@ -174,4 +175,213 @@ func TestTreeImbalancedData(t *testing.T) {
 	if p := tr.PredictProba([]float64{0.5, 0.5}); p > 0.1 {
 		t.Fatalf("negative region prediction %v", p)
 	}
+}
+
+// refGrow and refBestSplit are the split search before the per-class sort:
+// one combined sort.Slice per candidate feature and appended child index
+// lists. They are kept verbatim (renamed) as the reference the current
+// search must reproduce bit for bit.
+func (t *Tree) refGrow(X [][]float64, y []int, idx []int, depth int, r *rng.RNG) *node {
+	pos := 0
+	for _, i := range idx {
+		pos += y[i]
+	}
+	n := len(idx)
+	nd := &node{prob: float64(pos) / float64(n), n: n}
+	if pos == 0 || pos == n || n < 2*t.cfg.MinLeaf ||
+		(t.cfg.MaxDepth > 0 && depth >= t.cfg.MaxDepth) {
+		nd.leaf = true
+		return nd
+	}
+	feat, thr, ok := t.refBestSplit(X, y, idx, r)
+	if !ok {
+		nd.leaf = true
+		return nd
+	}
+	var left, right []int
+	for _, i := range idx {
+		if X[i][feat] <= thr {
+			left = append(left, i)
+		} else {
+			right = append(right, i)
+		}
+	}
+	if len(left) < t.cfg.MinLeaf || len(right) < t.cfg.MinLeaf {
+		nd.leaf = true
+		return nd
+	}
+	nd.feature = feat
+	nd.threshold = thr
+	nd.left = t.refGrow(X, y, left, depth+1, r)
+	nd.right = t.refGrow(X, y, right, depth+1, r)
+	return nd
+}
+
+func (t *Tree) refBestSplit(X [][]float64, y []int, idx []int, r *rng.RNG) (feat int, thr float64, ok bool) {
+	candidates := t.candidateFeatures(r)
+	n := len(idx)
+	bestGini := gini(countPos(y, idx), n) // must strictly improve on parent
+	bestFeat, bestThr := -1, 0.0
+
+	type sv struct {
+		v float64
+		y int
+	}
+	vals := make([]sv, n)
+	for _, f := range candidates {
+		for i, id := range idx {
+			vals[i] = sv{X[id][f], y[id]}
+		}
+		sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
+		posLeft, nLeft := 0, 0
+		posTotal := 0
+		for _, v := range vals {
+			posTotal += v.y
+		}
+		for i := 0; i < n-1; i++ {
+			posLeft += vals[i].y
+			nLeft++
+			if vals[i].v == vals[i+1].v {
+				continue // cannot split between equal values
+			}
+			if nLeft < t.cfg.MinLeaf || n-nLeft < t.cfg.MinLeaf {
+				continue
+			}
+			gl := gini(posLeft, nLeft)
+			gr := gini(posTotal-posLeft, n-nLeft)
+			g := (float64(nLeft)*gl + float64(n-nLeft)*gr) / float64(n)
+			if g < bestGini-1e-12 {
+				bestGini = g
+				bestFeat = f
+				bestThr = (vals[i].v + vals[i+1].v) / 2
+			}
+		}
+	}
+	if bestFeat < 0 {
+		return 0, 0, false
+	}
+	return bestFeat, bestThr, true
+}
+
+func countPos(y []int, idx []int) int {
+	pos := 0
+	for _, i := range idx {
+		pos += y[i]
+	}
+	return pos
+}
+
+// splitData draws m distinct rows of nFeat features and their labels,
+// positive at a rate between 1:200 and 1:1 with at least one of each class.
+// Feature 0 is constant. Every other feature draws either from {-2, -0, +0,
+// 0.5}, so values tie within and across classes and the zeros differ only
+// in sign, or from a continuous normal.
+func splitData(r *rng.RNG, m, nFeat int) ([][]float64, []int) {
+	discrete := []float64{-2, math.Copysign(0, -1), 0, 0.5}
+	cont := make([]bool, nFeat)
+	for f := 1; f < nFeat; f++ {
+		cont[f] = r.Bernoulli(0.5)
+	}
+	rate := 1 / (1 + math.Exp(r.Float64()*math.Log(200)))
+	X := make([][]float64, m)
+	y := make([]int, m)
+	for i := range X {
+		X[i] = make([]float64, nFeat)
+		X[i][0] = 3
+		for f := 1; f < nFeat; f++ {
+			if cont[f] {
+				X[i][f] = r.NormFloat64()
+			} else {
+				X[i][f] = discrete[r.Intn(len(discrete))]
+			}
+		}
+		if r.Bernoulli(rate) {
+			y[i] = 1
+		}
+	}
+	y[0], y[m-1] = 1, 0
+	return X, y
+}
+
+// bootstrap returns n indices drawn with replacement from [0, m), so rows
+// repeat as in a bagged tree's training sample.
+func bootstrap(r *rng.RNG, m, n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = r.Intn(m)
+	}
+	return idx
+}
+
+func TestBestSplitMatchesReference(t *testing.T) {
+	r := rng.New(20)
+	nodes, splits := 0, 0
+	for _, minLeaf := range []int{1, 2, 5} {
+		for _, maxFeat := range []int{0, 3} {
+			for trial := 0; trial < 400; trial++ {
+				nFeat := 4 + r.Intn(4)
+				m := 2 + r.Intn(300)
+				X, y := splitData(r, m, nFeat)
+				idx := bootstrap(r, m, 2+r.Intn(2*m))
+				tr := New(Config{MinLeaf: minLeaf, MaxFeatures: maxFeat})
+				tr.nFeat = nFeat
+				seed := r.Int63()
+				r1, r2 := rng.New(seed), rng.New(seed)
+				f1, thr1, ok1 := tr.bestSplit(X, y, idx, countPos(y, idx), r1, make([]float64, len(idx)))
+				f2, thr2, ok2 := tr.refBestSplit(X, y, idx, r2)
+				if f1 != f2 || math.Float64bits(thr1) != math.Float64bits(thr2) || ok1 != ok2 {
+					t.Fatalf("minLeaf %d maxFeat %d trial %d: got (%d, %v, %v), reference (%d, %v, %v)",
+						minLeaf, maxFeat, trial, f1, thr1, ok1, f2, thr2, ok2)
+				}
+				if r1.Int63() != r2.Int63() {
+					t.Fatalf("minLeaf %d maxFeat %d trial %d: RNG streams diverged", minLeaf, maxFeat, trial)
+				}
+				nodes++
+				if ok1 {
+					splits++
+				}
+			}
+		}
+	}
+	if nodes < 2000 || splits < nodes/2 {
+		t.Fatalf("covered %d nodes, %d with a split", nodes, splits)
+	}
+}
+
+func TestTreeMatchesReference(t *testing.T) {
+	r := rng.New(21)
+	base, by := splitData(r, 800, 7)
+	b := bootstrap(r, len(base), 2000)
+	X := make([][]float64, len(b))
+	y := make([]int, len(b))
+	for i, j := range b {
+		X[i], y[i] = base[j], by[j]
+	}
+	cfg := Config{MinLeaf: 1, MaxFeatures: 3, Seed: 5}
+	got := New(cfg)
+	if err := got.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	want := New(cfg)
+	want.nFeat = len(X[0])
+	idx := make([]int, len(X))
+	for i := range idx {
+		idx[i] = i
+	}
+	want.root = want.refGrow(X, y, idx, 0, rng.New(cfg.Seed))
+	if got.NumLeaves() < 20 {
+		t.Fatalf("reference tree has only %d leaves", got.NumLeaves())
+	}
+	var walk func(path string, a, b *node)
+	walk = func(path string, a, b *node) {
+		if a.leaf != b.leaf || a.n != b.n || math.Float64bits(a.prob) != math.Float64bits(b.prob) ||
+			a.feature != b.feature || math.Float64bits(a.threshold) != math.Float64bits(b.threshold) {
+			t.Fatalf("node %q: got %+v, reference %+v", path, *a, *b)
+		}
+		if !a.leaf {
+			walk(path+"L", a.left, b.left)
+			walk(path+"R", a.right, b.right)
+		}
+	}
+	walk("", got.root, want.root)
 }

@@ -212,35 +212,12 @@ func MapErr[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// ForEachChunk splits [0, n) into at most Workers(workers) contiguous chunks
-// of near-equal size and runs fn(lo, hi) for each — the right shape for
-// batch APIs that amortize per-call setup over many indices.
-func ForEachChunk(workers, n int, fn func(lo, hi int)) {
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if n > 0 {
-			fn(0, n)
-		}
-		return
-	}
-	ForEach(workers, workers, func(c int) {
-		lo := c * n / workers
-		hi := (c + 1) * n / workers
-		if lo < hi {
-			fn(lo, hi)
-		}
-	})
-}
-
 // ForEachSliceCtx runs fn(lo, hi) over [0, n) in contiguous chunks of at
 // most `chunk` indices, scheduled dynamically over the worker pool with
-// cancellation observed between chunks. Unlike ForEachChunk — which cuts
-// exactly one chunk per worker — the fixed chunk size bounds how much work
-// starts after ctx is canceled, which is what gives long batch sweeps
-// (risk maps, batched prediction) a deadline with useful granularity.
+// cancellation observed between chunks. The fixed chunk size, not one chunk
+// per worker, bounds how much work starts after ctx is canceled, which is
+// what gives long batch sweeps (risk maps, batched prediction) a deadline
+// with useful granularity.
 // Chunk boundaries must not affect fn's per-index output; every batch
 // prediction path in this repo satisfies that (per-row arithmetic is
 // independent of batch composition), so results stay byte-identical for any

@@ -101,27 +101,6 @@ func TestMapErrDiscardsPartialResults(t *testing.T) {
 	}
 }
 
-func TestForEachChunkPartitions(t *testing.T) {
-	for _, workers := range []int{1, 3, 4, 7} {
-		for _, n := range []int{0, 1, 5, 100} {
-			covered := make([]atomic.Int64, n)
-			ForEachChunk(workers, n, func(lo, hi int) {
-				if lo >= hi {
-					t.Errorf("empty chunk [%d,%d)", lo, hi)
-				}
-				for i := lo; i < hi; i++ {
-					covered[i].Add(1)
-				}
-			})
-			for i := range covered {
-				if c := covered[i].Load(); c != 1 {
-					t.Fatalf("workers=%d n=%d: index %d covered %d times", workers, n, i, c)
-				}
-			}
-		}
-	}
-}
-
 func TestSeedsDeterministicAndIndexStable(t *testing.T) {
 	a := Seeds(42, 8)
 	b := Seeds(42, 8)
