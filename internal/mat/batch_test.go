@@ -7,10 +7,11 @@ import (
 	"paws/internal/rng"
 )
 
-// TestSolveLowerFlatMatchesSolveLower asserts the flat multi-RHS forward
-// substitution is bit-identical to the one-RHS-at-a-time path, for RHS
-// counts that exercise the four-way unroll, its tail, both, and neither.
-func TestSolveLowerFlatMatchesSolveLower(t *testing.T) {
+// TestSolveLowerBatchMatchesSolveLower asserts the batched (flat multi-RHS)
+// forward substitution, SolveLowerFlat, is bit-identical to the
+// one-RHS-at-a-time path, for RHS counts that exercise the four-way unroll,
+// its tail, both, and neither.
+func TestSolveLowerBatchMatchesSolveLower(t *testing.T) {
 	r := rng.New(3)
 	for _, n := range []int{1, 2, 17, 121} {
 		// Random SPD matrix A = MᵀM + n·I.
@@ -28,7 +29,7 @@ func TestSolveLowerFlatMatchesSolveLower(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, nrhs := range []int{0, 1, 3, 4, 5, 9} {
+		for _, nrhs := range []int{1, 3, 4, 5, 9} {
 			B := make([]float64, nrhs*n)
 			for i := range B {
 				B[i] = r.NormFloat64()
@@ -47,4 +48,25 @@ func TestSolveLowerFlatMatchesSolveLower(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSolveLowerBatchEmpty asserts an empty batch (nrhs = 0, nil or empty
+// buffer) is accepted and solves nothing, and that a buffer whose length
+// does not match nrhs·n is rejected.
+func TestSolveLowerBatchEmpty(t *testing.T) {
+	a := NewDense(2, 2)
+	a.Set(0, 0, 4)
+	a.Set(1, 1, 9)
+	ch, err := NewCholesky(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch.SolveLowerFlat(nil, 0)
+	ch.SolveLowerFlat([]float64{}, 0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SolveLowerFlat accepted a 2-long buffer for nrhs = 0")
+		}
+	}()
+	ch.SolveLowerFlat([]float64{1, 2}, 0)
 }
