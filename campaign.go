@@ -5,9 +5,9 @@ import (
 	"fmt"
 
 	"paws/internal/campaign"
+	"paws/internal/env"
 	"paws/internal/obs"
 	"paws/internal/poach"
-	"paws/internal/sim"
 )
 
 // CampaignConfig configures Service.Campaign: a deterministic sweep over a
@@ -143,7 +143,7 @@ func (s *Service) Campaign(ctx context.Context, cfg CampaignConfig, opts ...Opti
 	// each grid cell then records one span, and the seasons inside it
 	// record theirs, all under the submitting request's trace.
 	tr := obs.TraceFrom(ctx)
-	runner := func(ctx context.Context, cell campaign.Cell) (*sim.Report, error) {
+	runner := func(ctx context.Context, cell campaign.Cell) (*env.Report, error) {
 		if tr != nil {
 			ctx = obs.WithTrace(ctx, tr)
 		}

@@ -24,9 +24,9 @@ import (
 	"syscall"
 
 	"paws"
+	"paws/internal/env"
 	"paws/internal/geo"
 	"paws/internal/prof"
-	"paws/internal/sim"
 )
 
 func main() {
@@ -81,7 +81,7 @@ func main() {
 	cfg.Attacker.Kind = *attacker
 	for _, park := range splitList(*parks) {
 		cfg.Park = park
-		var rep *sim.Report
+		var rep *env.Report
 		if *remote != "" {
 			rep, err = svc.SimulateRemote(ctx, *remote, nil, cfg)
 		} else {

@@ -8,9 +8,7 @@ import (
 
 	"paws/internal/env"
 	"paws/internal/geo"
-	"paws/internal/par"
 	"paws/internal/poach"
-	"paws/internal/sim"
 )
 
 // This file is the service-level surface of the stepped environment
@@ -78,23 +76,35 @@ func (cfg EnvConfig) Validate() error {
 // as Simulate does) and builds a live stepped environment: the bootstrap
 // history is simulated and the episode is reset, ready for the first Step.
 func (s *Service) NewEnv(cfg EnvConfig, opts ...Option) (*env.Env, error) {
-	st := s.settingsFor(opts)
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	parkCfg, simCfg, err := resolveConfigs(cfg.Park, st.scale, st.seed)
+	ecfg, err := s.settingsFor(opts).envConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
-	// Same seed convention as Simulate: the caller's root seed drives the
-	// loop, so an Env episode replays a Simulate policy log exactly.
+	return env.New(ecfg)
+}
+
+// envConfig resolves a defaults-filled config's park spec at the settings'
+// scale and seed into the environment config Simulate, SimulateRemote and
+// NewEnv run on. The caller's root seed drives the loop (and labels the
+// report), so the printed "seed N" reproduces a report verbatim and an Env
+// episode replays a Simulate policy log exactly. The scenario convention of
+// offsetting the history seed exists to separate park and history streams,
+// which the engine's labelled splits already do.
+func (st settings) envConfig(cfg EnvConfig) (env.Config, error) {
+	parkCfg, simCfg, err := resolveConfigs(cfg.Park, st.scale, st.seed)
+	if err != nil {
+		return env.Config{}, err
+	}
 	simCfg.Seed = st.seed
 	park, err := geo.GeneratePark(parkCfg)
 	if err != nil {
-		return nil, fmt.Errorf("paws: generate park: %w", err)
+		return env.Config{}, fmt.Errorf("paws: generate park: %w", err)
 	}
-	return env.New(env.Config{
+	return env.Config{
 		Park:            park,
 		Sim:             simCfg,
 		Attacker:        cfg.Attacker,
@@ -102,7 +112,7 @@ func (s *Service) NewEnv(cfg EnvConfig, opts ...Option) (*env.Env, error) {
 		SeasonMonths:    cfg.SeasonMonths,
 		BootstrapMonths: cfg.BootstrapMonths,
 		BudgetKM:        cfg.BudgetKM,
-	})
+	}, nil
 }
 
 // httpEnvCloseTimeout bounds the best-effort session delete SimulateRemote
@@ -117,86 +127,22 @@ const httpEnvCloseTimeout = 5 * time.Second
 // from the same spec, scale and seed the server uses, so the report is
 // byte-identical to the local Simulate for the same configuration and any
 // worker count. hc nil selects http.DefaultClient.
-func (s *Service) SimulateRemote(ctx context.Context, baseURL string, hc *http.Client, cfg SimConfig, opts ...Option) (*sim.Report, error) {
-	st := s.settingsFor(opts)
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	parkCfg, simCfg, err := resolveConfigs(cfg.Park, st.scale, st.seed)
-	if err != nil {
-		return nil, err
-	}
-	simCfg.Seed = st.seed
-	park, err := geo.GeneratePark(parkCfg)
-	if err != nil {
-		return nil, fmt.Errorf("paws: generate park: %w", err)
-	}
-	policies := make([]sim.Policy, len(cfg.Policies))
-	for i, name := range cfg.Policies {
-		if name == "paws" {
-			policies[i] = &pawsPolicy{st: st, beta: cfg.Beta}
-			continue
-		}
-		p, err := sim.ByName(name)
-		if err != nil {
-			return nil, fmt.Errorf("paws: %w (plus \"paws\")", err)
-		}
-		policies[i] = p
-	}
-	// The report's header fields come from the env view of the config —
-	// the same derivation the server applies per session.
-	ecfg, err := (env.Config{
-		Park:            park,
-		Sim:             simCfg,
-		Attacker:        cfg.Attacker,
-		Seasons:         cfg.Seasons,
-		SeasonMonths:    cfg.SeasonMonths,
-		BootstrapMonths: cfg.BootstrapMonths,
-		BudgetKM:        cfg.BudgetKM,
-	}).WithDefaults()
-	if err != nil {
-		return nil, err
-	}
-	var progress func(policy string, season, seasons int)
-	if pf := st.progress; pf != nil {
-		progress = func(policy string, season, seasons int) {
-			pf(ProgressEvent{Stage: "season", Item: policy, Current: season, Total: seasons})
-		}
-	}
-	req := env.CreateRequest{
-		Park:            cfg.Park,
-		Seed:            st.seed,
-		Seasons:         cfg.Seasons,
-		SeasonMonths:    cfg.SeasonMonths,
-		BootstrapMonths: cfg.BootstrapMonths,
-		BudgetKM:        cfg.BudgetKM,
-		Attacker:        cfg.Attacker.Kind,
-	}
-	results, err := par.MapErrCtx(ctx, st.workers, len(policies), func(i int) (sim.PolicyResult, error) {
-		c := env.NewClient(baseURL, hc, park, req)
-		defer func() {
+func (s *Service) SimulateRemote(ctx context.Context, baseURL string, hc *http.Client, cfg SimConfig, opts ...Option) (*env.Report, error) {
+	return s.simulate(ctx, cfg, opts, func(ctx context.Context, cfg SimConfig, ecfg env.Config) (env.Stepper, func(), error) {
+		c := env.NewClient(baseURL, hc, ecfg.Park, env.CreateRequest{
+			Park:            cfg.Park,
+			Seed:            ecfg.Sim.Seed,
+			Seasons:         cfg.Seasons,
+			SeasonMonths:    cfg.SeasonMonths,
+			BootstrapMonths: cfg.BootstrapMonths,
+			BudgetKM:        cfg.BudgetKM,
+			Attacker:        cfg.Attacker.Kind,
+		})
+		return c, func() {
 			// Best-effort cleanup even when ctx is already done.
 			cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), httpEnvCloseTimeout)
 			defer cancel()
 			_ = c.Close(cctx)
-		}()
-		return env.Drive(ctx, c, policies[i], env.DriveConfig{
-			Seed:     ecfg.Sim.Seed,
-			Seasons:  ecfg.Seasons,
-			Progress: progress,
-		})
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &sim.Report{
-		Park:         ecfg.Park.Name,
-		Seed:         ecfg.Sim.Seed,
-		Attacker:     ecfg.Attacker.Kind,
-		Seasons:      ecfg.Seasons,
-		SeasonMonths: ecfg.SeasonMonths,
-		BudgetKM:     ecfg.BudgetKM,
-		Policies:     results,
-	}, nil
 }

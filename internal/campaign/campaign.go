@@ -9,7 +9,7 @@
 // # Grid cells and pairing
 //
 // A Cell is one (park, seed, seasons) triple. All of a campaign's policies
-// run inside a single cell through one closed-loop simulation (internal/sim)
+// run inside a single cell through one closed-loop simulation (env.Run)
 // under common random numbers: the attack, detection and observation draws
 // for month m derive from (seed, m) only, never from the policy, so within a
 // cell two policies' outcomes differ only where their patrol effort actually
@@ -45,10 +45,10 @@ import (
 	"strings"
 	"sync"
 
+	"paws/internal/env"
 	"paws/internal/geo"
 	"paws/internal/job"
 	"paws/internal/rng"
-	"paws/internal/sim"
 	"paws/internal/stats"
 )
 
@@ -73,7 +73,7 @@ type Cell struct {
 // campaign policy on cell.Park at cell.Seed over cell.Seasons seasons. The
 // root package supplies Service.Simulate here; tests supply fakes. The
 // returned report must contain exactly the campaign's policies.
-type Runner func(ctx context.Context, cell Cell) (*sim.Report, error)
+type Runner func(ctx context.Context, cell Cell) (*env.Report, error)
 
 // Config drives one campaign. Parks/Policies/Seeds/SeasonCounts span the
 // grid; Baseline anchors the paired deltas.
@@ -273,7 +273,7 @@ func (cfg Config) cells() []Cell {
 // CellResult is one grid cell plus its full simulation report.
 type CellResult struct {
 	Cell
-	Report *sim.Report `json:"report"`
+	Report *env.Report `json:"report"`
 }
 
 // PolicyStats aggregates one policy over one park's cells.
@@ -306,7 +306,7 @@ type Delta struct {
 
 // ParkSummary aggregates one park across its grid cells.
 type ParkSummary struct {
-	// Park is the spec the cells ran (the sim reports carry the generated
+	// Park is the spec the cells ran (the cell reports carry the generated
 	// park's display name).
 	Park     string        `json:"park"`
 	Cells    int           `json:"cells"`
@@ -380,7 +380,7 @@ func Run(ctx context.Context, cfg Config, run Runner) (*Report, error) {
 // completion order) cancels every other cell's context immediately — a
 // doomed campaign drains in milliseconds instead of simulating the rest of
 // the grid — and its error is the one Run reports.
-func runCells(ctx context.Context, cfg Config, cells []Cell, run Runner) ([]*sim.Report, error) {
+func runCells(ctx context.Context, cfg Config, cells []Cell, run Runner) ([]*env.Report, error) {
 	mgr := job.NewManager(job.Config{Workers: cfg.Workers, ResultTTL: -1, MaxRetained: len(cells)})
 	// The counter increment and the callback run under one lock so observers
 	// (e.g. the NDJSON job stream) see a strictly monotonic completed count.
@@ -412,7 +412,7 @@ func runCells(ctx context.Context, cfg Config, cells []Cell, run Runner) ([]*sim
 	}
 	// abort cancels every in-flight cell and awaits the drain, so no cell
 	// goroutine outlives Run on the error paths.
-	abort := func(err error) ([]*sim.Report, error) {
+	abort := func(err error) ([]*env.Report, error) {
 		expired, cancel := context.WithCancel(context.Background())
 		cancel()
 		_ = mgr.Shutdown(expired)
@@ -467,7 +467,7 @@ func runCells(ctx context.Context, cfg Config, cells []Cell, run Runner) ([]*sim
 		}
 		ids[i] = id
 	}
-	reports := make([]*sim.Report, len(cells))
+	reports := make([]*env.Report, len(cells))
 	for i, id := range ids {
 		if _, err := mgr.Wait(ctx, id); err != nil {
 			return abort(err) // ctx done: cancel and drain the rest
@@ -478,7 +478,7 @@ func runCells(ctx context.Context, cfg Config, cells []Cell, run Runner) ([]*sim
 			// the others fail with context.Canceled from the shared cancel.
 			return abort(firstFailure(fmt.Errorf("campaign: cell %s seed=%d seasons=%d: %w", cells[i].Park, cells[i].Seed, cells[i].Seasons, err)))
 		}
-		reports[i] = v.(*sim.Report)
+		reports[i] = v.(*env.Report)
 	}
 	_ = mgr.Shutdown(context.Background()) // nothing active; returns at once
 	return reports, nil
@@ -486,7 +486,7 @@ func runCells(ctx context.Context, cfg Config, cells []Cell, run Runner) ([]*sim
 
 // checkPolicies verifies a cell report carries exactly the campaign's
 // policies — the Runner contract the aggregation relies on.
-func checkPolicies(r *sim.Report, policies []string) error {
+func checkPolicies(r *env.Report, policies []string) error {
 	if len(r.Policies) != len(policies) {
 		return fmt.Errorf("report has %d policies, campaign wants %d", len(r.Policies), len(policies))
 	}
@@ -499,13 +499,13 @@ func checkPolicies(r *sim.Report, policies []string) error {
 }
 
 // policyResult extracts one policy's result from a cell report by name.
-func policyResult(r *sim.Report, policy string) (sim.PolicyResult, error) {
+func policyResult(r *env.Report, policy string) (env.PolicyResult, error) {
 	for _, p := range r.Policies {
 		if p.Policy == policy {
 			return p, nil
 		}
 	}
-	return sim.PolicyResult{}, fmt.Errorf("report is missing policy %q", policy)
+	return env.PolicyResult{}, fmt.Errorf("report is missing policy %q", policy)
 }
 
 // summarize aggregates one park's cells: per-policy stats and paired deltas

@@ -11,18 +11,18 @@ import (
 	"testing"
 	"time"
 
-	"paws/internal/sim"
+	"paws/internal/env"
 )
 
 // fakeRunner builds a deterministic synthetic report per cell: policy p's
 // detections are a fixed function of (park, seed, seasons, p), so every
 // aggregation property can be checked exactly without running simulations.
 func fakeRunner(policies []string) Runner {
-	return func(_ context.Context, cell Cell) (*sim.Report, error) {
-		rep := &sim.Report{Park: cell.Park, Seed: cell.Seed, Seasons: cell.Seasons}
+	return func(_ context.Context, cell Cell) (*env.Report, error) {
+		rep := &env.Report{Park: cell.Park, Seed: cell.Seed, Seasons: cell.Seasons}
 		for i, p := range policies {
 			det := fakeDetections(cell, i)
-			rep.Policies = append(rep.Policies, sim.PolicyResult{
+			rep.Policies = append(rep.Policies, env.PolicyResult{
 				Policy:     p,
 				Snares:     det + 5,
 				Detections: det,
@@ -229,7 +229,7 @@ func TestGridOrderAndPairing(t *testing.T) {
 func TestRunnerErrorCancelsCampaign(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 4
-	boom := func(ctx context.Context, cell Cell) (*sim.Report, error) {
+	boom := func(ctx context.Context, cell Cell) (*env.Report, error) {
 		if cell.Park == "rand:1" && cell.Seed == 2 {
 			return nil, fmt.Errorf("boom")
 		}
@@ -249,7 +249,7 @@ func TestRunnerErrorAbortsRemainingCells(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 1 // strictly sequential: cells run in grid order
 	var completed atomic.Int64
-	boom := func(ctx context.Context, cell Cell) (*sim.Report, error) {
+	boom := func(ctx context.Context, cell Cell) (*env.Report, error) {
 		if cell.Index == 1 {
 			return nil, fmt.Errorf("boom")
 		}
@@ -277,7 +277,7 @@ func TestRunnerPanicAbortsCampaign(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 1
 	var completed atomic.Int64
-	boom := func(ctx context.Context, cell Cell) (*sim.Report, error) {
+	boom := func(ctx context.Context, cell Cell) (*env.Report, error) {
 		if cell.Index == 1 {
 			panic("kaboom")
 		}
@@ -376,7 +376,7 @@ func TestProgressPanicDoesNotHang(t *testing.T) {
 // fails the campaign instead of silently misaligning the pairing.
 func TestMissingPolicyRejected(t *testing.T) {
 	cfg := testConfig()
-	short := func(ctx context.Context, cell Cell) (*sim.Report, error) {
+	short := func(ctx context.Context, cell Cell) (*env.Report, error) {
 		rep, _ := fakeRunner(cfg.Policies)(ctx, cell)
 		rep.Policies = rep.Policies[:2]
 		return rep, nil

@@ -138,7 +138,7 @@ func groupWaypointsByMonth(stream []poach.Waypoint, months int) (wps []poach.Way
 
 // BuildFromEffort processes a history using its per-month effort maps
 // directly, skipping waypoint reconstruction. The closed-loop simulator
-// (internal/sim) executes patrols as effort maps rather than GPS streams, so
+// (internal/env) executes patrols as effort maps rather than GPS streams, so
 // its policies train on datasets built this way.
 func BuildFromEffort(h *poach.History, cfg Config) (*Dataset, error) {
 	return build(h, cfg, func(m int, dst []float64) {

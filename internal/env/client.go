@@ -118,8 +118,33 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	return nil
 }
 
-// accrete replaces (full message) or appends (delta) the local record.
-func (c *Client) accrete(w WireObs, full bool) {
+// accrete replaces (full message) or appends (delta) the local record. The
+// message is checked against the record and the park first, and a message
+// that fails leaves the record as it was: a policy indexes the record by
+// month and cell, so a malformed reply must surface as an error, not a
+// panic in the planner.
+func (c *Client) accrete(w WireObs, full bool) error {
+	prev := c.months
+	if full {
+		prev = 0
+	}
+	cells := c.park.Grid.NumCells()
+	if len(w.Effort) != len(w.Detections) || w.Months != prev+len(w.Effort) {
+		return fmt.Errorf("env: malformed observation: %d months after %d, with %d effort and %d detection rows",
+			w.Months, prev, len(w.Effort), len(w.Detections))
+	}
+	for i := range w.Effort {
+		if len(w.Effort[i]) != cells || len(w.Detections[i]) != cells {
+			return fmt.Errorf("env: malformed observation: month %d has %d effort and %d detection cells, park has %d",
+				prev+i, len(w.Effort[i]), len(w.Detections[i]), cells)
+		}
+	}
+	for _, o := range w.Observations {
+		if o.CellID < 0 || o.CellID >= cells || o.Month < 0 || o.Month >= w.Months {
+			return fmt.Errorf("env: malformed observation: cell %d month %d outside %d cells × %d months",
+				o.CellID, o.Month, cells, w.Months)
+		}
+	}
 	if full {
 		c.effort = c.effort[:0]
 		c.detections = c.detections[:0]
@@ -132,6 +157,7 @@ func (c *Client) accrete(w WireObs, full bool) {
 	}
 	c.months = w.Months
 	c.budgetKM = w.BudgetKM
+	return nil
 }
 
 // obs builds the current local observation.
@@ -159,7 +185,9 @@ func (c *Client) Reset(ctx context.Context) (*Obs, error) {
 		return nil, err
 	}
 	c.id = resp.Session.ID
-	c.accrete(resp.Obs, true)
+	if err := c.accrete(resp.Obs, true); err != nil {
+		return nil, fmt.Errorf("env: create session %s: %w", c.id, err)
+	}
 	return c.obs(), nil
 }
 
@@ -173,7 +201,9 @@ func (c *Client) Step(ctx context.Context, effort []float64) (*Obs, SeasonStats,
 	if err != nil {
 		return nil, SeasonStats{}, false, err
 	}
-	c.accrete(resp.Delta, false)
+	if err := c.accrete(resp.Delta, false); err != nil {
+		return nil, SeasonStats{}, false, fmt.Errorf("env: step session %s: %w", c.id, err)
+	}
 	return c.obs(), resp.Stats, resp.Done, nil
 }
 

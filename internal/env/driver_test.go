@@ -1,4 +1,4 @@
-package sim
+package env
 
 import (
 	"context"
@@ -9,8 +9,8 @@ import (
 	"paws/internal/poach"
 )
 
-// testConfig builds a small, fast simulation configuration.
-func testConfig(t *testing.T, attacker string) Config {
+// runConfig builds a small, fast simulation configuration.
+func runConfig(t *testing.T, attacker string) Config {
 	t.Helper()
 	parkCfg := geo.RandomConfig(16) // 359 cells
 	park, err := geo.GeneratePark(parkCfg)
@@ -34,9 +34,8 @@ func allPolicies() []Policy { return []Policy{Uniform(), Historical(), Random()}
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	var want string
 	for _, workers := range []int{1, 4, 8} {
-		cfg := testConfig(t, poach.AttackerAdaptive)
-		cfg.Workers = workers
-		rep, err := Run(context.Background(), cfg, allPolicies())
+		cfg := runConfig(t, poach.AttackerAdaptive)
+		rep, err := Run(context.Background(), cfg, allPolicies(), RunConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,9 +53,9 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 // TestRunBudgetRespected: every season's executed effort must total the
 // monthly budget times the season length, for every policy.
 func TestRunBudgetRespected(t *testing.T) {
-	cfg := testConfig(t, poach.AttackerStatic)
+	cfg := runConfig(t, poach.AttackerStatic)
 	cfg.BudgetKM = 100
-	rep, err := Run(context.Background(), cfg, allPolicies())
+	rep, err := Run(context.Background(), cfg, allPolicies(), RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func TestRunBudgetRespected(t *testing.T) {
 
 // TestStaticAttackerNeverDisplaces: displacement is an adaptive-only effect.
 func TestStaticAttackerNeverDisplaces(t *testing.T) {
-	rep, err := Run(context.Background(), testConfig(t, poach.AttackerStatic), allPolicies())
+	rep, err := Run(context.Background(), runConfig(t, poach.AttackerStatic), allPolicies(), RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +95,9 @@ func TestStaticAttackerNeverDisplaces(t *testing.T) {
 // SAME executed effort see identical outcomes — the draws are shared, so
 // differences can only come from effort.
 func TestCommonRandomNumbers(t *testing.T) {
-	cfg := testConfig(t, poach.AttackerStatic)
+	cfg := runConfig(t, poach.AttackerStatic)
 	// uniformTwin plans exactly like Uniform under a different name.
-	rep, err := Run(context.Background(), cfg, []Policy{Uniform(), named{Policy: Uniform(), name: "uniform-twin"}})
+	rep, err := Run(context.Background(), cfg, []Policy{Uniform(), named{Policy: Uniform(), name: "uniform-twin"}}, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,24 +119,24 @@ func (n named) Name() string { return n.name }
 // TestRunValidation covers config and policy errors.
 func TestRunValidation(t *testing.T) {
 	ctx := context.Background()
-	if _, err := Run(ctx, Config{}, allPolicies()); err == nil {
+	if _, err := Run(ctx, Config{}, allPolicies(), RunConfig{}); err == nil {
 		t.Error("nil park accepted")
 	}
-	cfg := testConfig(t, poach.AttackerStatic)
-	if _, err := Run(ctx, cfg, nil); err == nil {
+	cfg := runConfig(t, poach.AttackerStatic)
+	if _, err := Run(ctx, cfg, nil, RunConfig{}); err == nil {
 		t.Error("no policies accepted")
 	}
-	if _, err := Run(ctx, cfg, []Policy{Uniform(), Uniform()}); err == nil {
+	if _, err := Run(ctx, cfg, []Policy{Uniform(), Uniform()}, RunConfig{}); err == nil {
 		t.Error("duplicate policy names accepted")
 	}
 	bad := cfg
 	bad.Attacker.Kind = "quantum"
-	if _, err := Run(ctx, bad, allPolicies()); err == nil {
+	if _, err := Run(ctx, bad, allPolicies(), RunConfig{}); err == nil {
 		t.Error("unknown attacker accepted")
 	}
 	zero := cfg
 	zero.Seasons = 0
-	if _, err := Run(ctx, zero, allPolicies()); err == nil {
+	if _, err := Run(ctx, zero, allPolicies(), RunConfig{}); err == nil {
 		t.Error("zero seasons accepted")
 	}
 }
@@ -165,17 +164,17 @@ func TestRunEdgeValidation(t *testing.T) {
 		{"no derivable budget", func(c *Config) { c.BudgetKM = 0; c.Sim.Patrol = poach.PatrolConfig{} }},
 	}
 	for _, tc := range cases {
-		cfg := testConfig(t, poach.AttackerStatic)
+		cfg := runConfig(t, poach.AttackerStatic)
 		tc.mutate(&cfg)
-		if _, err := Run(ctx, cfg, allPolicies()); err == nil {
+		if _, err := Run(ctx, cfg, allPolicies(), RunConfig{}); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 	// Zero values still select the documented defaults.
-	ok := testConfig(t, poach.AttackerStatic)
+	ok := runConfig(t, poach.AttackerStatic)
 	ok.SeasonMonths, ok.BootstrapMonths, ok.BudgetKM = 0, 0, 0
 	ok.Seasons = 1
-	rep, err := Run(ctx, ok, []Policy{Uniform()})
+	rep, err := Run(ctx, ok, []Policy{Uniform()}, RunConfig{})
 	if err != nil {
 		t.Fatalf("zero-value defaults rejected: %v", err)
 	}
@@ -188,7 +187,7 @@ func TestRunEdgeValidation(t *testing.T) {
 func TestRunCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, testConfig(t, poach.AttackerStatic), allPolicies()); err == nil {
+	if _, err := Run(ctx, runConfig(t, poach.AttackerStatic), allPolicies(), RunConfig{}); err == nil {
 		t.Fatal("canceled context did not abort the run")
 	}
 }

@@ -1,17 +1,19 @@
-// Package env exposes the closed-loop patrol simulation as a stepped
-// environment — the Reset/Step(allocation) → (observation, stats, done)
-// shape reinforcement-learning harnesses expect — carved out of the season
-// loop internal/sim used to inline. One Env is one episode stream: Reset
-// rebuilds the observed record from the bootstrap history and re-warms the
-// attacker's memory, and each Step executes one season of patrol effort
-// against the responsive poacher, appending the realized effort,
-// detections and observations to the policy-visible record.
+// Package env is the closed-loop patrol simulation: plan → patrol →
+// poacher reaction, season after season, exposed as a stepped environment —
+// the Reset/Step(allocation) → (observation, stats, done) shape
+// reinforcement-learning harnesses expect. One Env is one episode stream:
+// Reset rebuilds the observed record from the bootstrap history and
+// re-warms the attacker's memory, and each Step executes one season of
+// patrol effort against the responsive poacher, appending the realized
+// effort, detections and observations to the policy-visible record.
 //
-// internal/sim drives every policy of a comparison through this package
-// (see Drive), so an Env run, a sim.Run policy log and a remote HTTP env
-// session (internal/serve's /v1/envs, consumed through Client) are all the
-// same computation: given the same park, seed and effort sequence they
-// produce byte-identical season statistics.
+// Run is the policy comparison over it: every policy plays one episode
+// through Drive against a Stepper — a local Env over one shared bootstrap,
+// or a remote HTTP session (internal/serve's /v1/envs, consumed through
+// Client) — and the season logs merge into a Report. An Env run, a Run
+// policy log and a remote session are all the same computation: given the
+// same park, seed and effort sequence they produce byte-identical season
+// statistics.
 //
 // # Determinism
 //

@@ -293,8 +293,8 @@ func TestSoftmaxDeterministicAndFocused(t *testing.T) {
 	}
 }
 
-// TestConfigValidation mirrors the sim-level edge validation at the env
-// layer, where the checks now live.
+// TestConfigValidation mirrors Run's edge validation (TestRunEdgeValidation)
+// for a single Env, which runs the same checks.
 func TestConfigValidation(t *testing.T) {
 	cases := []struct {
 		name   string

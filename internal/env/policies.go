@@ -2,19 +2,98 @@ package env
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sort"
 
 	"paws/internal/rng"
 )
 
-// This file hosts the learned sequential policies the environment makes
-// cheap to add: both plan each season purely from the observed record the
-// Obs carries, so they run identically against a local Env or a remote
+// This file hosts the built-in policies: the ML-free baselines (uniform,
+// historical, random) and two learned sequential policies (thompson,
+// softmax). All of them plan each season purely from the observed record
+// the Obs carries, so they run identically against a local Env or a remote
 // /v1/envs session. The paper-faithful PAWS policy (retrain + Frank-Wolfe
-// plan) stays in the root package; these are the classic bandit-flavoured
-// baselines between "ignore the data" (uniform/random) and "full model"
-// (paws).
+// plan) lives in the root package (it needs the training and planning
+// layers) and is injected through the Policy interface.
+
+// ByName resolves a built-in policy name. The "paws" policy is constructed
+// by the root package.
+func ByName(name string) (Policy, error) {
+	switch name {
+	case "uniform":
+		return Uniform(), nil
+	case "historical":
+		return Historical(), nil
+	case "random":
+		return Random(), nil
+	case "thompson":
+		return Thompson(), nil
+	case "softmax":
+		return Softmax(), nil
+	}
+	return nil, fmt.Errorf("env: unknown policy %q (built-ins: uniform, historical, random, thompson, softmax)", name)
+}
+
+// Uniform returns the uniform-effort baseline: the budget spread evenly over
+// every park cell.
+func Uniform() Policy { return uniformPolicy{} }
+
+type uniformPolicy struct{}
+
+func (uniformPolicy) Name() string { return "uniform" }
+
+func (uniformPolicy) PlanSeason(_ context.Context, o *Obs, _ int, _ *rng.RNG) (*SeasonPlan, error) {
+	eff := make([]float64, o.Park.Grid.NumCells())
+	for i := range eff {
+		eff[i] = 1
+	}
+	return &SeasonPlan{Effort: eff}, nil
+}
+
+// Historical returns the status-quo baseline: effort allocated proportional
+// to the cumulative observed patrol record — keep patrolling where rangers
+// have always patrolled.
+func Historical() Policy { return historicalPolicy{} }
+
+type historicalPolicy struct{}
+
+func (historicalPolicy) Name() string { return "historical" }
+
+func (historicalPolicy) PlanSeason(_ context.Context, o *Obs, _ int, _ *rng.RNG) (*SeasonPlan, error) {
+	eff := make([]float64, o.Park.Grid.NumCells())
+	for m := 0; m < o.Months; m++ {
+		for id, e := range o.Effort[m] {
+			eff[id] += e
+		}
+	}
+	return &SeasonPlan{Effort: eff}, nil
+}
+
+// randomCellFraction is the share of park cells the random baseline patrols
+// each season.
+const randomCellFraction = 0.25
+
+// Random returns the random baseline: each season, the budget spread evenly
+// over a fresh random quarter of the park.
+func Random() Policy { return randomPolicy{} }
+
+type randomPolicy struct{}
+
+func (randomPolicy) Name() string { return "random" }
+
+func (randomPolicy) PlanSeason(_ context.Context, o *Obs, _ int, r *rng.RNG) (*SeasonPlan, error) {
+	n := o.Park.Grid.NumCells()
+	k := int(float64(n) * randomCellFraction)
+	if k < 1 {
+		k = 1
+	}
+	eff := make([]float64, n)
+	for _, id := range r.SampleWithoutReplacement(n, k) {
+		eff[id] = 1
+	}
+	return &SeasonPlan{Effort: eff}, nil
+}
 
 // thompsonTargetKMPerCell spreads the budget at the same nominal ~1 km/cell
 // the paws policy targets, so the two concentrate effort over sectors of

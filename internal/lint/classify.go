@@ -43,10 +43,10 @@ func (c Class) String() string {
 // deterministic-compute contract. Subpackages inherit (internal/ml/gp is
 // compute because internal/ml is).
 var computePackages = []string{
-	"internal/sim", "internal/env", "internal/campaign", "internal/plan",
-	"internal/dataset", "internal/geo", "internal/ml", "internal/mat",
-	"internal/stats", "internal/poach", "internal/iware", "internal/game",
-	"internal/lp", "internal/milp", "internal/field", "internal/rng",
+	"internal/env", "internal/campaign", "internal/plan", "internal/dataset",
+	"internal/geo", "internal/ml", "internal/mat", "internal/stats",
+	"internal/poach", "internal/iware", "internal/game", "internal/lp",
+	"internal/milp", "internal/field", "internal/rng",
 }
 
 // servingPackages lists the serving-layer directories.

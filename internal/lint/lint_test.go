@@ -12,8 +12,8 @@ import (
 // package directory it is loaded as — which is what decides its
 // classification, exactly like a real package's location would.
 var corpus = []struct{ dir, rel string }{
-	{"wallclock_bad", "internal/sim"},
-	{"wallclock_good", "internal/sim"},
+	{"wallclock_bad", "internal/env"},
+	{"wallclock_good", "internal/env"},
 	{"globalrand_bad", "internal/ml"},
 	{"globalrand_good", "internal/load"},
 	{"maporder_bad", "internal/campaign"},
@@ -22,8 +22,8 @@ var corpus = []struct{ dir, rel string }{
 	{"goroutine_good", "internal/par"},
 	{"errenvelope_bad", "internal/serve"},
 	{"errenvelope_good", "internal/serve"},
-	{"suppress_bad", "internal/sim"},
-	{"suppress_good", "internal/sim"},
+	{"suppress_bad", "internal/env"},
+	{"suppress_good", "internal/env"},
 }
 
 // runCorpus loads one corpus dir and returns its findings.
@@ -92,12 +92,12 @@ func TestEveryCheckFires(t *testing.T) {
 // well-formed comment silences exactly its named check, a missing
 // reason or unknown check name silences nothing and is itself reported.
 func TestSuppressionSemantics(t *testing.T) {
-	good := runCorpus(t, "suppress_good", "internal/sim")
+	good := runCorpus(t, "suppress_good", "internal/env")
 	if len(good) != 0 {
 		t.Errorf("suppress_good: want 0 findings, got %v", good)
 	}
 
-	bad := runCorpus(t, "suppress_bad", "internal/sim")
+	bad := runCorpus(t, "suppress_bad", "internal/env")
 	counts := map[string]int{}
 	for _, f := range bad {
 		counts[f.Check]++
@@ -145,7 +145,7 @@ func TestClassify(t *testing.T) {
 		rel  string
 		want Class
 	}{
-		{"internal/sim", ClassCompute},
+		{"internal/env", ClassCompute},
 		{"internal/ml/gp", ClassCompute},
 		{"internal/rng", ClassCompute},
 		{"internal/serve", ClassServing},
@@ -164,8 +164,8 @@ func TestClassify(t *testing.T) {
 	if !goroutineSanctioned("internal/par") || !goroutineSanctioned("cmd/pawsd") {
 		t.Error("par and cmd must be goroutine-sanctioned")
 	}
-	if goroutineSanctioned("internal/sim") || goroutineSanctioned("") {
-		t.Error("sim and the root package must not be goroutine-sanctioned")
+	if goroutineSanctioned("internal/campaign") || goroutineSanctioned("") {
+		t.Error("campaign and the root package must not be goroutine-sanctioned")
 	}
 	if !envelopeChecked("internal/serve") || !envelopeChecked("internal/gate") || envelopeChecked("internal/obs") {
 		t.Error("errenvelope scope must be exactly serve and gate")
@@ -182,11 +182,11 @@ func TestWriteJSON(t *testing.T) {
 		t.Errorf("empty findings must render as [], got %q", got)
 	}
 	buf.Reset()
-	fs := []Finding{{File: "a.go", Line: 3, Col: 2, Check: "wallclock", Message: "m", Package: "internal/sim"}}
+	fs := []Finding{{File: "a.go", Line: 3, Col: 2, Check: "wallclock", Message: "m", Package: "internal/env"}}
 	if err := WriteJSON(&buf, fs); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"file": "a.go"`, `"check": "wallclock"`, `"package": "internal/sim"`} {
+	for _, want := range []string{`"file": "a.go"`, `"check": "wallclock"`, `"package": "internal/env"`} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("JSON output missing %s:\n%s", want, buf.String())
 		}

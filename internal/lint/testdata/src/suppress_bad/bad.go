@@ -1,6 +1,6 @@
 // Corpus: a pawsvet:allow comment with no reason (or an unknown check
 // name) must not suppress anything and is itself a finding (loaded as
-// internal/sim).
+// internal/env).
 package badsuppress
 
 import (

@@ -1,6 +1,6 @@
 // Corpus: well-formed pawsvet:allow comments — trailing the offending
 // line or on the line directly above — silence the named check (loaded
-// as internal/sim).
+// as internal/env).
 package goodsuppress
 
 import "time"

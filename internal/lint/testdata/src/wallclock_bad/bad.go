@@ -1,5 +1,5 @@
 // Corpus: wallclock must fire on every ambient-clock call in a
-// deterministic-compute package (loaded as internal/sim).
+// deterministic-compute package (loaded as internal/env).
 package badclock
 
 import "time"

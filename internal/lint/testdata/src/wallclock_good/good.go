@@ -1,6 +1,6 @@
 // Corpus: the injected-clock idiom must pass wallclock — time.Now is
 // referenced as a value (the hook default), never called (loaded as
-// internal/sim).
+// internal/env).
 package goodclock
 
 import "time"

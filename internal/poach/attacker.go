@@ -3,7 +3,7 @@ package poach
 import "fmt"
 
 // Attacker is the poacher decision model the closed-loop simulator
-// (internal/sim) plays patrol policies against. The simulator drives it month
+// (internal/env) plays patrol policies against. The simulator drives it month
 // by month: BeginMonth folds the previous month's *realized* patrol effort
 // into the attacker's state, then AttackLogit is queried per cell to sample
 // this month's snares.

@@ -14,8 +14,8 @@ import (
 // 4 seasons of 1 month over a 6-month bootstrap — so their ns/op are
 // directly comparable:
 //
-//	direct-sim — Service.Simulate, the pre-subsystem code path (sim.Run
-//	             driving an internal Env end to end in process);
+//	direct-sim — Service.Simulate, env.Run driving an internal Env end
+//	             to end in process;
 //	env-local  — Service.NewEnv plus an explicit Reset/Step loop, what a
 //	             Go learner pays to hold the loop open between decisions;
 //	env-remote — Service.SimulateRemote against a live pawsd replica, the

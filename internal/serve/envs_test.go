@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -235,8 +236,9 @@ func contains(haystack, needle string) bool {
 
 // TestSimulateRemoteMatchesLocal is the end-to-end identity acceptance of
 // the remote environment surface: the same comparison run through HTTP
-// /v1/envs sessions renders a byte-identical report to the in-process one,
-// learned policies included.
+// /v1/envs sessions marshals to byte-identical JSON (and so renders the same
+// text) as the in-process one, learned policies included, and every
+// policy's session is deleted once its episode ends.
 func TestSimulateRemoteMatchesLocal(t *testing.T) {
 	svc := testService(t)
 	cfg := paws.SimConfig{
@@ -250,9 +252,15 @@ func TestSimulateRemoteMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New(svc, Config{ReplicaID: "r1"}))
+	want, err := json.Marshal(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(svc, Config{ReplicaID: "r1"})
+	srv := httptest.NewServer(s)
 	defer srv.Close()
 	for _, workers := range []int{1, 3} {
+		before := s.Statusz().Envs
 		remote, err := svc.SimulateRemote(context.Background(), srv.URL, srv.Client(), cfg, paws.WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
@@ -260,6 +268,18 @@ func TestSimulateRemoteMatchesLocal(t *testing.T) {
 		if remote.Format() != local.Format() {
 			t.Fatalf("remote report (workers=%d) differs from local:\n%s\n--- local ---\n%s",
 				workers, remote.Format(), local.Format())
+		}
+		got, err := json.Marshal(remote)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("remote report JSON (workers=%d) differs from local:\n%s\n--- local ---\n%s", workers, got, want)
+		}
+		after := s.Statusz().Envs
+		if after.Sessions != 0 || after.Created != before.Created+int64(len(cfg.Policies)) {
+			t.Fatalf("workers=%d: %d sessions retained and %d created, want 0 retained and %d created",
+				workers, after.Sessions, after.Created-before.Created, len(cfg.Policies))
 		}
 	}
 }

@@ -67,7 +67,6 @@ import (
 	"paws/internal/env"
 	"paws/internal/job"
 	"paws/internal/obs"
-	"paws/internal/sim"
 )
 
 // Config tunes a Server.
@@ -631,7 +630,7 @@ type SimulateRequest struct {
 // SimulateResponse is the simulation report: per-policy season logs plus the
 // deterministic fixed-width text rendering pawssim prints.
 type SimulateResponse struct {
-	*sim.Report
+	*env.Report
 	Text string `json:"text"`
 }
 

@@ -37,7 +37,7 @@
 // # Closed-loop simulation
 //
 // Service.Simulate runs the plan → patrol → poacher-reaction → retrain loop
-// of internal/sim: patrol policies (the full PAWS pipeline vs
+// of internal/env: patrol policies (the full PAWS pipeline vs
 // uniform/historical/random baselines) compared head-to-head over multiple
 // seasons against a static or adaptive attacker (poach.Attacker), on preset
 // or procedural ("rand:<seed>") parks. cmd/pawssim is the CLI and

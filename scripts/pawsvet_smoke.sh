@@ -25,14 +25,14 @@ done
 
 echo "== seed a scratch module with one violation per check"
 SCRATCH="$WORKDIR/scratch"
-mkdir -p "$SCRATCH"/internal/{sim,ml,campaign,stats,serve}
+mkdir -p "$SCRATCH"/internal/{env,ml,campaign,stats,serve}
 cat >"$SCRATCH/go.mod" <<'EOF'
 module scratch
 
 go 1.24
 EOF
-cat >"$SCRATCH/internal/sim/clock.go" <<'EOF'
-package sim
+cat >"$SCRATCH/internal/env/clock.go" <<'EOF'
+package env
 
 import "time"
 

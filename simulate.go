@@ -7,19 +7,18 @@ import (
 	"sort"
 
 	"paws/internal/dataset"
-	"paws/internal/geo"
+	"paws/internal/env"
 	"paws/internal/obs"
 	"paws/internal/par"
 	"paws/internal/plan"
 	"paws/internal/poach"
 	"paws/internal/rng"
-	"paws/internal/sim"
 )
 
 // SimConfig configures Service.Simulate: a closed-loop, multi-season patrol
-// simulation (internal/sim) comparing patrol policies head-to-head on one
-// park. Zero values select defaults; the park spec, seed, scale, model kind
-// and worker count come from the Service options as usual.
+// simulation (env.Run) comparing patrol policies head-to-head on one park.
+// Zero values select defaults; the park spec, seed, scale, model kind and
+// worker count come from the Service options as usual.
 type SimConfig struct {
 	// Park is a park spec: MFNP, QENP, SWS or rand:<seed>.
 	Park string
@@ -95,7 +94,7 @@ func validatePolicyNames(names []string) error {
 		if name == "paws" {
 			continue
 		}
-		if _, err := sim.ByName(name); err != nil {
+		if _, err := env.ByName(name); err != nil {
 			return fmt.Errorf("paws: %w (plus \"paws\")", err)
 		}
 	}
@@ -137,57 +136,56 @@ func (cfg SimConfig) Validate() error {
 // plan → patrol → poacher-reaction → retrain season loop and report
 // per-season detections, snares and displacement. The "paws" policy retrains
 // the configured model kind (WithKind; default DTB-iW) each season and plans
-// with the Frank-Wolfe planner; baselines come from internal/sim. The
-// context is observed between seasons and through every training and
+// with the Frank-Wolfe planner; the other built-ins come from env.ByName.
+// The context is observed between seasons and through every training and
 // planning call; the report is byte-identical for any worker count.
-func (s *Service) Simulate(ctx context.Context, cfg SimConfig, opts ...Option) (*sim.Report, error) {
+func (s *Service) Simulate(ctx context.Context, cfg SimConfig, opts ...Option) (*env.Report, error) {
+	return s.simulate(ctx, cfg, opts, nil)
+}
+
+// simulate is Simulate with an optional source of each policy's Stepper:
+// open, when non-nil, is handed the defaults-filled config and the resolved
+// environment config. Nil plays every policy against a local Env.
+func (s *Service) simulate(ctx context.Context, cfg SimConfig, opts []Option,
+	open func(ctx context.Context, cfg SimConfig, ecfg env.Config) (env.Stepper, func(), error)) (*env.Report, error) {
 	st := s.settingsFor(opts)
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	parkCfg, simCfg, err := resolveConfigs(cfg.Park, st.scale, st.seed)
+	ecfg, err := st.envConfig(EnvConfig{
+		Park:            cfg.Park,
+		Seasons:         cfg.Seasons,
+		SeasonMonths:    cfg.SeasonMonths,
+		BootstrapMonths: cfg.BootstrapMonths,
+		BudgetKM:        cfg.BudgetKM,
+		Attacker:        cfg.Attacker,
+	})
 	if err != nil {
 		return nil, err
 	}
-	// Drive the loop (and label the report) with the root seed the caller
-	// passed, so the printed "seed N" reproduces the report verbatim. The
-	// scenario convention of offsetting the history seed exists to separate
-	// park and history streams, which the engine's labelled splits already do.
-	simCfg.Seed = st.seed
-	park, err := geo.GeneratePark(parkCfg)
-	if err != nil {
-		return nil, fmt.Errorf("paws: generate park: %w", err)
-	}
-	policies := make([]sim.Policy, len(cfg.Policies))
+	policies := make([]env.Policy, len(cfg.Policies))
 	for i, name := range cfg.Policies {
 		if name == "paws" {
 			policies[i] = &pawsPolicy{st: st, beta: cfg.Beta}
 			continue
 		}
-		p, err := sim.ByName(name)
+		p, err := env.ByName(name)
 		if err != nil {
 			return nil, fmt.Errorf("paws: %w (plus \"paws\")", err)
 		}
 		policies[i] = p
 	}
-	var progress func(policy string, season, seasons int)
+	rc := env.RunConfig{Workers: st.workers}
 	if pf := st.progress; pf != nil {
-		progress = func(policy string, season, seasons int) {
+		rc.Progress = func(policy string, season, seasons int) {
 			pf(ProgressEvent{Stage: "season", Item: policy, Current: season, Total: seasons})
 		}
 	}
-	return sim.Run(ctx, sim.Config{
-		Park:            park,
-		Sim:             simCfg,
-		Attacker:        cfg.Attacker,
-		Seasons:         cfg.Seasons,
-		SeasonMonths:    cfg.SeasonMonths,
-		BootstrapMonths: cfg.BootstrapMonths,
-		BudgetKM:        cfg.BudgetKM,
-		Workers:         st.workers,
-		Progress:        progress,
-	}, policies)
+	if open != nil {
+		rc.Open = func(ctx context.Context) (env.Stepper, func(), error) { return open(ctx, cfg, ecfg) }
+	}
+	return env.Run(ctx, ecfg, policies, rc)
 }
 
 // Planner-shape defaults for the paws simulation policy.
@@ -238,7 +236,7 @@ func (p *pawsPolicy) trainOptions(seed int64) TrainOptions {
 	return tr
 }
 
-func (p *pawsPolicy) PlanSeason(ctx context.Context, o *sim.Obs, season int, r *rng.RNG) (*sim.SeasonPlan, error) {
+func (p *pawsPolicy) PlanSeason(ctx context.Context, o *env.Obs, season int, r *rng.RNG) (*env.SeasonPlan, error) {
 	item := fmt.Sprintf("season %d", season)
 	// The observed record is exactly a waypoint-free history; train on the
 	// effort maps directly.
@@ -304,13 +302,13 @@ func (p *pawsPolicy) PlanSeason(ctx context.Context, o *sim.Obs, season int, r *
 	if err != nil {
 		return nil, err
 	}
-	return &sim.SeasonPlan{Effort: eff, Routes: routes}, nil
+	return &env.SeasonPlan{Effort: eff, Routes: routes}, nil
 }
 
 // extractRoutes turns the plan into the deployable artifact: per patrol
 // post, a Frank-Wolfe solve over the post's neighbourhood followed by route
 // extraction — the patrols rangers would actually walk.
-func (p *pawsPolicy) extractRoutes(ctx context.Context, o *sim.Obs, pm *PlannerModel) ([][]int, error) {
+func (p *pawsPolicy) extractRoutes(ctx context.Context, o *env.Obs, pm *PlannerModel) ([][]int, error) {
 	radius, maxCells := p.st.radius, p.st.maxCells
 	if radius <= 0 {
 		radius = simPlanRadius
