@@ -80,7 +80,7 @@ func scaleFixtureFor(tb testing.TB, cells int) *scaleFixture {
 		tb.Fatalf("scenario rand:7@%d: %v", cells, err)
 	}
 	pts := sc.Data.AllPoints()
-	m, err := paws.Train(pts, paws.TrainOptions{
+	m, err := paws.Train(context.Background(), pts, paws.TrainOptions{
 		Kind: paws.DTBiW, Thresholds: 5, Members: 5, Seed: 53, Workers: 0,
 	})
 	if err != nil {
@@ -138,7 +138,7 @@ func BenchmarkScaleTrain(b *testing.B) {
 			f := scaleFixtureFor(b, sz.cells)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := paws.Train(f.pts, paws.TrainOptions{
+				if _, err := paws.Train(context.Background(), f.pts, paws.TrainOptions{
 					Kind: paws.DTBiW, Thresholds: 5, Members: 5, Seed: 53, Workers: 0,
 				}); err != nil {
 					b.Fatal(err)
@@ -159,11 +159,11 @@ func BenchmarkScaleRiskMap(b *testing.B) {
 			prev := len(f.sc.Data.Steps) - 1
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pm, err := paws.NewPlannerModel(f.m, f.sc.Data, prev)
+				pm, err := paws.NewPlannerModel(context.Background(), f.m, f.sc.Data, prev, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
-				risk, unc, err := pm.MapsCtx(context.Background(), 2)
+				risk, unc, err := pm.Maps(context.Background(), 2)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -26,7 +26,7 @@ func benchScenario(b *testing.B, name string) *Scenario {
 	if sc, ok := benchScenarios[name]; ok {
 		return sc
 	}
-	sc, err := ScenarioAt(name, ScaleSmall, 7)
+	sc, err := NewService(WithSeed(7), WithScale(ScaleSmall)).Scenario(context.Background(), name)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -61,14 +61,12 @@ func benchTable2(b *testing.B, park string, kind ModelKind) {
 	sc := benchScenario(b, park)
 	var auc float64
 	for i := 0; i < b.N; i++ {
-		rows, err := RunTable2ForScenario(sc, park, Table2Options{
-			Kinds:      []ModelKind{kind},
-			TestYears:  []int{benchLastYear(sc)},
-			Thresholds: 5,
-			Members:    5,
-			GPMaxTrain: 80,
-			Balanced:   park == "SWS",
-			Seed:       int64(11 + i),
+		rows, err := RunTable2ForScenario(context.Background(), sc, park, Table2Options{
+			Kinds:     []ModelKind{kind},
+			TestYears: []int{benchLastYear(sc)},
+			Train: TrainOptions{
+				Thresholds: 5, Members: 5, GPMaxTrain: 80, Balanced: park == "SWS", Seed: int64(11 + i),
+			},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -95,7 +93,7 @@ func BenchmarkTable3FieldTests(b *testing.B) {
 	sc := benchScenario(b, "MFNP")
 	var pHigh, pLow float64
 	for i := 0; i < b.N; i++ {
-		trials, err := RunTable3ForScenario(sc, "MFNP", 2, []int{2, 3}, Table3Options{
+		trials, err := RunTable3ForScenario(context.Background(), sc, "MFNP", 2, []int{2, 3}, Table3Options{
 			PerGroup: 4,
 			Train:    TrainOptions{Kind: DTBiW, Thresholds: 5, Members: 5, Seed: int64(13 + i)},
 			Seed:     int64(17 + i),
@@ -116,7 +114,7 @@ func BenchmarkFig4PositiveRate(b *testing.B) {
 	sc := benchScenario(b, "MFNP")
 	var sl float64
 	for i := 0; i < b.N; i++ {
-		s, err := RunFig4(sc, "MFNP", benchLastYear(sc), 3, false)
+		s, err := RunFig4(context.Background(), sc, "MFNP", benchLastYear(sc), 3, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,7 +128,7 @@ func BenchmarkFig4PositiveRate(b *testing.B) {
 func BenchmarkFig6RiskMaps(b *testing.B) {
 	sc := benchScenario(b, "MFNP")
 	for i := 0; i < b.N; i++ {
-		maps, err := RunFig6(sc, GPBiW, benchLastYear(sc), 3, TrainOptions{
+		maps, err := RunFig6(context.Background(), sc, GPBiW, benchLastYear(sc), 3, TrainOptions{
 			Thresholds: 5, Members: 4, GPMaxTrain: 60, Seed: int64(19 + i),
 		})
 		if err != nil {
@@ -148,7 +146,7 @@ func BenchmarkFig7UncertaintyCorrelation(b *testing.B) {
 	sc := benchScenario(b, "MFNP")
 	var gpr, dtr float64
 	for i := 0; i < b.N; i++ {
-		res, err := RunFig7(sc, benchLastYear(sc), 3, TrainOptions{
+		res, err := RunFig7(context.Background(), sc, benchLastYear(sc), 3, TrainOptions{
 			Members: 4, GPMaxTrain: 60, Seed: int64(23 + i),
 		})
 		if err != nil {
@@ -169,7 +167,7 @@ func benchPlanStudy(b *testing.B) *PlanStudy {
 		return cachedPlanStudy
 	}
 	sc := benchScenario(b, "MFNP")
-	ps, err := NewPlanStudy(sc, PlanStudyOptions{
+	ps, err := NewPlanStudy(context.Background(), sc, PlanStudyOptions{
 		Posts:         2,
 		Radius:        5,
 		MaxCells:      48,
@@ -195,7 +193,7 @@ func BenchmarkFig8RobustGain(b *testing.B) {
 	ps := benchPlanStudy(b)
 	var avg float64
 	for i := 0; i < b.N; i++ {
-		pts, err := ps.RunFig8Beta()
+		pts, err := ps.RunFig8Beta(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -210,7 +208,7 @@ func BenchmarkFig8SegmentRatio(b *testing.B) {
 	ps := benchPlanStudy(b)
 	var avg float64
 	for i := 0; i < b.N; i++ {
-		pts, err := ps.RunFig8Segments()
+		pts, err := ps.RunFig8Segments(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -225,7 +223,7 @@ func BenchmarkFig9PlannerRuntime(b *testing.B) {
 	ps := benchPlanStudy(b)
 	var util float64
 	for i := 0; i < b.N; i++ {
-		pts, err := ps.RunFig9()
+		pts, err := ps.RunFig9(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -240,7 +238,7 @@ func BenchmarkDetectionGain(b *testing.B) {
 	ps := benchPlanStudy(b)
 	var factor float64
 	for i := 0; i < b.N; i++ {
-		gain, err := ps.RunDetectionGain(24, int64(31+i))
+		gain, err := ps.RunDetectionGain(context.Background(), 24, int64(31+i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,7 +260,7 @@ func BenchmarkAblationThresholds(b *testing.B) {
 	var aucPct, aucFixed float64
 	for i := 0; i < b.N; i++ {
 		// Percentile ladder (library default).
-		m1, err := Train(split.Train, TrainOptions{
+		m1, err := Train(context.Background(), split.Train, TrainOptions{
 			Kind: DTBiW, Thresholds: 5, Members: 5, Seed: int64(37 + i),
 		})
 		if err != nil {
@@ -270,7 +268,7 @@ func BenchmarkAblationThresholds(b *testing.B) {
 		}
 		aucPct = m1.AUC(split.Test)
 		// Fixed-km ladder, emulating the original iWare-E grid.
-		m2, err := TrainWithThresholds(split.Train, []float64{0, 1.5, 3, 4.5, 6}, TrainOptions{
+		m2, err := TrainWithThresholds(context.Background(), split.Train, []float64{0, 1.5, 3, 4.5, 6}, TrainOptions{
 			Kind: DTBiW, Members: 5, Seed: int64(37 + i),
 		})
 		if err != nil {
@@ -292,14 +290,14 @@ func BenchmarkAblationWeights(b *testing.B) {
 	}
 	var aucOpt, aucUni float64
 	for i := 0; i < b.N; i++ {
-		mo, err := Train(split.Train, TrainOptions{
+		mo, err := Train(context.Background(), split.Train, TrainOptions{
 			Kind: DTBiW, Thresholds: 5, Members: 5, CVFolds: 3, Seed: int64(41 + i),
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		aucOpt = mo.AUC(split.Test)
-		mu, err := Train(split.Train, TrainOptions{
+		mu, err := Train(context.Background(), split.Train, TrainOptions{
 			Kind: DTBiW, Thresholds: 5, Members: 5, Seed: int64(41 + i),
 		})
 		if err != nil {
@@ -321,14 +319,14 @@ func BenchmarkAblationBalancedBagging(b *testing.B) {
 	}
 	var aucBal, aucPlain float64
 	for i := 0; i < b.N; i++ {
-		mb, err := Train(split.Train, TrainOptions{
+		mb, err := Train(context.Background(), split.Train, TrainOptions{
 			Kind: DTB, Members: 6, Balanced: true, Seed: int64(43 + i),
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		aucBal = mb.AUC(split.Test)
-		mp, err := Train(split.Train, TrainOptions{
+		mp, err := Train(context.Background(), split.Train, TrainOptions{
 			Kind: DTB, Members: 6, Seed: int64(43 + i),
 		})
 		if err != nil {
@@ -350,7 +348,7 @@ func BenchmarkSubstrateGP(b *testing.B) {
 	}
 	var auc float64
 	for i := 0; i < b.N; i++ {
-		m, err := Train(split.Train, TrainOptions{Kind: GPB, Members: 1, GPMaxTrain: 100, Seed: int64(47 + i)})
+		m, err := Train(context.Background(), split.Train, TrainOptions{Kind: GPB, Members: 1, GPMaxTrain: 100, Seed: int64(47 + i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -417,7 +415,7 @@ func BenchmarkEnsembleTrain(b *testing.B) {
 		b.Run(opts.Kind.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Train(split.Train, opts); err != nil {
+				if _, err := Train(context.Background(), split.Train, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -434,7 +432,7 @@ func BenchmarkRiskMapGen(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := Train(split.Train, TrainOptions{
+	m, err := Train(context.Background(), split.Train, TrainOptions{
 		Kind: GPBiW, Thresholds: 5, Members: 5, GPMaxTrain: 80, Seed: 53, Workers: 0,
 	})
 	if err != nil {
@@ -443,14 +441,15 @@ func BenchmarkRiskMapGen(b *testing.B) {
 	testFrom, _ := sc.Data.StepsForYear(benchLastYear(sc))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pm, err := NewPlannerModel(m, sc.Data, testFrom-1)
+		pm, err := NewPlannerModel(context.Background(), m, sc.Data, testFrom-1, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if risk := pm.RiskMap(2); len(risk) == 0 {
+		risk, unc := maps(b, pm, 2)
+		if len(risk) == 0 {
 			b.Fatal("empty risk map")
 		}
-		if unc := pm.UncertaintyMap(2); len(unc) == 0 {
+		if len(unc) == 0 {
 			b.Fatal("empty uncertainty map")
 		}
 	}
@@ -466,7 +465,7 @@ func BenchmarkPlannerWarmUp(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := Train(split.Train, TrainOptions{
+	m, err := Train(context.Background(), split.Train, TrainOptions{
 		Kind: GPBiW, Thresholds: 5, Members: 5, GPMaxTrain: 80, Seed: 53, Workers: 0,
 	})
 	if err != nil {
@@ -501,13 +500,10 @@ func BenchmarkTable2Sweep(b *testing.B) {
 	var auc float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := RunTable2ForScenario(sc, "MFNP", Table2Options{
-			TestYears:  []int{benchLastYear(sc)},
-			Thresholds: 5,
-			Members:    5,
-			GPMaxTrain: 80,
-			Seed:       55,
-			Workers:    0,
+		rows, err := RunTable2ForScenario(context.Background(), sc, "MFNP", Table2Options{
+			TestYears: []int{benchLastYear(sc)},
+			Train:     TrainOptions{Thresholds: 5, Members: 5, GPMaxTrain: 80, Seed: 55},
+			Workers:   0,
 		})
 		if err != nil {
 			b.Fatal(err)

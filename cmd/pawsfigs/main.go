@@ -163,7 +163,7 @@ func fig8(ctx context.Context, svc *paws.Service, park string, scale paws.Scale)
 	if err != nil {
 		return err
 	}
-	beta, err := ps.RunFig8BetaCtx(ctx)
+	beta, err := ps.RunFig8Beta(ctx)
 	if err != nil {
 		return err
 	}
@@ -172,7 +172,7 @@ func fig8(ctx context.Context, svc *paws.Service, park string, scale paws.Scale)
 	for _, pt := range beta {
 		fmt.Printf("%.2f,%.4f,%.4f\n", pt.Beta, pt.Avg, pt.Max)
 	}
-	segs, err := ps.RunFig8SegmentsCtx(ctx)
+	segs, err := ps.RunFig8Segments(ctx)
 	if err != nil {
 		return err
 	}
@@ -189,7 +189,7 @@ func fig9(ctx context.Context, svc *paws.Service, park string, scale paws.Scale,
 	if err != nil {
 		return err
 	}
-	pts, err := ps.RunFig9Ctx(ctx)
+	pts, err := ps.RunFig9(ctx)
 	if err != nil {
 		return err
 	}
@@ -198,7 +198,7 @@ func fig9(ctx context.Context, svc *paws.Service, park string, scale paws.Scale,
 	for _, pt := range pts {
 		fmt.Printf("%d,%s,%.4f,%d\n", pt.Segments, paws.FormatDuration(pt.Runtime), pt.Utility, pt.Nodes)
 	}
-	gain, err := ps.RunDetectionGainCtx(ctx, 12, seed)
+	gain, err := ps.RunDetectionGain(ctx, 12, seed)
 	if err != nil {
 		return err
 	}

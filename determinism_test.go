@@ -31,18 +31,19 @@ func kindOutputs(t *testing.T, sc *Scenario, kind ModelKind, workers int) (preds
 		// Exercise the staged CV fan-out too.
 		opts.CVFolds = 2
 	}
-	m, err := Train(split.Train, opts)
+	m, err := Train(context.Background(), split.Train, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	preds = m.PredictPoints(split.Test)
 	testFrom, _ := sc.Data.StepsForYear(year)
-	pm, err := NewPlannerModel(m, sc.Data, testFrom-1)
+	pm, err := NewPlannerModel(context.Background(), m, sc.Data, testFrom-1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pm.Workers = workers
-	return preds, pm.RiskMap(1.5), pm.UncertaintyMap(1.5)
+	risk, unc = maps(t, pm, 1.5)
+	return preds, risk, unc
 }
 
 func assertSameFloats(t *testing.T, label string, a, b []float64) {
@@ -59,7 +60,7 @@ func assertSameFloats(t *testing.T, label string, a, b []float64) {
 
 // TestParallelDeterminismAllKinds is the headline determinism table: for
 // every Table II model variant, a Workers=4 run of Train → PredictPoints →
-// RiskMap/UncertaintyMap must be byte-identical to the Workers=1 run.
+// PlannerModel.Maps must be byte-identical to the Workers=1 run.
 func TestParallelDeterminismAllKinds(t *testing.T) {
 	sc := smallScenario(t, 21, false)
 	for _, kind := range []ModelKind{SVB, DTB, GPB, SVBiW, DTBiW, GPBiW} {
@@ -88,7 +89,7 @@ func TestBatchPredictionMatchesPointwise(t *testing.T) {
 	}
 	for _, kind := range []ModelKind{DTB, GPBiW} {
 		t.Run(kind.String(), func(t *testing.T) {
-			m, err := Train(split.Train, quickTrainOpts(kind, 9))
+			m, err := Train(context.Background(), split.Train, quickTrainOpts(kind, 9))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,13 +122,13 @@ func TestPlannerModelConcurrentLookups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Train(split.Train, quickTrainOpts(DTBiW, 7))
+	m, err := Train(context.Background(), split.Train, quickTrainOpts(DTBiW, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	testFrom, _ := sc.Data.StepsForYear(year)
 	newPM := func() *PlannerModel {
-		pm, err := NewPlannerModel(m, sc.Data, testFrom-1)
+		pm, err := NewPlannerModel(context.Background(), m, sc.Data, testFrom-1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,8 +141,7 @@ func TestPlannerModelConcurrentLookups(t *testing.T) {
 	wantDetect := map[float64][]float64{}
 	wantUnc := map[float64][]float64{}
 	for _, e := range efforts {
-		wantDetect[e] = ref.RiskMap(e)
-		wantUnc[e] = ref.UncertaintyMap(e)
+		wantDetect[e], wantUnc[e] = maps(t, ref, e)
 	}
 	pm := newPM()
 	n := sc.Park.Grid.NumCells()
@@ -155,7 +155,11 @@ func TestPlannerModelConcurrentLookups(t *testing.T) {
 			if g%4 == 0 {
 				// Whole-map readers race against Eval readers. Report
 				// through errCh: t.Fatal must not run off the test goroutine.
-				got := pm.RiskMap(e)
+				got, _, err := pm.Maps(context.Background(), e)
+				if err != nil {
+					errCh <- err
+					return
+				}
 				if len(got) != len(wantDetect[e]) {
 					errCh <- fmt.Errorf("concurrent RiskMap length %d, want %d", len(got), len(wantDetect[e]))
 					return
@@ -211,13 +215,11 @@ func TestTable2SweepDeterminism(t *testing.T) {
 	sc := smallScenario(t, 29, false)
 	year := sc.Data.Steps[len(sc.Data.Steps)-1].Year
 	run := func(workers int) []Table2Row {
-		rows, err := RunTable2ForScenario(sc, "SMALL", Table2Options{
-			Kinds:      []ModelKind{DTB, DTBiW},
-			TestYears:  []int{year},
-			Thresholds: 4,
-			Members:    4,
-			Seed:       31,
-			Workers:    workers,
+		rows, err := RunTable2ForScenario(context.Background(), sc, "SMALL", Table2Options{
+			Kinds:     []ModelKind{DTB, DTBiW},
+			TestYears: []int{year},
+			Train:     TrainOptions{Thresholds: 4, Members: 4, Seed: 31},
+			Workers:   workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -243,11 +245,11 @@ func TestTable2SweepDeterminism(t *testing.T) {
 // backwards-compatibility check) while a forced hierarchical plan must obey
 // the same determinism contract.
 func TestPresetPipelineWorkerInvariance(t *testing.T) {
-	sc, err := ScenarioAt("MFNP", ScaleSmall, 7)
+	ctx := context.Background()
+	sc, err := NewService(WithSeed(7)).Scenario(ctx, "MFNP", WithScale(ScaleSmall))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	prev := len(sc.Data.Steps) - 1
 	type outputs struct {
 		risk, unc   []float64
@@ -256,7 +258,7 @@ func TestPresetPipelineWorkerInvariance(t *testing.T) {
 	run := func(workers int) outputs {
 		opts := quickTrainOpts(DTBiW, 53)
 		opts.Workers = workers
-		m, err := Train(sc.Data.AllPoints(), opts)
+		m, err := Train(ctx, sc.Data.AllPoints(), opts)
 		if err != nil {
 			t.Fatalf("workers=%d train: %v", workers, err)
 		}

@@ -72,7 +72,7 @@ func main() {
 
 	// Ratio study: how much better is the robust plan under the robust
 	// objective (Fig 8 a-c analogue for one post)?
-	pts, err := ps.RunFig8BetaCtx(ctx)
+	pts, err := ps.RunFig8Beta(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,19 +30,16 @@ type Table1Row = dataset.Stats
 // RunTable1 computes dataset statistics for the three parks plus the SWS
 // dry-season view. The three park scenarios generate on up to workers
 // goroutines (par.Workers semantics); rows come back in the fixed park
-// order regardless of which finishes first.
-func RunTable1(seed int64, workers int) ([]Table1Row, error) {
-	return sansCtx(func(ctx context.Context) ([]Table1Row, error) {
-		return RunTable1Ctx(ctx, seed, workers)
-	})
-}
-
-// RunTable1Ctx is RunTable1 under a context, observed between (and inside)
-// the per-park scenario generations.
-func RunTable1Ctx(ctx context.Context, seed int64, workers int) ([]Table1Row, error) {
+// order regardless of which finishes first. ctx is observed between (and
+// inside) the per-park scenario generations.
+func RunTable1(ctx context.Context, seed int64, workers int) ([]Table1Row, error) {
 	parks := []string{"MFNP", "QENP", "SWS"}
 	perPark, err := par.MapErrCtx(ctx, workers, len(parks), func(i int) ([]Table1Row, error) {
-		sc, err := NewScenarioCtx(ctx, parks[i], seed)
+		parkCfg, simCfg, err := specConfigs(parks[i], seed)
+		if err != nil {
+			return nil, err
+		}
+		sc, err := newScenario(ctx, parkCfg, simCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -83,22 +80,17 @@ type Table2Options struct {
 	TrainYears int
 	// Dry selects the dry-season dataset when available.
 	Dry bool
-	// Train tuning.
-	Thresholds int
-	Members    int
-	CVFolds    int
-	GPMaxTrain int
-	Balanced   bool
-	Seed       int64
+	// Train tunes every cell's training. Each cell overrides its Kind, its
+	// Seed (Train.Seed plus an offset from the cell's grid position) and
+	// its Workers; Train's progress observes per-cell sweep completion
+	// (WithProgress), not the cells' weak-learner fits.
+	Train TrainOptions
 	// Workers bounds the goroutines used to fan the (test year × model
 	// kind) grid out over a worker pool; each cell's training also uses this
 	// count internally (par.Workers semantics: 1 is sequential, ≤ 0 means
 	// GOMAXPROCS). Every cell derives its seed from its grid position, so
 	// the table is identical for any worker count.
 	Workers int
-	// progress observes per-cell sweep completion (WithProgress). Set
-	// through the Service options; observational only.
-	progress ProgressFunc
 }
 
 func (o Table2Options) withDefaults() Table2Options {
@@ -127,18 +119,11 @@ func lastYears(d *dataset.Dataset, n int) []int {
 	return years
 }
 
-// RunTable2ForScenario evaluates the selected models on one scenario.
-func RunTable2ForScenario(sc *Scenario, name string, opts Table2Options) ([]Table2Row, error) {
-	return sansCtx(func(ctx context.Context) ([]Table2Row, error) {
-		return RunTable2ForScenarioCtx(ctx, sc, name, opts)
-	})
-}
-
-// RunTable2ForScenarioCtx is RunTable2ForScenario under a context: the
+// RunTable2ForScenario evaluates the selected models on one scenario. The
 // (test year × model kind) sweep stops launching new train+evaluate cells
-// once the context is done, drains cells in flight, and returns the
-// context's error — and each cell's training observes the context too.
-func RunTable2ForScenarioCtx(ctx context.Context, sc *Scenario, name string, opts Table2Options) ([]Table2Row, error) {
+// once ctx is done, drains cells in flight, and returns the context's
+// error — and each cell's training observes ctx too.
+func RunTable2ForScenario(ctx context.Context, sc *Scenario, name string, opts Table2Options) ([]Table2Row, error) {
 	o := opts.withDefaults()
 	d := sc.Data
 	if o.Dry {
@@ -172,27 +157,23 @@ func RunTable2ForScenarioCtx(ctx context.Context, sc *Scenario, name string, opt
 			return nil, fmt.Errorf("paws: empty split for %s year %d", name, year)
 		}
 		for ki, kind := range o.Kinds {
-			cells = append(cells, cell{split: split, year: year, kind: kind, seed: o.Seed + int64(yi*100+ki)})
+			cells = append(cells, cell{split: split, year: year, kind: kind, seed: o.Train.Seed + int64(yi*100+ki)})
 		}
 	}
 	var done atomic.Int64
 	return par.MapErrCtx(ctx, o.Workers, len(cells), func(i int) (Table2Row, error) {
 		c := cells[i]
-		m, err := TrainCtx(ctx, c.split.Train, TrainOptions{
-			Kind:       c.kind,
-			Thresholds: o.Thresholds,
-			Members:    o.Members,
-			CVFolds:    o.CVFolds,
-			GPMaxTrain: o.GPMaxTrain,
-			Balanced:   o.Balanced,
-			Seed:       c.seed,
-			Workers:    o.Workers,
-		})
+		tr := o.Train
+		tr.Kind = c.kind
+		tr.Seed = c.seed
+		tr.Workers = o.Workers
+		tr.progress = nil // the sweep reports per cell, not per weak learner
+		m, err := Train(ctx, c.split.Train, tr)
 		if err != nil {
 			return Table2Row{}, fmt.Errorf("paws: %s %d %v: %w", name, c.year, c.kind, err)
 		}
-		if o.progress != nil {
-			o.progress(ProgressEvent{
+		if pf := o.Train.progress; pf != nil {
+			pf(ProgressEvent{
 				Stage:   "cell",
 				Item:    fmt.Sprintf("%s/%d/%v", name, c.year, c.kind),
 				Current: int(done.Add(1)),
@@ -239,15 +220,8 @@ type Fig4Series struct {
 }
 
 // RunFig4 computes the Fig. 4 curves from a scenario's train/test split.
-func RunFig4(sc *Scenario, name string, testYear, trainYears int, dry bool) (Fig4Series, error) {
-	return sansCtx(func(ctx context.Context) (Fig4Series, error) {
-		return RunFig4Ctx(ctx, sc, name, testYear, trainYears, dry)
-	})
-}
-
-// RunFig4Ctx is RunFig4 under a context (checked once; the computation is a
-// single pass over the split).
-func RunFig4Ctx(ctx context.Context, sc *Scenario, name string, testYear, trainYears int, dry bool) (Fig4Series, error) {
+// ctx is checked once; the computation is a single pass over the split.
+func RunFig4(ctx context.Context, sc *Scenario, name string, testYear, trainYears int, dry bool) (Fig4Series, error) {
 	if err := ctxErr(ctx); err != nil {
 		return Fig4Series{}, err
 	}
@@ -287,33 +261,26 @@ type Fig6Maps struct {
 }
 
 // RunFig6 trains the given model kind on the scenario's train years and
-// evaluates risk/uncertainty maps at the paper's effort levels.
-func RunFig6(sc *Scenario, kind ModelKind, testYear, trainYears int, opts TrainOptions) (*Fig6Maps, error) {
-	return sansCtx(func(ctx context.Context) (*Fig6Maps, error) {
-		return RunFig6Ctx(ctx, sc, kind, testYear, trainYears, opts)
-	})
-}
-
-// RunFig6Ctx is RunFig6 under a context, observed through training and
-// between map-sweep chunks.
-func RunFig6Ctx(ctx context.Context, sc *Scenario, kind ModelKind, testYear, trainYears int, opts TrainOptions) (*Fig6Maps, error) {
+// evaluates risk/uncertainty maps at the paper's effort levels, observing
+// ctx through training and between map-sweep chunks.
+func RunFig6(ctx context.Context, sc *Scenario, kind ModelKind, testYear, trainYears int, opts TrainOptions) (*Fig6Maps, error) {
 	split, err := sc.Data.SplitByTestYear(testYear, trainYears)
 	if err != nil {
 		return nil, err
 	}
 	opts.Kind = kind
-	m, err := TrainCtx(ctx, split.Train, opts)
+	m, err := Train(ctx, split.Train, opts)
 	if err != nil {
 		return nil, err
 	}
 	testFrom, _ := sc.Data.StepsForYear(testYear)
-	pm, err := NewPlannerModelCtx(ctx, m, sc.Data, testFrom-1, opts.Workers)
+	pm, err := NewPlannerModel(ctx, m, sc.Data, testFrom-1, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
 	out := &Fig6Maps{EffortLevels: []float64{0.5, 1, 2, 3}}
 	for k, e := range out.EffortLevels {
-		risk, unc, err := pm.MapsCtx(ctx, e)
+		risk, unc, err := pm.Maps(ctx, e)
 		if err != nil {
 			return nil, err
 		}
@@ -356,16 +323,9 @@ type Fig7Result struct {
 
 // RunFig7 trains one GPB and one DTB weak learner on the scenario's training
 // years and correlates predictions with uncertainty on the test points
-// (paper: r ≈ −0.198 for GPs vs 0.979 for bagged trees).
-func RunFig7(sc *Scenario, testYear, trainYears int, opts TrainOptions) (*Fig7Result, error) {
-	return sansCtx(func(ctx context.Context) (*Fig7Result, error) {
-		return RunFig7Ctx(ctx, sc, testYear, trainYears, opts)
-	})
-}
-
-// RunFig7Ctx is RunFig7 under a context, observed through both probe-model
-// trainings.
-func RunFig7Ctx(ctx context.Context, sc *Scenario, testYear, trainYears int, opts TrainOptions) (*Fig7Result, error) {
+// (paper: r ≈ −0.198 for GPs vs 0.979 for bagged trees). ctx is observed
+// through both probe-model trainings.
+func RunFig7(ctx context.Context, sc *Scenario, testYear, trainYears int, opts TrainOptions) (*Fig7Result, error) {
 	split, err := sc.Data.SplitByTestYear(testYear, trainYears)
 	if err != nil {
 		return nil, err
@@ -374,7 +334,7 @@ func RunFig7Ctx(ctx context.Context, sc *Scenario, testYear, trainYears int, opt
 	models, err := par.MapErrCtx(ctx, opts.Workers, 2, func(i int) (*Model, error) {
 		mo := opts
 		mo.Kind = []ModelKind{GPB, DTB}[i]
-		return TrainCtx(ctx, split.Train, mo)
+		return Train(ctx, split.Train, mo)
 	})
 	if err != nil {
 		return nil, err
@@ -469,16 +429,9 @@ type PlanStudy struct {
 }
 
 // NewPlanStudy trains the planning model (GPB-iW by default) and builds the
-// per-post regions.
-func NewPlanStudy(sc *Scenario, opts PlanStudyOptions) (*PlanStudy, error) {
-	return sansCtx(func(ctx context.Context) (*PlanStudy, error) {
-		return NewPlanStudyCtx(ctx, sc, opts)
-	})
-}
-
-// NewPlanStudyCtx is NewPlanStudy under a context, observed through model
-// training and planner-model calibration.
-func NewPlanStudyCtx(ctx context.Context, sc *Scenario, opts PlanStudyOptions) (*PlanStudy, error) {
+// per-post regions, observing ctx through model training and planner-model
+// calibration.
+func NewPlanStudy(ctx context.Context, sc *Scenario, opts PlanStudyOptions) (*PlanStudy, error) {
 	o := opts.withDefaults()
 	split, err := sc.Data.SplitByTestYear(o.TestYear, o.TrainYears)
 	if err != nil {
@@ -491,12 +444,12 @@ func NewPlanStudyCtx(ctx context.Context, sc *Scenario, opts PlanStudyOptions) (
 	if tr.Workers == 0 {
 		tr.Workers = o.Workers
 	}
-	m, err := TrainCtx(ctx, split.Train, tr)
+	m, err := Train(ctx, split.Train, tr)
 	if err != nil {
 		return nil, err
 	}
 	testFrom, _ := sc.Data.StepsForYear(o.TestYear)
-	pm, err := NewPlannerModelCtx(ctx, m, sc.Data, testFrom-1, o.Workers)
+	pm, err := NewPlannerModel(ctx, m, sc.Data, testFrom-1, o.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -523,38 +476,24 @@ func NewPlanStudyCtx(ctx context.Context, sc *Scenario, opts PlanStudyOptions) (
 	}, nil
 }
 
-// RunFig8Beta computes the Fig. 8(a–c) ratio-vs-β series.
-func (ps *PlanStudy) RunFig8Beta() ([]game.RatioPoint, error) {
-	return sansCtx(ps.RunFig8BetaCtx)
+// RunFig8Beta computes the Fig. 8(a–c) ratio-vs-β series, observing ctx
+// between solves.
+func (ps *PlanStudy) RunFig8Beta(ctx context.Context) ([]game.RatioPoint, error) {
+	return game.BetaSweep(ctx, ps.Regions, ps.Model, ps.Config, ps.opts.Betas)
 }
 
-// RunFig8BetaCtx is RunFig8Beta under a context, observed between solves.
-func (ps *PlanStudy) RunFig8BetaCtx(ctx context.Context) ([]game.RatioPoint, error) {
-	return game.BetaSweepCtx(ctx, ps.Regions, ps.Model, ps.Config, ps.opts.Betas)
+// RunFig8Segments computes the Fig. 8(d–f) ratio-vs-segments series at β=1,
+// observing ctx between solves.
+func (ps *PlanStudy) RunFig8Segments(ctx context.Context) ([]game.RatioPoint, error) {
+	return game.SegmentRatioSweep(ctx, ps.Regions, ps.Model, ps.Config, 1.0, ps.opts.SegmentCounts)
 }
 
-// RunFig8Segments computes the Fig. 8(d–f) ratio-vs-segments series at β=1.
-func (ps *PlanStudy) RunFig8Segments() ([]game.RatioPoint, error) {
-	return sansCtx(ps.RunFig8SegmentsCtx)
-}
-
-// RunFig8SegmentsCtx is RunFig8Segments under a context, observed between
-// solves.
-func (ps *PlanStudy) RunFig8SegmentsCtx(ctx context.Context) ([]game.RatioPoint, error) {
-	return game.SegmentRatioSweepCtx(ctx, ps.Regions, ps.Model, ps.Config, 1.0, ps.opts.SegmentCounts)
-}
-
-// RunFig9 computes the runtime and utility-convergence series of Fig. 9.
-// The paper's runtime curve measures the MILP formulation, so this study
-// solves a compact region with the exact (simplex + branch-and-bound)
-// solver: runtime grows with the PWL segment count while the utility
-// converges.
-func (ps *PlanStudy) RunFig9() ([]game.SegmentPoint, error) {
-	return sansCtx(ps.RunFig9Ctx)
-}
-
-// RunFig9Ctx is RunFig9 under a context, observed between solves.
-func (ps *PlanStudy) RunFig9Ctx(ctx context.Context) ([]game.SegmentPoint, error) {
+// RunFig9 computes the runtime and utility-convergence series of Fig. 9,
+// observing ctx between solves. The paper's runtime curve measures the MILP
+// formulation, so this study solves a compact region with the exact
+// (simplex + branch-and-bound) solver: runtime grows with the PWL segment
+// count while the utility converges.
+func (ps *PlanStudy) RunFig9(ctx context.Context) ([]game.SegmentPoint, error) {
 	region, err := plan.NewRegion(ps.Scenario.Park, ps.Regions[0].Post, 3, 14)
 	if err != nil {
 		return nil, err
@@ -562,21 +501,14 @@ func (ps *PlanStudy) RunFig9Ctx(ctx context.Context) ([]game.SegmentPoint, error
 	cfg := ps.Config
 	cfg.T = 6
 	cfg.Solver = plan.SolverMILP
-	return game.SegmentSweepCtx(ctx, region, ps.Model, cfg, ps.opts.SegmentCounts)
+	return game.SegmentSweep(ctx, region, ps.Model, cfg, ps.opts.SegmentCounts)
 }
 
 // RunDetectionGain simulates robust (β=1) vs blind (β=0) plans against the
 // scenario's ground truth and reports the detection factor — the analogue
-// of the paper's "30% more snares detected" claim.
-func (ps *PlanStudy) RunDetectionGain(months int, seed int64) (game.DetectionResult, error) {
-	return sansCtx(func(ctx context.Context) (game.DetectionResult, error) {
-		return ps.RunDetectionGainCtx(ctx, months, seed)
-	})
-}
-
-// RunDetectionGainCtx is RunDetectionGain under a context, observed between
+// of the paper's "30% more snares detected" claim. ctx is observed between
 // per-region solves.
-func (ps *PlanStudy) RunDetectionGainCtx(ctx context.Context, months int, seed int64) (game.DetectionResult, error) {
+func (ps *PlanStudy) RunDetectionGain(ctx context.Context, months int, seed int64) (game.DetectionResult, error) {
 	agg := game.DetectionResult{}
 	for i, region := range ps.Regions {
 		if err := ctxErr(ctx); err != nil {
@@ -637,16 +569,9 @@ type Table3Options struct {
 }
 
 // RunTable3ForScenario runs two trials on one scenario (matching the two
-// MFNP trials and two SWS trials of Table III).
-func RunTable3ForScenario(sc *Scenario, name string, blockSize int, trialMonths []int, opts Table3Options) ([]Table3Trial, error) {
-	return sansCtx(func(ctx context.Context) ([]Table3Trial, error) {
-		return RunTable3ForScenarioCtx(ctx, sc, name, blockSize, trialMonths, opts)
-	})
-}
-
-// RunTable3ForScenarioCtx is RunTable3ForScenario under a context, observed
-// through training, risk-map generation and between trials.
-func RunTable3ForScenarioCtx(ctx context.Context, sc *Scenario, name string, blockSize int, trialMonths []int, opts Table3Options) ([]Table3Trial, error) {
+// MFNP trials and two SWS trials of Table III), observing ctx through
+// training, risk-map generation and between trials.
+func RunTable3ForScenario(ctx context.Context, sc *Scenario, name string, blockSize int, trialMonths []int, opts Table3Options) ([]Table3Trial, error) {
 	if opts.PerGroup <= 0 {
 		opts.PerGroup = 5
 	}
@@ -675,16 +600,16 @@ func RunTable3ForScenarioCtx(ctx context.Context, sc *Scenario, name string, blo
 	if tr.Workers == 0 {
 		tr.Workers = opts.Workers
 	}
-	m, err := TrainCtx(ctx, split.Train, tr)
+	m, err := Train(ctx, split.Train, tr)
 	if err != nil {
 		return nil, err
 	}
 	testFrom, _ := d.StepsForYear(testYear)
-	pm, err := NewPlannerModelCtx(ctx, m, d, testFrom-1, opts.Workers)
+	pm, err := NewPlannerModel(ctx, m, d, testFrom-1, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
-	risk, err := pm.RiskMapCtx(ctx, NominalEffort(d))
+	risk, _, err := pm.Maps(ctx, NominalEffort(d))
 	if err != nil {
 		return nil, err
 	}

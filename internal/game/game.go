@@ -35,15 +35,11 @@ type RatioPoint struct {
 // robust-utility ratio against the β=0 plan. cfg.Beta is overridden. Every
 // (β, region) solve is independent, so the whole grid — baselines included —
 // fans out over cfg.Workers goroutines; aggregation runs in (β, region)
-// order afterwards, so the series is identical for any worker count.
-func BetaSweep(regions []*plan.Region, model plan.CellModel, cfg plan.Config, betas []float64) ([]RatioPoint, error) {
-	return BetaSweepCtx(context.Background(), regions, model, cfg, betas)
-}
-
-// BetaSweepCtx is BetaSweep under a context, observed between solves: a
-// canceled or expired context stops launching new (β, region) solves,
-// drains the ones in flight, and returns the context's error.
-func BetaSweepCtx(ctx context.Context, regions []*plan.Region, model plan.CellModel, cfg plan.Config, betas []float64) ([]RatioPoint, error) {
+// order afterwards, so the series is identical for any worker count. ctx is
+// observed between solves: a canceled or expired context stops launching
+// new (β, region) solves, drains the ones in flight, and returns the
+// context's error.
+func BetaSweep(ctx context.Context, regions []*plan.Region, model plan.CellModel, cfg plan.Config, betas []float64) ([]RatioPoint, error) {
 	if len(regions) == 0 {
 		return nil, fmt.Errorf("game: no regions")
 	}
@@ -107,13 +103,9 @@ type SegmentPoint struct {
 // SegmentSweep solves the fully robust plan (β=1) for one region at each
 // segment count, recording runtime and exact utility (Fig. 9a/9b), and the
 // ratio study of Fig. 8(d–f) reuses the same plans via the returned efforts.
-func SegmentSweep(region *plan.Region, model plan.CellModel, cfg plan.Config, segments []int) ([]SegmentPoint, error) {
-	return SegmentSweepCtx(context.Background(), region, model, cfg, segments)
-}
-
-// SegmentSweepCtx is SegmentSweep under a context, observed between solves.
-// Solves run sequentially because the study measures per-solve runtime.
-func SegmentSweepCtx(ctx context.Context, region *plan.Region, model plan.CellModel, cfg plan.Config, segments []int) ([]SegmentPoint, error) {
+// ctx is observed between solves, which run sequentially because the study
+// measures per-solve runtime.
+func SegmentSweep(ctx context.Context, region *plan.Region, model plan.CellModel, cfg plan.Config, segments []int) ([]SegmentPoint, error) {
 	var out []SegmentPoint
 	for _, s := range segments {
 		if err := ctx.Err(); err != nil {
@@ -137,19 +129,14 @@ func SegmentSweepCtx(ctx context.Context, region *plan.Region, model plan.CellMo
 }
 
 // SegmentRatioSweep computes the Fig. 8(d–f) series: the solution-quality
-// ratio at fixed β as the PWL segment count varies.
-func SegmentRatioSweep(regions []*plan.Region, model plan.CellModel, cfg plan.Config, beta float64, segments []int) ([]RatioPoint, error) {
-	return SegmentRatioSweepCtx(context.Background(), regions, model, cfg, beta, segments)
-}
-
-// SegmentRatioSweepCtx is SegmentRatioSweep under a context, observed
-// between solves via BetaSweepCtx.
-func SegmentRatioSweepCtx(ctx context.Context, regions []*plan.Region, model plan.CellModel, cfg plan.Config, beta float64, segments []int) ([]RatioPoint, error) {
+// ratio at fixed β as the PWL segment count varies, observing ctx between
+// solves via BetaSweep.
+func SegmentRatioSweep(ctx context.Context, regions []*plan.Region, model plan.CellModel, cfg plan.Config, beta float64, segments []int) ([]RatioPoint, error) {
 	var out []RatioPoint
 	for _, s := range segments {
 		c := cfg
 		c.Segments = s
-		pts, err := BetaSweepCtx(ctx, regions, model, c, []float64{beta})
+		pts, err := BetaSweep(ctx, regions, model, c, []float64{beta})
 		if err != nil {
 			return nil, err
 		}

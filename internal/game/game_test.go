@@ -1,6 +1,7 @@
 package game
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -59,7 +60,7 @@ func TestBetaSweepRatiosAtLeastOne(t *testing.T) {
 	regs := regions(t, park, 2)
 	model := varyModel{park}
 	cfg := plan.Config{T: 5, K: 2, Segments: 5}
-	pts, err := BetaSweep(regs, model, cfg, []float64{0.5, 1.0})
+	pts, err := BetaSweep(context.Background(), regs, model, cfg, []float64{0.5, 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestBetaSweepRatiosAtLeastOne(t *testing.T) {
 }
 
 func TestBetaSweepRequiresRegions(t *testing.T) {
-	if _, err := BetaSweep(nil, varyModel{}, plan.Config{T: 4, K: 1, Segments: 4}, []float64{1}); err == nil {
+	if _, err := BetaSweep(context.Background(), nil, varyModel{}, plan.Config{T: 4, K: 1, Segments: 4}, []float64{1}); err == nil {
 		t.Fatal("expected error with no regions")
 	}
 }
@@ -88,7 +89,7 @@ func TestSegmentSweepRuntimeGrowsAndUtilityConverges(t *testing.T) {
 	regs := regions(t, park, 1)
 	model := varyModel{park}
 	cfg := plan.Config{T: 5, K: 2}
-	pts, err := SegmentSweep(regs[0], model, cfg, []int{3, 8, 15})
+	pts, err := SegmentSweep(context.Background(), regs[0], model, cfg, []int{3, 8, 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestSegmentRatioSweep(t *testing.T) {
 	regs := regions(t, park, 1)
 	model := varyModel{park}
 	cfg := plan.Config{T: 5, K: 2}
-	pts, err := SegmentRatioSweep(regs, model, cfg, 1.0, []int{4, 8})
+	pts, err := SegmentRatioSweep(context.Background(), regs, model, cfg, 1.0, []int{4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,16 +77,10 @@ type Model struct {
 
 // Fit trains the ensemble on features X, labels y and per-point patrol
 // efforts (the efforts are used for filtering and qualification only; they
-// are never model inputs).
-func Fit(X [][]float64, y []int, efforts []float64, cfg Config) (*Model, error) {
-	return FitCtx(context.Background(), X, y, efforts, cfg)
-}
-
-// FitCtx is Fit under a context. Cancellation is observed between weak-
-// learner fits (both the CV weight-optimization tasks and the final ladder
-// refit): in-flight fits drain, no new fit starts, and ctx.Err() is
-// returned.
-func FitCtx(ctx context.Context, X [][]float64, y []int, efforts []float64, cfg Config) (*Model, error) {
+// are never model inputs). Cancellation is observed between weak-learner
+// fits (both the CV weight-optimization tasks and the final ladder refit):
+// in-flight fits drain, no new fit starts, and ctx.Err() is returned.
+func Fit(ctx context.Context, X [][]float64, y []int, efforts []float64, cfg Config) (*Model, error) {
 	if len(cfg.Thresholds) == 0 {
 		return nil, ErrNoThresholds
 	}
@@ -463,7 +457,7 @@ func optimizeWeights(ctx context.Context, X [][]float64, y []int, efforts []floa
 		if err := c.Fit(task.fx, task.fy); err != nil {
 			return fmt.Errorf("iware: CV classifier %d: %w", task.i, err)
 		}
-		// X is rectangular (FitCtx checked it), so rows copy in whole.
+		// X is rectangular (Fit checked it), so rows copy in whole.
 		valX := ml.NewMatrix(len(task.valIdx), len(X[0]))
 		for k, v := range task.valIdx {
 			copy(valX.Row(k), X[v])

@@ -1,6 +1,7 @@
 package iware
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestFilterIndicesKeepsAllPositives(t *testing.T) {
 
 func TestFitAndPredictBasic(t *testing.T) {
 	X, y, eff := synthPoaching(600, 1)
-	m, err := Fit(X, y, eff, Config{
+	m, err := Fit(context.Background(), X, y, eff, Config{
 		Thresholds:  []float64{0, 1, 2, 3},
 		WeakLearner: treeBagFactory(8),
 		Seed:        2,
@@ -83,7 +84,7 @@ func TestFitAndPredictBasic(t *testing.T) {
 
 func TestPredictionMonotoneStepInEffort(t *testing.T) {
 	X, y, eff := synthPoaching(500, 4)
-	m, err := Fit(X, y, eff, Config{
+	m, err := Fit(context.Background(), X, y, eff, Config{
 		Thresholds:  []float64{0, 1, 2, 3},
 		WeakLearner: treeBagFactory(6),
 		Seed:        5,
@@ -112,7 +113,7 @@ func TestPredictionMonotoneStepInEffort(t *testing.T) {
 
 func TestQualificationBoundaries(t *testing.T) {
 	X, y, eff := synthPoaching(300, 6)
-	m, err := Fit(X, y, eff, Config{
+	m, err := Fit(context.Background(), X, y, eff, Config{
 		Thresholds:  []float64{0, 1, 2},
 		WeakLearner: treeBagFactory(4),
 		Seed:        7,
@@ -142,7 +143,7 @@ func TestWeightOptimizationImprovesLogLoss(t *testing.T) {
 	X, y, eff := synthPoaching(700, 8)
 	Xt, yt, efft := synthPoaching(500, 9)
 
-	base, err := Fit(X, y, eff, Config{
+	base, err := Fit(context.Background(), X, y, eff, Config{
 		Thresholds:  []float64{0, 0.8, 1.6, 2.4, 3.2},
 		WeakLearner: treeBagFactory(6),
 		Seed:        10,
@@ -150,7 +151,7 @@ func TestWeightOptimizationImprovesLogLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Fit(X, y, eff, Config{
+	opt, err := Fit(context.Background(), X, y, eff, Config{
 		Thresholds:  []float64{0, 0.8, 1.6, 2.4, 3.2},
 		WeakLearner: treeBagFactory(6),
 		CVFolds:     3,
@@ -180,7 +181,7 @@ func TestWeightOptimizationImprovesLogLoss(t *testing.T) {
 
 func TestUniformWeightsWithoutCV(t *testing.T) {
 	X, y, eff := synthPoaching(200, 11)
-	m, err := Fit(X, y, eff, Config{
+	m, err := Fit(context.Background(), X, y, eff, Config{
 		Thresholds:  []float64{0, 1},
 		WeakLearner: treeBagFactory(3),
 		Seed:        12,
@@ -197,7 +198,7 @@ func TestUniformWeightsWithoutCV(t *testing.T) {
 
 func TestPredictWithVarianceAggregation(t *testing.T) {
 	X, y, eff := synthPoaching(400, 13)
-	m, err := Fit(X, y, eff, Config{
+	m, err := Fit(context.Background(), X, y, eff, Config{
 		Thresholds:  []float64{0, 1, 2},
 		WeakLearner: treeBagFactory(6),
 		Seed:        14,
@@ -220,23 +221,23 @@ func TestPredictWithVarianceAggregation(t *testing.T) {
 
 func TestFitErrors(t *testing.T) {
 	X, y, eff := synthPoaching(50, 15)
-	if _, err := Fit(X, y, eff, Config{WeakLearner: treeBagFactory(2)}); err != ErrNoThresholds {
+	if _, err := Fit(context.Background(), X, y, eff, Config{WeakLearner: treeBagFactory(2)}); err != ErrNoThresholds {
 		t.Fatalf("expected ErrNoThresholds, got %v", err)
 	}
-	if _, err := Fit(X, y, eff, Config{Thresholds: []float64{0}}); err == nil {
+	if _, err := Fit(context.Background(), X, y, eff, Config{Thresholds: []float64{0}}); err == nil {
 		t.Fatal("expected nil-factory error")
 	}
-	if _, err := Fit(X, y, eff[:10], Config{Thresholds: []float64{0}, WeakLearner: treeBagFactory(2)}); err == nil {
+	if _, err := Fit(context.Background(), X, y, eff[:10], Config{Thresholds: []float64{0}, WeakLearner: treeBagFactory(2)}); err == nil {
 		t.Fatal("expected effort-length error")
 	}
-	if _, err := Fit(nil, nil, nil, Config{Thresholds: []float64{0}, WeakLearner: treeBagFactory(2)}); err == nil {
+	if _, err := Fit(context.Background(), nil, nil, nil, Config{Thresholds: []float64{0}, WeakLearner: treeBagFactory(2)}); err == nil {
 		t.Fatal("expected empty-data error")
 	}
 }
 
 func TestThresholdsSortedInternally(t *testing.T) {
 	X, y, eff := synthPoaching(200, 16)
-	m, err := Fit(X, y, eff, Config{
+	m, err := Fit(context.Background(), X, y, eff, Config{
 		Thresholds:  []float64{2, 0, 1},
 		WeakLearner: treeBagFactory(3),
 		Seed:        17,
@@ -303,7 +304,7 @@ func TestIWareEBeatsPlainBaggingOnBiasedNegatives(t *testing.T) {
 		trueAttack = append(trueAttack, ta)
 	}
 	split := 600
-	m, err := Fit(X[:split], y[:split], eff[:split], Config{
+	m, err := Fit(context.Background(), X[:split], y[:split], eff[:split], Config{
 		Thresholds:  []float64{0, 1, 2, 3},
 		WeakLearner: treeBagFactory(8),
 		Seed:        19,

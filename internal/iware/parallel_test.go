@@ -1,6 +1,7 @@
 package iware
 
 import (
+	"context"
 	"testing"
 
 	"paws/internal/ml"
@@ -12,7 +13,7 @@ import (
 func fitWithWorkers(t *testing.T, workers int) (*Model, [][]float64, []float64) {
 	t.Helper()
 	X, y, efforts := synthPoaching(320, 17)
-	m, err := Fit(X, y, efforts, Config{
+	m, err := Fit(context.Background(), X, y, efforts, Config{
 		Thresholds:  []float64{0, 1, 2, 3},
 		WeakLearner: treeBagFactory(4),
 		CVFolds:     3,

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -60,7 +61,7 @@ func TestSolveHierarchicalRuntimeDeterministic(t *testing.T) {
 	for run := 1; run <= 2; run++ {
 		clk := &steppingClock{t: time.Unix(1_700_000_000, 0)}
 		cfg := Config{T: 6, K: 2, Segments: 6, Beta: 0.3, Solver: SolverFrankWolfe, now: clk.now}
-		p, _, err := SolveHierarchical(park, park.Posts[0], model, cfg, h)
+		p, _, err := SolveHierarchical(context.Background(), park, park.Posts[0], model, cfg, h)
 		if err != nil {
 			t.Fatal(err)
 		}

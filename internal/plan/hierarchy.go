@@ -320,17 +320,12 @@ func growFineRegion(park *geo.Park, post, maxCells int, co *coarsening, superEff
 // SolveHierarchical computes a hierarchically-targeted plan for one post:
 // coarse Frank-Wolfe over super-cells, effort-guided region refinement, then
 // the standard Solve on the refined region. It returns the fine plan and its
-// region (for route extraction and reporting).
-func SolveHierarchical(park *geo.Park, post int, model CellModel, cfg Config, h HierOptions) (*Plan, *Region, error) {
-	return SolveHierarchicalCtx(context.Background(), park, post, model, cfg, h)
-}
-
-// SolveHierarchicalCtx is SolveHierarchical with a context for
+// region (for route extraction and reporting). The context is for
 // observability: when ctx carries a trace (internal/obs), the coarse
-// Frank-Wolfe pass and the fine refinement record one span per post.
-// The plan itself is byte-identical with or without a trace.
-func SolveHierarchicalCtx(ctx context.Context, park *geo.Park, post int, model CellModel, cfg Config, h HierOptions) (*Plan, *Region, error) {
-	plans, regions, err := SolveHierarchicalAllCtx(ctx, park, []int{post}, model, cfg, h)
+// Frank-Wolfe pass and the fine refinement record one span per post. The
+// plan itself is byte-identical with or without a trace.
+func SolveHierarchical(ctx context.Context, park *geo.Park, post int, model CellModel, cfg Config, h HierOptions) (*Plan, *Region, error) {
+	plans, regions, err := SolveHierarchicalAll(ctx, park, []int{post}, model, cfg, h)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -341,14 +336,9 @@ func SolveHierarchicalCtx(ctx context.Context, park *geo.Park, post int, model C
 // the park is aggregated once, then each post runs its coarse solve and fine
 // refinement on its own worker (par.MapErr), reusing the existing per-post
 // solver for the refined regions. Results are index-ordered by post and
-// byte-identical for any worker count.
-func SolveHierarchicalAll(park *geo.Park, posts []int, model CellModel, cfg Config, h HierOptions) ([]*Plan, []*Region, error) {
-	return SolveHierarchicalAllCtx(context.Background(), park, posts, model, cfg, h)
-}
-
-// SolveHierarchicalAllCtx is SolveHierarchicalAll with a context for
-// observability (see SolveHierarchicalCtx).
-func SolveHierarchicalAllCtx(ctx context.Context, park *geo.Park, posts []int, model CellModel, cfg Config, h HierOptions) ([]*Plan, []*Region, error) {
+// byte-identical for any worker count. ctx serves observability as in
+// SolveHierarchical.
+func SolveHierarchicalAll(ctx context.Context, park *geo.Park, posts []int, model CellModel, cfg Config, h HierOptions) ([]*Plan, []*Region, error) {
 	n := park.Grid.NumCells()
 	for _, p := range posts {
 		if p < 0 || p >= n {

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -136,7 +137,7 @@ func TestSolveHierarchical(t *testing.T) {
 	model := hierModel(park)
 	cfg := Config{T: 6, K: 2, Segments: 6, Beta: 0.3, Solver: SolverFrankWolfe}
 	h := HierOptions{FineMaxCells: 20}
-	p, region, err := SolveHierarchical(park, park.Posts[0], model, cfg, h)
+	p, region, err := SolveHierarchical(context.Background(), park, park.Posts[0], model, cfg, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestSolveHierarchicalAllWorkerInvariance(t *testing.T) {
 	var refRegions []*Region
 	for _, workers := range []int{1, 4} {
 		h := HierOptions{FineMaxCells: 20, Workers: workers}
-		plans, regions, err := SolveHierarchicalAll(park, posts, model, cfg, h)
+		plans, regions, err := SolveHierarchicalAll(context.Background(), park, posts, model, cfg, h)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -546,7 +546,7 @@ func (s *Server) computeRiskMap(ctx context.Context, req RiskMapRequest) (RiskMa
 	// the name here could race with a concurrent re-registration and file
 	// one generation's maps under another's key.
 	endSpan := obs.StartSpan(ctx, "riskmap", req.Model)
-	risk, unc, err := sm.PlannerModel().MapsCtx(ctx, req.Effort)
+	risk, unc, err := sm.PlannerModel().Maps(ctx, req.Effort)
 	endSpan()
 	if err != nil {
 		return RiskMapResponse{}, err

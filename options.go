@@ -15,7 +15,7 @@ import "paws/internal/plan"
 type Option func(*settings)
 
 // settings is the merged state behind the functional options. Fields mirror
-// the legacy option structs (TrainOptions, Table2Options, PlanStudyOptions,
+// the option structs (TrainOptions, Table2Options, PlanStudyOptions,
 // Table3Options); the *Set flags distinguish "not specified" from genuine
 // zero values where zero is meaningful.
 type settings struct {
@@ -212,7 +212,7 @@ func WithFieldProtocol(perGroup int, effortPerCellMonth float64) Option {
 
 // ---------------------------------------------------------------- adapters
 
-// trainOptions lowers the merged settings to the legacy TrainOptions.
+// trainOptions lowers the merged settings to TrainOptions.
 func (s settings) trainOptions() TrainOptions {
 	return TrainOptions{
 		Kind:                   s.kind,
@@ -240,14 +240,8 @@ func (s settings) table2Options() Table2Options {
 		TestYears:  s.testYears,
 		TrainYears: s.trainYears,
 		Dry:        s.dry,
-		Thresholds: s.thresholds,
-		Members:    s.members,
-		CVFolds:    s.cvFolds,
-		GPMaxTrain: s.gpMaxTrain,
-		Balanced:   s.balanced,
-		Seed:       s.seed,
+		Train:      s.trainOptions(),
 		Workers:    s.workers,
-		progress:   s.progress,
 	}
 }
 

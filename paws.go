@@ -20,9 +20,9 @@
 // Configuration is functional options (WithWorkers, WithKind,
 // WithEnsembleSize, WithThresholds, WithCVFolds, …) shared by training,
 // planning and the experiment runners; per-call options override the
-// Service defaults. The legacy struct-based free functions (Train,
-// NewScenario, NewPlannerModel, RunTable*/RunFig*) remain as thin wrappers
-// and now have *Ctx variants.
+// Service defaults. Under the Service, each compute step (Train,
+// NewPlannerModel, RunTable*/RunFig*, NewPlanStudy) is a context-taking
+// function over its options struct.
 //
 // # Model persistence and serving
 //
@@ -61,7 +61,7 @@
 //
 // Every entry point takes an explicit seed and is deterministic — including
 // under parallel execution and concurrent serving: WithWorkers (and the
-// Workers fields on the legacy option structs) bound a worker pool
+// Workers fields on the option structs) bound a worker pool
 // (internal/par) whose output is byte-identical for any worker count.
 // Workers = 1 forces sequential execution; 0 or negative sizes the pool to
 // runtime.GOMAXPROCS(0), so -cpu / GOMAXPROCS scale the whole pipeline.
@@ -95,35 +95,14 @@ type Scenario struct {
 	DryData *dataset.Dataset
 }
 
-// NewScenario generates a park from a spec — a preset name ("MFNP", "QENP",
-// "SWS") or a procedural "rand:<seed>" spec — with its simulated history and
-// datasets.
-func NewScenario(name string, seed int64) (*Scenario, error) {
-	return sansCtx(func(ctx context.Context) (*Scenario, error) {
-		return NewScenarioCtx(ctx, name, seed)
-	})
-}
-
-// NewScenarioCtx is NewScenario under a context, observed between the
-// generation stages (park, history, datasets).
-func NewScenarioCtx(ctx context.Context, name string, seed int64) (*Scenario, error) {
-	parkCfg, simCfg, err := specConfigs(name, seed)
-	if err != nil {
-		return nil, err
-	}
-	return NewCustomScenarioCtx(ctx, parkCfg, simCfg)
-}
-
 // NewCustomScenario generates a scenario from explicit configurations.
 func NewCustomScenario(parkCfg geo.ParkConfig, simCfg poach.SimConfig) (*Scenario, error) {
-	return sansCtx(func(ctx context.Context) (*Scenario, error) {
-		return NewCustomScenarioCtx(ctx, parkCfg, simCfg)
-	})
+	return newScenario(context.TODO(), parkCfg, simCfg)
 }
 
-// NewCustomScenarioCtx is NewCustomScenario under a context, observed
-// between the generation stages.
-func NewCustomScenarioCtx(ctx context.Context, parkCfg geo.ParkConfig, simCfg poach.SimConfig) (*Scenario, error) {
+// newScenario generates a park, its simulated history and its datasets,
+// observing ctx between the generation stages.
+func newScenario(ctx context.Context, parkCfg geo.ParkConfig, simCfg poach.SimConfig) (*Scenario, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
@@ -157,20 +136,12 @@ func NewCustomScenarioCtx(ctx context.Context, parkCfg geo.ParkConfig, simCfg po
 }
 
 // ctxErr reports a context's error, tolerating nil contexts (which every
-// Ctx entry point treats as context.Background()).
+// context-taking entry point treats as context.Background()).
 func ctxErr(ctx context.Context) error {
 	if ctx == nil {
 		return nil
 	}
 	return ctx.Err()
-}
-
-// sansCtx adapts a *Ctx entry point to its legacy context-free form: every
-// non-Ctx wrapper in this package is one call through this helper — either a
-// method value or a closure binding the arguments — instead of a hand-rolled
-// context.Background() body copied into each wrapper.
-func sansCtx[T any](fn func(context.Context) (T, error)) (T, error) {
-	return fn(context.Background())
 }
 
 // ModelKind selects one of the six Table II predictive models.
@@ -321,22 +292,41 @@ func weakLearnerFactory(kind ModelKind, o TrainOptions, numFeatures int) ml.Fact
 	}
 }
 
-// Train fits the selected model on training points.
-func Train(train []dataset.Point, opts TrainOptions) (*Model, error) {
-	return sansCtx(func(ctx context.Context) (*Model, error) {
-		return TrainCtx(ctx, train, opts)
-	})
-}
-
-// TrainCtx is Train under a context: cancellation and deadlines are
-// observed between weak-learner fits (ensemble members, iWare-E ladder
-// slices and CV tasks) — fits already in flight drain, no new fit starts,
-// and the context's error is returned.
-func TrainCtx(ctx context.Context, train []dataset.Point, opts TrainOptions) (*Model, error) {
+// Train fits the selected model on training points. Cancellation and
+// deadlines are observed between weak-learner fits (ensemble members,
+// iWare-E ladder slices and CV tasks): fits already in flight drain, no new
+// fit starts, and the context's error is returned.
+func Train(ctx context.Context, train []dataset.Point, opts TrainOptions) (*Model, error) {
 	if len(train) == 0 {
 		return nil, errors.New("paws: no training points")
 	}
 	o := opts.withDefaults()
+	var thresholds []float64
+	if o.Kind.IsIWare() {
+		thresholds = dataset.EffortPercentileThresholds(train, o.Thresholds, o.MaxThresholdPercentile)
+	}
+	return fit(ctx, train, thresholds, o)
+}
+
+// TrainWithThresholds trains an iWare-E model with an explicit threshold
+// ladder instead of the percentile-derived one — used by the threshold
+// ablation (the original iWare-E used fixed-kilometre grids). It observes
+// ctx as Train does.
+func TrainWithThresholds(ctx context.Context, train []dataset.Point, thresholds []float64, opts TrainOptions) (*Model, error) {
+	if len(train) == 0 {
+		return nil, errors.New("paws: no training points")
+	}
+	o := opts.withDefaults()
+	if !o.Kind.IsIWare() {
+		return nil, errors.New("paws: explicit thresholds require an iWare-E kind")
+	}
+	return fit(ctx, train, thresholds, o)
+}
+
+// fit trains the defaults-filled options o on a non-empty training set: the
+// bagging ensemble itself for plain kinds, an iWare-E ensemble over the
+// threshold ladder for iWare-E kinds.
+func fit(ctx context.Context, train []dataset.Point, thresholds []float64, o TrainOptions) (*Model, error) {
 	X := make([][]float64, len(train))
 	y := make([]int, len(train))
 	eff := make([]float64, len(train))
@@ -363,8 +353,7 @@ func TrainCtx(ctx context.Context, train []dataset.Point, opts TrainOptions) (*M
 		m.plain = ens
 		return m, nil
 	}
-	thresholds := dataset.EffortPercentileThresholds(train, o.Thresholds, o.MaxThresholdPercentile)
-	iw, err := iware.FitCtx(ctx, X, y, eff, iware.Config{
+	iw, err := iware.Fit(ctx, X, y, eff, iware.Config{
 		Thresholds:  thresholds,
 		WeakLearner: factory,
 		CVFolds:     o.CVFolds,
@@ -388,49 +377,6 @@ func trainErr(kind ModelKind, err error) error {
 		return err
 	}
 	return fmt.Errorf("paws: train %v: %w", kind, err)
-}
-
-// TrainWithThresholds trains an iWare-E model with an explicit threshold
-// ladder instead of the percentile-derived one — used by the threshold
-// ablation (the original iWare-E used fixed-kilometre grids).
-func TrainWithThresholds(train []dataset.Point, thresholds []float64, opts TrainOptions) (*Model, error) {
-	return sansCtx(func(ctx context.Context) (*Model, error) {
-		return TrainWithThresholdsCtx(ctx, train, thresholds, opts)
-	})
-}
-
-// TrainWithThresholdsCtx is TrainWithThresholds under a context, with
-// TrainCtx's cancellation semantics.
-func TrainWithThresholdsCtx(ctx context.Context, train []dataset.Point, thresholds []float64, opts TrainOptions) (*Model, error) {
-	if len(train) == 0 {
-		return nil, errors.New("paws: no training points")
-	}
-	o := opts.withDefaults()
-	if !o.Kind.IsIWare() {
-		return nil, errors.New("paws: explicit thresholds require an iWare-E kind")
-	}
-	X := make([][]float64, len(train))
-	y := make([]int, len(train))
-	eff := make([]float64, len(train))
-	for i, p := range train {
-		X[i] = p.Features
-		y[i] = p.Label
-		eff[i] = p.Effort
-	}
-	iw, err := iware.FitCtx(ctx, X, y, eff, iware.Config{
-		Thresholds:  thresholds,
-		WeakLearner: weakLearnerFactory(o.Kind, o, len(X[0])),
-		CVFolds:     o.CVFolds,
-		Seed:        o.Seed,
-		Workers:     o.Workers,
-		Progress:    progressCounter(o.progress, "train"),
-	})
-	if err != nil {
-		return nil, trainErr(o.Kind, err)
-	}
-	stored := o
-	stored.progress = nil // see TrainCtx: a Model must not pin its train job
-	return &Model{Kind: o.Kind, opts: stored, numFeatures: len(X[0]), iw: iw}, nil
 }
 
 // PredictForEffort returns the detection probability for a feature vector at

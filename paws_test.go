@@ -1,6 +1,7 @@
 package paws
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -51,11 +52,22 @@ func quickTrainOpts(kind ModelKind, seed int64) TrainOptions {
 	}
 }
 
+// maps evaluates a planner model's risk and uncertainty maps at one effort,
+// failing the test on error.
+func maps(t testing.TB, pm *PlannerModel, effort float64) (risk, uncertainty []float64) {
+	t.Helper()
+	risk, uncertainty, err := pm.Maps(context.Background(), effort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return risk, uncertainty
+}
+
 func TestNewScenarioPresets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full presets are slow")
 	}
-	sc, err := NewScenario("QENP", 3)
+	sc, err := NewService(WithSeed(3)).Scenario(context.Background(), "QENP")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +77,7 @@ func TestNewScenarioPresets(t *testing.T) {
 	if sc.DryData != nil {
 		t.Fatal("QENP should have no dry dataset")
 	}
-	if _, err := NewScenario("NOPE", 1); err == nil {
+	if _, err := NewService(WithSeed(1)).Scenario(context.Background(), "NOPE"); err == nil {
 		t.Fatal("expected unknown-preset error")
 	}
 }
@@ -87,7 +99,7 @@ func TestTrainAllKindsAndAUC(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []ModelKind{SVB, DTB, GPB, SVBiW, DTBiW, GPBiW} {
-		m, err := Train(split.Train, quickTrainOpts(kind, 17))
+		m, err := Train(context.Background(), split.Train, quickTrainOpts(kind, 17))
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -105,7 +117,7 @@ func TestTrainAllKindsAndAUC(t *testing.T) {
 }
 
 func TestTrainErrors(t *testing.T) {
-	if _, err := Train(nil, TrainOptions{Kind: DTB}); err == nil {
+	if _, err := Train(context.Background(), nil, TrainOptions{Kind: DTB}); err == nil {
 		t.Fatal("expected empty-training error")
 	}
 }
@@ -134,18 +146,17 @@ func TestPlannerModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Train(split.Train, quickTrainOpts(GPBiW, 23))
+	m, err := Train(context.Background(), split.Train, quickTrainOpts(GPBiW, 23))
 	if err != nil {
 		t.Fatal(err)
 	}
 	testFrom, _ := sc.Data.StepsForYear(dataset.BaseYear + 4)
-	pm, err := NewPlannerModel(m, sc.Data, testFrom-1)
+	pm, err := NewPlannerModel(context.Background(), m, sc.Data, testFrom-1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := sc.Park.Grid.NumCells()
-	risk := pm.RiskMap(1)
-	unc := pm.UncertaintyMap(1)
+	risk, unc := maps(t, pm, 1)
 	if len(risk) != n || len(unc) != n {
 		t.Fatal("map sizes wrong")
 	}
@@ -167,10 +178,10 @@ func TestPlannerModel(t *testing.T) {
 		t.Fatal("squash scale must be positive")
 	}
 	// Errors.
-	if _, err := NewPlannerModel(nil, sc.Data, 0); err == nil {
+	if _, err := NewPlannerModel(context.Background(), nil, sc.Data, 0, 0); err == nil {
 		t.Fatal("expected nil-model error")
 	}
-	if _, err := NewPlannerModel(m, sc.Data, -1); err == nil {
+	if _, err := NewPlannerModel(context.Background(), m, sc.Data, -1, 0); err == nil {
 		t.Fatal("expected step-range error")
 	}
 }
@@ -189,7 +200,7 @@ func TestNominalEffort(t *testing.T) {
 
 func TestRunFig4(t *testing.T) {
 	sc := smallScenario(t, 31, false)
-	s, err := RunFig4(sc, "SMALL", dataset.BaseYear+4, 3, false)
+	s, err := RunFig4(context.Background(), sc, "SMALL", dataset.BaseYear+4, 3, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,19 +213,17 @@ func TestRunFig4(t *testing.T) {
 	if s.TrainRates[5] <= s.TrainRates[0] {
 		t.Fatalf("train positive rate should rise with percentile: %v", s.TrainRates)
 	}
-	if _, err := RunFig4(sc, "SMALL", dataset.BaseYear+4, 3, true); err == nil {
+	if _, err := RunFig4(context.Background(), sc, "SMALL", dataset.BaseYear+4, 3, true); err == nil {
 		t.Fatal("expected dry-data error on non-seasonal scenario")
 	}
 }
 
 func TestRunTable2SmallSweep(t *testing.T) {
 	sc := smallScenario(t, 37, false)
-	rows, err := RunTable2ForScenario(sc, "SMALL", Table2Options{
-		Kinds:      []ModelKind{DTB, DTBiW},
-		TestYears:  []int{dataset.BaseYear + 4},
-		Members:    4,
-		Thresholds: 4,
-		Seed:       41,
+	rows, err := RunTable2ForScenario(context.Background(), sc, "SMALL", Table2Options{
+		Kinds:     []ModelKind{DTB, DTBiW},
+		TestYears: []int{dataset.BaseYear + 4},
+		Train:     TrainOptions{Members: 4, Thresholds: 4, Seed: 41},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +243,7 @@ func TestRunTable2SmallSweep(t *testing.T) {
 
 func TestRunFig7Correlations(t *testing.T) {
 	sc := smallScenario(t, 43, false)
-	res, err := RunFig7(sc, dataset.BaseYear+4, 3, quickTrainOpts(GPB, 47))
+	res, err := RunFig7(context.Background(), sc, dataset.BaseYear+4, 3, quickTrainOpts(GPB, 47))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +263,7 @@ func TestRunFig7Correlations(t *testing.T) {
 
 func TestPlanStudyEndToEnd(t *testing.T) {
 	sc := smallScenario(t, 53, false)
-	ps, err := NewPlanStudy(sc, PlanStudyOptions{
+	ps, err := NewPlanStudy(context.Background(), sc, PlanStudyOptions{
 		Posts:         2,
 		Radius:        2,
 		MaxCells:      16,
@@ -269,21 +278,21 @@ func TestPlanStudyEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	beta, err := ps.RunFig8Beta()
+	beta, err := ps.RunFig8Beta(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(beta) != 1 || beta[0].Avg < 0.95 {
 		t.Fatalf("beta sweep: %+v", beta)
 	}
-	segs, err := ps.RunFig9()
+	segs, err := ps.RunFig9(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(segs) != 2 || segs[0].Runtime <= 0 {
 		t.Fatalf("segment sweep: %+v", segs)
 	}
-	gain, err := ps.RunDetectionGain(24, 61)
+	gain, err := ps.RunDetectionGain(context.Background(), 24, 61)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +305,7 @@ func TestPlanStudyEndToEnd(t *testing.T) {
 
 func TestRunTable3SmallTrial(t *testing.T) {
 	sc := smallScenario(t, 67, false)
-	trials, err := RunTable3ForScenario(sc, "SMALL", 2, []int{2, 2}, Table3Options{
+	trials, err := RunTable3ForScenario(context.Background(), sc, "SMALL", 2, []int{2, 2}, Table3Options{
 		PerGroup: 4,
 		Train:    quickTrainOpts(DTBiW, 71),
 		Seed:     73,

@@ -2,6 +2,7 @@ package paws
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -29,7 +30,7 @@ func FuzzLoadModelBytes(f *testing.F) {
 	for _, kind := range []ModelKind{DTB, SVB, GPBiW} {
 		opts := quickTrainOpts(kind, 47)
 		opts.Members, opts.Thresholds, opts.GPMaxTrain, opts.TreeDepth = 2, 2, 12, 3
-		m, err := Train(pts, opts)
+		m, err := Train(context.Background(), pts, opts)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -179,7 +180,7 @@ func TestModelPersistenceRoundTrip(t *testing.T) {
 			if kind.IsIWare() {
 				opts.CVFolds = 2 // non-uniform weights must survive the trip
 			}
-			m, err := Train(split.Train, opts)
+			m, err := Train(context.Background(), split.Train, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,7 +234,7 @@ func TestModelPersistenceFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Train(split.Train, quickTrainOpts(GPBiW, 43))
+	m, err := Train(context.Background(), split.Train, quickTrainOpts(GPBiW, 43))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,16 +247,18 @@ func TestModelPersistenceFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	testFrom, _ := sc.Data.StepsForYear(year)
-	pm0, err := NewPlannerModel(m, sc.Data, testFrom-1)
+	pm0, err := NewPlannerModel(context.Background(), m, sc.Data, testFrom-1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm1, err := NewPlannerModel(loaded, sc.Data, testFrom-1)
+	pm1, err := NewPlannerModel(context.Background(), loaded, sc.Data, testFrom-1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameFloats(t, "RiskMap", pm0.RiskMap(1.5), pm1.RiskMap(1.5))
-	assertSameFloats(t, "UncertaintyMap", pm0.UncertaintyMap(1.5), pm1.UncertaintyMap(1.5))
+	risk0, unc0 := maps(t, pm0, 1.5)
+	risk1, unc1 := maps(t, pm1, 1.5)
+	assertSameFloats(t, "RiskMap", risk0, risk1)
+	assertSameFloats(t, "UncertaintyMap", unc0, unc1)
 }
 
 // TestLoadModelRejectsGarbage checks header validation fails loudly.
@@ -287,7 +290,7 @@ func TestLoadedModelIsPredictOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Train(split.Train, quickTrainOpts(DTB, 45))
+	m, err := Train(context.Background(), split.Train, quickTrainOpts(DTB, 45))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,25 +85,12 @@ type ladderBlock [2 * ladderBlockCells]float64
 
 // NewPlannerModel freezes features from the dataset as of step prevStep
 // (whose effort becomes the coverage covariate) and calibrates the variance
-// squashing scale on a sample of cells. The worker pool is sized to
-// GOMAXPROCS; use NewPlannerModelWorkers to pin a count.
-func NewPlannerModel(m *Model, d *dataset.Dataset, prevStep int) (*PlannerModel, error) {
-	return NewPlannerModelWorkers(m, d, prevStep, 0)
-}
-
-// NewPlannerModelWorkers is NewPlannerModel with an explicit worker count
-// for the calibration pass and subsequent map generation (par.Workers
-// semantics: 1 is sequential, ≤ 0 means GOMAXPROCS).
-func NewPlannerModelWorkers(m *Model, d *dataset.Dataset, prevStep, workers int) (*PlannerModel, error) {
-	return sansCtx(func(ctx context.Context) (*PlannerModel, error) {
-		return NewPlannerModelCtx(ctx, m, d, prevStep, workers)
-	})
-}
-
-// NewPlannerModelCtx is NewPlannerModelWorkers under a context: the
-// calibration sweep observes cancellation between batch chunks, so a dead
-// context aborts construction instead of evaluating the whole sample.
-func NewPlannerModelCtx(ctx context.Context, m *Model, d *dataset.Dataset, prevStep, workers int) (*PlannerModel, error) {
+// squashing scale on a sample of cells. workers sizes the pool for the
+// calibration pass and subsequent map generation (par.Workers semantics: 1
+// is sequential, ≤ 0 means GOMAXPROCS). The calibration sweep observes ctx
+// between batch chunks, so a dead context aborts construction instead of
+// evaluating the whole sample.
+func NewPlannerModel(ctx context.Context, m *Model, d *dataset.Dataset, prevStep, workers int) (*PlannerModel, error) {
 	if m == nil || d == nil {
 		return nil, errors.New("paws: nil model or dataset")
 	}
@@ -291,15 +278,17 @@ func (pm *PlannerModel) SquashScale() float64 { return pm.squashScale }
 // than they gain in amortized dispatch.
 const mapChunkSize = 128
 
-// sweep evaluates every park cell at one effort: it fills the rungs
-// [have, nq(effort)) each cell lacks, then hands each cell's combined raw
-// (probability, variance) to emit in cell order. The context is observed
-// before the sweep, while waiting for the fill slot and between fill chunks;
-// on cancellation nothing is emitted (the rungs already filled are kept —
-// they are exact).
-func (pm *PlannerModel) sweep(ctx context.Context, effort float64, emit func(cell int, prob, variance float64)) error {
+// Maps evaluates the model over every park cell at one planned effort in a
+// single sweep: the per-cell detection probabilities (Fig. 6 red maps) and
+// squashed uncertainties (Fig. 6 green maps). It fills the rungs
+// [have, nq(effort)) each cell lacks, then combines every cell's memoized
+// prefix. The context is observed before the sweep, while waiting for the
+// fill slot and between fill chunks; a canceled or expired context aborts
+// the sweep with its error (the rungs already filled are kept — they are
+// exact).
+func (pm *PlannerModel) Maps(ctx context.Context, effort float64) (risk, uncertainty []float64, err error) {
 	if err := ctxErr(ctx); err != nil {
-		return err
+		return nil, nil, err
 	}
 	n := pm.features.Rows
 	nq := pm.model.qualifiedRungs(effort)
@@ -311,84 +300,15 @@ func (pm *PlannerModel) sweep(ctx context.Context, effort float64, emit func(cel
 	}
 	if len(missing) > 0 {
 		if err := pm.fill(ctx, missing, nq); err != nil {
-			return err
+			return nil, nil, err
 		}
 	}
+	risk, uncertainty = make([]float64, n), make([]float64, n)
 	p, v := pm.scratch()
 	for cell := 0; cell < n; cell++ {
-		prob, variance := pm.raw(cell, effort, p, v)
-		emit(cell, prob, variance)
-	}
-	return nil
-}
-
-// evalInto sweeps the park at one effort, writing the detection
-// probabilities and squashed uncertainties into the caller's preallocated
-// column slices (each of length NumCells). On error the columns are
-// untouched.
-func (pm *PlannerModel) evalInto(ctx context.Context, effort float64, risk, unc []float64) error {
-	return pm.sweep(ctx, effort, func(cell int, prob, variance float64) {
-		risk[cell] = prob
-		unc[cell] = iware.SquashVariance(variance-pm.squashLo, pm.squashScale)
-	})
-}
-
-// RiskMap evaluates the model over every park cell at a nominal effort,
-// returning the per-cell detection probabilities (Fig. 6 red maps).
-func (pm *PlannerModel) RiskMap(effort float64) []float64 {
-	out, _ := pm.RiskMapCtx(context.Background(), effort)
-	return out
-}
-
-// RiskMapCtx is RiskMap under a context, observed between batch chunks: a
-// canceled or expired context aborts the park sweep early with the
-// context's error.
-func (pm *PlannerModel) RiskMapCtx(ctx context.Context, effort float64) ([]float64, error) {
-	risk, unc := make([]float64, pm.features.Rows), make([]float64, pm.features.Rows)
-	if err := pm.evalInto(ctx, effort, risk, unc); err != nil {
-		return nil, err
-	}
-	return risk, nil
-}
-
-// UncertaintyMap evaluates the squashed uncertainty over every park cell at
-// a nominal effort (Fig. 6 green maps).
-func (pm *PlannerModel) UncertaintyMap(effort float64) []float64 {
-	out, _ := pm.UncertaintyMapCtx(context.Background(), effort)
-	return out
-}
-
-// UncertaintyMapCtx is UncertaintyMap under a context, with RiskMapCtx's
-// cancellation semantics.
-func (pm *PlannerModel) UncertaintyMapCtx(ctx context.Context, effort float64) ([]float64, error) {
-	risk, unc := make([]float64, pm.features.Rows), make([]float64, pm.features.Rows)
-	if err := pm.evalInto(ctx, effort, risk, unc); err != nil {
-		return nil, err
-	}
-	return unc, nil
-}
-
-// MapsCtx evaluates risk and uncertainty together in one park sweep — the
-// serving fast path: both maps come from the same per-cell combine, so one
-// sweep serves both.
-func (pm *PlannerModel) MapsCtx(ctx context.Context, effort float64) (risk, uncertainty []float64, err error) {
-	risk = make([]float64, pm.features.Rows)
-	uncertainty = make([]float64, pm.features.Rows)
-	if err := pm.evalInto(ctx, effort, risk, uncertainty); err != nil {
-		return nil, nil, err
+		risk[cell], uncertainty[cell] = pm.value(cell, effort, p, v)
 	}
 	return risk, uncertainty, nil
-}
-
-// RawVarianceMap returns the unsquashed predictive variance per cell at a
-// nominal effort (used for the Fig. 7 correlation study), from the same
-// ladder memo as the squashed maps.
-func (pm *PlannerModel) RawVarianceMap(effort float64) []float64 {
-	out := make([]float64, pm.features.Rows)
-	_ = pm.sweep(context.Background(), effort, func(cell int, _, variance float64) {
-		out[cell] = variance
-	})
-	return out
 }
 
 // NominalEffort suggests a mid-range planning effort: the mean recorded

@@ -32,15 +32,6 @@ func ParseScale(s string) (Scale, error) {
 	return 0, fmt.Errorf("paws: unknown scale %q (want full or small)", s)
 }
 
-// ScenarioAt generates the park named by a spec at the requested scale.
-func ScenarioAt(name string, scale Scale, seed int64) (*Scenario, error) {
-	parkCfg, simCfg, err := resolveConfigs(name, scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	return NewCustomScenario(parkCfg, simCfg)
-}
-
 // specConfigs resolves a full-scale park spec — a preset name or a
 // rand:<seed> procedural spec — to its park and simulation configurations.
 // Preset histories take their parameters from the paper's calibration;

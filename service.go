@@ -149,32 +149,32 @@ func (s *Service) Scenario(ctx context.Context, name string, opts ...Option) (*S
 	if err != nil {
 		return nil, err
 	}
-	return NewCustomScenarioCtx(ctx, parkCfg, simCfg)
+	return newScenario(ctx, parkCfg, simCfg)
 }
 
 // Train fits a model on training points under the merged options
 // (WithKind, WithEnsembleSize, WithThresholds, …), observing ctx between
 // weak-learner fits.
 func (s *Service) Train(ctx context.Context, train []dataset.Point, opts ...Option) (*Model, error) {
-	return TrainCtx(ctx, train, s.settingsFor(opts).trainOptions())
+	return Train(ctx, train, s.settingsFor(opts).trainOptions())
 }
 
 // PlannerModel adapts a trained model for planning and map generation,
 // freezing features as of dataset step prevStep.
 func (s *Service) PlannerModel(ctx context.Context, m *Model, d *dataset.Dataset, prevStep int, opts ...Option) (*PlannerModel, error) {
-	return NewPlannerModelCtx(ctx, m, d, prevStep, s.settingsFor(opts).workers)
+	return NewPlannerModel(ctx, m, d, prevStep, s.settingsFor(opts).workers)
 }
 
 // Table1 regenerates the Table I dataset statistics.
 func (s *Service) Table1(ctx context.Context, opts ...Option) ([]Table1Row, error) {
 	st := s.settingsFor(opts)
-	return RunTable1Ctx(ctx, st.seed, st.workers)
+	return RunTable1(ctx, st.seed, st.workers)
 }
 
 // Table2 runs the Table II AUC sweep on one scenario. WithKind or WithKinds
 // restricts the model variants.
 func (s *Service) Table2(ctx context.Context, sc *Scenario, name string, opts ...Option) ([]Table2Row, error) {
-	return RunTable2ForScenarioCtx(ctx, sc, name, s.settingsFor(opts).table2Options())
+	return RunTable2ForScenario(ctx, sc, name, s.settingsFor(opts).table2Options())
 }
 
 // Fig4 computes the positive-rate-vs-effort-percentile curves.
@@ -184,7 +184,7 @@ func (s *Service) Fig4(ctx context.Context, sc *Scenario, name string, testYear 
 	if trainYears <= 0 {
 		trainYears = 3
 	}
-	return RunFig4Ctx(ctx, sc, name, testYear, trainYears, st.dry)
+	return RunFig4(ctx, sc, name, testYear, trainYears, st.dry)
 }
 
 // Fig6 trains the configured model kind (default GPB-iW) and evaluates the
@@ -199,7 +199,7 @@ func (s *Service) Fig6(ctx context.Context, sc *Scenario, testYear int, opts ...
 	if trainYears <= 0 {
 		trainYears = 3
 	}
-	return RunFig6Ctx(ctx, sc, kind, testYear, trainYears, st.trainOptions())
+	return RunFig6(ctx, sc, kind, testYear, trainYears, st.trainOptions())
 }
 
 // Fig7 runs the GP-vs-bagged-trees uncertainty correlation study.
@@ -209,19 +209,19 @@ func (s *Service) Fig7(ctx context.Context, sc *Scenario, testYear int, opts ...
 	if trainYears <= 0 {
 		trainYears = 3
 	}
-	return RunFig7Ctx(ctx, sc, testYear, trainYears, st.trainOptions())
+	return RunFig7(ctx, sc, testYear, trainYears, st.trainOptions())
 }
 
 // PlanStudy trains a planning model and builds per-post regions for the
 // Fig. 8/9 sweeps (WithPosts, WithRegionShape, WithPlanHorizon, WithBetas,
 // WithSegmentCounts).
 func (s *Service) PlanStudy(ctx context.Context, sc *Scenario, opts ...Option) (*PlanStudy, error) {
-	return NewPlanStudyCtx(ctx, sc, s.settingsFor(opts).planStudyOptions())
+	return NewPlanStudy(ctx, sc, s.settingsFor(opts).planStudyOptions())
 }
 
 // Table3 reproduces the Table III field-test trials on one scenario.
 func (s *Service) Table3(ctx context.Context, sc *Scenario, name string, blockSize int, trialMonths []int, opts ...Option) ([]Table3Trial, error) {
-	return RunTable3ForScenarioCtx(ctx, sc, name, blockSize, trialMonths, s.settingsFor(opts).table3Options())
+	return RunTable3ForScenario(ctx, sc, name, blockSize, trialMonths, s.settingsFor(opts).table3Options())
 }
 
 // ------------------------------------------------------------ registry API
@@ -237,7 +237,7 @@ func (s *Service) AddModel(ctx context.Context, name string, m *Model, d *datase
 	if nf, want := m.NumFeatures(), d.Park.NumFeatures()+1; nf > 0 && nf != want {
 		return nil, fmt.Errorf("paws: model %q was trained on %d features but the park needs %d — wrong park, scale or seed for this model file?", name, nf, want)
 	}
-	pm, err := NewPlannerModelCtx(ctx, m, d, prevStep, s.settingsFor(opts).workers)
+	pm, err := NewPlannerModel(ctx, m, d, prevStep, s.settingsFor(opts).workers)
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +401,7 @@ func (s *Service) RiskMaps(ctx context.Context, name string, effort float64) (ri
 	if err != nil {
 		return nil, nil, err
 	}
-	return sm.pm.MapsCtx(ctx, effort)
+	return sm.pm.Maps(ctx, effort)
 }
 
 // PlanResult is a computed patrol plan in park coordinates — the deployment
@@ -484,7 +484,7 @@ func (s *Service) Plan(ctx context.Context, name string, post int, beta float64,
 	var region *plan.Region
 	var p *plan.Plan
 	if useHier {
-		p, region, err = plan.SolveHierarchicalCtx(ctx, sm.park, sm.park.Posts[post], sm.pm,
+		p, region, err = plan.SolveHierarchical(ctx, sm.park, sm.park.Posts[post], sm.pm,
 			cfg, plan.HierOptions{FineMaxCells: maxCells, Workers: st.workers})
 	} else {
 		region, err = plan.NewRegion(sm.park, sm.park.Posts[post], radius, maxCells)

@@ -30,8 +30,9 @@ func serviceFixture(t testing.TB, kind ModelKind) (*Service, *Scenario) {
 	return svc, sc
 }
 
-// TestServiceTrainMatchesLegacyTrain checks the functional-options path
-// lowers to exactly the legacy TrainOptions path: identical predictions.
+// TestServiceTrainMatchesLegacyTrain checks the functional-options path of
+// Service.Train lowers to exactly the TrainOptions struct taken by the free
+// function Train: identical predictions.
 func TestServiceTrainMatchesLegacyTrain(t *testing.T) {
 	sc := smallScenario(t, 53, false)
 	year := sc.Data.Steps[len(sc.Data.Steps)-1].Year
@@ -45,7 +46,7 @@ func TestServiceTrainMatchesLegacyTrain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy, err := Train(split.Train, quickTrainOpts(kind, 17))
+		legacy, err := Train(context.Background(), split.Train, quickTrainOpts(kind, 17))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,8 +55,8 @@ func TestServiceTrainMatchesLegacyTrain(t *testing.T) {
 	}
 }
 
-// TestTrainCtxCanceled checks an already-dead context aborts training
-// before any work and surfaces the context error unwrapped.
+// TestTrainCtxCanceled checks an already-dead context passed to Train aborts
+// training before any work and surfaces the context error unwrapped.
 func TestTrainCtxCanceled(t *testing.T) {
 	sc := smallScenario(t, 55, false)
 	year := sc.Data.Steps[len(sc.Data.Steps)-1].Year
@@ -65,8 +66,8 @@ func TestTrainCtxCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := TrainCtx(ctx, split.Train, quickTrainOpts(GPBiW, 17)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("TrainCtx on canceled ctx: err = %v, want context.Canceled", err)
+	if _, err := Train(ctx, split.Train, quickTrainOpts(GPBiW, 17)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Train on canceled ctx: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -85,18 +86,166 @@ func TestTrainCtxDeadlineMidTraining(t *testing.T) {
 	opts := quickTrainOpts(GPBiW, 17)
 	opts.CVFolds = 3
 	start := time.Now()
-	_, err = TrainCtx(ctx, split.Train, opts)
+	_, err = Train(ctx, split.Train, opts)
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("TrainCtx past deadline: err = %v, want context.DeadlineExceeded", err)
+		t.Fatalf("Train past deadline: err = %v, want context.DeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("training ran %v after a 5ms deadline (cancellation not observed mid-sweep)", elapsed)
 	}
 }
 
+// TestEntryPointsHonourCanceledContext calls every context-taking root
+// entry point with an already-canceled context: each must fail with
+// context.Canceled rather than compute.
+func TestEntryPointsHonourCanceledContext(t *testing.T) {
+	sc := smallScenario(t, 83, false)
+	year := sc.Data.Steps[len(sc.Data.Steps)-1].Year
+	split, err := sc.Data.SplitByTestYear(year, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := context.Background()
+	opts := quickTrainOpts(DTBiW, 89)
+	m, err := Train(live, split.Train, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	testFrom, _ := sc.Data.StepsForYear(year)
+	pm, err := NewPlannerModel(live, m, sc.Data, testFrom-1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := NewPlanStudy(live, sc, PlanStudyOptions{
+		Posts: 1, Radius: 2, MaxCells: 8, T: 4, K: 1, Segments: 3,
+		SegmentCounts: []int{3}, TestYear: year, Train: opts,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := NewService(WithScale(ScaleSmall))
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		call func(ctx context.Context) error
+	}{
+		{"Service.Scenario", func(ctx context.Context) error {
+			_, err := svc.Scenario(ctx, "MFNP")
+			return err
+		}},
+		{"Service.Simulate", func(ctx context.Context) error {
+			_, err := svc.Simulate(ctx, SimConfig{Park: "rand:8", Seasons: 1, Policies: []string{"paws"}})
+			return err
+		}},
+		{"TrainWithThresholds", func(ctx context.Context) error {
+			_, err := TrainWithThresholds(ctx, split.Train, []float64{0, 1, 2}, opts)
+			return err
+		}},
+		{"NewPlannerModel", func(ctx context.Context) error {
+			_, err := NewPlannerModel(ctx, m, sc.Data, testFrom-1, 0)
+			return err
+		}},
+		{"PlannerModel.Maps", func(ctx context.Context) error {
+			_, _, err := pm.Maps(ctx, 1)
+			return err
+		}},
+		{"RunTable1", func(ctx context.Context) error {
+			_, err := RunTable1(ctx, 1, 0)
+			return err
+		}},
+		{"RunTable2ForScenario", func(ctx context.Context) error {
+			_, err := RunTable2ForScenario(ctx, sc, "SMALL", Table2Options{TestYears: []int{year}, Train: opts})
+			return err
+		}},
+		{"RunFig4", func(ctx context.Context) error {
+			_, err := RunFig4(ctx, sc, "SMALL", year, 3, false)
+			return err
+		}},
+		{"RunFig6", func(ctx context.Context) error {
+			_, err := RunFig6(ctx, sc, DTBiW, year, 3, opts)
+			return err
+		}},
+		{"RunFig7", func(ctx context.Context) error {
+			_, err := RunFig7(ctx, sc, year, 3, opts)
+			return err
+		}},
+		{"NewPlanStudy", func(ctx context.Context) error {
+			_, err := NewPlanStudy(ctx, sc, PlanStudyOptions{TestYear: year, Train: opts})
+			return err
+		}},
+		{"PlanStudy.RunFig8Beta", func(ctx context.Context) error {
+			_, err := ps.RunFig8Beta(ctx)
+			return err
+		}},
+		{"PlanStudy.RunFig8Segments", func(ctx context.Context) error {
+			_, err := ps.RunFig8Segments(ctx)
+			return err
+		}},
+		{"PlanStudy.RunFig9", func(ctx context.Context) error {
+			_, err := ps.RunFig9(ctx)
+			return err
+		}},
+		{"PlanStudy.RunDetectionGain", func(ctx context.Context) error {
+			_, err := ps.RunDetectionGain(ctx, 2, 97)
+			return err
+		}},
+		{"RunTable3ForScenario", func(ctx context.Context) error {
+			_, err := RunTable3ForScenario(ctx, sc, "SMALL", 2, []int{1}, Table3Options{Train: opts})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.call(canceled); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+		})
+	}
+}
+
+// TestServiceTable2HonoursTrainSettings checks that Service.Table2 trains
+// each cell with every merged training setting, tree depth and ladder
+// percentile included: each row's AUC must equal that of Service.Train under
+// the same options and the cell's grid seed, on the same split.
+func TestServiceTable2HonoursTrainSettings(t *testing.T) {
+	ctx := context.Background()
+	sc := smallScenario(t, 59, false)
+	year := sc.Data.Steps[len(sc.Data.Steps)-1].Year
+	split, err := sc.Data.SplitByTestYear(year, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 61
+	svc := NewService(WithSeed(seed), WithThresholds(4), WithEnsembleSize(4),
+		WithTreeDepth(2), WithMaxThresholdPercentile(60))
+	kinds := []ModelKind{DTB, DTBiW}
+	rows, err := svc.Table2(ctx, sc, "SMALL", WithKinds(kinds...), WithTestYears(year))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(kinds) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(kinds))
+	}
+	for ki, row := range rows {
+		// One test year, so the cell's grid seed is the root seed plus its
+		// kind index.
+		m, err := svc.Train(ctx, split.Train, WithKind(kinds[ki]), WithSeed(seed+int64(ki)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.Kind != kinds[ki] {
+			t.Fatalf("row %d kind %v, want %v", ki, row.Kind, kinds[ki])
+		}
+		if want := m.AUC(split.Test); row.AUC != want {
+			t.Errorf("%v: Table2 AUC %.4f, Service.Train AUC %.4f", row.Kind, row.AUC, want)
+		}
+	}
+}
+
 // TestRiskMapCtxDeadlineAbortsSweepEarly is the serving-path acceptance
-// test: a park-wide risk-map sweep under an expired deadline must abort
-// early with context.DeadlineExceeded instead of evaluating every cell.
+// test: a park-wide PlannerModel.Maps sweep (through Service.RiskMaps) under
+// an expired deadline must abort early with context.DeadlineExceeded instead
+// of evaluating every cell.
 func TestRiskMapCtxDeadlineAbortsSweepEarly(t *testing.T) {
 	svc, _ := serviceFixture(t, GPBiW)
 	sm, _ := svc.Served("default")

@@ -253,12 +253,12 @@ func (p *pawsPolicy) PlanSeason(ctx context.Context, o *env.Obs, season int, r *
 		return nil, err
 	}
 	endTrain := obs.StartSpan(ctx, "train", item)
-	m, err := TrainCtx(ctx, d.AllPoints(), p.trainOptions(r.Int63()))
+	m, err := Train(ctx, d.AllPoints(), p.trainOptions(r.Int63()))
 	if err != nil {
 		endTrain()
 		return nil, err
 	}
-	pm, err := NewPlannerModelCtx(ctx, m, d, len(d.Steps)-1, p.st.workers)
+	pm, err := NewPlannerModel(ctx, m, d, len(d.Steps)-1, p.st.workers)
 	endTrain()
 	if err != nil {
 		return nil, err
@@ -268,7 +268,7 @@ func (p *pawsPolicy) PlanSeason(ctx context.Context, o *env.Obs, season int, r *
 	// each gets ~simTargetKMPerCell of the budget, weighted by risk.
 	n := o.Park.Grid.NumCells()
 	endRisk := obs.StartSpan(ctx, "riskmap", item)
-	risk, err := pm.RiskMapCtx(ctx, simTargetKMPerCell)
+	risk, _, err := pm.Maps(ctx, simTargetKMPerCell)
 	endRisk()
 	if err != nil {
 		return nil, err
