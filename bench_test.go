@@ -502,8 +502,7 @@ func BenchmarkTable2Sweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := RunTable2ForScenario(context.Background(), sc, "MFNP", Table2Options{
 			TestYears: []int{benchLastYear(sc)},
-			Train:     TrainOptions{Thresholds: 5, Members: 5, GPMaxTrain: 80, Seed: 55},
-			Workers:   0,
+			Train:     TrainOptions{Thresholds: 5, Members: 5, GPMaxTrain: 80, Seed: 55, Workers: 0},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -576,7 +575,7 @@ func BenchmarkServePredict(b *testing.B) {
 	b.Run("perpoint", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, x := range X {
-				if p := m.PredictForEffort(x, 1.5); p < 0 || p > 1 {
+				if p, _ := m.PredictWithVariance(x, 1.5); p < 0 || p > 1 {
 					b.Fatal("probability out of range")
 				}
 			}

@@ -127,26 +127,21 @@ func (cfg CampaignConfig) GridSize() (int, error) {
 // confidence intervals — the Table III-like "PAWS beats the status quo, and
 // here is the uncertainty" conclusion as one call.
 //
-// Cells fan out over the merged worker count through internal/job's bounded
-// Manager; the report (including every confidence interval) is
-// byte-identical for any worker count. With WithProgress, one Stage "cell"
-// event fires per completed cell; the per-season events of the inner
-// simulations are suppressed (cells are the campaign's unit of progress).
+// Cells fan out over the merged worker count; the report (including every
+// confidence interval) is byte-identical for any worker count. With
+// WithProgress, one Stage "cell" event fires per completed cell; the
+// per-season events of the inner simulations are suppressed (cells are the
+// campaign's unit of progress).
 func (s *Service) Campaign(ctx context.Context, cfg CampaignConfig, opts ...Option) (*campaign.Report, error) {
 	st := s.settingsFor(opts)
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	// Cells run inside internal/campaign's own job manager on fresh
-	// contexts, so the caller's trace (if any) is re-attached per cell —
-	// each grid cell then records one span, and the seasons inside it
-	// record theirs, all under the submitting request's trace.
-	tr := obs.TraceFrom(ctx)
+	// Each cell's context derives from ctx, so under the caller's trace (if
+	// any) every grid cell records one span and the seasons inside it record
+	// theirs.
 	runner := func(ctx context.Context, cell campaign.Cell) (*env.Report, error) {
-		if tr != nil {
-			ctx = obs.WithTrace(ctx, tr)
-		}
 		end := obs.StartSpan(ctx, "cell", fmt.Sprintf("%s/seed=%d/seasons=%d", cell.Park, cell.Seed, cell.Seasons))
 		defer end()
 		// Fresh option slice per cell: appending to the caller's opts from

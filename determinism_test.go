@@ -94,13 +94,8 @@ func TestBatchPredictionMatchesPointwise(t *testing.T) {
 				t.Fatal(err)
 			}
 			const effort = 1.3
-			Xm := ml.MatrixFromRows(X)
-			probs := m.PredictForEffortFlat(Xm, effort)
-			ps, vs := m.PredictWithVarianceFlat(Xm, effort)
+			ps, vs := m.PredictWithVarianceFlat(ml.MatrixFromRows(X), effort)
 			for i, x := range X {
-				if want := m.PredictForEffort(x, effort); probs[i] != want {
-					t.Fatalf("point %d: batch %v != pointwise %v", i, probs[i], want)
-				}
 				wp, wv := m.PredictWithVariance(x, effort)
 				if ps[i] != wp || vs[i] != wv {
 					t.Fatalf("point %d: variance batch diverged", i)
@@ -218,8 +213,7 @@ func TestTable2SweepDeterminism(t *testing.T) {
 		rows, err := RunTable2ForScenario(context.Background(), sc, "SMALL", Table2Options{
 			Kinds:     []ModelKind{DTB, DTBiW},
 			TestYears: []int{year},
-			Train:     TrainOptions{Thresholds: 4, Members: 4, Seed: 31},
-			Workers:   workers,
+			Train:     TrainOptions{Thresholds: 4, Members: 4, Seed: 31, Workers: workers},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -80,17 +80,13 @@ type Table2Options struct {
 	TrainYears int
 	// Dry selects the dry-season dataset when available.
 	Dry bool
-	// Train tunes every cell's training. Each cell overrides its Kind, its
-	// Seed (Train.Seed plus an offset from the cell's grid position) and
-	// its Workers; Train's progress observes per-cell sweep completion
-	// (WithProgress), not the cells' weak-learner fits.
+	// Train tunes every cell's training. Each cell overrides its Kind and
+	// its Seed (Train.Seed plus an offset from the cell's grid position), so
+	// the table is identical for any worker count. Train.Workers also bounds
+	// the goroutines the (test year × model kind) grid fans out over;
+	// Train's progress observes per-cell sweep completion (WithProgress),
+	// not the cells' weak-learner fits.
 	Train TrainOptions
-	// Workers bounds the goroutines used to fan the (test year × model
-	// kind) grid out over a worker pool; each cell's training also uses this
-	// count internally (par.Workers semantics: 1 is sequential, ≤ 0 means
-	// GOMAXPROCS). Every cell derives its seed from its grid position, so
-	// the table is identical for any worker count.
-	Workers int
 }
 
 func (o Table2Options) withDefaults() Table2Options {
@@ -161,12 +157,11 @@ func RunTable2ForScenario(ctx context.Context, sc *Scenario, name string, opts T
 		}
 	}
 	var done atomic.Int64
-	return par.MapErrCtx(ctx, o.Workers, len(cells), func(i int) (Table2Row, error) {
+	return par.MapErrCtx(ctx, o.Train.Workers, len(cells), func(i int) (Table2Row, error) {
 		c := cells[i]
 		tr := o.Train
 		tr.Kind = c.kind
 		tr.Seed = c.seed
-		tr.Workers = o.Workers
 		tr.progress = nil // the sweep reports per cell, not per weak learner
 		m, err := Train(ctx, c.split.Train, tr)
 		if err != nil {
@@ -375,11 +370,10 @@ type PlanStudyOptions struct {
 	SegmentCounts []int
 	// TrainYears / TestYear select the model split.
 	TestYear, TrainYears int
-	Train                TrainOptions
-	// Workers bounds the goroutines used for training, map generation and
-	// the β/segment sweeps (par.Workers semantics; results identical for
-	// any count). Overrides Train.Workers when that is unset.
-	Workers int
+	// Train tunes the planning model; Train.Workers also bounds the
+	// goroutines used for map generation and the β/segment sweeps (results
+	// are identical for any count).
+	Train TrainOptions
 }
 
 func (o PlanStudyOptions) withDefaults() PlanStudyOptions {
@@ -441,15 +435,12 @@ func NewPlanStudy(ctx context.Context, sc *Scenario, opts PlanStudyOptions) (*Pl
 	if tr.Kind != GPBiW && tr.Kind != DTBiW && tr.Kind != SVBiW {
 		tr.Kind = GPBiW
 	}
-	if tr.Workers == 0 {
-		tr.Workers = o.Workers
-	}
 	m, err := Train(ctx, split.Train, tr)
 	if err != nil {
 		return nil, err
 	}
 	testFrom, _ := sc.Data.StepsForYear(o.TestYear)
-	pm, err := NewPlannerModel(ctx, m, sc.Data, testFrom-1, o.Workers)
+	pm, err := NewPlannerModel(ctx, m, sc.Data, testFrom-1, tr.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -471,7 +462,7 @@ func NewPlanStudy(ctx context.Context, sc *Scenario, opts PlanStudyOptions) (*Pl
 		Scenario: sc,
 		Model:    pm,
 		Regions:  regions,
-		Config:   plan.Config{T: o.T, K: o.K, Segments: o.Segments, Solver: o.Solver, Workers: o.Workers},
+		Config:   plan.Config{T: o.T, K: o.K, Segments: o.Segments, Solver: o.Solver, Workers: tr.Workers},
 		opts:     o,
 	}, nil
 }
@@ -560,12 +551,10 @@ type Table3Options struct {
 	// (default 2.5 km; the SWS trials deployed 72 rangers on 15 blocks, a
 	// much higher intensity).
 	EffortPerCellMonth float64
-	Train              TrainOptions
-	Seed               int64
-	// Workers bounds the goroutines used for training and risk-map
-	// generation (par.Workers semantics; results identical for any count).
-	// Overrides Train.Workers when that is unset.
-	Workers int
+	// Train tunes the trial model; Train.Workers also bounds the goroutines
+	// used for risk-map generation (results are identical for any count).
+	Train TrainOptions
+	Seed  int64
 }
 
 // RunTable3ForScenario runs two trials on one scenario (matching the two
@@ -597,15 +586,12 @@ func RunTable3ForScenario(ctx context.Context, sc *Scenario, name string, blockS
 			tr.Kind = GPBiW
 		}
 	}
-	if tr.Workers == 0 {
-		tr.Workers = opts.Workers
-	}
 	m, err := Train(ctx, split.Train, tr)
 	if err != nil {
 		return nil, err
 	}
 	testFrom, _ := d.StepsForYear(testYear)
-	pm, err := NewPlannerModel(ctx, m, d, testFrom-1, opts.Workers)
+	pm, err := NewPlannerModel(ctx, m, d, testFrom-1, tr.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -32,14 +32,15 @@
 //
 // # Determinism
 //
-// Cells fan out through internal/job's bounded Manager (Config.Workers
-// slots), but results are collected and aggregated in cell-index order and
-// the bootstrap streams are derived from fixed labels, so the report —
+// Cells fan out over a bounded worker pool (internal/par, Config.Workers
+// goroutines), but results are collected and aggregated in cell-index order
+// and the bootstrap streams are derived from fixed labels, so the report —
 // including every CI — is byte-identical for any worker count.
 package campaign
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -47,7 +48,7 @@ import (
 
 	"paws/internal/env"
 	"paws/internal/geo"
-	"paws/internal/job"
+	"paws/internal/par"
 	"paws/internal/rng"
 	"paws/internal/stats"
 )
@@ -93,8 +94,8 @@ type Config struct {
 	// Resamples is the bootstrap resample count of the delta CIs
 	// (default 2000).
 	Resamples int
-	// Workers bounds concurrently running cells (par.Workers semantics, via
-	// internal/job). The report is byte-identical for any worker count.
+	// Workers bounds concurrently running cells (par.Workers semantics). The
+	// report is byte-identical for any worker count.
 	Workers int
 	// Progress, when non-nil, is invoked as each cell completes with the
 	// cell and the monotonic completed count. Cells finish in any order;
@@ -336,10 +337,10 @@ type Report struct {
 const bootstrapSeedRoot = 1
 
 // Run executes the campaign grid and aggregates the paired report. Cells
-// fan out through an internal job.Manager bounded by cfg.Workers; results
-// are collected in grid order, so the report is byte-identical for any
-// worker count. The first cell error (or ctx's error) cancels the remaining
-// cells' contexts immediately, and they are drained before Run returns.
+// fan out over up to cfg.Workers goroutines; results are collected in grid
+// order, so the report is byte-identical for any worker count. The first
+// cell error (or ctx's error) cancels the remaining cells' contexts
+// immediately, and they are drained before Run returns.
 func Run(ctx context.Context, cfg Config, run Runner) (*Report, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -375,112 +376,60 @@ func Run(ctx context.Context, cfg Config, run Runner) (*Report, error) {
 	return rep, nil
 }
 
-// runCells fans the cells out through a bounded job.Manager and collects
-// the simulation reports in grid order. The first failing cell (in
-// completion order) cancels every other cell's context immediately — a
+// runCells runs the cells on up to cfg.Workers goroutines (par.MapErrCtx)
+// and collects the simulation reports in grid order. The first failing cell
+// (in completion order) cancels the context every cell runs under — a
 // doomed campaign drains in milliseconds instead of simulating the rest of
-// the grid — and its error is the one Run reports.
+// the grid — and its error is the one Run reports, not the cancellation
+// cascade it sets off. A panicking runner or progress callback fails its
+// cell the same way. When ctx itself is done, its error is returned as is.
 func runCells(ctx context.Context, cfg Config, cells []Cell, run Runner) ([]*env.Report, error) {
-	mgr := job.NewManager(job.Config{Workers: cfg.Workers, ResultTTL: -1, MaxRetained: len(cells)})
-	// The counter increment and the callback run under one lock so observers
-	// (e.g. the NDJSON job stream) see a strictly monotonic completed count.
-	var progressMu sync.Mutex
-	completed := 0
-	total := len(cells)
-	ids := make([]string, len(cells))
-	// The first genuine failure cancels runCtx, which every cell's context
-	// is derived from, so in-flight and queued cells stop promptly.
-	runCtx, stopAll := context.WithCancel(context.Background())
+	runCtx, stopAll := context.WithCancel(ctx)
 	defer stopAll()
-	var failMu sync.Mutex
+	// mu guards the first failure and the completed count. The counter
+	// increment and the progress callback run under it together, so
+	// observers (e.g. the NDJSON job stream) see a strictly monotonic count.
+	var mu sync.Mutex
 	var failErr error
-	recordFailure := func(err error) {
-		failMu.Lock()
-		if failErr == nil {
-			failErr = err
-		}
-		failMu.Unlock()
-		stopAll()
+	completed := 0
+	progress := func(cell Cell) {
+		// Deferred unlock: a panicking callback must not leave the lock
+		// held, or every other completing cell would block on it forever.
+		mu.Lock()
+		defer mu.Unlock()
+		completed++
+		cfg.Progress(cell, completed, len(cells))
 	}
-	firstFailure := func(fallback error) error {
-		failMu.Lock()
-		defer failMu.Unlock()
-		if failErr != nil {
-			return failErr
-		}
-		return fallback
-	}
-	// abort cancels every in-flight cell and awaits the drain, so no cell
-	// goroutine outlives Run on the error paths.
-	abort := func(err error) ([]*env.Report, error) {
-		expired, cancel := context.WithCancel(context.Background())
-		cancel()
-		_ = mgr.Shutdown(expired)
-		return nil, err
-	}
-	for i, cell := range cells {
-		cell := cell
-		id, err := mgr.Submit(fmt.Sprintf("cell:%d", cell.Index), func(jctx context.Context, _ func(job.Event)) (any, error) {
-			// Synchronous check first: AfterFunc fires cancel on its own
-			// goroutine, so a cell starting just after the failure would
-			// otherwise race past an only-async link and simulate anyway.
-			if err := runCtx.Err(); err != nil {
-				return nil, err
+	reports, err := par.MapErrCtx(runCtx, cfg.Workers, len(cells), func(i int) (r *env.Report, err error) {
+		cell := cells[i]
+		defer func() {
+			if p := recover(); p != nil {
+				r, err = nil, fmt.Errorf("panic: %v", p)
 			}
-			// A panicking runner must cancel the grid like an ordinary
-			// error; re-panic so the job manager still contains it and the
-			// job fails with the panic message.
-			defer func() {
-				if p := recover(); p != nil {
-					recordFailure(fmt.Errorf("campaign: cell %s seed=%d seasons=%d: panic: %v", cell.Park, cell.Seed, cell.Seasons, p))
-					panic(p)
-				}
-			}()
-			cctx, cancel := context.WithCancel(jctx)
-			defer cancel()
-			defer context.AfterFunc(runCtx, cancel)()
-			r, err := run(cctx, cell)
 			if err != nil {
-				recordFailure(fmt.Errorf("campaign: cell %s seed=%d seasons=%d: %w", cell.Park, cell.Seed, cell.Seasons, err))
-				return nil, err
+				err = fmt.Errorf("campaign: cell %s seed=%d seasons=%d: %w", cell.Park, cell.Seed, cell.Seasons, err)
+				mu.Lock()
+				if failErr == nil {
+					failErr = err
+				}
+				mu.Unlock()
+				stopAll()
 			}
-			if r == nil {
-				err := fmt.Errorf("campaign: cell %s seed=%d seasons=%d: runner returned a nil report", cell.Park, cell.Seed, cell.Seasons)
-				recordFailure(err)
-				return nil, err
-			}
-			if cfg.Progress != nil {
-				func() {
-					// Deferred unlock: a panicking callback must not leave
-					// the lock held, or every other completing cell would
-					// block on it forever and the campaign would hang.
-					progressMu.Lock()
-					defer progressMu.Unlock()
-					completed++
-					cfg.Progress(cell, completed, total)
-				}()
-			}
-			return r, nil
-		})
-		if err != nil {
-			return abort(err)
+		}()
+		if r, err = run(runCtx, cell); err == nil && r == nil {
+			err = errors.New("runner returned a nil report")
 		}
-		ids[i] = id
+		if err == nil && cfg.Progress != nil {
+			progress(cell)
+		}
+		return r, err
+	})
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		return nil, failErr // the root cause, not the cancellation cascade
 	}
-	reports := make([]*env.Report, len(cells))
-	for i, id := range ids {
-		if _, err := mgr.Wait(ctx, id); err != nil {
-			return abort(err) // ctx done: cancel and drain the rest
-		}
-		v, _, err := mgr.Result(id)
-		if err != nil {
-			// Report the root cause, not the cascade: once one cell fails,
-			// the others fail with context.Canceled from the shared cancel.
-			return abort(firstFailure(fmt.Errorf("campaign: cell %s seed=%d seasons=%d: %w", cells[i].Park, cells[i].Seed, cells[i].Seasons, err)))
-		}
-		reports[i] = v.(*env.Report)
-	}
-	_ = mgr.Shutdown(context.Background()) // nothing active; returns at once
 	return reports, nil
 }
 

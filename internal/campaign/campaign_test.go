@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -297,14 +298,15 @@ func TestRunnerPanicAbortsCampaign(t *testing.T) {
 	}
 }
 
-// TestRunCanceledContext: a canceled caller context aborts the sweep.
+// TestRunCanceledContext: a canceled caller context aborts the sweep with
+// the context's own error.
 func TestRunCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := testConfig()
 	_, err := Run(ctx, cfg, fakeRunner(cfg.Policies))
-	if err == nil {
-		t.Fatal("canceled context accepted")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

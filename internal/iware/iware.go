@@ -176,10 +176,10 @@ func (m *Model) Classifiers() []ml.Classifier { return m.classifiers }
 // NumFeatures returns the feature-vector width the ladder was fitted on.
 func (m *Model) NumFeatures() int { return m.classifiers[0].NumFeatures() }
 
-// qualifiedUpTo returns the number of leading classifiers qualified for a
-// planned effort c: those with θ_i ≤ c. At least one classifier is always
-// qualified so predictions remain defined at c = 0.
-func (m *Model) qualifiedUpTo(c float64) int {
+// QualifiedRungs returns the number of leading rungs qualified for a planned
+// effort c — those with θ_i ≤ c, the prefix a prediction at c combines. At
+// least one rung is always qualified so predictions remain defined at c = 0.
+func (m *Model) QualifiedRungs(c float64) int {
 	n := sort.SearchFloat64s(m.thresholds, math.Nextafter(c, math.Inf(1)))
 	if n == 0 {
 		n = 1
@@ -191,7 +191,7 @@ func (m *Model) qualifiedUpTo(c float64) int {
 // with effort c yields a detected attack: the weight-normalized average of
 // the qualified classifiers.
 func (m *Model) PredictForEffort(x []float64, c float64) float64 {
-	n := m.qualifiedUpTo(c)
+	n := m.QualifiedRungs(c)
 	var num, den float64
 	for i := 0; i < n; i++ {
 		w := m.weights[i]
@@ -216,7 +216,7 @@ func (m *Model) PredictForEffort(x []float64, c float64) float64 {
 // classifiers' variances (intrinsic for GP weak learners, between-member for
 // bagged trees). Weak learners without uncertainty contribute zero variance.
 func (m *Model) PredictWithVarianceForEffort(x []float64, c float64) (p, variance float64) {
-	n := m.qualifiedUpTo(c)
+	n := m.QualifiedRungs(c)
 	ps, vs := make([]float64, n), make([]float64, n)
 	for i := 0; i < n; i++ {
 		if m.weights[i] <= 0 {
@@ -233,10 +233,6 @@ func (m *Model) PredictWithVarianceForEffort(x []float64, c float64) (p, varianc
 
 // NumRungs returns the ladder size: the number of weak learners.
 func (m *Model) NumRungs() int { return len(m.classifiers) }
-
-// QualifiedRungs returns how many leading rungs of the ladder are qualified
-// at planned effort c — the prefix a prediction at c combines.
-func (m *Model) QualifiedRungs(c float64) int { return m.qualifiedUpTo(c) }
 
 // PredictRungsFlat evaluates the weak learners of rungs [lo, hi) on every
 // row of X: p[i-lo][row] and v[i-lo][row] are rung i's probability and
@@ -269,10 +265,12 @@ func (m *Model) PredictRungsFlat(X ml.Matrix, lo, hi int) (p, v [][]float64) {
 // (at least QualifiedRungs(c) entries; those of zero-weight rungs are
 // ignored). When every qualified weight is zero it falls back to the
 // pointwise PredictForEffort on x — a uniform average of PredictProba, not
-// of the uncertainty-path means — with zero variance. Every variance-aware
-// prediction path ends here, so they agree bit for bit.
+// of the uncertainty-path means — with zero variance. Every serving path
+// ends here, so they agree bit for bit: PredictWithVarianceForEffort, and
+// through the root package's batch path and ladder memo the Service's
+// Predict, PredictWithVariance, PredictCells, RiskMaps and Plan.
 func (m *Model) CombineRungs(p, v, x []float64, c float64) (prob, variance float64) {
-	n := m.qualifiedUpTo(c)
+	n := m.QualifiedRungs(c)
 	var num, den, vnum float64
 	for i := 0; i < n; i++ {
 		w := m.weights[i]
@@ -293,6 +291,7 @@ func (m *Model) CombineRungs(p, v, x []float64, c float64) (prob, variance float
 // as PredictForEffort does: weight-normalized average over the first nq
 // classifiers, falling back to a uniform average when all qualified weights
 // are zero. preds[i] must hold classifier i's PredictProba for the point.
+// It is the reduction of PredictPoints, Table II's scorer.
 func (m *Model) combineQualified(preds []float64, nq int) float64 {
 	var num, den float64
 	for i := 0; i < nq; i++ {
@@ -313,57 +312,18 @@ func (m *Model) combineQualified(preds []float64, nq int) float64 {
 	return num / den
 }
 
-// PredictForEffortFlat scores every row of X at one planned effort. The
-// qualified classifiers each score the whole matrix concurrently
-// (Config.Workers); per-point combination then runs in classifier order,
-// matching PredictForEffort bit for bit.
-func (m *Model) PredictForEffortFlat(X ml.Matrix, c float64) []float64 {
-	nq := m.qualifiedUpTo(c)
-	preds := par.Map(m.cfg.Workers, nq, func(i int) []float64 {
-		return m.classifiers[i].PredictProbaFlat(X)
-	})
-	out := make([]float64, X.Rows)
-	perPoint := make([]float64, nq)
-	for v := range out {
-		for i := 0; i < nq; i++ {
-			perPoint[i] = preds[i][v]
-		}
-		out[v] = m.combineQualified(perPoint, nq)
-	}
-	return out
-}
-
-// PredictWithVarianceForEffortFlat scores every row of a flat matrix with
-// uncertainty at one planned effort: the qualified rungs score the shared
-// backing array concurrently (PredictRungsFlat), then CombineRungs reduces
-// each row in ladder order, matching PredictWithVarianceForEffort bit for
-// bit.
-func (m *Model) PredictWithVarianceForEffortFlat(X ml.Matrix, c float64) (p, variance []float64) {
-	nq := m.qualifiedUpTo(c)
-	rp, rv := m.PredictRungsFlat(X, 0, nq)
-	p = make([]float64, X.Rows)
-	variance = make([]float64, X.Rows)
-	pi, vi := make([]float64, nq), make([]float64, nq)
-	for row := range p {
-		for i := range pi {
-			pi[i], vi[i] = rp[i][row], rv[i][row]
-		}
-		p[row], variance[row] = m.CombineRungs(pi, vi, X.Row(row), c)
-	}
-	return p, variance
-}
-
 // PredictPoints scores test points at their recorded efforts — the Table II
 // evaluation mode. Points are scored in vectorized form: classifier i batch-
 // predicts one matrix of exactly the points whose recorded effort qualifies
 // it, with classifiers running concurrently (Config.Workers); the per-point
-// weighted combination is unchanged, so results match the pointwise path bit
-// for bit.
+// weighted combination is unchanged, so results match the pointwise
+// PredictForEffort bit for bit — the sum-mean scorer Table II is pinned to,
+// not the uncertainty path CombineRungs reduces.
 func (m *Model) PredictPoints(X [][]float64, efforts []float64) []float64 {
 	nq := make([]int, len(X))
 	maxQ := 0
 	for v := range X {
-		nq[v] = m.qualifiedUpTo(efforts[v])
+		nq[v] = m.QualifiedRungs(efforts[v])
 		if nq[v] > maxQ {
 			maxQ = nq[v]
 		}

@@ -121,20 +121,20 @@ func TestQualificationBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := m.qualifiedUpTo(0); n != 1 {
+	if n := m.QualifiedRungs(0); n != 1 {
 		t.Fatalf("at c=0 only θ=0 qualifies, got %d", n)
 	}
-	if n := m.qualifiedUpTo(1); n != 2 {
+	if n := m.QualifiedRungs(1); n != 2 {
 		t.Fatalf("at c=1, θ∈{0,1} qualify, got %d", n)
 	}
-	if n := m.qualifiedUpTo(0.99); n != 1 {
+	if n := m.QualifiedRungs(0.99); n != 1 {
 		t.Fatalf("at c=0.99 only θ=0 qualifies, got %d", n)
 	}
-	if n := m.qualifiedUpTo(100); n != 3 {
+	if n := m.QualifiedRungs(100); n != 3 {
 		t.Fatalf("large effort qualifies all, got %d", n)
 	}
 	// Negative effort still has one qualified classifier (defined behavior).
-	if n := m.qualifiedUpTo(-1); n != 1 {
+	if n := m.QualifiedRungs(-1); n != 1 {
 		t.Fatalf("negative effort should clamp to 1, got %d", n)
 	}
 }

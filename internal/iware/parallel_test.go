@@ -63,18 +63,19 @@ func TestVectorizedPredictionsMatchPointwise(t *testing.T) {
 			t.Fatalf("PredictPoints[%d] = %v, pointwise %v", i, got[i], want)
 		}
 	}
-	// Uniform-effort batch paths.
-	Qm := ml.MatrixFromRows(Q)
+	// Uniform-effort batch primitives: every rung evaluated once over the
+	// matrix, then each row's qualified prefix combined.
+	rp, rv := m.PredictRungsFlat(ml.MatrixFromRows(Q), 0, m.NumRungs())
+	pi, vi := make([]float64, m.NumRungs()), make([]float64, m.NumRungs())
 	for _, c := range []float64{0, 1.2, 2.9} {
-		probs := m.PredictForEffortFlat(Qm, c)
-		ps, vs := m.PredictWithVarianceForEffortFlat(Qm, c)
 		for i := range Q {
-			if want := m.PredictForEffort(Q[i], c); probs[i] != want {
-				t.Fatalf("effort %v point %d: batch %v != pointwise %v", c, i, probs[i], want)
+			for r := range pi {
+				pi[r], vi[r] = rp[r][i], rv[r][i]
 			}
+			p, v := m.CombineRungs(pi, vi, Q[i], c)
 			wp, wv := m.PredictWithVarianceForEffort(Q[i], c)
-			if ps[i] != wp || vs[i] != wv {
-				t.Fatalf("effort %v point %d: variance batch diverged", c, i)
+			if p != wp || v != wv {
+				t.Fatalf("effort %v point %d: batch (%v, %v) != pointwise (%v, %v)", c, i, p, v, wp, wv)
 			}
 		}
 	}

@@ -98,12 +98,6 @@ func (p *Problem) AddVariable(obj, lo, hi float64) int {
 // NumVariables returns the number of variables added so far.
 func (p *Problem) NumVariables() int { return len(p.obj) }
 
-// NumConstraints returns the number of constraints added so far.
-func (p *Problem) NumConstraints() int { return len(p.rows) }
-
-// SetObjective overwrites the objective coefficient of variable j.
-func (p *Problem) SetObjective(j int, c float64) { p.obj[j] = c }
-
 // SetBounds overwrites the bounds of variable j.
 func (p *Problem) SetBounds(j int, lo, hi float64) { p.lo[j], p.hi[j] = lo, hi }
 

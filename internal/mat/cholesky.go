@@ -168,31 +168,7 @@ func (c *Cholesky) SolveLowerT(y []float64) []float64 {
 	return x
 }
 
-// LogDet returns log det(A) = 2·Σ log L_ii.
-func (c *Cholesky) LogDet() float64 {
-	var s float64
-	for i := 0; i < c.n; i++ {
-		s += math.Log(c.l.At(i, i))
-	}
-	return 2 * s
-}
-
 // Reconstruct recomputes A = L·Lᵀ (for testing).
 func (c *Cholesky) Reconstruct() *Dense {
 	return Mul(c.l, Transpose(c.l))
-}
-
-// Inverse solves for A⁻¹ column by column. Intended for small matrices only.
-func (c *Cholesky) Inverse() *Dense {
-	inv := NewDense(c.n, c.n)
-	e := make([]float64, c.n)
-	for j := 0; j < c.n; j++ {
-		e[j] = 1
-		col := c.SolveVec(e)
-		for i := 0; i < c.n; i++ {
-			inv.Set(i, j, col[i])
-		}
-		e[j] = 0
-	}
-	return inv
 }

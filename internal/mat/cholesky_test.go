@@ -89,41 +89,6 @@ func TestCholeskyJitterRecovers(t *testing.T) {
 	}
 }
 
-func TestCholeskyLogDet(t *testing.T) {
-	// diag(4, 9): det = 36, logdet = log 36.
-	a := NewDenseData(2, 2, []float64{4, 0, 0, 9})
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ch.LogDet()-math.Log(36)) > 1e-12 {
-		t.Fatalf("LogDet = %v want %v", ch.LogDet(), math.Log(36))
-	}
-}
-
-func TestCholeskyInverse(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	n := 5
-	a := randomSPD(r, n)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inv := ch.Inverse()
-	prod := Mul(a, inv)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if math.Abs(prod.At(i, j)-want) > 1e-8 {
-				t.Fatalf("A·A⁻¹ (%d,%d) = %v want %v", i, j, prod.At(i, j), want)
-			}
-		}
-	}
-}
-
 func TestSolveLowerForwardBackward(t *testing.T) {
 	a := NewDenseData(2, 2, []float64{4, 2, 2, 3})
 	ch, err := NewCholesky(a)

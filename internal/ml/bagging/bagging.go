@@ -210,7 +210,11 @@ func (e *Ensemble) calibrate(p float64) float64 {
 	return odds / (1 + odds)
 }
 
-// PredictProba returns the mean calibrated member probability.
+// PredictProba returns the mean calibrated member probability, summed then
+// divided. This sum mean feeds Table II's evaluation scorer and iWare-E's
+// cross-validated weight fit; serving reads PredictWithVariance's running
+// mean, which can differ in the last bit. Neither can replace the other
+// without moving pinned outputs (Table II's AUCs, the campaign goldens).
 func (e *Ensemble) PredictProba(x []float64) float64 {
 	if len(e.members) == 0 {
 		panic(ml.ErrNotFitted)
@@ -253,8 +257,8 @@ func (e *Ensemble) MemberPredictions(x []float64) []float64 {
 	return out
 }
 
-// PredictWithVariance returns the ensemble mean and an uncertainty score.
-// If the members expose intrinsic variances (Gaussian processes), it returns
+// PredictWithVariance returns the ensemble mean — a running (Welford) mean,
+// the serving path's probability — and an uncertainty score. If the members expose intrinsic variances (Gaussian processes), it returns
 // the mean of member variances plus the between-member variance of means
 // (the law of total variance); otherwise it returns the between-member
 // prediction variance — the random-forest heuristic of Section V-C.

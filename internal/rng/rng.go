@@ -61,20 +61,6 @@ func (r *RNG) Normal(mu, sigma float64) float64 {
 	return mu + sigma*r.NormFloat64()
 }
 
-// LogNormal returns exp(N(mu, sigma²)).
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
-}
-
-// IntRange returns a uniform integer in [lo, hi); it returns lo when the
-// interval is empty.
-func (r *RNG) IntRange(lo, hi int) int {
-	if hi <= lo {
-		return lo
-	}
-	return lo + r.Intn(hi-lo)
-}
-
 // SampleWithoutReplacement draws k distinct indices from [0, n). If k ≥ n it
 // returns a permutation of all n indices.
 func (r *RNG) SampleWithoutReplacement(n, k int) []int {
@@ -135,29 +121,4 @@ func (r *RNG) Beta(a, b float64) float64 {
 		return 0.5
 	}
 	return x / (x + y)
-}
-
-// Poisson samples a Poisson(lambda) variate by Knuth's method for small
-// lambda and a rounded normal approximation for large lambda.
-func (r *RNG) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 30 {
-		v := r.Normal(lambda, math.Sqrt(lambda))
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-lambda)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
 }

@@ -106,22 +106,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestIntRange(t *testing.T) {
-	r := New(17)
-	for i := 0; i < 1000; i++ {
-		v := r.IntRange(3, 7)
-		if v < 3 || v >= 7 {
-			t.Fatalf("IntRange out of bounds: %d", v)
-		}
-	}
-	if r.IntRange(5, 5) != 5 {
-		t.Fatal("empty range should return lo")
-	}
-	if r.IntRange(5, 2) != 5 {
-		t.Fatal("inverted range should return lo")
-	}
-}
-
 func TestSampleWithoutReplacement(t *testing.T) {
 	r := New(19)
 	got := r.SampleWithoutReplacement(10, 4)
@@ -141,29 +125,6 @@ func TestSampleWithoutReplacement(t *testing.T) {
 	all := r.SampleWithoutReplacement(5, 10)
 	if len(all) != 5 {
 		t.Fatalf("k>n should return n items, got %d", len(all))
-	}
-}
-
-func TestPoisson(t *testing.T) {
-	r := New(23)
-	if r.Poisson(0) != 0 || r.Poisson(-2) != 0 {
-		t.Fatal("Poisson with lambda<=0 should be 0")
-	}
-	const n = 20000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += float64(r.Poisson(4))
-	}
-	if mean := sum / n; math.Abs(mean-4) > 0.15 {
-		t.Fatalf("Poisson mean = %v want 4", mean)
-	}
-	// Large-lambda branch.
-	var sumL float64
-	for i := 0; i < 5000; i++ {
-		sumL += float64(r.Poisson(100))
-	}
-	if mean := sumL / 5000; math.Abs(mean-100) > 2 {
-		t.Fatalf("Poisson(100) mean = %v", mean)
 	}
 }
 

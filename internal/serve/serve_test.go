@@ -146,17 +146,56 @@ func TestPredictByCellsMatchesRiskMap(t *testing.T) {
 	if rm.Width <= 0 || rm.Height <= 0 {
 		t.Fatalf("riskmap geometry %dx%d", rm.Width, rm.Height)
 	}
+	cells := make([]int, fixtureN)
+	for c := range cells {
+		cells[c] = c
+	}
 	var pr PredictResponse
 	status, _ = do(t, s, http.MethodPost, "/v1/predict",
-		PredictRequest{Model: "default", Effort: 1.5, Cells: []int{0, 5, 99}}, &pr)
-	if status != http.StatusOK {
-		t.Fatalf("predict status %d", status)
+		PredictRequest{Model: "default", Effort: 1.5, Cells: cells}, &pr)
+	if status != http.StatusOK || len(pr.Probs) != fixtureN {
+		t.Fatalf("predict status %d, %d probs", status, len(pr.Probs))
 	}
-	for i, c := range []int{0, 5, 99} {
-		if pr.Probs[i] != rm.Risk[c] {
-			t.Fatalf("cell %d: predict %v != riskmap %v", c, pr.Probs[i], rm.Risk[c])
+	if n := countDiffering(pr.Probs, rm.Risk); n > 0 {
+		t.Fatalf("%d of %d cells: predict differs from riskmap", n, fixtureN)
+	}
+
+	// A features request answers the same probabilities whether or not it
+	// asks for the variance.
+	sm, _ := testService(t).Served("default")
+	nf := sm.Park().NumFeatures()
+	X := make([][]float64, 200)
+	for i := range X {
+		X[i] = make([]float64, sm.FeatureDim())
+		sm.Park().FeatureVector((i*7)%fixtureN, X[i][:nf])
+		X[i][nf] = 0.5 * float64(i%4)
+	}
+	var plain, withVar PredictResponse
+	for _, r := range []struct {
+		variance bool
+		out      *PredictResponse
+	}{{false, &plain}, {true, &withVar}} {
+		status, _ = do(t, s, http.MethodPost, "/v1/predict",
+			PredictRequest{Model: "default", Effort: 1.5, Features: X, Variance: r.variance}, r.out)
+		if status != http.StatusOK || len(r.out.Probs) != len(X) {
+			t.Fatalf("features predict (variance %v): status %d, %d probs", r.variance, status, len(r.out.Probs))
 		}
 	}
+	if n := countDiffering(plain.Probs, withVar.Probs); n > 0 {
+		t.Fatalf("%d of %d rows: probs differ between variance false and true", n, len(X))
+	}
+}
+
+// countDiffering reports how many entries of got differ from want, bit for
+// bit.
+func countDiffering(got, want []float64) int {
+	n := 0
+	for i := range got {
+		if got[i] != want[i] {
+			n++
+		}
+	}
+	return n
 }
 
 // TestPredictParallelDeterministic floods /v1/predict with concurrent

@@ -145,13 +145,3 @@ func gammaQContinued(a, x float64) float64 {
 	}
 	return math.Exp(-x+a*math.Log(x)-lg) * h
 }
-
-// NormalCDF returns the standard normal cumulative distribution at x.
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
-// NormalPDF returns the standard normal density at x.
-func NormalPDF(x float64) float64 {
-	return math.Exp(-0.5*x*x) / math.Sqrt(2*math.Pi)
-}

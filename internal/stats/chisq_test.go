@@ -106,27 +106,6 @@ func TestGammaPKnown(t *testing.T) {
 	}
 }
 
-func TestNormalCDF(t *testing.T) {
-	if math.Abs(NormalCDF(0)-0.5) > 1e-12 {
-		t.Fatal("Φ(0) != 0.5")
-	}
-	if math.Abs(NormalCDF(1.959964)-0.975) > 1e-5 {
-		t.Fatalf("Φ(1.96) = %v", NormalCDF(1.959964))
-	}
-	// Symmetry.
-	for _, x := range []float64{0.3, 1.1, 2.7} {
-		if math.Abs(NormalCDF(x)+NormalCDF(-x)-1) > 1e-12 {
-			t.Fatal("CDF not symmetric")
-		}
-	}
-}
-
-func TestNormalPDF(t *testing.T) {
-	if math.Abs(NormalPDF(0)-1/math.Sqrt(2*math.Pi)) > 1e-12 {
-		t.Fatal("pdf(0) wrong")
-	}
-}
-
 func TestChiSquaredPValueInUnitInterval(t *testing.T) {
 	f := func(a, b, c, d uint8) bool {
 		table := [][]float64{{float64(a%50) + 1, float64(b%50) + 1}, {float64(c%50) + 1, float64(d%50) + 1}}

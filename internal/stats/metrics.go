@@ -190,15 +190,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// PercentileRank returns the fraction of values in sorted that are ≤ x.
-func PercentileRank(sorted []float64, x float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := sort.SearchFloat64s(sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(sorted))
-}
-
 // Logistic is the standard logistic function 1/(1+exp(-x)).
 func Logistic(x float64) float64 {
 	if x >= 0 {

@@ -190,19 +190,6 @@ func TestPercentileMonotone(t *testing.T) {
 	}
 }
 
-func TestPercentileRank(t *testing.T) {
-	sorted := []float64{1, 2, 3, 4}
-	if got := PercentileRank(sorted, 2.5); got != 0.5 {
-		t.Fatalf("rank = %v want 0.5", got)
-	}
-	if got := PercentileRank(sorted, 0); got != 0 {
-		t.Fatalf("rank = %v want 0", got)
-	}
-	if got := PercentileRank(sorted, 4); got != 1 {
-		t.Fatalf("rank = %v want 1", got)
-	}
-}
-
 func TestLogisticLogitRoundTrip(t *testing.T) {
 	for _, x := range []float64{-5, -1, 0, 0.3, 2, 8} {
 		p := Logistic(x)

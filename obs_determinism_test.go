@@ -109,8 +109,8 @@ func TestCampaignByteIdenticalUnderTracing(t *testing.T) {
 		}
 	}
 	names := spanNames(rec)
-	// The per-cell span proves the trace crossed the campaign's internal
-	// job-manager boundary; train proves it reached the paws pipeline.
+	// The per-cell span proves the trace crossed the campaign's cell
+	// fan-out; train proves it reached the paws pipeline.
 	for _, stage := range []string{"cell", "plan", "train"} {
 		if !names[stage] {
 			t.Fatalf("traced campaign missing %q span (got %v)", stage, names)

@@ -241,7 +241,6 @@ func (s settings) table2Options() Table2Options {
 		TrainYears: s.trainYears,
 		Dry:        s.dry,
 		Train:      s.trainOptions(),
-		Workers:    s.workers,
 	}
 }
 
@@ -264,7 +263,6 @@ func (s settings) planStudyOptions() PlanStudyOptions {
 		SegmentCounts: s.segmentCounts,
 		TrainYears:    s.trainYears,
 		Train:         s.trainOptions(),
-		Workers:       s.workers,
 	}
 }
 
@@ -276,6 +274,5 @@ func (s settings) table3Options() Table3Options {
 		EffortPerCellMonth: s.effortPerCellMonth,
 		Train:              s.trainOptions(),
 		Seed:               s.seed,
-		Workers:            s.workers,
 	}
 }

@@ -30,9 +30,11 @@
 // binary format and reloads with LoadModel/LoadModelFile; a loaded model's
 // predictions are byte-identical to the original's for all six ModelKinds.
 // Service.AddModel registers a model (fresh or loaded) under a name with a
-// frozen serving context; Service.Predict/PredictCells/RiskMaps/Plan then
-// answer queries against it, and internal/serve + cmd/pawsd expose those
-// queries over JSON/HTTP (/v1/predict, /v1/riskmap, /v1/plan).
+// frozen serving context; Service.Predict/PredictWithVariance/PredictCells/
+// RiskMaps/Plan then answer queries against it — the same probability for
+// the same cell and effort — and internal/serve + cmd/pawsd expose them over
+// JSON/HTTP (/v1/predict, /v1/riskmap, /v1/plan). Model.PredictPoints/AUC is
+// the evaluation scorer behind Table II.
 //
 // # Closed-loop simulation
 //
@@ -379,16 +381,9 @@ func trainErr(kind ModelKind, err error) error {
 	return fmt.Errorf("paws: train %v: %w", kind, err)
 }
 
-// PredictForEffort returns the detection probability for a feature vector at
-// a planned patrol effort. Plain models ignore the effort.
-func (m *Model) PredictForEffort(features []float64, effort float64) float64 {
-	if m.iw != nil {
-		return m.iw.PredictForEffort(features, effort)
-	}
-	return m.plain.PredictProba(features)
-}
-
-// PredictWithVariance additionally returns the model's uncertainty.
+// PredictWithVariance returns the detection probability and uncertainty of
+// one feature vector at a planned effort: the pointwise reference the batch
+// path is tested against, and Fig. 7's scorer.
 func (m *Model) PredictWithVariance(features []float64, effort float64) (p, variance float64) {
 	if m.iw != nil {
 		return m.iw.PredictWithVarianceForEffort(features, effort)
@@ -396,27 +391,27 @@ func (m *Model) PredictWithVariance(features []float64, effort float64) (p, vari
 	return m.plain.PredictWithVariance(features)
 }
 
-// PredictForEffortFlat scores every row of a flat row-major matrix at one
-// planned effort — the batch path the planner and serving layers use. It
-// matches PredictForEffort row for row, bit for bit.
-func (m *Model) PredictForEffortFlat(X ml.Matrix, effort float64) []float64 {
-	if m.iw != nil {
-		return m.iw.PredictForEffortFlat(X, effort)
-	}
-	return m.plain.PredictProbaFlat(X)
-}
-
-// PredictWithVarianceFlat is PredictForEffortFlat returning the model's
-// uncertainty too; it matches PredictWithVariance row for row.
+// PredictWithVarianceFlat scores every row of X at one planned effort — the
+// only batch prediction path. It takes the ladder memo's two steps
+// (predictRungsFlat, then combineRungs per row), so a prediction and a
+// risk-map entry for one cell and effort are the same float.
 func (m *Model) PredictWithVarianceFlat(X ml.Matrix, effort float64) (p, variance []float64) {
-	if m.iw != nil {
-		return m.iw.PredictWithVarianceForEffortFlat(X, effort)
+	nq := m.qualifiedRungs(effort)
+	rp, rv := m.predictRungsFlat(X, 0, nq)
+	p, variance = make([]float64, X.Rows), make([]float64, X.Rows)
+	pi, vi := make([]float64, nq), make([]float64, nq)
+	for row := range p {
+		for i := range pi {
+			pi[i], vi[i] = rp[i][row], rv[i][row]
+		}
+		p[row], variance[row] = m.combineRungs(pi, vi, X.Row(row), effort)
 	}
-	return m.plain.PredictWithVarianceFlat(X)
+	return p, variance
 }
 
-// PredictPoints scores test points at their recorded efforts via the
-// vectorized prediction paths.
+// PredictPoints scores test points at their recorded efforts — Table II's
+// scorer behind AUC. It averages bagged members with the sum mean
+// (bagging.Ensemble.PredictProba), not the serving path's running mean.
 func (m *Model) PredictPoints(pts []dataset.Point) []float64 {
 	X := make([][]float64, len(pts))
 	eff := make([]float64, len(pts))

@@ -197,8 +197,6 @@ func TestModelPersistenceRoundTrip(t *testing.T) {
 			}
 			Xm := ml.MatrixFromRows(X)
 			for _, e := range efforts {
-				assertSameFloats(t, "PredictForEffortFlat",
-					m.PredictForEffortFlat(Xm, e), loaded.PredictForEffortFlat(Xm, e))
 				p0, v0 := m.PredictWithVarianceFlat(Xm, e)
 				p1, v1 := loaded.PredictWithVarianceFlat(Xm, e)
 				assertSameFloats(t, "PredictWithVarianceFlat p", p0, p1)
@@ -207,8 +205,10 @@ func TestModelPersistenceRoundTrip(t *testing.T) {
 			assertSameFloats(t, "PredictPoints",
 				m.PredictPoints(split.Test), loaded.PredictPoints(split.Test))
 			for i := 0; i < len(X) && i < 5; i++ {
-				if a, b := m.PredictForEffort(X[i], 1.2), loaded.PredictForEffort(X[i], 1.2); a != b {
-					t.Fatalf("pointwise PredictForEffort diverged: %v != %v", a, b)
+				ap, av := m.PredictWithVariance(X[i], 1.2)
+				bp, bv := loaded.PredictWithVariance(X[i], 1.2)
+				if ap != bp || av != bv {
+					t.Fatalf("pointwise PredictWithVariance diverged: (%v, %v) != (%v, %v)", ap, av, bp, bv)
 				}
 			}
 

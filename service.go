@@ -256,16 +256,6 @@ func (s *Service) AddModel(ctx context.Context, name string, m *Model, d *datase
 	return sm, nil
 }
 
-// LoadModelFileInto loads a persisted model (SaveFile) and registers it
-// under a name with AddModel's serving context.
-func (s *Service) LoadModelFileInto(ctx context.Context, name, path string, d *dataset.Dataset, prevStep int, opts ...Option) (*ServedModel, error) {
-	m, err := LoadModelFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return s.AddModel(ctx, name, m, d, prevStep, opts...)
-}
-
 // Served returns the registered model entry for a name.
 func (s *Service) Served(name string) (*ServedModel, bool) {
 	s.mu.RLock()
@@ -314,62 +304,36 @@ func (s *Service) served(name string) (*ServedModel, error) {
 const predictChunkSize = 256
 
 // Predict scores feature vectors against a registered model at one planned
-// patrol effort, through the model's batched fast path, observing ctx
-// between chunks. Output is deterministic and independent of worker count
-// and concurrent load.
+// patrol effort: PredictWithVariance's probabilities.
 func (s *Service) Predict(ctx context.Context, name string, X [][]float64, effort float64, opts ...Option) ([]float64, error) {
-	sm, Xm, err := s.predictInput(name, X)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, Xm.Rows)
-	err = par.ForEachSliceCtx(ctx, s.settingsFor(opts).workers, Xm.Rows, predictChunkSize, func(lo, hi int) {
-		copy(out[lo:hi], sm.Model.PredictForEffortFlat(Xm.Slice(lo, hi), effort))
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	p, _, err := s.PredictWithVariance(ctx, name, X, effort, opts...)
+	return p, err
 }
 
-// predictInput resolves the model a Predict call names and converts its rows
-// to one flat matrix, after checking every row's width (MatrixFromRows
-// panics on ragged rows).
-func (s *Service) predictInput(name string, X [][]float64) (*ServedModel, ml.Matrix, error) {
+// PredictWithVariance scores feature vectors against a registered model at
+// one planned patrol effort, returning each row's detection probability and
+// the model's uncertainty, observing ctx between batch chunks. Output is
+// deterministic and independent of worker count and concurrent load.
+func (s *Service) PredictWithVariance(ctx context.Context, name string, X [][]float64, effort float64, opts ...Option) (p, variance []float64, err error) {
 	sm, err := s.served(name)
 	if err != nil {
-		return nil, ml.Matrix{}, err
+		return nil, nil, err
 	}
+	// MatrixFromRows panics on ragged rows.
 	for i, row := range X {
 		if len(row) != sm.featureDim {
-			return nil, ml.Matrix{}, fmt.Errorf("paws: predict row %d has %d features, model %q expects %d", i, len(row), name, sm.featureDim)
+			return nil, nil, fmt.Errorf("paws: predict row %d has %d features, model %q expects %d", i, len(row), name, sm.featureDim)
 		}
 	}
-	return sm, ml.MatrixFromRows(X), nil
-}
-
-// PredictWithVariance is Predict returning the model's uncertainty too.
-func (s *Service) PredictWithVariance(ctx context.Context, name string, X [][]float64, effort float64, opts ...Option) (p, variance []float64, err error) {
-	sm, Xm, err := s.predictInput(name, X)
-	if err != nil {
-		return nil, nil, err
-	}
-	p = make([]float64, Xm.Rows)
-	variance = make([]float64, Xm.Rows)
-	err = par.ForEachSliceCtx(ctx, s.settingsFor(opts).workers, Xm.Rows, predictChunkSize, func(lo, hi int) {
-		ps, vs := sm.Model.PredictWithVarianceFlat(Xm.Slice(lo, hi), effort)
-		copy(p[lo:hi], ps)
-		copy(variance[lo:hi], vs)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, variance, nil
+	return s.predict(ctx, sm, ml.MatrixFromRows(X), effort, opts)
 }
 
 // PredictCells scores park cells of a registered model's serving context at
 // one planned effort, using the frozen per-cell feature vectors — the query
-// rangers actually ask ("how risky are these cells?").
+// rangers actually ask ("how risky are these cells?"). It computes its rows
+// rather than reading the PlannerModel memo, whose single-flight fill slot
+// would make a handful of cells wait behind a cold park-wide risk-map fill;
+// the two agree bit for bit.
 func (s *Service) PredictCells(ctx context.Context, name string, cells []int, effort float64, opts ...Option) ([]float64, error) {
 	sm, err := s.served(name)
 	if err != nil {
@@ -383,14 +347,25 @@ func (s *Service) PredictCells(ctx context.Context, name string, cells []int, ef
 		}
 		copy(X.Row(i), sm.pm.features.Row(c))
 	}
-	out := make([]float64, X.Rows)
+	p, _, err := s.predict(ctx, sm, X, effort, opts)
+	return p, err
+}
+
+// predict is the one body behind Predict, PredictWithVariance and
+// PredictCells: it scores X through Model.PredictWithVarianceFlat in
+// predictChunkSize-row chunks over the worker pool, observing ctx between
+// chunks.
+func (s *Service) predict(ctx context.Context, sm *ServedModel, X ml.Matrix, effort float64, opts []Option) (p, variance []float64, err error) {
+	p, variance = make([]float64, X.Rows), make([]float64, X.Rows)
 	err = par.ForEachSliceCtx(ctx, s.settingsFor(opts).workers, X.Rows, predictChunkSize, func(lo, hi int) {
-		copy(out[lo:hi], sm.Model.PredictForEffortFlat(X.Slice(lo, hi), effort))
+		ps, vs := sm.Model.PredictWithVarianceFlat(X.Slice(lo, hi), effort)
+		copy(p[lo:hi], ps)
+		copy(variance[lo:hi], vs)
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
+	return p, variance, nil
 }
 
 // RiskMaps evaluates the park-wide risk and uncertainty maps of a

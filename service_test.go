@@ -366,10 +366,11 @@ func TestServicePredictMatchesPointwise(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, x := range X {
-					if want := sm.Model.PredictForEffort(x, effort); probs[i] != want {
-						t.Fatalf("workers=%d row %d: Predict %v != pointwise %v", workers, i, probs[i], want)
+					wp, wv := sm.Model.PredictWithVariance(x, effort)
+					if probs[i] != wp {
+						t.Fatalf("workers=%d row %d: Predict %v != pointwise %v", workers, i, probs[i], wp)
 					}
-					if wp, wv := sm.Model.PredictWithVariance(x, effort); ps[i] != wp || vs[i] != wv {
+					if ps[i] != wp || vs[i] != wv {
 						t.Fatalf("workers=%d row %d: PredictWithVariance (%v, %v) != pointwise (%v, %v)", workers, i, ps[i], vs[i], wp, wv)
 					}
 				}
@@ -393,23 +394,49 @@ func TestServicePredictValidation(t *testing.T) {
 	}
 }
 
-// TestServicePredictCellsMatchesRiskMap checks the by-cell serving path is
-// consistent with the park-wide sweep.
+// TestServicePredictCellsMatchesRiskMap checks the by-cell and by-row
+// serving paths answer every park cell with its park-wide risk-map value,
+// bit for bit, for all six model kinds and at several planned efforts.
 func TestServicePredictCellsMatchesRiskMap(t *testing.T) {
-	svc, _ := serviceFixture(t, DTBiW)
-	risk, _, err := svc.RiskMaps(context.Background(), "default", 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := []int{0, 7, 42, len(risk) - 1}
-	got, err := svc.PredictCells(context.Background(), "default", cells, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range cells {
-		if got[i] != risk[c] {
-			t.Fatalf("cell %d: PredictCells %v != RiskMap %v", c, got[i], risk[c])
-		}
+	ctx := context.Background()
+	for _, kind := range []ModelKind{SVB, DTB, GPB, SVBiW, DTBiW, GPBiW} {
+		t.Run(kind.String(), func(t *testing.T) {
+			svc, _ := serviceFixture(t, kind)
+			sm, _ := svc.Served("default")
+			cells := make([]int, sm.pm.features.Rows)
+			X := make([][]float64, len(cells))
+			for c := range cells {
+				cells[c] = c
+				X[c] = sm.pm.features.Row(c)
+			}
+			for _, effort := range []float64{0.5, 1.5, 3} {
+				risk, _, err := svc.RiskMaps(ctx, "default", effort)
+				if err != nil {
+					t.Fatal(err)
+				}
+				byCell, err := svc.PredictCells(ctx, "default", cells, effort)
+				if err != nil {
+					t.Fatal(err)
+				}
+				byRow, err := svc.Predict(ctx, "default", X, effort)
+				if err != nil {
+					t.Fatal(err)
+				}
+				differ, first := 0, -1
+				for c := range cells {
+					if byCell[c] != risk[c] || byRow[c] != risk[c] {
+						differ++
+						if first < 0 {
+							first = c
+						}
+					}
+				}
+				if differ > 0 {
+					t.Fatalf("effort %v: %d of %d cells differ; cell %d: PredictCells %v, Predict %v, RiskMap %v",
+						effort, differ, len(cells), first, byCell[first], byRow[first], risk[first])
+				}
+			}
+		})
 	}
 }
 
