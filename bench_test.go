@@ -1,11 +1,13 @@
 package paws
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (DESIGN.md §4), plus ablations of the design choices DESIGN.md
-// §5 calls out. Benchmarks run on ScaleSmall parks so a full -bench=. sweep
-// stays tractable; cmd/pawstables and cmd/pawsfigs run the full presets.
-// Each benchmark reports the headline metric via b.ReportMetric so the
-// regenerated numbers are visible in benchmark output.
+// evaluation (Tables I–III, Figs. 4 and 6–10), plus ablations of the
+// reproduction's design choices: iWare-E's percentile threshold ladder and
+// CV-optimized weights, and balanced bagging. Benchmarks run on ScaleSmall
+// parks so a full -bench=. sweep stays tractable; cmd/pawstables and
+// cmd/pawsfigs run the full presets. Each benchmark reports the headline
+// metric via b.ReportMetric so the regenerated numbers are visible in
+// benchmark output.
 
 import (
 	"context"
@@ -61,13 +63,10 @@ func benchTable2(b *testing.B, park string, kind ModelKind) {
 	sc := benchScenario(b, park)
 	var auc float64
 	for i := 0; i < b.N; i++ {
-		rows, err := RunTable2ForScenario(context.Background(), sc, park, Table2Options{
-			Kinds:     []ModelKind{kind},
-			TestYears: []int{benchLastYear(sc)},
-			Train: TrainOptions{
-				Thresholds: 5, Members: 5, GPMaxTrain: 80, Balanced: park == "SWS", Seed: int64(11 + i),
-			},
-		})
+		rows, err := NewService().Table2(context.Background(), sc, park,
+			WithKinds(kind), WithTestYears(benchLastYear(sc)),
+			WithThresholds(5), WithEnsembleSize(5), WithGPMaxTrain(80),
+			WithBalancedBagging(park == "SWS"), WithSeed(int64(11+i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,11 +92,9 @@ func BenchmarkTable3FieldTests(b *testing.B) {
 	sc := benchScenario(b, "MFNP")
 	var pHigh, pLow float64
 	for i := 0; i < b.N; i++ {
-		trials, err := RunTable3ForScenario(context.Background(), sc, "MFNP", 2, []int{2, 3}, Table3Options{
-			PerGroup: 4,
-			Train:    TrainOptions{Kind: DTBiW, Thresholds: 5, Members: 5, Seed: int64(13 + i)},
-			Seed:     int64(17 + i),
-		})
+		trials, err := NewService().Table3(context.Background(), sc, "MFNP", 2, []int{2, 3},
+			WithKind(DTBiW), WithThresholds(5), WithEnsembleSize(5), WithSeed(int64(13+i)),
+			WithFieldProtocol(4, 2.5))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -114,7 +111,7 @@ func BenchmarkFig4PositiveRate(b *testing.B) {
 	sc := benchScenario(b, "MFNP")
 	var sl float64
 	for i := 0; i < b.N; i++ {
-		s, err := RunFig4(context.Background(), sc, "MFNP", benchLastYear(sc), 3, false)
+		s, err := NewService().Fig4(context.Background(), sc, "MFNP", benchLastYear(sc))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -128,9 +125,8 @@ func BenchmarkFig4PositiveRate(b *testing.B) {
 func BenchmarkFig6RiskMaps(b *testing.B) {
 	sc := benchScenario(b, "MFNP")
 	for i := 0; i < b.N; i++ {
-		maps, err := RunFig6(context.Background(), sc, GPBiW, benchLastYear(sc), 3, TrainOptions{
-			Thresholds: 5, Members: 4, GPMaxTrain: 60, Seed: int64(19 + i),
-		})
+		maps, err := NewService().Fig6(context.Background(), sc, benchLastYear(sc),
+			WithKind(GPBiW), WithThresholds(5), WithEnsembleSize(4), WithGPMaxTrain(60), WithSeed(int64(19+i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,9 +142,8 @@ func BenchmarkFig7UncertaintyCorrelation(b *testing.B) {
 	sc := benchScenario(b, "MFNP")
 	var gpr, dtr float64
 	for i := 0; i < b.N; i++ {
-		res, err := RunFig7(context.Background(), sc, benchLastYear(sc), 3, TrainOptions{
-			Members: 4, GPMaxTrain: 60, Seed: int64(23 + i),
-		})
+		res, err := NewService().Fig7(context.Background(), sc, benchLastYear(sc),
+			WithEnsembleSize(4), WithGPMaxTrain(60), WithSeed(int64(23+i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -167,22 +162,19 @@ func benchPlanStudy(b *testing.B) *PlanStudy {
 		return cachedPlanStudy
 	}
 	sc := benchScenario(b, "MFNP")
-	ps, err := NewPlanStudy(context.Background(), sc, PlanStudyOptions{
-		Posts:         2,
-		Radius:        5,
-		MaxCells:      48,
-		T:             10,
-		K:             2,
-		Segments:      6,
-		Betas:         []float64{0.8, 1.0},
-		SegmentCounts: []int{4, 8},
-		TestYear:      benchLastYear(sc),
-		Solver:        plan.SolverFrankWolfe,
-		Train:         TrainOptions{Thresholds: 5, Members: 4, GPMaxTrain: 60, Seed: 29},
-	})
+	ps, err := NewService().PlanStudy(context.Background(), sc,
+		WithPosts(2),
+		WithRegionShape(5, 48),
+		WithPlanHorizon(10, 2, 6),
+		WithBetas(0.8, 1.0),
+		WithSegmentCounts(4, 8),
+		WithTestYears(benchLastYear(sc)),
+		WithThresholds(5), WithEnsembleSize(4), WithGPMaxTrain(60), WithSeed(29),
+	)
 	if err != nil {
 		b.Fatal(err)
 	}
+	ps.Config.Solver = plan.SolverFrankWolfe
 	cachedPlanStudy = ps
 	return ps
 }
@@ -500,10 +492,9 @@ func BenchmarkTable2Sweep(b *testing.B) {
 	var auc float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := RunTable2ForScenario(context.Background(), sc, "MFNP", Table2Options{
-			TestYears: []int{benchLastYear(sc)},
-			Train:     TrainOptions{Thresholds: 5, Members: 5, GPMaxTrain: 80, Seed: 55, Workers: 0},
-		})
+		rows, err := NewService(WithWorkers(0)).Table2(context.Background(), sc, "MFNP",
+			WithTestYears(benchLastYear(sc)),
+			WithThresholds(5), WithEnsembleSize(5), WithGPMaxTrain(80), WithSeed(55))
 		if err != nil {
 			b.Fatal(err)
 		}

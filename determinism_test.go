@@ -210,11 +210,9 @@ func TestTable2SweepDeterminism(t *testing.T) {
 	sc := smallScenario(t, 29, false)
 	year := sc.Data.Steps[len(sc.Data.Steps)-1].Year
 	run := func(workers int) []Table2Row {
-		rows, err := RunTable2ForScenario(context.Background(), sc, "SMALL", Table2Options{
-			Kinds:     []ModelKind{DTB, DTBiW},
-			TestYears: []int{year},
-			Train:     TrainOptions{Thresholds: 4, Members: 4, Seed: 31, Workers: workers},
-		})
+		rows, err := NewService(WithWorkers(workers)).Table2(context.Background(), sc, "SMALL",
+			WithKinds(DTB, DTBiW), WithTestYears(year),
+			WithThresholds(4), WithEnsembleSize(4), WithSeed(31))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,26 +16,29 @@ import (
 	"paws/internal/stats"
 )
 
-// This file hosts the experiment runners that regenerate every table and
-// figure of the paper's evaluation (see DESIGN.md §4 for the index).
-// Each runner takes explicit scale parameters so the benchmark harness can
-// run reduced instances while cmd/pawstables and cmd/pawsfigs run the full
-// presets.
+// This file hosts the Service methods that regenerate every table and
+// figure of the paper's evaluation: Table1, Table2 (Table II), Fig4, Fig6,
+// Fig7, PlanStudy (Figs. 8 and 9 and the detection gain) and Table3
+// (Table III and Fig. 10). Each reads its scale from the merged options, so
+// the benchmark harness can run reduced instances while cmd/pawstables and
+// cmd/pawsfigs run the full presets.
 
 // ---------------------------------------------------------------- Table I
 
 // Table1Row mirrors one column of Table I.
 type Table1Row = dataset.Stats
 
-// RunTable1 computes dataset statistics for the three parks plus the SWS
-// dry-season view. The three park scenarios generate on up to workers
-// goroutines (par.Workers semantics); rows come back in the fixed park
-// order regardless of which finishes first. ctx is observed between (and
-// inside) the per-park scenario generations.
-func RunTable1(ctx context.Context, seed int64, workers int) ([]Table1Row, error) {
+// Table1 regenerates the Table I dataset statistics for the three parks,
+// at full scale under WithSeed, plus the SWS dry-season view. The three
+// park scenarios generate on up to WithWorkers goroutines (par.Workers
+// semantics); rows come back in the fixed park order regardless of which
+// finishes first. ctx is observed between (and inside) the per-park
+// scenario generations.
+func (s *Service) Table1(ctx context.Context, opts ...Option) ([]Table1Row, error) {
+	st := s.settingsFor(opts)
 	parks := []string{"MFNP", "QENP", "SWS"}
-	perPark, err := par.MapErrCtx(ctx, workers, len(parks), func(i int) ([]Table1Row, error) {
-		parkCfg, simCfg, err := specConfigs(parks[i], seed)
+	perPark, err := par.MapErrCtx(ctx, st.workers, len(parks), func(i int) ([]Table1Row, error) {
+		parkCfg, simCfg, err := specConfigs(parks[i], st.seed)
 		if err != nil {
 			return nil, err
 		}
@@ -69,36 +72,6 @@ type Table2Row struct {
 	AUC      float64
 }
 
-// Table2Options scales the Table II sweep.
-type Table2Options struct {
-	// Kinds lists the model variants to run (default: all six).
-	Kinds []ModelKind
-	// TestYears lists calendar test years (default: the last three years of
-	// the simulated history — the analogue of the paper's three test years).
-	TestYears []int
-	// TrainYears is the training window (paper: 3).
-	TrainYears int
-	// Dry selects the dry-season dataset when available.
-	Dry bool
-	// Train tunes every cell's training. Each cell overrides its Kind and
-	// its Seed (Train.Seed plus an offset from the cell's grid position), so
-	// the table is identical for any worker count. Train.Workers also bounds
-	// the goroutines the (test year × model kind) grid fans out over;
-	// Train's progress observes per-cell sweep completion (WithProgress),
-	// not the cells' weak-learner fits.
-	Train TrainOptions
-}
-
-func (o Table2Options) withDefaults() Table2Options {
-	if len(o.Kinds) == 0 {
-		o.Kinds = []ModelKind{SVB, DTB, GPB, SVBiW, DTBiW, GPBiW}
-	}
-	if o.TrainYears <= 0 {
-		o.TrainYears = 3
-	}
-	return o
-}
-
 // lastYears returns the final n distinct years present in the dataset.
 func lastYears(d *dataset.Dataset, n int) []int {
 	seen := map[int]bool{}
@@ -115,23 +88,38 @@ func lastYears(d *dataset.Dataset, n int) []int {
 	return years
 }
 
-// RunTable2ForScenario evaluates the selected models on one scenario. The
-// (test year × model kind) sweep stops launching new train+evaluate cells
-// once ctx is done, drains cells in flight, and returns the context's
-// error — and each cell's training observes ctx too.
-func RunTable2ForScenario(ctx context.Context, sc *Scenario, name string, opts Table2Options) ([]Table2Row, error) {
-	o := opts.withDefaults()
+// Table2 runs the Table II AUC sweep on one scenario: every selected model
+// kind (WithKinds, or WithKind for one; default all six) trained on each
+// test year's window (WithTrainYears, paper 3) and scored on that year.
+// WithDrySeason selects the dry-season dataset. Each cell trains under the
+// merged training settings with its own seed, WithSeed plus an offset from
+// its grid position, so the table is identical for any worker count;
+// WithWorkers also bounds the goroutines the (test year × model kind) grid
+// fans out over. WithProgress observes per-cell sweep completion, not the
+// cells' weak-learner fits. The sweep stops launching new train+evaluate
+// cells once ctx is done, drains cells in flight, and returns the
+// context's error — and each cell's training observes ctx too.
+func (s *Service) Table2(ctx context.Context, sc *Scenario, name string, opts ...Option) ([]Table2Row, error) {
+	st := s.settingsFor(opts)
+	kinds := st.kinds
+	if len(kinds) == 0 && st.kindSet {
+		kinds = []ModelKind{st.kind}
+	}
+	if len(kinds) == 0 {
+		kinds = []ModelKind{SVB, DTB, GPB, SVBiW, DTBiW, GPBiW}
+	}
 	d := sc.Data
-	if o.Dry {
+	if st.dry {
 		if sc.DryData == nil {
 			return nil, fmt.Errorf("paws: scenario %s has no dry-season dataset", name)
 		}
 		d = sc.DryData
 	}
-	if len(o.TestYears) == 0 {
+	testYears := st.testYears
+	if len(testYears) == 0 {
 		// Default: the last three simulated years, the analogue of the
 		// paper's three test years per park.
-		o.TestYears = lastYears(d, 3)
+		testYears = lastYears(d, 3)
 	}
 	// Stage the (year × kind) grid sequentially — splits are cheap and
 	// shared within a year — then fan the independent train+evaluate cells
@@ -144,22 +132,22 @@ func RunTable2ForScenario(ctx context.Context, sc *Scenario, name string, opts T
 		seed  int64
 	}
 	var cells []cell
-	for yi, year := range o.TestYears {
-		split, err := d.SplitByTestYear(year, o.TrainYears)
+	for yi, year := range testYears {
+		split, err := d.SplitByTestYear(year, st.trainWindow())
 		if err != nil {
 			return nil, err
 		}
 		if len(split.Train) == 0 || len(split.Test) == 0 {
 			return nil, fmt.Errorf("paws: empty split for %s year %d", name, year)
 		}
-		for ki, kind := range o.Kinds {
-			cells = append(cells, cell{split: split, year: year, kind: kind, seed: o.Train.Seed + int64(yi*100+ki)})
+		for ki, kind := range kinds {
+			cells = append(cells, cell{split: split, year: year, kind: kind, seed: st.seed + int64(yi*100+ki)})
 		}
 	}
 	var done atomic.Int64
-	return par.MapErrCtx(ctx, o.Train.Workers, len(cells), func(i int) (Table2Row, error) {
+	return par.MapErrCtx(ctx, st.workers, len(cells), func(i int) (Table2Row, error) {
 		c := cells[i]
-		tr := o.Train
+		tr := st.trainOptions()
 		tr.Kind = c.kind
 		tr.Seed = c.seed
 		tr.progress = nil // the sweep reports per cell, not per weak learner
@@ -167,7 +155,7 @@ func RunTable2ForScenario(ctx context.Context, sc *Scenario, name string, opts T
 		if err != nil {
 			return Table2Row{}, fmt.Errorf("paws: %s %d %v: %w", name, c.year, c.kind, err)
 		}
-		if pf := o.Train.progress; pf != nil {
+		if pf := st.progress; pf != nil {
 			pf(ProgressEvent{
 				Stage:   "cell",
 				Item:    fmt.Sprintf("%s/%d/%v", name, c.year, c.kind),
@@ -214,20 +202,22 @@ type Fig4Series struct {
 	TestRates   []float64
 }
 
-// RunFig4 computes the Fig. 4 curves from a scenario's train/test split.
-// ctx is checked once; the computation is a single pass over the split.
-func RunFig4(ctx context.Context, sc *Scenario, name string, testYear, trainYears int, dry bool) (Fig4Series, error) {
+// Fig4 computes the Fig. 4 positive-rate-vs-effort-percentile curves from
+// a scenario's train/test split (WithTrainYears, WithDrySeason). ctx is
+// checked once; the computation is a single pass over the split.
+func (s *Service) Fig4(ctx context.Context, sc *Scenario, name string, testYear int, opts ...Option) (Fig4Series, error) {
 	if err := ctxErr(ctx); err != nil {
 		return Fig4Series{}, err
 	}
+	st := s.settingsFor(opts)
 	d := sc.Data
-	if dry {
+	if st.dry {
 		if sc.DryData == nil {
 			return Fig4Series{}, fmt.Errorf("paws: no dry dataset for %s", name)
 		}
 		d = sc.DryData
 	}
-	split, err := d.SplitByTestYear(testYear, trainYears)
+	split, err := d.SplitByTestYear(testYear, st.trainWindow())
 	if err != nil {
 		return Fig4Series{}, err
 	}
@@ -255,21 +245,26 @@ type Fig6Maps struct {
 	HistActivity []float64
 }
 
-// RunFig6 trains the given model kind on the scenario's train years and
-// evaluates risk/uncertainty maps at the paper's effort levels, observing
-// ctx through training and between map-sweep chunks.
-func RunFig6(ctx context.Context, sc *Scenario, kind ModelKind, testYear, trainYears int, opts TrainOptions) (*Fig6Maps, error) {
+// Fig6 trains the configured model kind (default GPB-iW) on the scenario's
+// train years and evaluates the Fig. 6 risk/uncertainty maps at the
+// paper's effort levels, observing ctx through training and between
+// map-sweep chunks.
+func (s *Service) Fig6(ctx context.Context, sc *Scenario, testYear int, opts ...Option) (*Fig6Maps, error) {
+	st := s.settingsFor(opts)
+	if !st.kindSet {
+		st.kind = GPBiW
+	}
+	trainYears := st.trainWindow()
 	split, err := sc.Data.SplitByTestYear(testYear, trainYears)
 	if err != nil {
 		return nil, err
 	}
-	opts.Kind = kind
-	m, err := Train(ctx, split.Train, opts)
+	m, err := Train(ctx, split.Train, st.trainOptions())
 	if err != nil {
 		return nil, err
 	}
 	testFrom, _ := sc.Data.StepsForYear(testYear)
-	pm, err := NewPlannerModel(ctx, m, sc.Data, testFrom-1, opts.Workers)
+	pm, err := NewPlannerModel(ctx, m, sc.Data, testFrom-1, st.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -281,8 +276,8 @@ func RunFig6(ctx context.Context, sc *Scenario, kind ModelKind, testYear, trainY
 		}
 		out.Risk = append(out.Risk, risk)
 		out.Uncertainty = append(out.Uncertainty, unc)
-		if opts.progress != nil {
-			opts.progress(ProgressEvent{Stage: "map", Current: k + 1, Total: len(out.EffortLevels)})
+		if st.progress != nil {
+			st.progress(ProgressEvent{Stage: "map", Current: k + 1, Total: len(out.EffortLevels)})
 		}
 	}
 	// Historical context: effort and activity summed over the train years.
@@ -316,18 +311,20 @@ type Fig7Result struct {
 	DTVariances   []float64
 }
 
-// RunFig7 trains one GPB and one DTB weak learner on the scenario's training
-// years and correlates predictions with uncertainty on the test points
-// (paper: r ≈ −0.198 for GPs vs 0.979 for bagged trees). ctx is observed
-// through both probe-model trainings.
-func RunFig7(ctx context.Context, sc *Scenario, testYear, trainYears int, opts TrainOptions) (*Fig7Result, error) {
-	split, err := sc.Data.SplitByTestYear(testYear, trainYears)
+// Fig7 runs the GP-vs-bagged-trees uncertainty correlation study: it trains
+// one GPB and one DTB weak learner on the scenario's training years and
+// correlates predictions with uncertainty on the test points (paper:
+// r ≈ −0.198 for GPs vs 0.979 for bagged trees). ctx is observed through
+// both probe-model trainings.
+func (s *Service) Fig7(ctx context.Context, sc *Scenario, testYear int, opts ...Option) (*Fig7Result, error) {
+	st := s.settingsFor(opts)
+	split, err := sc.Data.SplitByTestYear(testYear, st.trainWindow())
 	if err != nil {
 		return nil, err
 	}
 	// The two probe models are independent; train them concurrently.
-	models, err := par.MapErrCtx(ctx, opts.Workers, 2, func(i int) (*Model, error) {
-		mo := opts
+	models, err := par.MapErrCtx(ctx, st.workers, 2, func(i int) (*Model, error) {
+		mo := st.trainOptions()
 		mo.Kind = []ModelKind{GPB, DTB}[i]
 		return Train(ctx, split.Train, mo)
 	})
@@ -352,104 +349,56 @@ func RunFig7(ctx context.Context, sc *Scenario, testYear, trainYears int, opts T
 
 // --------------------------------------------------------- Fig 8 / Fig 9
 
-// PlanStudyOptions scales the planning experiments.
-type PlanStudyOptions struct {
-	// Posts caps the number of patrol posts (regions) used.
-	Posts int
-	// Radius and MaxCells bound each region.
-	Radius, MaxCells int
-	// T, K, Segments configure the planner.
-	T        int
-	K        float64
-	Segments int
-	// Solver picks the planning strategy (default plan.SolverAuto).
-	Solver plan.SolverKind
-	// Betas for the Fig. 8(a–c) sweep.
-	Betas []float64
-	// SegmentCounts for Fig. 8(d–f) and Fig. 9.
-	SegmentCounts []int
-	// TrainYears / TestYear select the model split.
-	TestYear, TrainYears int
-	// Train tunes the planning model; Train.Workers also bounds the
-	// goroutines used for map generation and the β/segment sweeps (results
-	// are identical for any count).
-	Train TrainOptions
-}
-
-func (o PlanStudyOptions) withDefaults() PlanStudyOptions {
-	if o.Posts <= 0 {
-		o.Posts = 3
-	}
-	if o.Radius <= 0 {
-		// Regions must reach beyond the well-patrolled neighbourhood of the
-		// post, where predictive uncertainty is flat, into poorly-known
-		// territory — that heterogeneity is what robust planning trades on.
-		o.Radius = 5
-	}
-	if o.MaxCells <= 0 {
-		o.MaxCells = 60
-	}
-	if o.T <= 0 {
-		o.T = 12
-	}
-	if o.K <= 0 {
-		o.K = 2
-	}
-	if o.Segments <= 0 {
-		o.Segments = 10
-	}
-	if len(o.Betas) == 0 {
-		o.Betas = []float64{0.8, 0.85, 0.9, 0.95, 1.0}
-	}
-	if len(o.SegmentCounts) == 0 {
-		o.SegmentCounts = []int{5, 10, 15, 20, 25}
-	}
-	if o.TestYear == 0 {
-		o.TestYear = dataset.BaseYear + 5
-	}
-	if o.TrainYears <= 0 {
-		o.TrainYears = 3
-	}
-	return o
-}
-
 // PlanStudy bundles a trained planner model and its per-post regions.
 type PlanStudy struct {
 	Scenario *Scenario
 	Model    *PlannerModel
 	Regions  []*plan.Region
 	Config   plan.Config
-	opts     PlanStudyOptions
+	// betas and segmentCounts are the values the Fig. 8 and Fig. 9 sweeps
+	// run over.
+	betas         []float64
+	segmentCounts []int
 }
 
-// NewPlanStudy trains the planning model (GPB-iW by default) and builds the
-// per-post regions, observing ctx through model training and planner-model
-// calibration.
-func NewPlanStudy(ctx context.Context, sc *Scenario, opts PlanStudyOptions) (*PlanStudy, error) {
-	o := opts.withDefaults()
-	split, err := sc.Data.SplitByTestYear(o.TestYear, o.TrainYears)
+// PlanStudy trains a planning model (WithKind when it is an iWare-E kind,
+// else GPB-iW) on the WithTrainYears window before the first WithTestYears
+// year (default BaseYear+5) and builds the regions of the first WithPosts
+// patrol posts (default 3) for the Fig. 8/9 sweeps. WithRegionShape bounds
+// each region (default radius 5, at most 60 cells), WithPlanHorizon sets
+// the planner (default T 12, K 2, 10 segments), and WithBetas and
+// WithSegmentCounts set the sweeps (default five values each). ctx is
+// observed through model training and planner-model calibration.
+func (s *Service) PlanStudy(ctx context.Context, sc *Scenario, opts ...Option) (*PlanStudy, error) {
+	st := s.settingsFor(opts)
+	testYear := dataset.BaseYear + 5
+	if len(st.testYears) > 0 {
+		testYear = st.testYears[0]
+	}
+	split, err := sc.Data.SplitByTestYear(testYear, st.trainWindow())
 	if err != nil {
 		return nil, err
 	}
-	tr := o.Train
-	if tr.Kind != GPBiW && tr.Kind != DTBiW && tr.Kind != SVBiW {
-		tr.Kind = GPBiW
+	if !st.kind.IsIWare() {
+		st.kind = GPBiW
 	}
-	m, err := Train(ctx, split.Train, tr)
+	m, err := Train(ctx, split.Train, st.trainOptions())
 	if err != nil {
 		return nil, err
 	}
-	testFrom, _ := sc.Data.StepsForYear(o.TestYear)
-	pm, err := NewPlannerModel(ctx, m, sc.Data, testFrom-1, tr.Workers)
+	testFrom, _ := sc.Data.StepsForYear(testYear)
+	pm, err := NewPlannerModel(ctx, m, sc.Data, testFrom-1, st.workers)
 	if err != nil {
 		return nil, err
 	}
+	// Regions must reach beyond the well-patrolled neighbourhood of the post,
+	// where predictive uncertainty is flat, into poorly-known territory —
+	// that heterogeneity is what robust planning trades on.
+	radius, maxCells := positiveOr(st.radius, 5), positiveOr(st.maxCells, 60)
+	posts := sc.Park.Posts[:min(len(sc.Park.Posts), positiveOr(st.posts, 3))]
 	var regions []*plan.Region
-	for i, post := range sc.Park.Posts {
-		if i >= o.Posts {
-			break
-		}
-		r, err := plan.NewRegion(sc.Park, post, o.Radius, o.MaxCells)
+	for _, post := range posts {
+		r, err := plan.NewRegion(sc.Park, post, radius, maxCells)
 		if err != nil {
 			return nil, err
 		}
@@ -458,25 +407,38 @@ func NewPlanStudy(ctx context.Context, sc *Scenario, opts PlanStudyOptions) (*Pl
 	if len(regions) == 0 {
 		return nil, fmt.Errorf("paws: scenario has no patrol posts")
 	}
-	return &PlanStudy{
+	ps := &PlanStudy{
 		Scenario: sc,
 		Model:    pm,
 		Regions:  regions,
-		Config:   plan.Config{T: o.T, K: o.K, Segments: o.Segments, Solver: o.Solver, Workers: tr.Workers},
-		opts:     o,
-	}, nil
+		Config: plan.Config{
+			T:        positiveOr(st.horizonT, 12),
+			K:        positiveOr(st.horizonK, 2),
+			Segments: positiveOr(st.segments, 10),
+			Workers:  st.workers,
+		},
+		betas:         st.betas,
+		segmentCounts: st.segmentCounts,
+	}
+	if len(ps.betas) == 0 {
+		ps.betas = []float64{0.8, 0.85, 0.9, 0.95, 1.0}
+	}
+	if len(ps.segmentCounts) == 0 {
+		ps.segmentCounts = []int{5, 10, 15, 20, 25}
+	}
+	return ps, nil
 }
 
 // RunFig8Beta computes the Fig. 8(a–c) ratio-vs-β series, observing ctx
 // between solves.
 func (ps *PlanStudy) RunFig8Beta(ctx context.Context) ([]game.RatioPoint, error) {
-	return game.BetaSweep(ctx, ps.Regions, ps.Model, ps.Config, ps.opts.Betas)
+	return game.BetaSweep(ctx, ps.Regions, ps.Model, ps.Config, ps.betas)
 }
 
 // RunFig8Segments computes the Fig. 8(d–f) ratio-vs-segments series at β=1,
 // observing ctx between solves.
 func (ps *PlanStudy) RunFig8Segments(ctx context.Context) ([]game.RatioPoint, error) {
-	return game.SegmentRatioSweep(ctx, ps.Regions, ps.Model, ps.Config, 1.0, ps.opts.SegmentCounts)
+	return game.SegmentRatioSweep(ctx, ps.Regions, ps.Model, ps.Config, 1.0, ps.segmentCounts)
 }
 
 // RunFig9 computes the runtime and utility-convergence series of Fig. 9,
@@ -492,7 +454,7 @@ func (ps *PlanStudy) RunFig9(ctx context.Context) ([]game.SegmentPoint, error) {
 	cfg := ps.Config
 	cfg.T = 6
 	cfg.Solver = plan.SolverMILP
-	return game.SegmentSweep(ctx, region, ps.Model, cfg, ps.opts.SegmentCounts)
+	return game.SegmentSweep(ctx, region, ps.Model, cfg, ps.segmentCounts)
 }
 
 // RunDetectionGain simulates robust (β=1) vs blind (β=0) plans against the
@@ -541,57 +503,39 @@ type Table3Trial struct {
 	Result *field.Result
 }
 
-// Table3Options configures the field-test reproduction.
-type Table3Options struct {
-	// MFNP/SWS protocols mirror Section VII: 2×2 blocks in MFNP, 3×3 in SWS,
-	// 50th-percentile history filter, hidden risk groups.
-	PerGroup   int
-	TrainYears int
-	// EffortPerCellMonth is the ranger effort intensity during the trial
-	// (default 2.5 km; the SWS trials deployed 72 rangers on 15 blocks, a
-	// much higher intensity).
-	EffortPerCellMonth float64
-	// Train tunes the trial model; Train.Workers also bounds the goroutines
-	// used for risk-map generation (results are identical for any count).
-	Train TrainOptions
-	Seed  int64
-}
-
-// RunTable3ForScenario runs two trials on one scenario (matching the two
-// MFNP trials and two SWS trials of Table III), observing ctx through
-// training, risk-map generation and between trials.
-func RunTable3ForScenario(ctx context.Context, sc *Scenario, name string, blockSize int, trialMonths []int, opts Table3Options) ([]Table3Trial, error) {
-	if opts.PerGroup <= 0 {
-		opts.PerGroup = 5
-	}
-	if opts.TrainYears <= 0 {
-		opts.TrainYears = 3
-	}
-	if opts.EffortPerCellMonth <= 0 {
-		opts.EffortPerCellMonth = 2.5
-	}
+// Table3 reproduces the Table III field-test trials on one scenario: one
+// trial per entry of trialMonths (matching the two MFNP and two SWS trials
+// of Table III), on blockSize×blockSize blocks (2×2 in MFNP, 3×3 in SWS),
+// with a 50th-percentile history filter and hidden risk groups as in
+// Section VII. WithFieldProtocol sets the blocks picked per risk group
+// (default 5) and the ranger effort intensity in km per cell-month
+// (default 2.5; the SWS trials deployed 72 rangers on 15 blocks, a much
+// higher intensity). WithSeed seeds both the trial model and the trials.
+// ctx is observed through training, risk-map generation and between
+// trials.
+func (s *Service) Table3(ctx context.Context, sc *Scenario, name string, blockSize int, trialMonths []int, opts ...Option) ([]Table3Trial, error) {
+	st := s.settingsFor(opts)
 	d := sc.Data
 	// Train on everything before the final simulated year; the trial months
 	// run during it.
 	testYear := d.Steps[len(d.Steps)-1].Year
-	split, err := d.SplitByTestYear(testYear, opts.TrainYears)
+	split, err := d.SplitByTestYear(testYear, st.trainWindow())
 	if err != nil {
 		return nil, err
 	}
-	tr := opts.Train
-	if tr.Kind != DTBiW && tr.Kind != GPBiW && tr.Kind != SVBiW {
+	if !st.kind.IsIWare() {
 		// Paper: DTB-iW scores for the MFNP field test, GPB-iW for SWS.
-		tr.Kind = DTBiW
+		st.kind = DTBiW
 		if sc.Park.Config.Seasonal {
-			tr.Kind = GPBiW
+			st.kind = GPBiW
 		}
 	}
-	m, err := Train(ctx, split.Train, tr)
+	m, err := Train(ctx, split.Train, st.trainOptions())
 	if err != nil {
 		return nil, err
 	}
 	testFrom, _ := d.StepsForYear(testYear)
-	pm, err := NewPlannerModel(ctx, m, d, testFrom-1, tr.Workers)
+	pm, err := NewPlannerModel(ctx, m, d, testFrom-1, st.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -615,13 +559,13 @@ func RunTable3ForScenario(ctx context.Context, sc *Scenario, name string, blockS
 		}
 		proto := field.Protocol{
 			BlockSize:            blockSize,
-			PerGroup:             opts.PerGroup,
+			PerGroup:             positiveOr(st.perGroup, 5),
 			HistoryPercentileCap: 50,
 			Months:               months,
 			StartMonth:           startMonth,
-			EffortPerCellMonth:   opts.EffortPerCellMonth,
+			EffortPerCellMonth:   positiveOr(st.effortPerCellMonth, 2.5),
 			IntuitionBias:        0.4,
-			Seed:                 opts.Seed + int64(i*977),
+			Seed:                 st.seed + int64(i*977),
 		}
 		res, err := field.Run(sc.Park, sc.History.Truth, risk, history, proto)
 		if err != nil {
@@ -632,8 +576,8 @@ func RunTable3ForScenario(ctx context.Context, sc *Scenario, name string, blockS
 			Park:   name,
 			Result: res,
 		})
-		if opts.Train.progress != nil {
-			opts.Train.progress(ProgressEvent{Stage: "trial", Item: name, Current: i + 1, Total: len(trialMonths)})
+		if st.progress != nil {
+			st.progress(ProgressEvent{Stage: "trial", Item: name, Current: i + 1, Total: len(trialMonths)})
 		}
 		startMonth += months
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"paws/internal/env"
+	"paws/internal/geo"
 )
 
 // fakeRunner builds a deterministic synthetic report per cell: policy p's
@@ -84,6 +86,43 @@ func TestExpandParks(t *testing.T) {
 			t.Errorf("ExpandParks(%v) accepted", bad)
 		}
 	}
+}
+
+// FuzzParkSpec feeds a park spec through ExpandParks and each spec it
+// returns through geo.ParseSpec. Neither may panic. Every spec a range
+// expands to must parse with geo.ParseRandSpec (other specs pass through
+// untouched and ParseSpec judges them), and an accepted
+// rand:<seed>@<cells> spec must size its park to exactly <cells> cells.
+func FuzzParkSpec(f *testing.F) {
+	for _, spec := range []string{
+		"MFNP", "rand:42", "rand:7@1e4", "rand:3-5", "rand:7..8", "rand:-5",
+		"rand:9223372036854775807-9223372036854775807",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		parks, err := ExpandParks([]string{spec})
+		if err != nil {
+			return
+		}
+		for _, p := range parks {
+			if p != spec {
+				if _, ok, err := geo.ParseRandSpec(p); !ok || err != nil {
+					t.Fatalf("ExpandParks(%q) produced %q, which does not parse: ok=%v err=%v", spec, p, ok, err)
+				}
+			}
+			cfg, err := geo.ParseSpec(p, 1)
+			if err != nil || !geo.IsRandSpec(p) {
+				continue
+			}
+			if _, cells, sized := strings.Cut(p, "@"); sized {
+				want, _ := strconv.ParseFloat(cells, 64)
+				if cfg.TargetCells != int(want) {
+					t.Fatalf("ParseSpec(%q).TargetCells = %d, want %v", p, cfg.TargetCells, want)
+				}
+			}
+		}
+	})
 }
 
 // TestConfigValidation: every malformed grid is rejected with an error (the

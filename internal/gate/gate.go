@@ -101,13 +101,6 @@ type backend struct {
 	proxied atomic.Int64
 }
 
-// load is the backend's current least-loaded score.
-func (b *backend) load() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return int64(b.queued+b.running) + b.submits.Load()
-}
-
 func (b *backend) isHealthy() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -2,6 +2,7 @@ package gate
 
 import (
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -37,7 +38,7 @@ func newGateMetrics(g *Gate) *gateMetrics {
 			"Gate-side request latency in seconds by endpoint (includes the proxied backend time).",
 			nil, "endpoint"),
 		routeTotal: r.CounterVec("pawsgate_route_total",
-			"Routing decisions by strategy: affinity (cache-key rendezvous), round_robin, least_loaded (job submission), owner (job detail), fanout (job list merge).",
+			"Routing decisions by strategy: affinity (cache-key rendezvous), round_robin, least_loaded (job and simulate submission, env session creation), owner (job and env session detail), fanout (job list merge).",
 			"strategy"),
 		replicaPicks: r.CounterVec("pawsgate_replica_picks_total",
 			"Outbound proxy requests by chosen replica (retries count each attempt).",
@@ -76,25 +77,34 @@ func (g *Gate) markDown(b *backend) {
 	}
 }
 
-// gateEndpoint classifies a path into a bounded label set (concrete
-// job IDs collapse into {id} patterns).
+// gateEndpoint classifies a path into a bounded label set: the replica
+// mux's patterns, with concrete job and env session IDs collapsed into
+// {id}. Anything else is "other".
 func gateEndpoint(path string) string {
 	switch path {
 	case "/gatez", "/healthz", "/statusz", "/metricsz", "/tracez",
-		"/v1/models", "/v1/predict", "/v1/riskmap", "/v1/plan", "/v1/simulate", "/v1/jobs":
+		"/v1/models", "/v1/predict", "/v1/riskmap", "/v1/plan", "/v1/simulate", "/v1/jobs", "/v1/envs":
 		return path
 	}
-	if rest, ok := strings.CutPrefix(path, "/v1/jobs/"); ok {
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			switch rest[i:] {
-			case "/events":
-				return "/v1/jobs/{id}/events"
-			case "/result":
-				return "/v1/jobs/{id}/result"
-			}
-			return "other"
+	for _, c := range []struct {
+		collection string
+		subs       []string // sub-resources under {id}
+	}{
+		{"/v1/jobs", []string{"events", "result"}},
+		{"/v1/envs", []string{"step"}},
+	} {
+		rest, ok := strings.CutPrefix(path, c.collection+"/")
+		if !ok {
+			continue
 		}
-		return "/v1/jobs/{id}"
+		_, sub, nested := strings.Cut(rest, "/")
+		switch {
+		case !nested:
+			return c.collection + "/{id}"
+		case slices.Contains(c.subs, sub):
+			return c.collection + "/{id}/" + sub
+		}
+		return "other"
 	}
 	return "other"
 }

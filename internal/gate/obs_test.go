@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -207,5 +208,63 @@ func TestGateMetricsAndErrorEnvelope(t *testing.T) {
 	rec = roundTrip(t, g, http.MethodGet, "/metricsz", nil)
 	if !strings.Contains(rec.Body.String(), "pawsgate_health_evictions_total 1") {
 		t.Fatal("health eviction not counted after backend death")
+	}
+}
+
+// TestGateEndpointLabels checks that env session traffic is labelled with
+// the replica mux's patterns, in the request metrics and in the gate's
+// trace ops, rather than counted as "other".
+func TestGateEndpointLabels(t *testing.T) {
+	for _, tc := range []struct{ path, want string }{
+		{"/v1/envs", "/v1/envs"},
+		{"/v1/envs/e-a-000001", "/v1/envs/{id}"},
+		{"/v1/envs/e-a-000001/step", "/v1/envs/{id}/step"},
+		{"/v1/envs/e-a-000001/bogus", "other"},
+		{"/v1/jobs/j-000001", "/v1/jobs/{id}"},
+		{"/v1/jobs/j-000001/events", "/v1/jobs/{id}/events"},
+		{"/v1/jobs/j-000001/result", "/v1/jobs/{id}/result"},
+		{"/v1/jobs/j-000001/step", "other"},
+		{"/v1/nope", "other"},
+	} {
+		if got := gateEndpoint(tc.path); got != tc.want {
+			t.Errorf("gateEndpoint(%q) = %q, want %q", tc.path, got, tc.want)
+		}
+	}
+
+	a := newStatStub(t, "a", 0, 1, 0.1)
+	g := statGate(t, a)
+	for _, req := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/envs"},
+		{http.MethodPost, "/v1/envs/e-a-000001/step"},
+		{http.MethodGet, "/v1/envs/e-a-000001"},
+		{http.MethodDelete, "/v1/envs/e-a-000001"},
+	} {
+		if rec := roundTrip(t, g, req.method, req.path, map[string]any{}); rec.Code != http.StatusOK {
+			t.Fatalf("%s %s via gate: status %d", req.method, req.path, rec.Code)
+		}
+	}
+	text := roundTrip(t, g, http.MethodGet, "/metricsz", nil).Body.String()
+	for _, want := range []string{
+		`pawsgate_http_requests_total{endpoint="/v1/envs",method="POST",code="200"} 1`,
+		`pawsgate_http_requests_total{endpoint="/v1/envs/{id}/step",method="POST",code="200"} 1`,
+		`pawsgate_http_requests_total{endpoint="/v1/envs/{id}",method="GET",code="200"} 1`,
+		`pawsgate_http_requests_total{endpoint="/v1/envs/{id}",method="DELETE",code="200"} 1`,
+		`pawsgate_http_request_seconds_count{endpoint="/v1/envs/{id}"} 2`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("gate metricsz missing %q:\n%s", want, text)
+		}
+	}
+	if strings.Contains(text, `endpoint="other"`) {
+		t.Errorf("env traffic counted as other:\n%s", text)
+	}
+	var ops []string
+	for _, tr := range g.tracer.Recent() {
+		ops = append(ops, tr.Op)
+	}
+	slices.Sort(ops)
+	want := []string{"DELETE /v1/envs/{id}", "GET /v1/envs/{id}", "POST /v1/envs", "POST /v1/envs/{id}/step"}
+	if !slices.Equal(ops, want) {
+		t.Errorf("trace ops %q, want %q", ops, want)
 	}
 }

@@ -5,8 +5,9 @@
 //
 // The real PAWS system consumes GIS shapefiles and GeoTIFF rasters supplied
 // by conservation NGOs; those data are proprietary. This package generates
-// parks with the same statistical structure (documented in DESIGN.md) so the
-// rest of the pipeline runs unchanged.
+// parks with the same statistical structure, with cell and feature counts
+// calibrated to the paper's Table I (presets.go), so the rest of the
+// pipeline runs unchanged.
 package geo
 
 import (

@@ -16,7 +16,8 @@
 //	U_v(c) = g_v(c) − β·g_v(c)·ν_v(c)
 //
 // at PWL breakpoints (both factors depend on the same scalar c, so the
-// product is still univariate — see DESIGN.md) and maximizes Σ_v U_v(c_v)
+// product is still a function of c alone and one PWL curve per cell
+// represents it) and maximizes Σ_v U_v(c_v)
 // subject to the flow polytope, as a MILP when any sampled U_v is
 // non-concave.
 //
@@ -211,7 +212,8 @@ func Solve(region *Region, model CellModel, cfg Config) (*Plan, error) {
 
 	// Sample the robust utility U_v(c) = g_v(c)·(1 − β·ν_v(c)) at the PWL
 	// breakpoints — both factors depend on the same scalar c, so the product
-	// is univariate (DESIGN.md). The whole region is sampled in one query.
+	// is a function of c alone and one PWL curve per cell represents it. The
+	// whole region is sampled in one query.
 	bp := cfg.Segments + 1
 	cells := make([]int, n*bp)
 	efforts := make([]float64, n*bp)

@@ -1,6 +1,8 @@
 // Package poach implements the ground-truth wildlife-crime process that
-// substitutes for the proprietary SMART patrol data used in the paper
-// (see DESIGN.md, substitution table).
+// substitutes for the proprietary SMART patrol data used in the paper: that
+// data is not public, so the reproduction simulates a patrol history with
+// the structure the pipeline relies on — imperfect detection that grows
+// with patrol effort, and attackers deterred by past coverage.
 //
 // The generative model has three parts, mirroring Section III of the paper:
 //

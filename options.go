@@ -1,7 +1,5 @@
 package paws
 
-import "paws/internal/plan"
-
 // Option is a functional configuration knob shared by the Service façade:
 // the same WithX values tune training (Service.Train), planning
 // (Service.PlanStudy, Service.Plan) and the experiment runners
@@ -10,14 +8,16 @@ import "paws/internal/plan"
 // (workers, seed, ensemble shape) and reused across every entry point.
 //
 // Precedence: per-call options override Service-level defaults, which
-// override the zero-value paper-flavoured defaults of the underlying option
-// structs (TrainOptions.withDefaults et al.).
+// override the paper-flavoured defaults of the method that reads them
+// (TrainOptions.withDefaults for training, each experiment method for its
+// own knobs).
 type Option func(*settings)
 
-// settings is the merged state behind the functional options. Fields mirror
-// the option structs (TrainOptions, Table2Options, PlanStudyOptions,
-// Table3Options); the *Set flags distinguish "not specified" from genuine
-// zero values where zero is meaningful.
+// settings is the merged state behind the functional options. The training
+// fields lower to TrainOptions (trainOptions); every other field is read
+// directly by the methods it tunes, zero or negative meaning "use the
+// method's default". The *Set flags distinguish "not specified" from
+// genuine zero values where zero is meaningful.
 type settings struct {
 	workers int
 
@@ -56,7 +56,6 @@ type settings struct {
 	horizonT      int
 	horizonK      float64
 	segments      int
-	solver        plan.SolverKind
 	hierarchical  bool
 	hierSet       bool
 
@@ -73,6 +72,19 @@ func (s settings) apply(opts []Option) settings {
 		}
 	}
 	return s
+}
+
+// trainWindow returns the training window in years: WithTrainYears, or the
+// paper's 3.
+func (s settings) trainWindow() int { return positiveOr(s.trainYears, 3) }
+
+// positiveOr returns v when it is positive and def otherwise: a zero or
+// negative numeric option selects the reading method's default.
+func positiveOr[T int | float64](v, def T) T {
+	if v > 0 {
+		return v
+	}
+	return def
 }
 
 // WithWorkers bounds the goroutines used by training, batch prediction, map
@@ -186,11 +198,6 @@ func WithPlanHorizon(t int, k float64, segments int) Option {
 	return func(s *settings) { s.horizonT = t; s.horizonK = k; s.segments = segments }
 }
 
-// WithSolver pins the planning strategy (default plan.SolverAuto).
-func WithSolver(kind plan.SolverKind) Option {
-	return func(s *settings) { s.solver = kind }
-}
-
 // WithHierarchical forces hierarchical planning on or off for Service.Plan:
 // a coarse Frank-Wolfe pass over aggregated super-cells targets the post's
 // refined region before the standard per-post solve (see plan.SolveHierarchical).
@@ -226,53 +233,5 @@ func (s settings) trainOptions() TrainOptions {
 		Seed:                   s.seed,
 		Workers:                s.workers,
 		progress:               s.progress,
-	}
-}
-
-// table2Options lowers the merged settings to Table2Options.
-func (s settings) table2Options() Table2Options {
-	kinds := s.kinds
-	if len(kinds) == 0 && s.kindSet {
-		kinds = []ModelKind{s.kind}
-	}
-	return Table2Options{
-		Kinds:      kinds,
-		TestYears:  s.testYears,
-		TrainYears: s.trainYears,
-		Dry:        s.dry,
-		Train:      s.trainOptions(),
-	}
-}
-
-// planStudyOptions lowers the merged settings to PlanStudyOptions.
-func (s settings) planStudyOptions() PlanStudyOptions {
-	testYear := 0
-	if len(s.testYears) > 0 {
-		testYear = s.testYears[0]
-	}
-	return PlanStudyOptions{
-		TestYear:      testYear,
-		Posts:         s.posts,
-		Radius:        s.radius,
-		MaxCells:      s.maxCells,
-		T:             s.horizonT,
-		K:             s.horizonK,
-		Segments:      s.segments,
-		Solver:        s.solver,
-		Betas:         s.betas,
-		SegmentCounts: s.segmentCounts,
-		TrainYears:    s.trainYears,
-		Train:         s.trainOptions(),
-	}
-}
-
-// table3Options lowers the merged settings to Table3Options.
-func (s settings) table3Options() Table3Options {
-	return Table3Options{
-		PerGroup:           s.perGroup,
-		TrainYears:         s.trainYears,
-		EffortPerCellMonth: s.effortPerCellMonth,
-		Train:              s.trainOptions(),
-		Seed:               s.seed,
 	}
 }

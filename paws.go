@@ -19,10 +19,12 @@
 //
 // Configuration is functional options (WithWorkers, WithKind,
 // WithEnsembleSize, WithThresholds, WithCVFolds, …) shared by training,
-// planning and the experiment runners; per-call options override the
-// Service defaults. Under the Service, each compute step (Train,
-// NewPlannerModel, RunTable*/RunFig*, NewPlanStudy) is a context-taking
-// function over its options struct.
+// planning and the experiments; per-call options override the Service
+// defaults. Every table and figure of the paper's evaluation is one Service
+// method (Table1, Table2, Table3, Fig4, Fig6, Fig7, PlanStudy) that reads
+// the merged options directly. Below the Service, Train,
+// TrainWithThresholds and NewPlannerModel are context-taking functions over
+// TrainOptions and a worker count.
 //
 // # Model persistence and serving
 //
@@ -62,11 +64,12 @@
 // # Determinism
 //
 // Every entry point takes an explicit seed and is deterministic — including
-// under parallel execution and concurrent serving: WithWorkers (and the
-// Workers fields on the option structs) bound a worker pool
-// (internal/par) whose output is byte-identical for any worker count.
-// Workers = 1 forces sequential execution; 0 or negative sizes the pool to
-// runtime.GOMAXPROCS(0), so -cpu / GOMAXPROCS scale the whole pipeline.
+// under parallel execution and concurrent serving: WithWorkers (below the
+// Service, TrainOptions.Workers and NewPlannerModel's workers argument)
+// bounds a worker pool (internal/par) whose output is byte-identical for
+// any worker count. A count of 1 forces sequential execution; 0 or negative
+// sizes the pool to runtime.GOMAXPROCS(0), so -cpu / GOMAXPROCS set the
+// pool size of the whole pipeline.
 package paws
 
 import (

@@ -52,6 +52,12 @@ func quickTrainOpts(kind ModelKind, seed int64) TrainOptions {
 	}
 }
 
+// quickOpts is quickTrainOpts as Service options.
+func quickOpts(kind ModelKind, seed int64) []Option {
+	return []Option{WithKind(kind), WithThresholds(4), WithEnsembleSize(4),
+		WithGPMaxTrain(60), WithTreeDepth(6), WithSeed(seed)}
+}
+
 // maps evaluates a planner model's risk and uncertainty maps at one effort,
 // failing the test on error.
 func maps(t testing.TB, pm *PlannerModel, effort float64) (risk, uncertainty []float64) {
@@ -200,7 +206,8 @@ func TestNominalEffort(t *testing.T) {
 
 func TestRunFig4(t *testing.T) {
 	sc := smallScenario(t, 31, false)
-	s, err := RunFig4(context.Background(), sc, "SMALL", dataset.BaseYear+4, 3, false)
+	svc := NewService()
+	s, err := svc.Fig4(context.Background(), sc, "SMALL", dataset.BaseYear+4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,18 +220,16 @@ func TestRunFig4(t *testing.T) {
 	if s.TrainRates[5] <= s.TrainRates[0] {
 		t.Fatalf("train positive rate should rise with percentile: %v", s.TrainRates)
 	}
-	if _, err := RunFig4(context.Background(), sc, "SMALL", dataset.BaseYear+4, 3, true); err == nil {
+	if _, err := svc.Fig4(context.Background(), sc, "SMALL", dataset.BaseYear+4, WithDrySeason(true)); err == nil {
 		t.Fatal("expected dry-data error on non-seasonal scenario")
 	}
 }
 
 func TestRunTable2SmallSweep(t *testing.T) {
 	sc := smallScenario(t, 37, false)
-	rows, err := RunTable2ForScenario(context.Background(), sc, "SMALL", Table2Options{
-		Kinds:     []ModelKind{DTB, DTBiW},
-		TestYears: []int{dataset.BaseYear + 4},
-		Train:     TrainOptions{Members: 4, Thresholds: 4, Seed: 41},
-	})
+	rows, err := NewService().Table2(context.Background(), sc, "SMALL",
+		WithKinds(DTB, DTBiW), WithTestYears(dataset.BaseYear+4),
+		WithEnsembleSize(4), WithThresholds(4), WithSeed(41))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +248,7 @@ func TestRunTable2SmallSweep(t *testing.T) {
 
 func TestRunFig7Correlations(t *testing.T) {
 	sc := smallScenario(t, 43, false)
-	res, err := RunFig7(context.Background(), sc, dataset.BaseYear+4, 3, quickTrainOpts(GPB, 47))
+	res, err := NewService().Fig7(context.Background(), sc, dataset.BaseYear+4, quickOpts(GPB, 47)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,18 +268,14 @@ func TestRunFig7Correlations(t *testing.T) {
 
 func TestPlanStudyEndToEnd(t *testing.T) {
 	sc := smallScenario(t, 53, false)
-	ps, err := NewPlanStudy(context.Background(), sc, PlanStudyOptions{
-		Posts:         2,
-		Radius:        2,
-		MaxCells:      16,
-		T:             4,
-		K:             2,
-		Segments:      4,
-		Betas:         []float64{1.0},
-		SegmentCounts: []int{3, 6},
-		TestYear:      dataset.BaseYear + 4,
-		Train:         quickTrainOpts(GPBiW, 59),
-	})
+	ps, err := NewService().PlanStudy(context.Background(), sc, append(quickOpts(GPBiW, 59),
+		WithPosts(2),
+		WithRegionShape(2, 16),
+		WithPlanHorizon(4, 2, 4),
+		WithBetas(1.0),
+		WithSegmentCounts(3, 6),
+		WithTestYears(dataset.BaseYear+4),
+	)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,11 +306,8 @@ func TestPlanStudyEndToEnd(t *testing.T) {
 
 func TestRunTable3SmallTrial(t *testing.T) {
 	sc := smallScenario(t, 67, false)
-	trials, err := RunTable3ForScenario(context.Background(), sc, "SMALL", 2, []int{2, 2}, Table3Options{
-		PerGroup: 4,
-		Train:    quickTrainOpts(DTBiW, 71),
-		Seed:     73,
-	})
+	trials, err := NewService().Table3(context.Background(), sc, "SMALL", 2, []int{2, 2},
+		append(quickOpts(DTBiW, 71), WithFieldProtocol(4, 2.5))...)
 	if err != nil {
 		t.Fatal(err)
 	}

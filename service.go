@@ -159,71 +159,6 @@ func (s *Service) Train(ctx context.Context, train []dataset.Point, opts ...Opti
 	return Train(ctx, train, s.settingsFor(opts).trainOptions())
 }
 
-// PlannerModel adapts a trained model for planning and map generation,
-// freezing features as of dataset step prevStep.
-func (s *Service) PlannerModel(ctx context.Context, m *Model, d *dataset.Dataset, prevStep int, opts ...Option) (*PlannerModel, error) {
-	return NewPlannerModel(ctx, m, d, prevStep, s.settingsFor(opts).workers)
-}
-
-// Table1 regenerates the Table I dataset statistics.
-func (s *Service) Table1(ctx context.Context, opts ...Option) ([]Table1Row, error) {
-	st := s.settingsFor(opts)
-	return RunTable1(ctx, st.seed, st.workers)
-}
-
-// Table2 runs the Table II AUC sweep on one scenario. WithKind or WithKinds
-// restricts the model variants.
-func (s *Service) Table2(ctx context.Context, sc *Scenario, name string, opts ...Option) ([]Table2Row, error) {
-	return RunTable2ForScenario(ctx, sc, name, s.settingsFor(opts).table2Options())
-}
-
-// Fig4 computes the positive-rate-vs-effort-percentile curves.
-func (s *Service) Fig4(ctx context.Context, sc *Scenario, name string, testYear int, opts ...Option) (Fig4Series, error) {
-	st := s.settingsFor(opts)
-	trainYears := st.trainYears
-	if trainYears <= 0 {
-		trainYears = 3
-	}
-	return RunFig4(ctx, sc, name, testYear, trainYears, st.dry)
-}
-
-// Fig6 trains the configured model kind (default GPB-iW) and evaluates the
-// Fig. 6 risk/uncertainty maps.
-func (s *Service) Fig6(ctx context.Context, sc *Scenario, testYear int, opts ...Option) (*Fig6Maps, error) {
-	st := s.settingsFor(opts)
-	kind := st.kind
-	if !st.kindSet {
-		kind = GPBiW
-	}
-	trainYears := st.trainYears
-	if trainYears <= 0 {
-		trainYears = 3
-	}
-	return RunFig6(ctx, sc, kind, testYear, trainYears, st.trainOptions())
-}
-
-// Fig7 runs the GP-vs-bagged-trees uncertainty correlation study.
-func (s *Service) Fig7(ctx context.Context, sc *Scenario, testYear int, opts ...Option) (*Fig7Result, error) {
-	st := s.settingsFor(opts)
-	trainYears := st.trainYears
-	if trainYears <= 0 {
-		trainYears = 3
-	}
-	return RunFig7(ctx, sc, testYear, trainYears, st.trainOptions())
-}
-
-// PlanStudy trains a planning model and builds per-post regions for the
-// Fig. 8/9 sweeps (WithPosts, WithRegionShape, WithPlanHorizon, WithBetas,
-// WithSegmentCounts).
-func (s *Service) PlanStudy(ctx context.Context, sc *Scenario, opts ...Option) (*PlanStudy, error) {
-	return NewPlanStudy(ctx, sc, s.settingsFor(opts).planStudyOptions())
-}
-
-// Table3 reproduces the Table III field-test trials on one scenario.
-func (s *Service) Table3(ctx context.Context, sc *Scenario, name string, blockSize int, trialMonths []int, opts ...Option) ([]Table3Trial, error) {
-	return RunTable3ForScenario(ctx, sc, name, blockSize, trialMonths, s.settingsFor(opts).table3Options())
-}
-
 // ------------------------------------------------------------ registry API
 
 // AddModel registers a trained model under a name, freezing its serving
@@ -409,11 +344,10 @@ const HierAutoCells = 20_000
 
 // Plan computes a robust patrol plan for one patrol post of a registered
 // model (post indexes the park's post list). Region shape and planning
-// horizon come from the merged options (WithRegionShape, WithPlanHorizon,
-// WithSolver); beta is the robustness weight. The context is observed
-// before and after the solve (the LP/MILP solve itself is not
-// interruptible); keep regions bounded via WithRegionShape for
-// latency-sensitive serving.
+// horizon come from the merged options (WithRegionShape, WithPlanHorizon);
+// beta is the robustness weight. The context is observed before and after
+// the solve (the LP/MILP solve itself is not interruptible); keep regions
+// bounded via WithRegionShape for latency-sensitive serving.
 //
 // On parks of HierAutoCells cells or more (or when WithHierarchical(true) is
 // set), the region is targeted hierarchically: a coarse Frank-Wolfe pass over
@@ -431,27 +365,17 @@ func (s *Service) Plan(ctx context.Context, name string, post int, beta float64,
 		return nil, fmt.Errorf("paws: beta %v out of range [0, 1]", beta)
 	}
 	st := s.settingsFor(opts)
-	radius, maxCells := st.radius, st.maxCells
-	if radius <= 0 {
-		radius = 4
-	}
-	if maxCells <= 0 {
-		maxCells = 40
-	}
-	t, k, segments := st.horizonT, st.horizonK, st.segments
-	if t <= 0 {
-		t = 8
-	}
-	if k <= 0 {
-		k = 2
-	}
-	if segments <= 0 {
-		segments = 8
-	}
+	radius, maxCells := positiveOr(st.radius, 4), positiveOr(st.maxCells, 40)
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	cfg := plan.Config{T: t, K: k, Segments: segments, Beta: beta, Solver: st.solver, Workers: st.workers}
+	cfg := plan.Config{
+		T:        positiveOr(st.horizonT, 8),
+		K:        positiveOr(st.horizonK, 2),
+		Segments: positiveOr(st.segments, 8),
+		Beta:     beta,
+		Workers:  st.workers,
+	}
 	useHier := st.hierarchical
 	if !st.hierSet {
 		useHier = sm.park.Grid.NumCells() >= HierAutoCells

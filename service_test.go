@@ -3,9 +3,14 @@ package paws
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"paws/internal/plan"
 )
 
 // serviceFixture trains a quick model and registers it on a fresh Service.
@@ -116,14 +121,14 @@ func TestEntryPointsHonourCanceledContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := NewPlanStudy(live, sc, PlanStudyOptions{
-		Posts: 1, Radius: 2, MaxCells: 8, T: 4, K: 1, Segments: 3,
-		SegmentCounts: []int{3}, TestYear: year, Train: opts,
-	})
+	svc := NewService(WithScale(ScaleSmall))
+	quick := quickOpts(DTBiW, 89)
+	ps, err := svc.PlanStudy(live, sc, append(quick,
+		WithPosts(1), WithRegionShape(2, 8), WithPlanHorizon(4, 1, 3),
+		WithSegmentCounts(3), WithTestYears(year))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := NewService(WithScale(ScaleSmall))
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, tc := range []struct {
@@ -151,27 +156,27 @@ func TestEntryPointsHonourCanceledContext(t *testing.T) {
 			return err
 		}},
 		{"RunTable1", func(ctx context.Context) error {
-			_, err := RunTable1(ctx, 1, 0)
+			_, err := svc.Table1(ctx, WithSeed(1))
 			return err
 		}},
 		{"RunTable2ForScenario", func(ctx context.Context) error {
-			_, err := RunTable2ForScenario(ctx, sc, "SMALL", Table2Options{TestYears: []int{year}, Train: opts})
+			_, err := svc.Table2(ctx, sc, "SMALL", append(quick, WithTestYears(year))...)
 			return err
 		}},
 		{"RunFig4", func(ctx context.Context) error {
-			_, err := RunFig4(ctx, sc, "SMALL", year, 3, false)
+			_, err := svc.Fig4(ctx, sc, "SMALL", year)
 			return err
 		}},
 		{"RunFig6", func(ctx context.Context) error {
-			_, err := RunFig6(ctx, sc, DTBiW, year, 3, opts)
+			_, err := svc.Fig6(ctx, sc, year, quick...)
 			return err
 		}},
 		{"RunFig7", func(ctx context.Context) error {
-			_, err := RunFig7(ctx, sc, year, 3, opts)
+			_, err := svc.Fig7(ctx, sc, year, quick...)
 			return err
 		}},
 		{"NewPlanStudy", func(ctx context.Context) error {
-			_, err := NewPlanStudy(ctx, sc, PlanStudyOptions{TestYear: year, Train: opts})
+			_, err := svc.PlanStudy(ctx, sc, append(quick, WithTestYears(year))...)
 			return err
 		}},
 		{"PlanStudy.RunFig8Beta", func(ctx context.Context) error {
@@ -191,7 +196,7 @@ func TestEntryPointsHonourCanceledContext(t *testing.T) {
 			return err
 		}},
 		{"RunTable3ForScenario", func(ctx context.Context) error {
-			_, err := RunTable3ForScenario(ctx, sc, "SMALL", 2, []int{1}, Table3Options{Train: opts})
+			_, err := svc.Table3(ctx, sc, "SMALL", 2, []int{1}, quick...)
 			return err
 		}},
 	} {
@@ -240,6 +245,87 @@ func TestServiceTable2HonoursTrainSettings(t *testing.T) {
 			t.Errorf("%v: Table2 AUC %.4f, Service.Train AUC %.4f", row.Kind, row.AUC, want)
 		}
 	}
+}
+
+// TestExperimentDefaults pins the defaults the experiment methods fill in
+// for options left unset: PlanStudy's planner, regions and sweeps, the
+// 3-year training window of Fig4, Table3's field protocol, and Table2's
+// model kinds and test years.
+func TestExperimentDefaults(t *testing.T) {
+	ctx := context.Background()
+	sc := smallScenario(t, 97, false)
+	year := sc.Data.Steps[len(sc.Data.Steps)-1].Year
+	svc := NewService(WithWorkers(2), WithThresholds(2), WithEnsembleSize(2),
+		WithGPMaxTrain(30), WithTreeDepth(4), WithSeed(101))
+
+	t.Run("PlanStudy", func(t *testing.T) {
+		ps, err := svc.PlanStudy(ctx, sc, WithTestYears(year))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := ps.Config
+		if c.T != 12 || c.K != 2 || c.Segments != 10 || c.Solver != plan.SolverAuto {
+			t.Errorf("Config T=%d K=%v Segments=%d Solver=%v, want 12, 2, 10, SolverAuto", c.T, c.K, c.Segments, c.Solver)
+		}
+		if got, want := len(ps.Regions), min(3, len(sc.Park.Posts)); got != want {
+			t.Errorf("%d regions, want %d", got, want)
+		}
+		for i, r := range ps.Regions {
+			if len(r.Cells) > 60 {
+				t.Errorf("region %d has %d cells, want at most 60", i, len(r.Cells))
+			}
+		}
+		if len(ps.betas) != 5 || len(ps.segmentCounts) != 5 {
+			t.Errorf("%d betas and %d segment counts, want 5 and 5", len(ps.betas), len(ps.segmentCounts))
+		}
+	})
+
+	t.Run("Fig4", func(t *testing.T) {
+		got, err := svc.Fig4(ctx, sc, "SMALL", year)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := svc.Fig4(ctx, sc, "SMALL", year, WithTrainYears(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("default Fig4 %+v, WithTrainYears(3) %+v", got, want)
+		}
+	})
+
+	t.Run("Table3", func(t *testing.T) {
+		render := func(opts ...Option) string {
+			trials, err := svc.Table3(ctx, sc, "SMALL", 2, []int{2}, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b strings.Builder
+			for _, tr := range trials {
+				fmt.Fprintf(&b, "%s %s %+v\n", tr.Name, tr.Park, *tr.Result)
+			}
+			return b.String()
+		}
+		if got, want := render(), render(WithFieldProtocol(5, 2.5)); got != want {
+			t.Errorf("default Table3:\n%s\nWithFieldProtocol(5, 2.5):\n%s", got, want)
+		}
+	})
+
+	t.Run("Table2", func(t *testing.T) {
+		rows, err := svc.Table2(ctx, sc, "SMALL")
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds := []ModelKind{SVB, DTB, GPB, SVBiW, DTBiW, GPBiW}
+		if len(rows) != 3*len(kinds) {
+			t.Fatalf("%d rows, want %d", len(rows), 3*len(kinds))
+		}
+		for i, r := range rows {
+			if wantYear := year - 2 + i/len(kinds); r.Kind != kinds[i%len(kinds)] || r.TestYear != wantYear {
+				t.Errorf("row %d is %v %d, want %v %d", i, r.Kind, r.TestYear, kinds[i%len(kinds)], wantYear)
+			}
+		}
+	})
 }
 
 // TestRiskMapCtxDeadlineAbortsSweepEarly is the serving-path acceptance
