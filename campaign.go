@@ -48,10 +48,11 @@ type CampaignConfig struct {
 	Resamples int
 }
 
-// withDefaults validates and fills the values the root layer owns —
-// including that every policy name resolves and the attacker kind exists,
-// so a typo fails before any park is generated; grid structure (parks,
-// seeds, season counts, baseline) is validated by internal/campaign.
+// withDefaults fills the grid defaults, resolves the grid — internal/campaign
+// validates its structure and expands park ranges, which replace Parks —
+// and runs every cell's SimConfig through SimConfig.withDefaults, so a
+// typo'd park, policy, attacker kind or range fails before any park is
+// generated.
 func (cfg CampaignConfig) withDefaults() (CampaignConfig, error) {
 	if len(cfg.Parks) == 0 {
 		cfg.Parks = []string{"MFNP"}
@@ -59,20 +60,23 @@ func (cfg CampaignConfig) withDefaults() (CampaignConfig, error) {
 	if len(cfg.Policies) == 0 {
 		cfg.Policies = []string{"paws", "uniform"}
 	}
-	if err := validatePolicyNames(cfg.Policies); err != nil {
-		return cfg, err
-	}
-	if err := poach.ValidateAttackerKind(cfg.Attacker.Kind); err != nil {
-		return cfg, err
-	}
 	if len(cfg.Seeds) == 0 {
 		cfg.Seeds = []int64{1, 2, 3}
 	}
 	if len(cfg.SeasonCounts) == 0 {
 		cfg.SeasonCounts = []int{4}
 	}
-	if err := validateSimRanges(cfg.SeasonMonths, cfg.BootstrapMonths, cfg.BudgetKM, cfg.Beta); err != nil {
+	grid, err := cfg.gridConfig().Resolve()
+	if err != nil {
 		return cfg, err
+	}
+	cfg.Parks = grid.Parks
+	for _, park := range cfg.Parks {
+		for _, seasons := range cfg.SeasonCounts {
+			if _, err := cfg.cellConfig(campaign.Cell{Park: park, Seasons: seasons}).withDefaults(); err != nil {
+				return cfg, err
+			}
+		}
 	}
 	return cfg, nil
 }
@@ -89,34 +93,34 @@ func (cfg CampaignConfig) gridConfig() campaign.Config {
 	}
 }
 
-// Validate checks a campaign configuration end to end — root-level ranges,
-// policy names, the attacker kind, and the grid spec (parks, seeds, season
-// counts, baseline) — without simulating anything. This is the submit-time
-// validation surface of the async job API: everything Campaign itself
-// rejects up front fails here first. It is GridSize discarding the size, so
-// there is exactly one validation chain.
-func (cfg CampaignConfig) Validate() error {
-	_, err := cfg.GridSize()
-	return err
+// cellConfig is the closed-loop config one grid cell runs. The cell's seed
+// is not part of it: it reaches the simulation as the cell's WithSeed.
+func (cfg CampaignConfig) cellConfig(cell campaign.Cell) SimConfig {
+	return SimConfig{
+		Park:            cell.Park,
+		Seasons:         cell.Seasons,
+		SeasonMonths:    cfg.SeasonMonths,
+		BootstrapMonths: cfg.BootstrapMonths,
+		BudgetKM:        cfg.BudgetKM,
+		Policies:        cfg.Policies,
+		Attacker:        cfg.Attacker,
+		Beta:            cfg.Beta,
+	}
 }
 
-// GridSize validates the configuration end to end in one pass (root-level
-// checks, then the grid's Resolve) and returns the number of grid cells the
-// defaults-filled configuration spans — parks (after range expansion) ×
-// seeds × season counts — without simulating anything. The HTTP layer's
-// submit-time check is this one call, so the server-side cell cap always
-// reflects the grid Campaign would actually run, defaults included, and
-// cannot drift from the library's validation.
+// GridSize validates the configuration end to end in one pass (the grid's
+// Resolve, then every cell's closed-loop config) and returns the number of
+// grid cells the defaults-filled configuration spans — parks (after range
+// expansion) × seeds × season counts — without simulating anything. The
+// HTTP layer's submit-time check is this one call, so the server-side cell
+// cap always reflects the grid Campaign would actually run, defaults
+// included, and cannot drift from the library's validation.
 func (cfg CampaignConfig) GridSize() (int, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return 0, err
 	}
-	grid, err := cfg.gridConfig().Resolve()
-	if err != nil {
-		return 0, err
-	}
-	return len(grid.Parks) * len(grid.Seeds) * len(grid.SeasonCounts), nil
+	return len(cfg.Parks) * len(cfg.Seeds) * len(cfg.SeasonCounts), nil
 }
 
 // Campaign runs the paper-style multi-scenario evaluation: for every grid
@@ -149,16 +153,7 @@ func (s *Service) Campaign(ctx context.Context, cfg CampaignConfig, opts ...Opti
 		cellOpts := make([]Option, 0, len(opts)+2)
 		cellOpts = append(cellOpts, opts...)
 		cellOpts = append(cellOpts, WithSeed(cell.Seed), WithProgress(nil))
-		return s.Simulate(ctx, SimConfig{
-			Park:            cell.Park,
-			Seasons:         cell.Seasons,
-			SeasonMonths:    cfg.SeasonMonths,
-			BootstrapMonths: cfg.BootstrapMonths,
-			BudgetKM:        cfg.BudgetKM,
-			Policies:        cfg.Policies,
-			Attacker:        cfg.Attacker,
-			Beta:            cfg.Beta,
-		}, cellOpts...)
+		return s.Simulate(ctx, cfg.cellConfig(cell), cellOpts...)
 	}
 	var progress func(cell campaign.Cell, done, total int)
 	if pf := st.progress; pf != nil {

@@ -8,7 +8,6 @@ import (
 
 	"paws/internal/env"
 	"paws/internal/geo"
-	"paws/internal/poach"
 )
 
 // This file is the service-level surface of the stepped environment
@@ -17,65 +16,14 @@ import (
 // whole Simulate comparison against remote /v1/envs sessions, producing a
 // report byte-identical to the local one.
 
-// EnvConfig configures Service.NewEnv: one episode of the closed loop as a
-// stepped environment. Zero values select the same defaults as SimConfig,
-// so an Env episode and a Simulate policy run at the same park and seed are
-// the same computation.
-type EnvConfig struct {
-	// Park is a park spec: MFNP, QENP, SWS or rand:<seed>.
-	Park string
-	// Seasons is the episode length in seasons (default 4).
-	Seasons int
-	// SeasonMonths is the months per season (default 3).
-	SeasonMonths int
-	// BootstrapMonths is the historical record simulated before the episode
-	// (default 24).
-	BootstrapMonths int
-	// BudgetKM is the per-month patrol budget; 0 derives the park's ranger
-	// capacity.
-	BudgetKM float64
-	// Attacker selects the poacher response behaviour (default adaptive,
-	// matching Simulate).
-	Attacker poach.AttackerConfig
-}
-
-// withDefaults validates and fills cfg, mirroring SimConfig.withDefaults so
-// the two surfaces accept and reject identically.
-func (cfg EnvConfig) withDefaults() (EnvConfig, error) {
-	if cfg.Park == "" {
-		cfg.Park = "MFNP"
-	}
-	if cfg.Seasons < 0 {
-		return cfg, fmt.Errorf("paws: seasons must be ≥ 1, got %d", cfg.Seasons)
-	}
-	if cfg.Seasons == 0 {
-		cfg.Seasons = 4
-	}
-	if err := validateSimRanges(cfg.SeasonMonths, cfg.BootstrapMonths, cfg.BudgetKM, 0); err != nil {
-		return cfg, err
-	}
-	if cfg.Attacker.Kind == "" {
-		cfg.Attacker.Kind = poach.AttackerAdaptive
-	}
-	if err := poach.ValidateAttackerKind(cfg.Attacker.Kind); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
-}
-
-// Validate checks an environment configuration without building anything —
-// the submit-time validation surface of the /v1/envs create endpoint.
-// (Park specs are validated separately via ValidateParkSpec, which the HTTP
-// layer already calls.)
-func (cfg EnvConfig) Validate() error {
-	_, err := cfg.withDefaults()
-	return err
-}
-
-// NewEnv resolves the park spec (at the service's scale and seed, exactly
-// as Simulate does) and builds a live stepped environment: the bootstrap
+// NewEnv builds one episode of the closed loop as a live stepped
+// environment: cfg is validated and defaulted exactly as Simulate's, the
+// park spec is resolved at the service's scale and seed, the bootstrap
 // history is simulated and the episode is reset, ready for the first Step.
-func (s *Service) NewEnv(cfg EnvConfig, opts ...Option) (*env.Env, error) {
+// Policies and Beta play no part in an episode (the caller supplies every
+// season's effort), so an Env episode and a Simulate policy run on the same
+// config are the same computation.
+func (s *Service) NewEnv(cfg SimConfig, opts ...Option) (*env.Env, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -94,7 +42,7 @@ func (s *Service) NewEnv(cfg EnvConfig, opts ...Option) (*env.Env, error) {
 // episode replays a Simulate policy log exactly. The scenario convention of
 // offsetting the history seed exists to separate park and history streams,
 // which the engine's labelled splits already do.
-func (st settings) envConfig(cfg EnvConfig) (env.Config, error) {
+func (st settings) envConfig(cfg SimConfig) (env.Config, error) {
 	parkCfg, simCfg, err := resolveConfigs(cfg.Park, st.scale, st.seed)
 	if err != nil {
 		return env.Config{}, err

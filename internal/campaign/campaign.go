@@ -249,14 +249,6 @@ func (cfg Config) withDefaults() (Config, error) {
 // through it, so they cannot drift.
 func (cfg Config) Resolve() (Config, error) { return cfg.withDefaults() }
 
-// Validate is Resolve discarding the resolved configuration: the
-// submit-time surface the HTTP layer uses to reject a malformed campaign
-// with a structured 400 instead of accepting a job doomed to fail.
-func (cfg Config) Validate() error {
-	_, err := cfg.withDefaults()
-	return err
-}
-
 // cells lays out the deterministic grid order: park-major, then seed, then
 // season count. Aggregation and the report's cell list follow this order.
 func (cfg Config) cells() []Cell {

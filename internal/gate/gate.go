@@ -446,7 +446,7 @@ func (g *Gate) route(w http.ResponseWriter, r *http.Request) {
 		return
 	case strings.HasPrefix(path, "/v1/jobs/"):
 		g.metrics.routeTotal.With("owner").Inc()
-		g.routeJobDetail(w, r, body, healthy)
+		g.routeOwned(w, r, body, healthy, "/v1/jobs/", jobIDPattern, "unknown_job", "job")
 		return
 	case r.Method == http.MethodPost && (path == "/v1/jobs" || path == "/v1/simulate"):
 		b := g.pickLeastLoaded(healthy)
@@ -470,7 +470,7 @@ func (g *Gate) route(w http.ResponseWriter, r *http.Request) {
 		// Step/get/delete are owner-sticky: the session lives only on the
 		// replica that created it, named inside the ID ("e-<replica>-000007").
 		g.metrics.routeTotal.With("owner").Inc()
-		g.routeEnvDetail(w, r, body, healthy)
+		g.routeOwned(w, r, body, healthy, "/v1/envs/", envIDPattern, "unknown_env", "env session")
 		return
 	case g.cfg.Affinity && path == "/v1/riskmap":
 		if key, ok := riskmapKey(r, body); ok {
@@ -543,31 +543,36 @@ func planKey(body []byte) (string, bool) {
 	return fmt.Sprintf("plan|%s|%d|%016x", model, req.Post, math.Float64bits(req.Beta)), true
 }
 
-// routeJobDetail proxies /v1/jobs/{id}… to the replica that owns the job.
-// When the owner is unknown (un-prefixed ID submitted around the gate),
-// every healthy replica is probed and the first non-404 answer wins.
-func (g *Gate) routeJobDetail(w http.ResponseWriter, r *http.Request, body []byte, healthy []*backend) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
+// routeOwned proxies a detail request under prefix — /v1/jobs/{id}… or
+// /v1/envs/{id}… — to the replica that owns the ID, named inside it per
+// pattern. When the owner is unknown (un-prefixed ID submitted around the
+// gate), every healthy replica is probed and the first non-404 answer wins:
+// a non-owner's 404 is authoritative for its own namespace but says nothing
+// about the fleet. When no replica answers at all, the gate itself replies
+// 404 with code and "<noun> %q not found on any replica".
+func (g *Gate) routeOwned(w http.ResponseWriter, r *http.Request, body []byte, healthy []*backend,
+	prefix string, pattern *regexp.Regexp, code, noun string) {
+	rest := strings.TrimPrefix(r.URL.Path, prefix)
 	id := rest
 	if i := strings.IndexByte(rest, '/'); i >= 0 {
 		id = rest[:i]
 	}
-	if b := g.ownerOf(id, jobIDPattern); b != nil {
+	if b := g.ownerOf(id, pattern); b != nil {
 		if b.isHealthy() {
 			g.proxy(w, r, body, b)
 			return
 		}
-		// The owner is down: its jobs are gone with its process. A live
-		// replica answers authoritatively (404 unknown_job after a restart,
-		// 503 shutting_down during its drain) — proxy there instead of
-		// failing with a bare 502, so clients keep getting the structured
+		// The owner is down: its jobs and sessions are gone with its
+		// process. A live replica answers authoritatively (404 after a
+		// restart, 503 shutting_down during its drain) — proxy there instead
+		// of failing with a bare 502, so clients keep getting the structured
 		// envelope.
 		g.retries.Add(1)
 		g.proxy(w, r, body, g.pickRoundRobin(healthy))
 		return
 	}
 	// Unknown owner: probe. Buffer each answer; forward the first that is
-	// not unknown_job, else the last 404.
+	// not a 404, else the last 404.
 	for i, b := range healthy {
 		resp, raw, err := g.fetch(r, body, b)
 		if err != nil {
@@ -580,45 +585,7 @@ func (g *Gate) routeJobDetail(w http.ResponseWriter, r *http.Request, body []byt
 			return
 		}
 	}
-	writeGateErr(w, http.StatusNotFound, "unknown_job", fmt.Sprintf("job %q not found on any replica", id))
-}
-
-// routeEnvDetail proxies /v1/envs/{id}… (step, get, delete) to the replica
-// that owns the session. When the owner is unknown (un-prefixed ID created
-// around the gate), every healthy replica is probed and the first non-404
-// answer wins — a non-owner replica's 404 unknown_env is authoritative for
-// its own namespace but says nothing about the fleet.
-func (g *Gate) routeEnvDetail(w http.ResponseWriter, r *http.Request, body []byte, healthy []*backend) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/envs/")
-	id := rest
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		id = rest[:i]
-	}
-	if b := g.ownerOf(id, envIDPattern); b != nil {
-		if b.isHealthy() {
-			g.proxy(w, r, body, b)
-			return
-		}
-		// The owner is down: its sessions are gone with its process. A live
-		// replica answers authoritatively (404 unknown_env after a restart,
-		// 503 shutting_down during its drain).
-		g.retries.Add(1)
-		g.proxy(w, r, body, g.pickRoundRobin(healthy))
-		return
-	}
-	for i, b := range healthy {
-		resp, raw, err := g.fetch(r, body, b)
-		if err != nil {
-			continue
-		}
-		if resp.StatusCode != http.StatusNotFound || i == len(healthy)-1 {
-			copyHeader(w.Header(), resp.Header)
-			w.WriteHeader(resp.StatusCode)
-			w.Write(raw)
-			return
-		}
-	}
-	writeGateErr(w, http.StatusNotFound, "unknown_env", fmt.Sprintf("env session %q not found on any replica", id))
+	writeGateErr(w, http.StatusNotFound, code, fmt.Sprintf("%s %q not found on any replica", noun, id))
 }
 
 // proxyEnvCreate proxies a session create, recording the assigned session

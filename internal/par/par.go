@@ -22,12 +22,12 @@
 // (runtime.GOMAXPROCS(0)), so `GOMAXPROCS=4 go test` or `-cpu 4` scale the
 // whole pipeline without touching any option struct.
 //
-// The Ctx variants (ForEachCtx, ForEachErrCtx, MapCtx, MapErrCtx,
-// ForEachSliceCtx) additionally observe a context.Context between tasks:
-// once the context is done no new task starts, tasks already in flight are
-// drained (they run to completion before the call returns, and no worker
-// goroutine outlives the call), and the context's error is returned. This is
-// how request deadlines reach mid-sweep into training and map generation.
+// The Ctx variants (ForEachCtx, ForEachErrCtx, MapErrCtx, ForEachSliceCtx)
+// additionally observe a context.Context between tasks: once the context is
+// done no new task starts, tasks already in flight are drained (they run to
+// completion before the call returns, and no worker goroutine outlives the
+// call), and the context's error is returned. This is how request deadlines
+// reach mid-sweep into training and map generation.
 package par
 
 import (
@@ -170,16 +170,6 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 	out := make([]T, n)
 	ForEach(workers, n, func(i int) { out[i] = fn(i) })
 	return out
-}
-
-// MapCtx is Map under a context; on cancellation the partial results are
-// discarded and ctx.Err() is returned.
-func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) T) ([]T, error) {
-	out := make([]T, n)
-	if err := ForEachCtx(ctx, workers, n, func(i int) { out[i] = fn(i) }); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // MapErrCtx is MapErr under a context, with ForEachErrCtx's error

@@ -27,18 +27,12 @@ import (
 // because all three must agree — the subsystem is only a seam, never a
 // different simulation.
 func BenchmarkEnvStep(b *testing.B) {
-	simCfg := paws.SimConfig{
+	cfg := paws.SimConfig{
 		Park:            "MFNP",
 		Seasons:         4,
 		SeasonMonths:    1,
 		BootstrapMonths: 6,
 		Policies:        []string{"uniform"},
-	}
-	envCfg := paws.EnvConfig{
-		Park:            simCfg.Park,
-		Seasons:         simCfg.Seasons,
-		SeasonMonths:    simCfg.SeasonMonths,
-		BootstrapMonths: simCfg.BootstrapMonths,
 	}
 	ctx := context.Background()
 
@@ -46,7 +40,7 @@ func BenchmarkEnvStep(b *testing.B) {
 		svc := paws.NewService(paws.WithSeed(7), paws.WithWorkers(1))
 		var detections int
 		for i := 0; i < b.N; i++ {
-			rep, err := svc.Simulate(ctx, simCfg)
+			rep, err := svc.Simulate(ctx, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -59,7 +53,7 @@ func BenchmarkEnvStep(b *testing.B) {
 		svc := paws.NewService(paws.WithSeed(7), paws.WithWorkers(1))
 		var detections int
 		for i := 0; i < b.N; i++ {
-			e, err := svc.NewEnv(envCfg)
+			e, err := svc.NewEnv(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -86,7 +80,7 @@ func BenchmarkEnvStep(b *testing.B) {
 		defer srv.Close()
 		var detections int
 		for i := 0; i < b.N; i++ {
-			rep, err := svc.SimulateRemote(ctx, srv.URL, srv.Client(), simCfg)
+			rep, err := svc.SimulateRemote(ctx, srv.URL, srv.Client(), cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -46,25 +46,15 @@ func envErrorStatus(err error) (int, string, bool) {
 
 func (s *Server) handleEnvCreate(w http.ResponseWriter, r *http.Request) {
 	var req env.CreateRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
-	if req.Seasons > maxSimSeasons {
-		writeErr(w, fmt.Errorf("seasons %d exceeds the limit of %d", req.Seasons, maxSimSeasons))
+	if err := checkSimSize([]int{req.Seasons}, req.SeasonMonths, req.BootstrapMonths, 0); err != nil {
+		writeErr(w, err)
 		return
 	}
-	if req.SeasonMonths > maxSimSeasonMonths {
-		writeErr(w, fmt.Errorf("season_months %d exceeds the limit of %d", req.SeasonMonths, maxSimSeasonMonths))
-		return
-	}
-	if req.Park != "" {
-		if err := paws.ValidateParkSpec(req.Park); err != nil {
-			writeErr(w, err)
-			return
-		}
-	}
-	cfg := paws.EnvConfig{
+	cfg := paws.SimConfig{
 		Park:            req.Park,
 		Seasons:         req.Seasons,
 		SeasonMonths:    req.SeasonMonths,
@@ -72,14 +62,10 @@ func (s *Server) handleEnvCreate(w http.ResponseWriter, r *http.Request) {
 		BudgetKM:        req.BudgetKM,
 	}
 	cfg.Attacker.Kind = req.Attacker
-	// Full library-level validation before the (expensive) bootstrap, so a
-	// typo'd request fails as a structured 400 up front.
-	if err := cfg.Validate(); err != nil {
-		writeErr(w, err)
-		return
-	}
-	// No request context is threaded into the build: the bootstrap
-	// simulation is quick CPU work and the session must outlive the create
+	// NewEnv validates cfg in full before the (expensive) bootstrap, so a
+	// typo'd request fails as a structured 400 up front. No request context
+	// is threaded into the build: the bootstrap simulation is quick CPU work
+	// bounded by the size check, and the session must outlive the create
 	// request anyway (TimeoutMS still bounds the HTTP exchange client-side).
 	var opts []paws.Option
 	if req.Seed != 0 {
@@ -108,7 +94,7 @@ func (s *Server) handleEnvCreate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEnvStep(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req env.StepRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}

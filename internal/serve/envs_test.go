@@ -130,6 +130,7 @@ func TestEnvCreateValidation(t *testing.T) {
 		{Park: "atlantis"},
 		{Seasons: maxSimSeasons + 1},
 		{SeasonMonths: maxSimSeasonMonths + 1},
+		{BootstrapMonths: maxSimBootstrapMonths + 1},
 		{Seasons: -1},
 		{BudgetKM: -3},
 		{Attacker: "quantum"},

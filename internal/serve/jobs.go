@@ -354,19 +354,11 @@ func (s *Server) campaignFn(req CampaignJobRequest) (job.Fn, error) {
 	if len(expanded) > maxCampaignParks {
 		return nil, fmt.Errorf("%d parks exceed the limit of %d", len(expanded), maxCampaignParks)
 	}
-	if len(req.Policies) > maxSimPolicies {
-		return nil, fmt.Errorf("%d policies exceed the limit of %d", len(req.Policies), maxSimPolicies)
-	}
 	if len(req.Seeds) > maxCampaignSeeds {
 		return nil, fmt.Errorf("%d seeds exceed the limit of %d", len(req.Seeds), maxCampaignSeeds)
 	}
-	for _, n := range req.SeasonCounts {
-		if n > maxSimSeasons {
-			return nil, fmt.Errorf("season count %d exceeds the limit of %d", n, maxSimSeasons)
-		}
-	}
-	if req.SeasonMonths > maxSimSeasonMonths {
-		return nil, fmt.Errorf("season_months %d exceeds the limit of %d", req.SeasonMonths, maxSimSeasonMonths)
+	if err := checkSimSize(req.SeasonCounts, req.SeasonMonths, 0, len(req.Policies)); err != nil {
+		return nil, err
 	}
 	if req.Resamples > maxResamples {
 		return nil, fmt.Errorf("resamples %d exceeds the limit of %d", req.Resamples, maxResamples)
@@ -383,9 +375,9 @@ func (s *Server) campaignFn(req CampaignJobRequest) (job.Fn, error) {
 		Resamples:    req.Resamples,
 	}
 	cfg.Attacker.Kind = req.Attacker
-	// One library call does the full validation (GridSize ⊇ Validate) and
-	// yields the cell count of the defaults-filled grid Campaign would
-	// actually run, so the cap cannot drift from the library's defaults.
+	// One library call does the full validation and yields the cell count
+	// of the defaults-filled grid Campaign would actually run, so the cap
+	// cannot drift from the library's defaults.
 	cells, err := cfg.GridSize()
 	if err != nil {
 		return nil, err
@@ -443,7 +435,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req JobSubmitRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}

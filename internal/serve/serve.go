@@ -47,10 +47,12 @@
 // pool on an answer nobody is waiting for. Errors use a structured
 // envelope, {"error": {"code": …, "message": …}}, with machine-readable
 // codes (bad_request, unknown_model, unknown_job, deadline, canceled,
-// conflict, shutting_down, overloaded). Job submissions additionally pass
-// an admission gate (Config.AdmissionBudget / AdmissionMaxQueue): once the
-// estimated backlog exceeds the budget, submissions are shed with 429 +
-// Retry-After instead of queueing work the replica cannot serve in time.
+// conflict, shutting_down, overloaded). A request body over 16 MiB, the
+// pawsgate limit, is refused with 413 and code bad_request before it is
+// decoded in full. Job submissions additionally pass an admission gate
+// (Config.AdmissionBudget / AdmissionMaxQueue): once the estimated backlog
+// exceeds the budget, submissions are shed with 429 + Retry-After instead
+// of queueing work the replica cannot serve in time.
 package serve
 
 import (
@@ -268,13 +270,17 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // errorStatus classifies an error into its transport status and envelope
 // code: unknown model/job → 404, deadline → 504, canceled → 499 (nginx
-// convention), result not ready → 409, draining → 503, anything else the
-// service rejected → 400.
+// convention), result not ready → 409, draining → 503, oversized body →
+// 413 (bad_request, as pawsgate answers it), anything else the service
+// rejected → 400.
 func errorStatus(err error) (int, string) {
 	var ov *overloadedError
+	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &ov):
 		return http.StatusTooManyRequests, CodeOverloaded
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge, CodeBadRequest
 	case errors.Is(err, paws.ErrUnknownModel):
 		return http.StatusNotFound, CodeUnknownModel
 	case errors.Is(err, job.ErrUnknownJob):
@@ -308,9 +314,14 @@ func writeErr(w http.ResponseWriter, err error) {
 	}})
 }
 
-// decodeBody strictly decodes a JSON request body into v.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds a request body at pawsgate's limit, so a replica
+// alone accepts exactly the bodies the gate would forward to it.
+const maxBodyBytes = 16 << 20
+
+// decodeBody strictly decodes a JSON request body of at most maxBodyBytes
+// into v. A longer body fails with *http.MaxBytesError (413).
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("invalid JSON body: %w", err)
@@ -409,7 +420,7 @@ const maxPredictRows = 100_000
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req PredictRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -493,7 +504,7 @@ func (s *Server) handleRiskMap(w http.ResponseWriter, r *http.Request) {
 			}
 			req.TimeoutMS = t
 		}
-	} else if err := decodeBody(r, &req); err != nil {
+	} else if err := decodeBody(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -634,13 +645,37 @@ type SimulateResponse struct {
 	Text string `json:"text"`
 }
 
-// Simulation requests run the full closed loop — retraining the paws policy
-// every season — so their size is bounded server-side.
+// Closed-loop requests — simulations, campaign cells and env sessions —
+// run the full loop, retraining the paws policy every season, so their size
+// is bounded server-side.
 const (
-	maxSimSeasons      = 12
-	maxSimSeasonMonths = 12
-	maxSimPolicies     = 8
+	maxSimSeasons         = 12
+	maxSimSeasonMonths    = 12
+	maxSimBootstrapMonths = 120
+	maxSimPolicies        = 8
 )
+
+// checkSimSize is the one size check of the closed loop: every season
+// count, the months per season and of the bootstrap, and the policy count
+// must sit within the server caps. Zero values pass; the library defaults
+// them (within the caps) and rejects negatives.
+func checkSimSize(seasons []int, seasonMonths, bootstrapMonths, policies int) error {
+	for _, n := range seasons {
+		if n > maxSimSeasons {
+			return fmt.Errorf("seasons %d exceeds the limit of %d", n, maxSimSeasons)
+		}
+	}
+	if seasonMonths > maxSimSeasonMonths {
+		return fmt.Errorf("season_months %d exceeds the limit of %d", seasonMonths, maxSimSeasonMonths)
+	}
+	if bootstrapMonths > maxSimBootstrapMonths {
+		return fmt.Errorf("bootstrap_months %d exceeds the limit of %d", bootstrapMonths, maxSimBootstrapMonths)
+	}
+	if policies > maxSimPolicies {
+		return fmt.Errorf("%d policies exceed the limit of %d", policies, maxSimPolicies)
+	}
+	return nil
+}
 
 // simulateFn validates a simulate request and lowers it to a job function
 // — the single compute path behind both POST /v1/simulate (a one-shot job
@@ -648,19 +683,8 @@ const (
 // from inside the season loop (and the paws policy's per-season training)
 // into the job's event stream.
 func (s *Server) simulateFn(req SimulateRequest) (job.Fn, error) {
-	if req.Seasons > maxSimSeasons {
-		return nil, fmt.Errorf("seasons %d exceeds the limit of %d", req.Seasons, maxSimSeasons)
-	}
-	if req.SeasonMonths > maxSimSeasonMonths {
-		return nil, fmt.Errorf("season_months %d exceeds the limit of %d", req.SeasonMonths, maxSimSeasonMonths)
-	}
-	if len(req.Policies) > maxSimPolicies {
-		return nil, fmt.Errorf("%d policies exceed the limit of %d", len(req.Policies), maxSimPolicies)
-	}
-	if req.Park != "" {
-		if err := paws.ValidateParkSpec(req.Park); err != nil {
-			return nil, err
-		}
+	if err := checkSimSize([]int{req.Seasons}, req.SeasonMonths, 0, len(req.Policies)); err != nil {
+		return nil, err
 	}
 	cfg := paws.SimConfig{
 		Park:         req.Park,
@@ -671,9 +695,9 @@ func (s *Server) simulateFn(req SimulateRequest) (job.Fn, error) {
 		BudgetKM:     req.BudgetKM,
 	}
 	cfg.Attacker.Kind = req.Attacker
-	// Full library-level validation at submit time: negative ranges, beta,
-	// unknown policies and attacker kinds fail as a structured 400 here
-	// instead of a job doomed to fail at run time.
+	// Full library-level validation at submit time: unknown park specs,
+	// policies and attacker kinds, negative ranges and beta fail as a
+	// structured 400 here instead of a job doomed to fail at run time.
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -698,7 +722,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SimulateRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -722,7 +746,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	var req PlanRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}

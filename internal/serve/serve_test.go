@@ -380,6 +380,11 @@ func TestBadRequests(t *testing.T) {
 		{"unknown job events", http.MethodGet, "/v1/jobs/j-999999/events", "", http.StatusNotFound, CodeUnknownJob},
 		{"unknown job cancel", http.MethodDelete, "/v1/jobs/j-999999", "", http.StatusNotFound, CodeUnknownJob},
 		{"GET predict", http.MethodGet, "/v1/predict", "", http.StatusMethodNotAllowed, ""},
+		// Whitespace inside the object keeps the decoder reading past the
+		// limit; a valid request but for its size.
+		{"oversized body", http.MethodPost, "/v1/predict",
+			`{"effort":1,` + strings.Repeat(" ", maxBodyBytes+1<<20) + `"cells":[0]}`,
+			http.StatusRequestEntityTooLarge, CodeBadRequest},
 	} {
 		req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
 		rec := httptest.NewRecorder()

@@ -15,9 +15,10 @@ import (
 	"paws/internal/rng"
 )
 
-// SimConfig configures Service.Simulate: a closed-loop, multi-season patrol
-// simulation (env.Run) comparing patrol policies head-to-head on one park.
-// Zero values select defaults; the park spec, seed, scale, model kind and
+// SimConfig configures the closed loop: Service.Simulate, a multi-season
+// patrol simulation (env.Run) comparing patrol policies head-to-head on one
+// park, and Service.NewEnv, one episode of that loop as a stepped
+// environment. Zero values select defaults; the seed, scale, model kind and
 // worker count come from the Service options as usual.
 type SimConfig struct {
 	// Park is a park spec: MFNP, QENP, SWS or rand:<seed>.
@@ -46,14 +47,17 @@ type SimConfig struct {
 }
 
 // withDefaults validates and fills cfg: zero values select defaults, while
-// negative or out-of-range values are rejected — a typo'd request must fail
-// with a structured error (bad_request over HTTP), not silently simulate
-// the defaults, panic, or loop forever. Park/attacker specifics (unknown
-// specs, zero-post parks, attacker kinds) are validated downstream where
-// the objects are built.
+// unknown park specs, policies and attacker kinds and negative or
+// out-of-range values are rejected — a typo'd request must fail with a
+// structured error (bad_request over HTTP), not silently simulate the
+// defaults, panic, or loop forever. It is the one rule set of the closed
+// loop: Simulate, SimulateRemote, NewEnv and every Campaign cell run it.
 func (cfg SimConfig) withDefaults() (SimConfig, error) {
 	if cfg.Park == "" {
 		cfg.Park = "MFNP"
+	}
+	if err := ValidateParkSpec(cfg.Park); err != nil {
+		return cfg, err
 	}
 	if cfg.Seasons < 0 {
 		return cfg, fmt.Errorf("paws: seasons must be ≥ 1, got %d", cfg.Seasons)
@@ -61,14 +65,33 @@ func (cfg SimConfig) withDefaults() (SimConfig, error) {
 	if cfg.Seasons == 0 {
 		cfg.Seasons = 4
 	}
-	if err := validateSimRanges(cfg.SeasonMonths, cfg.BootstrapMonths, cfg.BudgetKM, cfg.Beta); err != nil {
-		return cfg, err
+	if cfg.SeasonMonths < 0 {
+		return cfg, fmt.Errorf("paws: season months must be ≥ 1, got %d", cfg.SeasonMonths)
+	}
+	if cfg.BootstrapMonths < 0 {
+		return cfg, fmt.Errorf("paws: bootstrap months must be ≥ 1, got %d", cfg.BootstrapMonths)
+	}
+	if cfg.BudgetKM < 0 || math.IsNaN(cfg.BudgetKM) || math.IsInf(cfg.BudgetKM, 0) {
+		return cfg, fmt.Errorf("paws: budget %v km/month must be a non-negative finite number", cfg.BudgetKM)
+	}
+	if cfg.Beta < 0 || cfg.Beta > 1 || math.IsNaN(cfg.Beta) {
+		return cfg, fmt.Errorf("paws: beta %v out of range [0, 1]", cfg.Beta)
 	}
 	if len(cfg.Policies) == 0 {
 		cfg.Policies = []string{"paws", "uniform", "historical", "random"}
 	}
-	if err := validatePolicyNames(cfg.Policies); err != nil {
-		return cfg, err
+	seen := map[string]bool{}
+	for _, name := range cfg.Policies {
+		if seen[name] {
+			return cfg, fmt.Errorf("paws: duplicate policy %q", name)
+		}
+		seen[name] = true
+		if name == "paws" {
+			continue
+		}
+		if _, err := env.ByName(name); err != nil {
+			return cfg, fmt.Errorf("paws: %w (plus \"paws\")", err)
+		}
 	}
 	if cfg.Attacker.Kind == "" {
 		cfg.Attacker.Kind = poach.AttackerAdaptive
@@ -82,50 +105,10 @@ func (cfg SimConfig) withDefaults() (SimConfig, error) {
 	return cfg, nil
 }
 
-// validatePolicyNames checks that every name is unique and resolves to a
-// built-in baseline policy or the root package's "paws" policy.
-func validatePolicyNames(names []string) error {
-	seen := map[string]bool{}
-	for _, name := range names {
-		if seen[name] {
-			return fmt.Errorf("paws: duplicate policy %q", name)
-		}
-		seen[name] = true
-		if name == "paws" {
-			continue
-		}
-		if _, err := env.ByName(name); err != nil {
-			return fmt.Errorf("paws: %w (plus \"paws\")", err)
-		}
-	}
-	return nil
-}
-
-// validateSimRanges rejects the negative and out-of-range values shared by
-// SimConfig and CampaignConfig (which forwards these fields into every
-// per-cell SimConfig) — one copy of the rules, so the two submit-time
-// surfaces cannot drift.
-func validateSimRanges(seasonMonths, bootstrapMonths int, budgetKM, beta float64) error {
-	if seasonMonths < 0 {
-		return fmt.Errorf("paws: season months must be ≥ 1, got %d", seasonMonths)
-	}
-	if bootstrapMonths < 0 {
-		return fmt.Errorf("paws: bootstrap months must be ≥ 1, got %d", bootstrapMonths)
-	}
-	if budgetKM < 0 || math.IsNaN(budgetKM) || math.IsInf(budgetKM, 0) {
-		return fmt.Errorf("paws: budget %v km/month must be a non-negative finite number", budgetKM)
-	}
-	if beta < 0 || beta > 1 || math.IsNaN(beta) {
-		return fmt.Errorf("paws: beta %v out of range [0, 1]", beta)
-	}
-	return nil
-}
-
-// Validate checks a simulation configuration — ranges, policy names, the
-// attacker kind — without simulating anything. This is the submit-time
-// validation surface of the async job API: everything Simulate rejects up
-// front fails here first. (Park specs are validated separately via
-// ValidateParkSpec, which the HTTP layer already calls.)
+// Validate checks a closed-loop configuration — the park spec, ranges,
+// policy names, the attacker kind — without simulating anything. This is
+// the submit-time validation surface of the async job API: everything
+// Simulate rejects up front fails here first.
 func (cfg SimConfig) Validate() error {
 	_, err := cfg.withDefaults()
 	return err
@@ -153,14 +136,7 @@ func (s *Service) simulate(ctx context.Context, cfg SimConfig, opts []Option,
 	if err != nil {
 		return nil, err
 	}
-	ecfg, err := st.envConfig(EnvConfig{
-		Park:            cfg.Park,
-		Seasons:         cfg.Seasons,
-		SeasonMonths:    cfg.SeasonMonths,
-		BootstrapMonths: cfg.BootstrapMonths,
-		BudgetKM:        cfg.BudgetKM,
-		Attacker:        cfg.Attacker,
-	})
+	ecfg, err := st.envConfig(cfg)
 	if err != nil {
 		return nil, err
 	}

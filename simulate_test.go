@@ -108,32 +108,31 @@ func TestSimulateStaticAttackerOption(t *testing.T) {
 	}
 }
 
-// TestSimulateErrors covers spec, policy and attacker validation.
+// TestSimulateErrors covers spec, policy and attacker validation, which
+// Simulate and NewEnv share.
 func TestSimulateErrors(t *testing.T) {
 	svc := NewService(WithSeed(7), WithScale(ScaleSmall))
-	ctx := context.Background()
-	if _, err := svc.Simulate(ctx, SimConfig{Park: "ATLANTIS", Seasons: 1}); err == nil {
-		t.Error("unknown park spec accepted")
-	}
-	if _, err := svc.Simulate(ctx, SimConfig{Park: "rand:nope", Seasons: 1}); err == nil {
-		t.Error("malformed rand spec accepted")
-	}
-	if _, err := svc.Simulate(ctx, SimConfig{Park: "MFNP", Seasons: 1, Policies: []string{"skynet"}}); err == nil {
-		t.Error("unknown policy accepted")
-	}
 	bad := SimConfig{Park: "MFNP", Seasons: 1, Policies: []string{"uniform"}}
 	bad.Attacker.Kind = "quantum"
-	if _, err := svc.Simulate(ctx, bad); err == nil {
-		t.Error("unknown attacker kind accepted")
+	cases := []struct {
+		name string
+		cfg  SimConfig
+	}{
+		{"unknown park spec", SimConfig{Park: "ATLANTIS", Seasons: 1}},
+		{"malformed rand spec", SimConfig{Park: "rand:nope", Seasons: 1}},
+		{"unknown policy", SimConfig{Park: "MFNP", Seasons: 1, Policies: []string{"skynet"}}},
+		{"unknown attacker kind", bad},
+	}
+	for _, tc := range cases {
+		checkClosedLoopRejects(t, svc, tc.name, tc.cfg)
 	}
 }
 
 // TestSimulateEdgeValidation: negative and out-of-range SimConfig values are
 // rejected with an error (the HTTP layer renders these as bad_request)
-// instead of silently selecting defaults.
+// instead of silently selecting defaults — by Simulate and NewEnv alike.
 func TestSimulateEdgeValidation(t *testing.T) {
 	svc := NewService(WithSeed(7), WithScale(ScaleSmall))
-	ctx := context.Background()
 	cases := []struct {
 		name   string
 		mutate func(*SimConfig)
@@ -148,9 +147,19 @@ func TestSimulateEdgeValidation(t *testing.T) {
 	for _, tc := range cases {
 		cfg := SimConfig{Park: "rand:16", Seasons: 1, Policies: []string{"uniform"}}
 		tc.mutate(&cfg)
-		if _, err := svc.Simulate(ctx, cfg); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
+		checkClosedLoopRejects(t, svc, tc.name, cfg)
+	}
+}
+
+// checkClosedLoopRejects requires both closed-loop entry points, Simulate
+// and NewEnv, to reject cfg.
+func checkClosedLoopRejects(t *testing.T, svc *Service, name string, cfg SimConfig) {
+	t.Helper()
+	if _, err := svc.Simulate(context.Background(), cfg); err == nil {
+		t.Errorf("%s: accepted by Simulate", name)
+	}
+	if _, err := svc.NewEnv(cfg); err == nil {
+		t.Errorf("%s: accepted by NewEnv", name)
 	}
 }
 
