@@ -33,6 +33,7 @@ package gate
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -453,7 +454,7 @@ func (g *Gate) route(w http.ResponseWriter, r *http.Request) {
 		g.leastLoadedRouted.Add(1)
 		g.metrics.routeTotal.With("least_loaded").Inc()
 		b.submits.Add(1)
-		g.proxySubmit(w, r, body, b, path == "/v1/jobs")
+		g.proxyCreate(w, r, body, b)
 		return
 	case r.Method == http.MethodPost && path == "/v1/envs":
 		// Session creates route to the replica holding the fewest live env
@@ -464,7 +465,7 @@ func (g *Gate) route(w http.ResponseWriter, r *http.Request) {
 		g.leastLoadedRouted.Add(1)
 		g.metrics.routeTotal.With("least_loaded").Inc()
 		b.envCreates.Add(1)
-		g.proxyEnvCreate(w, r, body, b)
+		g.proxyCreate(w, r, body, b)
 		return
 	case strings.HasPrefix(path, "/v1/envs/"):
 		// Step/get/delete are owner-sticky: the session lives only on the
@@ -588,30 +589,6 @@ func (g *Gate) routeOwned(w http.ResponseWriter, r *http.Request, body []byte, h
 	writeGateErr(w, http.StatusNotFound, code, fmt.Sprintf("%s %q not found on any replica", noun, id))
 }
 
-// proxyEnvCreate proxies a session create, recording the assigned session
-// ID so later step/get/delete requests can find their replica even without
-// ID prefixes.
-func (g *Gate) proxyEnvCreate(w http.ResponseWriter, r *http.Request, body []byte, b *backend) {
-	resp, raw, err := g.fetch(r, body, b)
-	if err != nil {
-		writeGateErr(w, http.StatusBadGateway, "backend_down", fmt.Sprintf("replica %s: %v", b.url, err))
-		return
-	}
-	if resp.StatusCode == http.StatusCreated {
-		var created struct {
-			Session struct {
-				ID string `json:"id"`
-			} `json:"session"`
-		}
-		if json.Unmarshal(raw, &created) == nil && created.Session.ID != "" {
-			g.recordOwner(created.Session.ID, b)
-		}
-	}
-	copyHeader(w.Header(), resp.Header)
-	w.WriteHeader(resp.StatusCode)
-	w.Write(raw)
-}
-
 // handleJobListFanout merges GET /v1/jobs across the fleet.
 func (g *Gate) handleJobListFanout(w http.ResponseWriter, r *http.Request, healthy []*backend) {
 	type listResp struct {
@@ -649,21 +626,28 @@ func (g *Gate) handleJobListFanout(w http.ResponseWriter, r *http.Request, healt
 	_ = json.NewEncoder(w).Encode(merged)
 }
 
-// proxySubmit proxies a job submission, recording the assigned job ID so
-// later observation requests can find their replica even without ID
-// prefixes.
-func (g *Gate) proxySubmit(w http.ResponseWriter, r *http.Request, body []byte, b *backend, record bool) {
+// proxyCreate proxies a job submission, a synchronous simulate or a session
+// create. A 202 job snapshot carries the job ID as "id" and a 201 session
+// create as "session.id"; either is recorded so later requests can find
+// their replica even without ID prefixes. Simulate's 200 records nothing.
+// Every reply is forwarded unchanged.
+func (g *Gate) proxyCreate(w http.ResponseWriter, r *http.Request, body []byte, b *backend) {
 	resp, raw, err := g.fetch(r, body, b)
 	if err != nil {
 		writeGateErr(w, http.StatusBadGateway, "backend_down", fmt.Sprintf("replica %s: %v", b.url, err))
 		return
 	}
-	if record && resp.StatusCode == http.StatusAccepted {
-		var snap struct {
-			ID string `json:"id"`
+	if resp.StatusCode == http.StatusAccepted || resp.StatusCode == http.StatusCreated {
+		var created struct {
+			ID      string `json:"id"`
+			Session struct {
+				ID string `json:"id"`
+			} `json:"session"`
 		}
-		if json.Unmarshal(raw, &snap) == nil && snap.ID != "" {
-			g.recordOwner(snap.ID, b)
+		if json.Unmarshal(raw, &created) == nil {
+			if id := cmp.Or(created.ID, created.Session.ID); id != "" {
+				g.recordOwner(id, b)
+			}
 		}
 	}
 	copyHeader(w.Header(), resp.Header)

@@ -57,7 +57,7 @@ var servingPackages = []string{
 
 // goroutineOwners lists the packages allowed to spawn bare goroutines:
 // the deterministic worker pool, the lifecycle managers that own their
-// concurrency, and binaries. Everyone else must delegate (par.MapErr).
+// concurrency, and binaries. Everyone else must delegate (par.MapErrCtx).
 var goroutineOwners = []string{
 	"internal/par", "internal/job", "internal/env", "internal/gate",
 	"internal/load",

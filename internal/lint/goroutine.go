@@ -21,7 +21,7 @@ func checkGoroutine(pkg *Package) []Finding {
 		ast.Inspect(file, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
 				out = append(out, pkg.finding(g.Pos(), "goroutine",
-					"bare go statement outside the sanctioned concurrency owners (internal/par, internal/job, internal/env, internal/gate, internal/load, cmd); fan out through par.MapErr or move ownership"))
+					"bare go statement outside the sanctioned concurrency owners (internal/par, internal/job, internal/env, internal/gate, internal/load, cmd); fan out through par.MapErrCtx or move ownership"))
 			}
 			return true
 		})

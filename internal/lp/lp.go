@@ -152,23 +152,17 @@ type Solution struct {
 	Iterations int
 }
 
-// Options tunes the solver.
-type Options struct {
-	// MaxIter caps total simplex iterations (default 50_000).
-	MaxIter int
-}
-
 const (
 	feasTol  = 1e-7
 	optTol   = 1e-7
 	pivotTol = 1e-9
+	// maxIter caps the simplex iterations of one Solve, both phases
+	// together; a solve that reaches it reports IterLimit.
+	maxIter = 50000
 )
 
 // Solve runs the two-phase simplex.
-func Solve(p *Problem, opts Options) (Solution, error) {
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 50000
-	}
+func Solve(p *Problem) (Solution, error) {
 	n0 := len(p.obj)
 	if n0 == 0 {
 		return Solution{Status: Optimal, X: nil, Obj: 0}, nil
@@ -182,7 +176,7 @@ func Solve(p *Problem, opts Options) (Solution, error) {
 		}
 	}
 	s := newSimplex(p)
-	sol := s.run(opts.MaxIter)
+	sol := s.run()
 	if sol.Status == Optimal || sol.Status == IterLimit {
 		sol.X = make([]float64, n0)
 		copy(sol.X, s.x[:n0])
@@ -255,7 +249,7 @@ func (s *simplex) addColumn(obj, lo, hi float64) int {
 }
 
 // run executes phase 1 then phase 2.
-func (s *simplex) run(maxIter int) Solution {
+func (s *simplex) run() Solution {
 	// Initial nonbasic values: at lower bound (finite by construction).
 	s.x = make([]float64, s.n)
 	for j := 0; j < s.n; j++ {
@@ -306,7 +300,7 @@ func (s *simplex) run(maxIter int) Solution {
 	}
 
 	// Phase 1.
-	st := s.iterate(phase1Obj, maxIter, true)
+	st := s.iterate(phase1Obj, true)
 	if st == IterLimit {
 		return Solution{Status: IterLimit, Iterations: s.iters}
 	}
@@ -326,7 +320,7 @@ func (s *simplex) run(maxIter int) Solution {
 	// Phase 2 objective over all columns (artificials at 0).
 	obj2 := make([]float64, len(s.cols))
 	copy(obj2, s.obj)
-	st = s.iterate(obj2, maxIter, false)
+	st = s.iterate(obj2, false)
 	return Solution{Status: st, Iterations: s.iters}
 }
 
@@ -334,7 +328,7 @@ func (s *simplex) run(maxIter int) Solution {
 // optimality, unboundedness, or the iteration cap. Degenerate stalls (long
 // runs of zero-step pivots, common on flow polytopes) trigger a temporary
 // switch to Bland's rule, which guarantees escape from any cycle.
-func (s *simplex) iterate(obj []float64, maxIter int, phase1 bool) Status {
+func (s *simplex) iterate(obj []float64, phase1 bool) Status {
 	nAll := len(s.cols)
 	sinceRefactor := 0
 	consecDegen := 0

@@ -10,7 +10,7 @@ import (
 
 func solveOK(t *testing.T, p *Problem) Solution {
 	t.Helper()
-	sol, err := Solve(p, Options{})
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestInfeasible(t *testing.T) {
 	x := p.AddVariable(1, 0, math.Inf(1))
 	p.AddConstraint([]int{x}, []float64{1}, LE, 1)
 	p.AddConstraint([]int{x}, []float64{1}, GE, 2)
-	sol, err := Solve(p, Options{})
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestInfeasible(t *testing.T) {
 func TestInfeasibleBounds(t *testing.T) {
 	p := NewProblem()
 	p.AddVariable(1, 5, 2) // lo > hi
-	sol, err := Solve(p, Options{})
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestUnbounded(t *testing.T) {
 	x := p.AddVariable(1, 0, math.Inf(1))
 	y := p.AddVariable(0, 0, math.Inf(1))
 	p.AddConstraint([]int{x, y}, []float64{1, -1}, LE, 1)
-	sol, err := Solve(p, Options{})
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestUnbounded(t *testing.T) {
 }
 
 func TestEmptyProblem(t *testing.T) {
-	sol, err := Solve(NewProblem(), Options{})
+	sol, err := Solve(NewProblem())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestEmptyProblem(t *testing.T) {
 func TestRejectsInfiniteLowerBound(t *testing.T) {
 	p := NewProblem()
 	p.AddVariable(1, math.Inf(-1), 0)
-	if _, err := Solve(p, Options{}); err == nil {
+	if _, err := Solve(p); err == nil {
 		t.Fatal("expected error for -inf lower bound")
 	}
 }
@@ -268,7 +268,7 @@ func TestRandomLPsFeasibleBounded(t *testing.T) {
 			p.AddConstraint(idx, coef, LE, rhs)
 			rowsIdx[i], rowsCoef[i], rowsRHS[i] = idx, coef, rhs
 		}
-		sol, err := Solve(p, Options{})
+		sol, err := Solve(p)
 		if err != nil || sol.Status != Optimal {
 			return false
 		}

@@ -15,25 +15,17 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"paws/internal/lp"
 )
 
-// Options tunes the branch-and-bound search.
-type Options struct {
-	// MaxNodes caps explored nodes (default 10_000).
-	MaxNodes int
-	// TimeLimit caps wall time (0 = none).
-	TimeLimit time.Duration
-	// RelGap stops when (bound−incumbent)/|incumbent| falls below this
-	// (default 1e-6).
-	RelGap float64
-	// IntTol is the integrality tolerance (default 1e-6).
-	IntTol float64
-	// LPMaxIter caps simplex iterations per node LP.
-	LPMaxIter int
-}
+const (
+	// relGap stops the search once (bound−incumbent)/|incumbent| falls
+	// below it.
+	relGap = 1e-6
+	// intTol is the integrality tolerance.
+	intTol = 1e-6
+)
 
 // Result is the outcome of a MILP solve.
 type Result struct {
@@ -58,23 +50,9 @@ type node struct {
 	depth  int
 }
 
-// Solve maximizes the problem with the listed variables required integral.
-func Solve(p *lp.Problem, intVars []int, opts Options) (Result, error) {
-	if opts.MaxNodes <= 0 {
-		opts.MaxNodes = 10000
-	}
-	if opts.RelGap <= 0 {
-		opts.RelGap = 1e-6
-	}
-	if opts.IntTol <= 0 {
-		opts.IntTol = 1e-6
-	}
-	deadline := time.Time{}
-	if opts.TimeLimit > 0 {
-		//pawsvet:allow wallclock -- TimeLimit is an explicit opt-in wall-clock budget; zero (the deterministic default) never reads the clock
-		deadline = time.Now().Add(opts.TimeLimit)
-	}
-
+// Solve maximizes the problem with the listed variables required integral,
+// exploring at most maxNodes branch-and-bound nodes.
+func Solve(p *lp.Problem, intVars []int, maxNodes int) (Result, error) {
 	for _, j := range intVars {
 		if j < 0 || j >= p.NumVariables() {
 			return Result{}, fmt.Errorf("milp: integer variable %d out of range", j)
@@ -97,7 +75,7 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (Result, error) {
 			}
 			q.SetBounds(j, lo, hi)
 		}
-		return lp.Solve(q, lp.Options{MaxIter: opts.LPMaxIter})
+		return lp.Solve(q)
 	}
 
 	root := &node{lo: map[int]float64{}, hi: map[int]float64{}, bound: math.Inf(1)}
@@ -113,12 +91,7 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (Result, error) {
 	// SOS2 binaries.
 	open := []*node{root}
 	for len(open) > 0 {
-		if res.Nodes >= opts.MaxNodes {
-			res.Status = lp.IterLimit
-			break
-		}
-		//pawsvet:allow wallclock -- deadline check for the opt-in TimeLimit budget; never taken when TimeLimit is unset
-		if !deadline.IsZero() && time.Now().After(deadline) {
+		if res.Nodes >= maxNodes {
 			res.Status = lp.IterLimit
 			break
 		}
@@ -138,7 +111,7 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (Result, error) {
 			open = open[:len(open)-1]
 		}
 
-		if haveIncumbent && nd.bound <= bestObj+math.Abs(bestObj)*opts.RelGap {
+		if haveIncumbent && nd.bound <= bestObj+math.Abs(bestObj)*relGap {
 			continue
 		}
 		res.Nodes++
@@ -154,13 +127,13 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (Result, error) {
 		case lp.IterLimit:
 			continue // treat as prunable; conservative
 		}
-		if haveIncumbent && sol.Obj <= bestObj+math.Abs(bestObj)*opts.RelGap {
+		if haveIncumbent && sol.Obj <= bestObj+math.Abs(bestObj)*relGap {
 			continue
 		}
 		// Find the most fractional integer variable; ties go to the first
 		// in intVars order, so branching never depends on map order.
 		branch := -1
-		bestFrac := opts.IntTol
+		bestFrac := intTol
 		for _, j := range intVars {
 			f := frac(sol.X[j])
 			if f > bestFrac {

@@ -14,7 +14,7 @@ func TestKnapsack(t *testing.T) {
 	b := p.AddVariable(13, 0, 1)
 	c := p.AddVariable(7, 0, 1)
 	p.AddConstraint([]int{a, b, c}, []float64{3, 4, 2}, lp.LE, 6)
-	res, err := Solve(p, []int{a, b, c}, Options{})
+	res, err := Solve(p, []int{a, b, c}, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestIntegerVsRelaxation(t *testing.T) {
 	p := lp.NewProblem()
 	x := p.AddVariable(1, 0, 10)
 	p.AddConstraint([]int{x}, []float64{2}, lp.LE, 3)
-	res, err := Solve(p, []int{x}, Options{})
+	res, err := Solve(p, []int{x}, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestInfeasibleMILP(t *testing.T) {
 	p.AddConstraint([]int{x}, []float64{2}, lp.GE, 1) // x ≥ 0.5
 	p.AddConstraint([]int{x}, []float64{2}, lp.LE, 1.5)
 	// 0.5 ≤ x ≤ 0.75 has no integer point.
-	_, err := Solve(p, []int{x}, Options{})
+	_, err := Solve(p, []int{x}, 10000)
 	if err != ErrNoIncumbent {
 		t.Fatalf("expected ErrNoIncumbent, got %v", err)
 	}
@@ -63,7 +63,7 @@ func TestMixedIntegerContinuous(t *testing.T) {
 	x := p.AddVariable(2, 0, 1)
 	y := p.AddVariable(1, 0, 1.5)
 	p.AddConstraint([]int{x, y}, []float64{1, 1}, lp.LE, 2)
-	res, err := Solve(p, []int{x}, Options{})
+	res, err := Solve(p, []int{x}, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestMixedIntegerContinuous(t *testing.T) {
 func TestIntVarOutOfRange(t *testing.T) {
 	p := lp.NewProblem()
 	p.AddVariable(1, 0, 1)
-	if _, err := Solve(p, []int{5}, Options{}); err == nil {
+	if _, err := Solve(p, []int{5}, 10000); err == nil {
 		t.Fatal("expected range error")
 	}
 }
@@ -92,7 +92,7 @@ func TestNodeLimitReported(t *testing.T) {
 		coef[i] = 1 + 0.37*float64(i%5)
 	}
 	p.AddConstraint(vars, coef, lp.LE, 7.3)
-	res, err := Solve(p, vars, Options{MaxNodes: 1})
+	res, err := Solve(p, vars, 1)
 	if err == ErrNoIncumbent {
 		return // acceptable: no incumbent in 1 node
 	}
@@ -157,7 +157,7 @@ func TestPWLConcaveMaximizationNoBinaries(t *testing.T) {
 	if len(bins) != 0 {
 		t.Fatal("concave maximization should not need binaries")
 	}
-	res, err := Solve(p, nil, Options{})
+	res, err := Solve(p, nil, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestPWLNonConcaveNeedsBinaries(t *testing.T) {
 	if len(bins) == 0 {
 		t.Fatal("non-concave function must get binaries")
 	}
-	res, err := Solve(p, bins, Options{})
+	res, err := Solve(p, bins, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestPWLSumOfTwoFunctions(t *testing.T) {
 	if _, _, err := f.AddToProblem(p, x2, 1, false); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(p, nil, Options{})
+	res, err := Solve(p, nil, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestSolveRespectsForceBinaries(t *testing.T) {
 	if len(bins) == 0 {
 		t.Fatal("forceBinaries must add binaries even for concave PWL")
 	}
-	res, err := Solve(p, bins, Options{})
+	res, err := Solve(p, bins, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@
 //  1. Results are written to slots owned by their task index, never appended
 //     in completion order, so output layout is independent of scheduling.
 //  2. Any randomness a task needs is derived BEFORE fan-out by draining seeds
-//     from the parent stream in index order (Seeds / SeedsFrom). Task i
+//     from the parent stream in index order (SeedsFrom). Task i
 //     therefore sees the same seed whether it runs first, last, or alone.
 //
 // Under this contract, Workers(1) and Workers(N) runs of the same
@@ -133,25 +133,13 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int)) error {
 	return nil
 }
 
-// ForEachErr is ForEach for fallible tasks. Every task runs regardless of
-// other tasks' failures; the returned error is the one from the lowest
-// failing index, so error reporting is deterministic under any interleaving.
-func ForEachErr(workers, n int, fn func(i int) error) error {
-	errs := make([]error, n)
-	ForEach(workers, n, func(i int) { errs[i] = fn(i) })
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ForEachErrCtx is ForEachErr under a context, with ForEachCtx's
-// drain-and-return semantics. The context error takes precedence over task
-// errors: once the sweep is cut short, which tasks ran (and therefore which
-// task errors exist) depends on scheduling, so reporting ctx.Err() is the
-// only deterministic choice.
+// ForEachErrCtx is ForEachCtx for fallible tasks. Every task that starts
+// runs regardless of other tasks' failures; the returned error is the one
+// from the lowest failing index, so error reporting is deterministic under
+// any interleaving. The context error takes precedence over task errors:
+// once the sweep is cut short, which tasks ran (and therefore which task
+// errors exist) depends on scheduling, so reporting ctx.Err() is the only
+// deterministic choice.
 func ForEachErrCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	if err := ForEachCtx(ctx, workers, n, func(i int) { errs[i] = fn(i) }); err != nil {
@@ -172,26 +160,12 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 	return out
 }
 
-// MapErrCtx is MapErr under a context, with ForEachErrCtx's error
-// precedence. On any error the partial results are discarded.
+// MapErrCtx is Map for fallible tasks under a context, with
+// ForEachErrCtx's error precedence. On any error the partial results are
+// discarded.
 func MapErrCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := ForEachErrCtx(ctx, workers, n, func(i int) error {
-		v, err := fn(i)
-		out[i] = v
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MapErr is Map for fallible tasks, with ForEachErr's lowest-index error
-// semantics. On error the partial results are discarded.
-func MapErr[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEachErr(workers, n, func(i int) error {
 		v, err := fn(i)
 		out[i] = v
 		return err
@@ -227,17 +201,12 @@ func ForEachSliceCtx(ctx context.Context, workers, n, chunk int, fn func(lo, hi 
 	})
 }
 
-// Seeds pre-derives n per-task seeds from a root seed by draining a fresh
-// stream sequentially. Drawing all seeds before fan-out is what keeps
-// parallel execution byte-identical to sequential: task i receives the same
-// seed regardless of worker count or completion order.
-func Seeds(root int64, n int) []int64 {
-	return SeedsFrom(rng.New(root), n)
-}
-
-// SeedsFrom drains n seeds from an existing stream in index order. Use this
-// when the parent stream interleaves seed draws with other sampling and the
-// historical draw order must be preserved exactly.
+// SeedsFrom drains n seeds from an existing stream in index order. Drawing
+// all seeds before fan-out is what keeps parallel execution byte-identical
+// to sequential: task i receives the same seed regardless of worker count
+// or completion order. Because it draws from the caller's stream, a parent
+// that interleaves seed draws with other sampling keeps its historical draw
+// order exactly.
 func SeedsFrom(r *rng.RNG, n int) []int64 {
 	out := make([]int64, n)
 	for i := range out {

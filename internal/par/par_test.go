@@ -1,11 +1,14 @@
 package par
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"paws/internal/rng"
 )
 
 func TestWorkersResolution(t *testing.T) {
@@ -66,7 +69,7 @@ func TestForEachErrReturnsLowestIndexError(t *testing.T) {
 		for _, b := range bad {
 			isBad[b] = true
 		}
-		return ForEachErr(4, 20, func(i int) error {
+		return ForEachErrCtx(context.Background(), 4, 20, func(i int) error {
 			if isBad[i] {
 				return fmt.Errorf("task %d failed", i)
 			}
@@ -87,7 +90,7 @@ func TestForEachErrReturnsLowestIndexError(t *testing.T) {
 
 func TestMapErrDiscardsPartialResults(t *testing.T) {
 	sentinel := errors.New("boom")
-	out, err := MapErr(2, 10, func(i int) (int, error) {
+	out, err := MapErrCtx(context.Background(), 2, 10, func(i int) (int, error) {
 		if i == 5 {
 			return 0, sentinel
 		}
@@ -102,21 +105,21 @@ func TestMapErrDiscardsPartialResults(t *testing.T) {
 }
 
 func TestSeedsDeterministicAndIndexStable(t *testing.T) {
-	a := Seeds(42, 8)
-	b := Seeds(42, 8)
+	a := SeedsFrom(rng.New(42), 8)
+	b := SeedsFrom(rng.New(42), 8)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("Seeds not deterministic at %d", i)
 		}
 	}
 	// A longer drain shares the prefix: task i's seed does not depend on n.
-	long := Seeds(42, 16)
+	long := SeedsFrom(rng.New(42), 16)
 	for i := range a {
 		if a[i] != long[i] {
 			t.Fatalf("seed %d depends on n", i)
 		}
 	}
-	if Seeds(42, 4)[0] == Seeds(43, 4)[0] {
+	if SeedsFrom(rng.New(42), 4)[0] == SeedsFrom(rng.New(43), 4)[0] {
 		t.Fatal("different roots should give different seeds")
 	}
 }

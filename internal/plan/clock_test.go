@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"paws/internal/milp"
 )
 
 // steppingClock is a fake clock advancing one second per reading, so a
@@ -56,12 +54,11 @@ func TestSolveRuntimeDeterministic(t *testing.T) {
 func TestSolveHierarchicalRuntimeDeterministic(t *testing.T) {
 	park := planPark(t)
 	model := hierModel(park)
-	h := HierOptions{FineMaxCells: 20}
 	var ref time.Duration
 	for run := 1; run <= 2; run++ {
 		clk := &steppingClock{t: time.Unix(1_700_000_000, 0)}
 		cfg := Config{T: 6, K: 2, Segments: 6, Beta: 0.3, Solver: SolverFrankWolfe, now: clk.now}
-		p, _, err := SolveHierarchical(context.Background(), park, park.Posts[0], model, cfg, h)
+		p, _, err := SolveHierarchical(context.Background(), park, park.Posts[0], model, cfg, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,20 +70,6 @@ func TestSolveHierarchicalRuntimeDeterministic(t *testing.T) {
 		} else if p.Runtime != ref {
 			t.Fatalf("Runtime not reproducible: run 1 = %v, run 2 = %v", ref, p.Runtime)
 		}
-	}
-}
-
-// TestDefaultMILPBudgetHasNoWallClock pins the budget a default plan hands
-// milp.Solve: the deterministic node budget and a zero TimeLimit, so the
-// refinement never reads the clock and a plan never depends on machine load.
-// A caller's explicit budget passes through unchanged.
-func TestDefaultMILPBudgetHasNoWallClock(t *testing.T) {
-	if got := (Config{}).milpOptions(); got.TimeLimit != 0 || got.MaxNodes != 150 {
-		t.Fatalf("default MILP options = %+v, want TimeLimit 0 and MaxNodes 150", got)
-	}
-	want := milp.Options{TimeLimit: time.Second, MaxNodes: 7}
-	if got := (Config{MILP: want}).milpOptions(); got != want {
-		t.Fatalf("explicit MILP options = %+v, want %+v", got, want)
 	}
 }
 

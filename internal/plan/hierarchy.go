@@ -7,7 +7,6 @@ import (
 
 	"paws/internal/geo"
 	"paws/internal/obs"
-	"paws/internal/par"
 )
 
 // This file implements hierarchical planning for very large parks. A flat
@@ -29,60 +28,18 @@ import (
 //  3. Solve the fine region with the existing per-post machinery (Solve +
 //     ExtractRoutes) — every downstream artifact (effort map, routes,
 //     objective) keeps its exact semantics.
-//
-// SolveHierarchicalAll shares one coarsening across posts and refines each
-// post's region in parallel under the par determinism contract: regions and
-// plans depend only on the post, never on scheduling, so results are
-// byte-identical for any worker count.
 
-// HierOptions tunes hierarchical planning. The zero value derives everything
-// from the park and the fine Config.
-type HierOptions struct {
-	// Factor is the super-cell edge length in fine cells. 0 derives the
-	// smallest factor that keeps the whole park within MaxCoarseCells
-	// super-cells, so the coarse solve always sees the full park.
-	Factor int
-	// MaxCoarseCells caps the coarse region size (default 256).
-	MaxCoarseCells int
-	// SamplePerSuper is the number of member cells sampled per super-cell
-	// for the coarse model (default 4). Members are sampled by deterministic
-	// stride, so the coarse model is a pure function of the park and model.
-	SamplePerSuper int
-	// CoarseT overrides the coarse horizon (default: the fine Config.T).
-	// One coarse step spans f fine cells, so even the default horizon
-	// explores far beyond the fine region.
-	CoarseT int
-	// FineMaxCells caps the refined per-post region (default 40, matching
-	// the flat planner's default region size).
-	FineMaxCells int
-	// Workers bounds the goroutines SolveHierarchicalAll uses to refine
-	// posts concurrently (par.Workers semantics). The model must be safe
-	// for concurrent lookups when Workers ≠ 1.
-	Workers int
-}
+// maxCoarseCells caps the coarse instance: the super-cell factor is derived
+// so the whole park fits in this many super-cells, and the coarse region
+// never grows past it.
+const maxCoarseCells = 256
 
-// withDefaults resolves zero fields against the park and fine config.
-func (h HierOptions) withDefaults(park *geo.Park, cfg Config) HierOptions {
-	if h.MaxCoarseCells <= 0 {
-		h.MaxCoarseCells = 256
-	}
-	if h.Factor <= 0 {
-		n := park.Grid.NumCells()
-		h.Factor = int(math.Ceil(math.Sqrt(float64(n) / float64(h.MaxCoarseCells))))
-		if h.Factor < 1 {
-			h.Factor = 1
-		}
-	}
-	if h.SamplePerSuper <= 0 {
-		h.SamplePerSuper = 4
-	}
-	if h.CoarseT <= 0 {
-		h.CoarseT = cfg.T
-	}
-	if h.FineMaxCells <= 0 {
-		h.FineMaxCells = 40
-	}
-	return h
+// coarseFactor is the super-cell edge length in fine cells: the smallest
+// factor that keeps the whole park within maxCoarseCells super-cells, so
+// the coarse solve always sees the full park.
+func coarseFactor(park *geo.Park) int {
+	f := int(math.Ceil(math.Sqrt(float64(park.Grid.NumCells()) / maxCoarseCells)))
+	return max(f, 1)
 }
 
 // coarsening aggregates a park into f×f super-cells. Super-cells are indexed
@@ -319,85 +276,41 @@ func growFineRegion(park *geo.Park, post, maxCells int, co *coarsening, superEff
 
 // SolveHierarchical computes a hierarchically-targeted plan for one post:
 // coarse Frank-Wolfe over super-cells, effort-guided region refinement, then
-// the standard Solve on the refined region. It returns the fine plan and its
-// region (for route extraction and reporting). The context is for
-// observability: when ctx carries a trace (internal/obs), the coarse
-// Frank-Wolfe pass and the fine refinement record one span per post. The
+// the standard Solve on the refined region of at most fineMaxCells cells. It
+// returns the fine plan and its region (for route extraction and reporting).
+// The coarse model averages 4 deterministically sampled members per
+// super-cell, and the coarse solve keeps the fine horizon cfg.T: one coarse
+// step spans f fine cells, so it explores far beyond the fine region. The
+// context is for observability: when ctx carries a trace (internal/obs), the
+// coarse Frank-Wolfe pass and the fine refinement record one span each. The
 // plan itself is byte-identical with or without a trace.
-func SolveHierarchical(ctx context.Context, park *geo.Park, post int, model CellModel, cfg Config, h HierOptions) (*Plan, *Region, error) {
-	plans, regions, err := SolveHierarchicalAll(ctx, park, []int{post}, model, cfg, h)
-	if err != nil {
-		return nil, nil, err
+func SolveHierarchical(ctx context.Context, park *geo.Park, post int, model CellModel, cfg Config, fineMaxCells int) (*Plan, *Region, error) {
+	if post < 0 || post >= park.Grid.NumCells() {
+		return nil, nil, fmt.Errorf("plan: post cell %d out of range", post)
 	}
-	return plans[0], regions[0], nil
-}
-
-// SolveHierarchicalAll plans for many posts against one shared coarsening:
-// the park is aggregated once, then each post runs its coarse solve and fine
-// refinement on its own worker (par.MapErr), reusing the existing per-post
-// solver for the refined regions. Results are index-ordered by post and
-// byte-identical for any worker count. ctx serves observability as in
-// SolveHierarchical.
-func SolveHierarchicalAll(ctx context.Context, park *geo.Park, posts []int, model CellModel, cfg Config, h HierOptions) ([]*Plan, []*Region, error) {
-	n := park.Grid.NumCells()
-	for _, p := range posts {
-		if p < 0 || p >= n {
-			return nil, nil, fmt.Errorf("plan: post cell %d out of range", p)
-		}
-	}
-	h = h.withDefaults(park, cfg)
-	co := newCoarsening(park, h.Factor)
-	cm := &coarseModel{base: model, samples: co.sampleMembers(h.SamplePerSuper)}
-
+	co := newCoarsening(park, coarseFactor(park))
+	cm := &coarseModel{base: model, samples: co.sampleMembers(4)}
 	ccfg := cfg
-	ccfg.T = h.CoarseT
 	ccfg.Solver = SolverFrankWolfe // coarse stage only targets; skip the MILP
-	ccfg.MaxEffort = 0             // re-derive for the coarse horizon
 
-	type out struct {
-		plan   *Plan
-		region *Region
-	}
-	res, err := par.MapErr(h.Workers, len(posts), func(i int) (out, error) {
-		post := posts[i]
-		item := fmt.Sprintf("post %d", post)
-		creg := co.coarseRegion(park, post, h.MaxCoarseCells)
-		endCoarse := obs.StartSpan(ctx, "coarse", item)
-		cplan, err := Solve(creg, cm, ccfg)
-		endCoarse()
-		if err != nil {
-			return out{}, fmt.Errorf("plan: coarse solve for post %d: %w", post, err)
-		}
-		superEffort := make([]float64, len(co.members))
-		for li, s := range creg.Cells {
-			superEffort[s] = cplan.Effort[li]
-		}
-		fine := growFineRegion(park, post, h.FineMaxCells, co, superEffort)
-		endRefine := obs.StartSpan(ctx, "refine", item)
-		fplan, err := Solve(fine, model, cfg)
-		endRefine()
-		if err != nil {
-			return out{}, fmt.Errorf("plan: fine solve for post %d: %w", post, err)
-		}
-		return out{fplan, fine}, nil
-	})
+	item := fmt.Sprintf("post %d", post)
+	creg := co.coarseRegion(park, post, maxCoarseCells)
+	endCoarse := obs.StartSpan(ctx, "coarse", item)
+	cplan, err := Solve(creg, cm, ccfg)
+	endCoarse()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("plan: coarse solve for post %d: %w", post, err)
 	}
-	plans := make([]*Plan, len(posts))
-	regions := make([]*Region, len(posts))
-	for i, o := range res {
-		plans[i] = o.plan
-		regions[i] = o.region
+	superEffort := make([]float64, len(co.members))
+	for li, s := range creg.Cells {
+		superEffort[s] = cplan.Effort[li]
 	}
-	return plans, regions, nil
-}
-
-// CoarseCells reports how many super-cells a hierarchical solve over this
-// park would use at the given options — a sizing aid for callers deciding
-// between flat and hierarchical planning.
-func CoarseCells(park *geo.Park, cfg Config, h HierOptions) int {
-	h = h.withDefaults(park, cfg)
-	co := newCoarsening(park, h.Factor)
-	return len(co.members)
+	fine := growFineRegion(park, post, fineMaxCells, co, superEffort)
+	endRefine := obs.StartSpan(ctx, "refine", item)
+	fplan, err := Solve(fine, model, cfg)
+	endRefine()
+	if err != nil {
+		return nil, nil, fmt.Errorf("plan: fine solve for post %d: %w", post, err)
+	}
+	return fplan, fine, nil
 }

@@ -136,8 +136,7 @@ func TestSolveHierarchical(t *testing.T) {
 	park := planPark(t)
 	model := hierModel(park)
 	cfg := Config{T: 6, K: 2, Segments: 6, Beta: 0.3, Solver: SolverFrankWolfe}
-	h := HierOptions{FineMaxCells: 20}
-	p, region, err := SolveHierarchical(context.Background(), park, park.Posts[0], model, cfg, h)
+	p, region, err := SolveHierarchical(context.Background(), park, park.Posts[0], model, cfg, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,42 +160,13 @@ func TestSolveHierarchical(t *testing.T) {
 	}
 }
 
-func TestSolveHierarchicalAllWorkerInvariance(t *testing.T) {
-	park := planPark(t)
-	model := hierModel(park)
-	cfg := Config{T: 6, K: 2, Segments: 6, Beta: 0.3, Solver: SolverFrankWolfe}
-	posts := park.Posts
-	var ref []*Plan
-	var refRegions []*Region
-	for _, workers := range []int{1, 4} {
-		h := HierOptions{FineMaxCells: 20, Workers: workers}
-		plans, regions, err := SolveHierarchicalAll(context.Background(), park, posts, model, cfg, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref, refRegions = plans, regions
-			continue
-		}
-		for i := range plans {
-			if !reflect.DeepEqual(plans[i].Effort, ref[i].Effort) {
-				t.Fatalf("workers=%d: post %d effort differs", workers, i)
-			}
-			if !reflect.DeepEqual(regions[i].Cells, refRegions[i].Cells) {
-				t.Fatalf("workers=%d: post %d region differs", workers, i)
-			}
-		}
-	}
-}
-
 func TestCoarseCells(t *testing.T) {
 	park := planPark(t)
-	cfg := Config{T: 6, K: 2, Segments: 6}
-	n := CoarseCells(park, cfg, HierOptions{})
+	n := len(newCoarsening(park, coarseFactor(park)).members)
 	if n < 1 || n > 256 {
 		t.Fatalf("coarse cells %d out of (0, 256]", n)
 	}
-	if nf := CoarseCells(park, cfg, HierOptions{Factor: 1}); nf != park.Grid.NumCells() {
+	if nf := len(newCoarsening(park, 1).members); nf != park.Grid.NumCells() {
 		t.Fatalf("factor 1 must be the identity coarsening: %d != %d", nf, park.Grid.NumCells())
 	}
 }

@@ -124,15 +124,8 @@ type Config struct {
 	Segments int
 	// Beta is the robustness weight β ∈ [0,1] on the uncertainty penalty.
 	Beta float64
-	// MaxEffort caps the per-cell effort used as the PWL domain. 0 derives
-	// it as min(K·T, K·4): a cell cannot absorb more than the full flow.
-	MaxEffort float64
 	// Solver selects the optimization strategy (see SolverKind).
 	Solver SolverKind
-	// FWIters caps Frank-Wolfe iterations (default 250).
-	FWIters int
-	// MILP tunes the branch-and-bound search.
-	MILP milp.Options
 	// Workers bounds the goroutines sweep drivers (package game) use to run
 	// independent solves concurrently (par.Workers semantics: 1 is
 	// sequential, ≤ 0 means GOMAXPROCS). Solve itself is sequential; the
@@ -205,10 +198,8 @@ func Solve(region *Region, model CellModel, cfg Config) (*Plan, error) {
 	start := now()
 
 	n := region.NumCells()
-	maxEffort := cfg.MaxEffort
-	if maxEffort <= 0 {
-		maxEffort = math.Min(cfg.K*float64(cfg.T), cfg.K*4)
-	}
+	// The PWL domain: a cell cannot absorb more than the full flow.
+	maxEffort := math.Min(cfg.K*float64(cfg.T), cfg.K*4)
 
 	// Sample the robust utility U_v(c) = g_v(c)·(1 − β·ν_v(c)) at the PWL
 	// breakpoints — both factors depend on the same scalar c, so the product
@@ -251,12 +242,8 @@ func Solve(region *Region, model CellModel, cfg Config) (*Plan, error) {
 
 	// Frank-Wolfe relaxation: fast, feasible, exact for concave hulls.
 	if cfg.Solver != SolverMILP {
-		iters := cfg.FWIters
-		if iters <= 0 {
-			iters = 250
-		}
 		fw := buildFW(region, cfg, maxEffort, pwls)
-		effort := fw.solveFrankWolfe(iters)
+		effort := fw.solveFrankWolfe(250)
 		out.Effort = effort
 		out.Objective = exactObj(effort)
 		out.Relaxed = true
@@ -401,7 +388,7 @@ func solveMILPPath(region *Region, cfg Config, pwls []milp.PWL, maxEffort float6
 
 	// Stage 1: simplex relaxation — feasible, and exact when every sampled
 	// utility is concave.
-	relax, err := lp.Solve(p, lp.Options{MaxIter: cfg.MILP.LPMaxIter})
+	relax, err := lp.Solve(p)
 	if err != nil {
 		return nil, fmt.Errorf("plan: relaxation: %w", err)
 	}
@@ -416,11 +403,12 @@ func solveMILPPath(region *Region, cfg Config, pwls []milp.PWL, maxEffort float6
 		Relaxed:   true,
 	}
 
-	// Stage 2: budgeted branch-and-bound refinement when the utilities are
-	// non-concave. The search dives to an incumbent first, so even a small
-	// node budget yields an adjacency-feasible solution.
+	// Stage 2: branch-and-bound refinement when the utilities are
+	// non-concave. The search dives to an incumbent first, so even its
+	// 150-node budget yields an adjacency-feasible solution. The budget
+	// counts nodes, not wall time, so a plan never depends on machine load.
 	if len(allBinaries) > 0 {
-		res, err := milp.Solve(p, allBinaries, cfg.milpOptions())
+		res, err := milp.Solve(p, allBinaries, 150)
 		if err == nil && (res.Status == lp.Optimal || res.Status == lp.IterLimit) && res.X != nil {
 			eff := extract(res.X)
 			if obj := exactObj(eff); obj > out.Objective {
@@ -434,18 +422,6 @@ func solveMILPPath(region *Region, cfg Config, pwls []milp.PWL, maxEffort float6
 		}
 	}
 	return out, nil
-}
-
-// milpOptions is the branch-and-bound budget the refinement runs under:
-// cfg.MILP with a default node budget. The budget is deterministic — no
-// wall-clock limit unless the caller sets MILP.TimeLimit — so a default plan
-// never depends on machine load.
-func (cfg Config) milpOptions() milp.Options {
-	opts := cfg.MILP
-	if opts.MaxNodes <= 0 {
-		opts.MaxNodes = 150
-	}
-	return opts
 }
 
 func negOnes(k int) []float64 {

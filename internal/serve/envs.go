@@ -27,23 +27,6 @@ import (
 // The wire schema lives in internal/env (shared with the env.Client
 // Stepper), so a remote episode is byte-identical to a local env.Env run.
 
-// CodeUnknownEnv is the structured code for missing env sessions.
-const CodeUnknownEnv = "unknown_env"
-
-// envErrorStatus classifies env-session errors; everything else falls
-// through to the shared errorStatus.
-func envErrorStatus(err error) (int, string, bool) {
-	switch {
-	case errors.Is(err, env.ErrUnknownSession):
-		return http.StatusNotFound, CodeUnknownEnv, true
-	case errors.Is(err, env.ErrDone):
-		return http.StatusConflict, CodeConflict, true
-	case errors.Is(err, env.ErrShuttingDown):
-		return http.StatusServiceUnavailable, CodeShuttingDown, true
-	}
-	return 0, "", false
-}
-
 func (s *Server) handleEnvCreate(w http.ResponseWriter, r *http.Request) {
 	var req env.CreateRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -85,7 +68,7 @@ func (s *Server) handleEnvCreate(w http.ResponseWriter, r *http.Request) {
 			err = &overloadedError{retryAfter: s.envs.RetryAfter(), msg: fmt.Sprintf(
 				"replica %s: %v", replicaLabel(s.cfg.ReplicaID), err)}
 		}
-		writeEnvErr(w, err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, env.CreateResponse{Session: snap, Obs: env.FullWire(e.Obs())})
@@ -105,13 +88,13 @@ func (s *Server) handleEnvStep(w http.ResponseWriter, r *http.Request) {
 	o, stats, done, err := s.envs.Step(ctx, id, req.Effort)
 	endStep()
 	if err != nil {
-		writeEnvErr(w, err)
+		writeErr(w, err)
 		return
 	}
 	s.metrics.envSteps.Observe(time.Since(start).Seconds())
 	snap, err := s.envs.Get(id)
 	if err != nil {
-		writeEnvErr(w, err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, env.StepResponse{
@@ -125,7 +108,7 @@ func (s *Server) handleEnvStep(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEnvGet(w http.ResponseWriter, r *http.Request) {
 	snap, err := s.envs.Get(r.PathValue("id"))
 	if err != nil {
-		writeEnvErr(w, err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, snap)
@@ -134,23 +117,8 @@ func (s *Server) handleEnvGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEnvDelete(w http.ResponseWriter, r *http.Request) {
 	snap, err := s.envs.Remove(r.PathValue("id"))
 	if err != nil {
-		writeEnvErr(w, err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, env.DeleteResponse{Session: snap})
-}
-
-// writeEnvErr renders env-session errors (unknown session, done episode,
-// draining manager) with their specific codes, delegating everything else
-// to the shared writeErr.
-func writeEnvErr(w http.ResponseWriter, err error) {
-	if status, code, ok := envErrorStatus(err); ok {
-		writeJSON(w, status, errorResponse{Error: ErrorDetail{
-			Code:    code,
-			Message: err.Error(),
-			TraceID: w.Header().Get(obs.TraceHeader),
-		}})
-		return
-	}
-	writeErr(w, err)
 }

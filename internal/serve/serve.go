@@ -46,13 +46,13 @@
 // an expired request aborts early with 504 instead of burning the worker
 // pool on an answer nobody is waiting for. Errors use a structured
 // envelope, {"error": {"code": …, "message": …}}, with machine-readable
-// codes (bad_request, unknown_model, unknown_job, deadline, canceled,
-// conflict, shutting_down, overloaded). A request body over 16 MiB, the
-// pawsgate limit, is refused with 413 and code bad_request before it is
-// decoded in full. Job submissions additionally pass an admission gate
-// (Config.AdmissionBudget / AdmissionMaxQueue): once the estimated backlog
-// exceeds the budget, submissions are shed with 429 + Retry-After instead
-// of queueing work the replica cannot serve in time.
+// codes (bad_request, unknown_model, unknown_job, unknown_env, deadline,
+// canceled, conflict, shutting_down, overloaded). A request body over
+// 16 MiB, the pawsgate limit, is refused with 413 and code bad_request
+// before it is decoded in full. Job submissions additionally pass an
+// admission gate (Config.AdmissionBudget / AdmissionMaxQueue): once the
+// estimated backlog exceeds the budget, submissions are shed with 429 +
+// Retry-After instead of queueing work the replica cannot serve in time.
 package serve
 
 import (
@@ -219,6 +219,7 @@ const (
 	CodeBadRequest   = "bad_request"
 	CodeUnknownModel = "unknown_model"
 	CodeUnknownJob   = "unknown_job"
+	CodeUnknownEnv   = "unknown_env"
 	CodeDeadline     = "deadline"
 	CodeCanceled     = "canceled"
 	CodeConflict     = "conflict"
@@ -269,10 +270,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // errorStatus classifies an error into its transport status and envelope
-// code: unknown model/job → 404, deadline → 504, canceled → 499 (nginx
-// convention), result not ready → 409, draining → 503, oversized body →
-// 413 (bad_request, as pawsgate answers it), anything else the service
-// rejected → 400.
+// code: unknown model/job/env session → 404, deadline → 504, canceled → 499
+// (nginx convention), result not ready or episode done → 409, draining →
+// 503, oversized body → 413 (bad_request, as pawsgate answers it), anything
+// else the service rejected → 400.
 func errorStatus(err error) (int, string) {
 	var ov *overloadedError
 	var tooLarge *http.MaxBytesError
@@ -288,6 +289,12 @@ func errorStatus(err error) (int, string) {
 	case errors.Is(err, job.ErrNotFinished):
 		return http.StatusConflict, CodeConflict
 	case errors.Is(err, job.ErrShuttingDown):
+		return http.StatusServiceUnavailable, CodeShuttingDown
+	case errors.Is(err, env.ErrUnknownSession):
+		return http.StatusNotFound, CodeUnknownEnv
+	case errors.Is(err, env.ErrDone):
+		return http.StatusConflict, CodeConflict
+	case errors.Is(err, env.ErrShuttingDown):
 		return http.StatusServiceUnavailable, CodeShuttingDown
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, CodeDeadline

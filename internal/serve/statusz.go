@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"time"
 
-	"paws"
 	"paws/internal/env"
 	"paws/internal/job"
 )
@@ -128,8 +127,3 @@ func replicaLabel(id string) string {
 	}
 	return id
 }
-
-// Service exposes the underlying paws.Service — pawsd uses it to wire a
-// store syncer and publish startup-trained models without threading the
-// service handle separately.
-func (s *Server) Service() *paws.Service { return s.svc }

@@ -24,7 +24,7 @@ func (pm *PlannerModel) covered(effort float64) int {
 }
 
 // planBreakpoints are the PWL breakpoints of a default Service.Plan
-// (K = 2, T = 8, 8 segments: MaxEffort = 8).
+// (K = 2, T = 8, 8 segments over the PWL domain [0, min(K·T, K·4)] = [0, 8]).
 var planBreakpoints = []float64{0, 1, 2, 3, 4, 5, 6, 7, 8}
 
 // assertLadderMatchesPointwise checks that maps requested in shuffled

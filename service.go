@@ -383,8 +383,7 @@ func (s *Service) Plan(ctx context.Context, name string, post int, beta float64,
 	var region *plan.Region
 	var p *plan.Plan
 	if useHier {
-		p, region, err = plan.SolveHierarchical(ctx, sm.park, sm.park.Posts[post], sm.pm,
-			cfg, plan.HierOptions{FineMaxCells: maxCells, Workers: st.workers})
+		p, region, err = plan.SolveHierarchical(ctx, sm.park, sm.park.Posts[post], sm.pm, cfg, maxCells)
 	} else {
 		region, err = plan.NewRegion(sm.park, sm.park.Posts[post], radius, maxCells)
 		if err != nil {
