@@ -44,7 +44,9 @@
 // any replica becomes servable by every replica within one poll interval.
 // -replica namespaces job IDs ("j-a-000001") so the gate can route job
 // polls to the replica that owns the job, and GET /statusz reports queue
-// depth and admission state for the gate's least-loaded routing.
+// depth and admission state for the gate's least-loaded routing. Each
+// replica behind pawsgate needs its own -replica: the gate keeps a replica
+// that reports none, or one another replica reports, out of rotation.
 // -admission-budget and -admission-max-queue shed job submissions with
 // 429 + Retry-After once the estimated backlog exceeds the budget.
 //
@@ -128,7 +130,7 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /statusz on this address (e.g. localhost:6060); empty disables")
 	flag.StringVar(&o.storeDir, "store", "", "shared fleet model store directory; with neither -model nor -train, serve purely from the store")
 	flag.DurationVar(&o.storePoll, "store-poll", time.Second, "how often to poll the store index for new publications")
-	flag.StringVar(&o.replica, "replica", "", "replica ID in a fleet (namespaces job IDs, reported by /statusz)")
+	flag.StringVar(&o.replica, "replica", "", "replica ID in a fleet, unique per replica behind pawsgate (namespaces job and env session IDs, reported by /statusz)")
 	flag.DurationVar(&o.admissionBudget, "admission-budget", 0, "job-backlog budget: estimated backlog beyond this rejects submissions with 429 (0 disables)")
 	flag.IntVar(&o.admissionMaxQueue, "admission-max-queue", 0, "queue-depth bound: this many queued jobs rejects submissions with 429 (0 disables)")
 	flag.Parse()

@@ -11,7 +11,8 @@
 // replica (by its /statusz queue depth); job polls follow the replica
 // that owns the job (from the ID's replica prefix). Replicas are health
 // checked every -health-interval and taken out of rotation until they
-// answer again; idempotent GETs that hit a dying replica are retried once
+// answer again with a replica ID no other backend reports, so every
+// replica needs its own pawsd -replica; idempotent GETs that hit a dying replica are retried once
 // elsewhere. GET /gatez reports the gate's own view of the fleet.
 package main
 

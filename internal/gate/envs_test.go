@@ -68,9 +68,9 @@ func TestEnvCreateLeastLoaded(t *testing.T) {
 	}
 }
 
-// TestEnvDetailSticksToOwner: prefixed session IDs route to the replica
-// named inside the ID; un-prefixed IDs fall back to the owner recorded at
-// create time.
+// TestEnvDetailSticksToOwner: session IDs route to the replica named
+// inside the ID, both for IDs the gate never saw and for the ID a create
+// through the gate returned.
 func TestEnvDetailSticksToOwner(t *testing.T) {
 	a, b := newEnvStub(t, "a", 0), newEnvStub(t, "b", 5)
 	g := newGate(t, true, a, b)
@@ -83,8 +83,8 @@ func TestEnvDetailSticksToOwner(t *testing.T) {
 		t.Fatalf("prefixed session ID not owner-routed (a=%d, b=%d)",
 			a.count("/v1/envs/e-b-000007/step"), b.count("/v1/envs/e-b-000007/step"))
 	}
-	// Un-prefixed flows: the create (least-loaded → a) records the owner
-	// from the response ID, and follow-ups go back to a.
+	// The create goes least-loaded to a, whose session ID names it, so
+	// follow-ups go back to a.
 	rec := roundTrip(t, g, http.MethodPost, "/v1/envs", map[string]any{"park": "MFNP"})
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("create: status %d", rec.Code)
@@ -105,7 +105,7 @@ func TestEnvDetailSticksToOwner(t *testing.T) {
 	roundTrip(t, g, http.MethodGet, path, nil)
 	roundTrip(t, g, http.MethodDelete, path, nil)
 	if a.count(path+"/step") != 1 || a.count(path) != 2 {
-		t.Fatalf("recorded owner not used for follow-ups (step=%d, get+delete=%d)",
+		t.Fatalf("session ID's replica not used for follow-ups (step=%d, get+delete=%d)",
 			a.count(path+"/step"), a.count(path))
 	}
 	if got := b.count(path) + b.count(path+"/step"); got != 0 {

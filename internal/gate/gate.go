@@ -18,22 +18,24 @@
 //     last poll, so a burst between polls does not dogpile one replica.
 //   - Job observation (GET /v1/jobs/{id}…, DELETE) is owner-sticky: job
 //     state lives only on the replica that runs the job, so the gate
-//     parses the replica ID out of the job ID ("j-<replica>-000042"),
-//     falling back to the owner it recorded at submit time.
+//     reads the replica ID off the job ID ("j-<replica>-000042") alone.
+//     An ID that names no configured replica gets the gate's own 404.
 //
 // Replicas are health-checked (GET /statusz) on a fixed interval; a
 // failed poll or a failed proxied request takes a replica out of rotation
-// until a poll succeeds again. Idempotent GETs that die on a transport
-// error are retried once on a different healthy replica, so a replica
-// crash mid-request costs clients one error at most. GET /v1/jobs fans
-// out to every healthy replica and merges the lists, so operators see the
-// whole fleet's jobs in one place. The gate reports itself under GET
-// /gatez.
+// until a poll succeeds again. Because IDs are the only record of
+// ownership, a poll also fails when the replica reports no replica ID
+// (pawsd started without -replica mints bare "j-000001", as would every
+// other such replica) or an ID another backend reports. Idempotent GETs
+// that die on a transport error are retried once on a different healthy
+// replica, so a replica crash mid-request costs clients one error at most.
+// GET /v1/jobs fans out to every healthy replica and merges the lists, so
+// operators see the whole fleet's jobs in one place. The gate reports
+// itself under GET /gatez.
 package gate
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -126,11 +128,6 @@ type Gate struct {
 
 	rr atomic.Int64 // round-robin cursor
 
-	ownerMu sync.Mutex
-	// owners maps un-prefixed job IDs to the backend they were submitted
-	// to — the fallback when the ID itself does not name its replica.
-	owners map[string]*backend
-
 	// routing counters, reported by /gatez.
 	affinityRouted, rrRouted, leastLoadedRouted, retries atomic.Int64
 
@@ -155,7 +152,7 @@ func New(cfg Config) (*Gate, error) {
 	if client == nil {
 		client = &http.Client{}
 	}
-	g := &Gate{cfg: cfg, client: client, owners: map[string]*backend{}, tracer: obs.NewRecorder(cfg.TraceCapacity)}
+	g := &Gate{cfg: cfg, client: client, tracer: obs.NewRecorder(cfg.TraceCapacity)}
 	for _, raw := range cfg.Backends {
 		u, err := url.Parse(raw)
 		if err != nil || u.Scheme == "" || u.Host == "" {
@@ -168,17 +165,37 @@ func New(cfg Config) (*Gate, error) {
 	return g, nil
 }
 
-// PollOnce health-checks every backend synchronously.
+// PollOnce health-checks every backend synchronously. A backend that
+// answered is healthy only when it reported a replica ID that no other
+// backend answering this round reported.
 func (g *Gate) PollOnce() {
+	names := make([]string, len(g.backends))
+	answered := make([]bool, len(g.backends))
 	var wg sync.WaitGroup
-	for _, b := range g.backends {
+	for i, b := range g.backends {
 		wg.Add(1)
-		go func(b *backend) {
+		go func() {
 			defer wg.Done()
-			g.pollBackend(b)
-		}(b)
+			names[i], answered[i] = g.pollBackend(b)
+		}()
 	}
 	wg.Wait()
+	reports := map[string]int{}
+	for i, name := range names {
+		if answered[i] {
+			reports[name]++
+		}
+	}
+	for i, b := range g.backends {
+		switch {
+		case !answered[i]:
+			// pollBackend marked it down.
+		case names[i] == "" || reports[names[i]] > 1:
+			g.markDown(b)
+		default:
+			b.setHealthy(true)
+		}
+	}
 }
 
 // Run polls backend health until ctx is done.
@@ -209,36 +226,35 @@ type statuszProbe struct {
 	} `json:"envs"`
 }
 
-// pollBackend refreshes one backend's health and load.
-func (g *Gate) pollBackend(b *backend) {
+// pollBackend refreshes one backend's replica ID and load from /statusz,
+// returning the ID and whether it answered; one that did not is marked
+// down. PollOnce decides the health of those that answered.
+func (g *Gate) pollBackend(b *backend) (name string, ok bool) {
 	req, err := http.NewRequest(http.MethodGet, b.url+"/statusz", nil)
 	if err != nil {
 		g.markDown(b)
-		return
+		return "", false
 	}
 	client := *g.client
 	client.Timeout = 2 * time.Second
 	resp, err := client.Do(req)
 	if err != nil {
 		g.markDown(b)
-		return
+		return "", false
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil || resp.StatusCode != http.StatusOK {
 		g.markDown(b)
-		return
+		return "", false
 	}
 	var probe statuszProbe
 	if err := json.Unmarshal(body, &probe); err != nil {
 		g.markDown(b)
-		return
+		return "", false
 	}
 	b.mu.Lock()
-	b.healthy = true
-	if probe.Replica != "" {
-		b.name = probe.Replica
-	}
+	b.name = probe.Replica
 	b.queued = probe.Jobs.Queued
 	b.running = probe.Jobs.Running
 	b.completed = probe.Jobs.Completed
@@ -249,6 +265,7 @@ func (g *Gate) pollBackend(b *backend) {
 	// between-polls corrections restart from zero.
 	b.submits.Store(0)
 	b.envCreates.Store(0)
+	return probe.Replica, true
 }
 
 // healthy returns the healthy backends, in configuration order.
@@ -346,42 +363,31 @@ func (g *Gate) pickLeastEnvLoaded(healthy []*backend) *backend {
 	return best
 }
 
-// ID patterns extract the replica name a prefixed resource ID carries —
-// jobs are "j-<replica>-000042", env sessions "e-<replica>-000007". The
-// two namespaces share one owner-resolution mechanism.
+// ID patterns extract the replica name a resource ID carries — jobs are
+// "j-<replica>-000042", env sessions "e-<replica>-000007". The two
+// namespaces share one owner-resolution mechanism.
 var (
 	jobIDPattern = regexp.MustCompile(`^j-(.+)-[0-9]{6}$`)
 	envIDPattern = regexp.MustCompile(`^e-(.+)-[0-9]{6}$`)
 )
 
 // ownerOf resolves which backend owns a resource ID: the replica named
-// inside the ID (per the namespace's pattern) if the fleet runs with
-// replica IDs, else the owner recorded at submit/create time.
+// inside the ID per the namespace's pattern, or nil when the ID names no
+// configured replica.
 func (g *Gate) ownerOf(id string, pattern *regexp.Regexp) *backend {
-	if m := pattern.FindStringSubmatch(id); m != nil {
-		for _, b := range g.backends {
-			b.mu.Lock()
-			name := b.name
-			b.mu.Unlock()
-			if name == m[1] {
-				return b
-			}
+	m := pattern.FindStringSubmatch(id)
+	if m == nil {
+		return nil
+	}
+	for _, b := range g.backends {
+		b.mu.Lock()
+		name := b.name
+		b.mu.Unlock()
+		if name == m[1] {
+			return b
 		}
 	}
-	g.ownerMu.Lock()
-	defer g.ownerMu.Unlock()
-	return g.owners[id]
-}
-
-// recordOwner remembers which backend a submitted job went to (bounded;
-// the ID-prefix path makes this a fallback, not a requirement).
-func (g *Gate) recordOwner(id string, b *backend) {
-	g.ownerMu.Lock()
-	defer g.ownerMu.Unlock()
-	if len(g.owners) >= 4096 {
-		g.owners = map[string]*backend{}
-	}
-	g.owners[id] = b
+	return nil
 }
 
 // errorEnvelope mirrors serve's structured error body.
@@ -454,7 +460,7 @@ func (g *Gate) route(w http.ResponseWriter, r *http.Request) {
 		g.leastLoadedRouted.Add(1)
 		g.metrics.routeTotal.With("least_loaded").Inc()
 		b.submits.Add(1)
-		g.proxyCreate(w, r, body, b)
+		g.proxyWithRetry(w, r, body, b, healthy)
 		return
 	case r.Method == http.MethodPost && path == "/v1/envs":
 		// Session creates route to the replica holding the fewest live env
@@ -465,7 +471,7 @@ func (g *Gate) route(w http.ResponseWriter, r *http.Request) {
 		g.leastLoadedRouted.Add(1)
 		g.metrics.routeTotal.With("least_loaded").Inc()
 		b.envCreates.Add(1)
-		g.proxyCreate(w, r, body, b)
+		g.proxyWithRetry(w, r, body, b, healthy)
 		return
 	case strings.HasPrefix(path, "/v1/envs/"):
 		// Step/get/delete are owner-sticky: the session lives only on the
@@ -546,11 +552,8 @@ func planKey(body []byte) (string, bool) {
 
 // routeOwned proxies a detail request under prefix — /v1/jobs/{id}… or
 // /v1/envs/{id}… — to the replica that owns the ID, named inside it per
-// pattern. When the owner is unknown (un-prefixed ID submitted around the
-// gate), every healthy replica is probed and the first non-404 answer wins:
-// a non-owner's 404 is authoritative for its own namespace but says nothing
-// about the fleet. When no replica answers at all, the gate itself replies
-// 404 with code and "<noun> %q not found on any replica".
+// pattern. An ID that names no configured replica gets the gate's own 404
+// with code.
 func (g *Gate) routeOwned(w http.ResponseWriter, r *http.Request, body []byte, healthy []*backend,
 	prefix string, pattern *regexp.Regexp, code, noun string) {
 	rest := strings.TrimPrefix(r.URL.Path, prefix)
@@ -558,35 +561,21 @@ func (g *Gate) routeOwned(w http.ResponseWriter, r *http.Request, body []byte, h
 	if i := strings.IndexByte(rest, '/'); i >= 0 {
 		id = rest[:i]
 	}
-	if b := g.ownerOf(id, pattern); b != nil {
-		if b.isHealthy() {
-			g.proxy(w, r, body, b)
-			return
-		}
-		// The owner is down: its jobs and sessions are gone with its
-		// process. A live replica answers authoritatively (404 after a
-		// restart, 503 shutting_down during its drain) — proxy there instead
-		// of failing with a bare 502, so clients keep getting the structured
-		// envelope.
-		g.retries.Add(1)
-		g.proxy(w, r, body, g.pickRoundRobin(healthy))
+	b := g.ownerOf(id, pattern)
+	if b == nil {
+		writeGateErr(w, http.StatusNotFound, code, fmt.Sprintf("%s %q names no replica behind this gate", noun, id))
 		return
 	}
-	// Unknown owner: probe. Buffer each answer; forward the first that is
-	// not a 404, else the last 404.
-	for i, b := range healthy {
-		resp, raw, err := g.fetch(r, body, b)
-		if err != nil {
-			continue
-		}
-		if resp.StatusCode != http.StatusNotFound || i == len(healthy)-1 {
-			copyHeader(w.Header(), resp.Header)
-			w.WriteHeader(resp.StatusCode)
-			w.Write(raw)
-			return
-		}
+	if b.isHealthy() {
+		g.proxy(w, r, body, b)
+		return
 	}
-	writeGateErr(w, http.StatusNotFound, code, fmt.Sprintf("%s %q not found on any replica", noun, id))
+	// The owner is down: its jobs and sessions are gone with its process.
+	// A live replica answers authoritatively (404 after a restart, 503
+	// shutting_down during its drain) — proxy there instead of failing with
+	// a bare 502, so clients keep getting the structured envelope.
+	g.retries.Add(1)
+	g.proxy(w, r, body, g.pickRoundRobin(healthy))
 }
 
 // handleJobListFanout merges GET /v1/jobs across the fleet.
@@ -624,35 +613,6 @@ func (g *Gate) handleJobListFanout(w http.ResponseWriter, r *http.Request, healt
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_ = json.NewEncoder(w).Encode(merged)
-}
-
-// proxyCreate proxies a job submission, a synchronous simulate or a session
-// create. A 202 job snapshot carries the job ID as "id" and a 201 session
-// create as "session.id"; either is recorded so later requests can find
-// their replica even without ID prefixes. Simulate's 200 records nothing.
-// Every reply is forwarded unchanged.
-func (g *Gate) proxyCreate(w http.ResponseWriter, r *http.Request, body []byte, b *backend) {
-	resp, raw, err := g.fetch(r, body, b)
-	if err != nil {
-		writeGateErr(w, http.StatusBadGateway, "backend_down", fmt.Sprintf("replica %s: %v", b.url, err))
-		return
-	}
-	if resp.StatusCode == http.StatusAccepted || resp.StatusCode == http.StatusCreated {
-		var created struct {
-			ID      string `json:"id"`
-			Session struct {
-				ID string `json:"id"`
-			} `json:"session"`
-		}
-		if json.Unmarshal(raw, &created) == nil {
-			if id := cmp.Or(created.ID, created.Session.ID); id != "" {
-				g.recordOwner(id, b)
-			}
-		}
-	}
-	copyHeader(w.Header(), resp.Header)
-	w.WriteHeader(resp.StatusCode)
-	w.Write(raw)
 }
 
 // proxyWithRetry proxies to b; when the transport itself fails (replica
@@ -716,8 +676,8 @@ func (g *Gate) proxy(w http.ResponseWriter, r *http.Request, body []byte, b *bac
 }
 
 // fetch forwards the request to one backend and buffers the full response
-// — for routes that must inspect the answer (submissions, probes, list
-// fan-out). Transport failures mark the backend unhealthy.
+// — for the job list fan-out, which must inspect the answers. Transport
+// failures mark the backend unhealthy.
 func (g *Gate) fetch(r *http.Request, body []byte, b *backend) (*http.Response, []byte, error) {
 	endSpan := obs.StartSpan(r.Context(), "proxy", b.label())
 	defer endSpan()

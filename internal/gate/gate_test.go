@@ -6,16 +6,19 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"paws"
 	"paws/internal/serve"
 )
 
-// stub is a fake replica: it answers /statusz like pawsd and records every
-// other request it receives.
+// stub is a fake replica: it answers /statusz like pawsd, mints job IDs
+// prefixed with its replica name, and records every other request it
+// receives.
 type stub struct {
 	name   string
 	queued int
@@ -38,7 +41,7 @@ func newStub(t *testing.T, name string, queued int) *stub {
 		s.mu.Unlock()
 		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
 			w.WriteHeader(http.StatusAccepted)
-			fmt.Fprintf(w, `{"id":"j-000042","kind":"riskmap","state":"queued"}`)
+			fmt.Fprintf(w, `{"id":"j-%s-000042","kind":"riskmap","state":"queued"}`, s.name)
 			return
 		}
 		fmt.Fprint(w, `{"ok":true}`)
@@ -186,9 +189,9 @@ func TestLeastLoadedSubmission(t *testing.T) {
 	}
 }
 
-// TestJobObservationSticksToOwner: prefixed IDs route by the replica name
-// embedded in the ID; un-prefixed IDs route by the owner recorded at
-// submit time.
+// TestJobObservationSticksToOwner: job IDs route by the replica name
+// embedded in the ID, both for IDs the gate never saw and for the ID a
+// submission through the gate returned.
 func TestJobObservationSticksToOwner(t *testing.T) {
 	a, b := newStub(t, "a", 0), newStub(t, "b", 5)
 	g := newGate(t, true, a, b)
@@ -201,7 +204,7 @@ func TestJobObservationSticksToOwner(t *testing.T) {
 		t.Fatalf("prefixed job ID not owner-routed (a=%d, b=%d)",
 			a.count("/v1/jobs/j-b-000007"), b.count("/v1/jobs/j-b-000007"))
 	}
-	// Un-prefixed: the submit (least-loaded → a) records the owner, and the
+	// The submit goes least-loaded to a, whose ID names it, so the
 	// follow-up GET and DELETE go back to a.
 	if rec := roundTrip(t, g, http.MethodPost, "/v1/jobs", map[string]any{"kind": "riskmap"}); rec.Code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", rec.Code)
@@ -209,13 +212,104 @@ func TestJobObservationSticksToOwner(t *testing.T) {
 	if a.count("/v1/jobs") != 1 {
 		t.Fatal("submission did not go to the least-loaded replica")
 	}
-	roundTrip(t, g, http.MethodGet, "/v1/jobs/j-000042/events", nil)
-	roundTrip(t, g, http.MethodDelete, "/v1/jobs/j-000042", nil)
-	if a.count("/v1/jobs/j-000042/events") != 1 || a.count("/v1/jobs/j-000042") != 1 {
-		t.Fatal("recorded owner not used for follow-up job requests")
+	roundTrip(t, g, http.MethodGet, "/v1/jobs/j-a-000042/events", nil)
+	roundTrip(t, g, http.MethodDelete, "/v1/jobs/j-a-000042", nil)
+	if a.count("/v1/jobs/j-a-000042/events") != 1 || a.count("/v1/jobs/j-a-000042") != 1 {
+		t.Fatal("job ID's replica not used for follow-up job requests")
 	}
 	if b.total() != 3 {
 		t.Fatalf("replica b saw %d requests, want only the 3 owner-routed gets", b.total())
+	}
+}
+
+// newMintStub is a fake replica that mints job IDs the way pawsd does:
+// "j-<name>-000001", or bare "j-000001" when started without a replica
+// ID. Every job body, whether from the submit or a poll, carries tag,
+// so a test can tell which replica answered.
+func newMintStub(t *testing.T, name, tag string) *stub {
+	s := &stub{name: name, hits: map[string]int{}}
+	var minted atomic.Int64
+	s.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && r.URL.Path == "/statusz" {
+			fmt.Fprintf(w, `{"replica":%q,"jobs":{"queued":0,"running":0,"mean_job_seconds":1}}`, s.name)
+			return
+		}
+		s.mu.Lock()
+		s.hits[r.URL.Path]++
+		s.mu.Unlock()
+		id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			id = fmt.Sprintf("j-%06d", minted.Add(1))
+			if s.name != "" {
+				id = fmt.Sprintf("j-%s-%06d", s.name, minted.Load())
+			}
+			w.WriteHeader(http.StatusAccepted)
+		}
+		fmt.Fprintf(w, `{"id":%q,"tag":%q}`, id, tag)
+	}))
+	t.Cleanup(s.ts.Close)
+	return s
+}
+
+// TestReplicaIDCollision: two replicas started without a replica ID both
+// mint j-000001, so the ID cannot say whose job it is, and a poll for the
+// first submission must never answer with the other replica's job. The
+// gate keeps such replicas, and replicas sharing one ID, out of rotation;
+// an ID naming no configured replica gets the gate's own 404.
+func TestReplicaIDCollision(t *testing.T) {
+	type job struct{ ID, Tag string }
+	a, b := newMintStub(t, "", "a"), newMintStub(t, "", "b")
+	g := newGate(t, false, a, b)
+	var accepted []job
+	for i := 0; i < 2; i++ {
+		rec := roundTrip(t, g, http.MethodPost, "/v1/jobs", map[string]any{"kind": "riskmap"})
+		if rec.Code != http.StatusAccepted {
+			continue
+		}
+		var j job
+		if err := json.Unmarshal(rec.Body.Bytes(), &j); err != nil {
+			t.Fatal(err)
+		}
+		accepted = append(accepted, j)
+	}
+	for _, j := range accepted {
+		rec := roundTrip(t, g, http.MethodGet, "/v1/jobs/"+j.ID, nil)
+		var got job
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || got.Tag != j.Tag {
+			t.Errorf("job %s submitted to replica %s: poll answered %s", j.ID, j.Tag, rec.Body)
+		}
+	}
+	for _, bs := range g.Status().Backends {
+		if bs.Healthy {
+			t.Errorf("backend %s reports no replica ID yet is healthy", bs.URL)
+		}
+	}
+
+	x1, x2, y := newMintStub(t, "x", "x1"), newMintStub(t, "x", "x2"), newMintStub(t, "y", "y")
+	g = newGate(t, false, x1, x2, y)
+	var healthy []bool
+	for _, bs := range g.Status().Backends {
+		healthy = append(healthy, bs.Healthy)
+	}
+	if !slices.Equal(healthy, []bool{false, false, true}) {
+		t.Fatalf("health of x, x, y = %v, want only y healthy", healthy)
+	}
+	if rec := roundTrip(t, g, http.MethodPost, "/v1/jobs", map[string]any{"kind": "riskmap"}); rec.Code != http.StatusAccepted || y.count("/v1/jobs") != 1 {
+		t.Fatalf("submit: status %d, y saw %d submits; want it on y", rec.Code, y.count("/v1/jobs"))
+	}
+	for _, tc := range []struct{ path, code string }{
+		{"/v1/jobs/j-000001", "unknown_job"},
+		{"/v1/jobs/j-z-000001/events", "unknown_job"},
+		{"/v1/envs/e-z-000001", "unknown_env"},
+	} {
+		rec := roundTrip(t, g, http.MethodGet, tc.path, nil)
+		var env errorEnvelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusNotFound || env.Error.Code != tc.code {
+			t.Errorf("GET %s: status %d, body %s; want the gate's 404 %s", tc.path, rec.Code, rec.Body, tc.code)
+		}
+	}
+	if n := x1.total() + x2.total() + y.total(); n != 1 {
+		t.Errorf("backends saw %d requests, want only the one submit", n)
 	}
 }
 

@@ -400,7 +400,7 @@ func optimizeWeights(ctx context.Context, X [][]float64, y []int, efforts []floa
 			trEff[i] = efforts[j]
 		}
 		for i, th := range thresholds {
-			fIdx := filterLocal(trY, trEff, th)
+			fIdx := filterIndices(trY, trEff, th)
 			if len(fIdx) == 0 {
 				for _, v := range valIdx {
 					preds[v][i] = 0.5
@@ -444,16 +444,6 @@ func optimizeWeights(ctx context.Context, X [][]float64, y []int, efforts []floa
 		}
 	}
 	return egMinimizeLogLoss(preds, qual, y, cfg.WeightIters), nil
-}
-
-func filterLocal(y []int, efforts []float64, threshold float64) []int {
-	var idx []int
-	for i := range y {
-		if y[i] == 1 || efforts[i] > threshold {
-			idx = append(idx, i)
-		}
-	}
-	return idx
 }
 
 // egMinimizeLogLoss runs exponentiated-gradient descent over the simplex.

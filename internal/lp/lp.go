@@ -9,6 +9,12 @@
 //	subject to  a_iᵀx {≤,=,≥} b_i
 //	            lo ≤ x ≤ hi        (lo finite; hi may be +Inf)
 //
+// Problems are stored by column: each variable keeps its objective
+// coefficient, bounds and constraint entries (in row order), which is the
+// form the simplex prices and pivots in, so a solve reads the caller's
+// columns directly. WithBounds gives branch and bound a view of one problem
+// under tightened bounds without copying its constraints.
+//
 // The implementation is a two-phase primal simplex with an explicit dense
 // basis inverse, Dantzig pricing with a Bland anti-cycling fallback, and
 // periodic refactorization.
@@ -63,24 +69,20 @@ func (s Status) String() string {
 // ErrBadModel is returned for structurally invalid problems.
 var ErrBadModel = errors.New("lp: invalid model")
 
-// entry is one nonzero of a constraint row.
+// entry is one nonzero of a column: its row and coefficient.
 type entry struct {
-	col int
+	row int
 	val float64
 }
 
-type row struct {
-	entries []entry
-	op      Op
-	rhs     float64
-}
-
-// Problem is a linear program under construction.
+// Problem is a linear program under construction, stored by column.
 type Problem struct {
 	obj  []float64
 	lo   []float64
 	hi   []float64
-	rows []row
+	cols [][]entry // cols[j] holds variable j's nonzeros in row order
+	ops  []Op
+	rhs  []float64
 }
 
 // NewProblem returns an empty maximization problem.
@@ -92,53 +94,58 @@ func (p *Problem) AddVariable(obj, lo, hi float64) int {
 	p.obj = append(p.obj, obj)
 	p.lo = append(p.lo, lo)
 	p.hi = append(p.hi, hi)
+	p.cols = append(p.cols, nil)
 	return len(p.obj) - 1
 }
 
 // NumVariables returns the number of variables added so far.
 func (p *Problem) NumVariables() int { return len(p.obj) }
 
-// SetBounds overwrites the bounds of variable j.
-func (p *Problem) SetBounds(j int, lo, hi float64) { p.lo[j], p.hi[j] = lo, hi }
-
 // Bounds returns the bounds of variable j.
 func (p *Problem) Bounds(j int) (lo, hi float64) { return p.lo[j], p.hi[j] }
 
+// WithBounds returns p with the variable bounds lo and hi (one entry per
+// variable) in place of its own. The result shares p's objective and
+// constraints and uses lo and hi without copying them, so neither problem
+// may gain variables or constraints afterwards.
+func (p *Problem) WithBounds(lo, hi []float64) *Problem {
+	if len(lo) != len(p.obj) || len(hi) != len(p.obj) {
+		panic(fmt.Sprintf("lp: WithBounds got %d/%d bounds for %d variables", len(lo), len(hi), len(p.obj)))
+	}
+	q := *p
+	q.lo, q.hi = lo, hi
+	return &q
+}
+
 // AddConstraint appends the constraint Σ coef[k]·x[idx[k]] op rhs.
-// Duplicate indices are accumulated.
+// Duplicate indices are accumulated in idx order; only the listed
+// variables' columns are touched.
 func (p *Problem) AddConstraint(idx []int, coef []float64, op Op, rhs float64) error {
 	if len(idx) != len(coef) {
 		return fmt.Errorf("%w: %d indices vs %d coefficients", ErrBadModel, len(idx), len(coef))
 	}
-	merged := map[int]float64{}
-	for k, j := range idx {
+	for _, j := range idx {
 		if j < 0 || j >= len(p.obj) {
 			return fmt.Errorf("%w: variable %d out of range", ErrBadModel, j)
 		}
-		merged[j] += coef[k]
 	}
-	r := row{op: op, rhs: rhs}
-	for j := 0; j < len(p.obj); j++ {
-		if v, ok := merged[j]; ok && v != 0 {
-			r.entries = append(r.entries, entry{j, v})
+	i := len(p.rhs)
+	for k, j := range idx {
+		if c := p.cols[j]; len(c) > 0 && c[len(c)-1].row == i {
+			c[len(c)-1].val += coef[k]
+		} else {
+			p.cols[j] = append(c, entry{i, coef[k]})
 		}
 	}
-	p.rows = append(p.rows, r)
+	// Coefficients that cancel to zero leave no entry.
+	for _, j := range idx {
+		if c := p.cols[j]; len(c) > 0 && c[len(c)-1].row == i && c[len(c)-1].val == 0 {
+			p.cols[j] = c[:len(c)-1]
+		}
+	}
+	p.ops = append(p.ops, op)
+	p.rhs = append(p.rhs, rhs)
 	return nil
-}
-
-// Clone deep-copies the problem (used by branch & bound to tighten bounds).
-func (p *Problem) Clone() *Problem {
-	q := &Problem{
-		obj: append([]float64(nil), p.obj...),
-		lo:  append([]float64(nil), p.lo...),
-		hi:  append([]float64(nil), p.hi...),
-	}
-	q.rows = make([]row, len(p.rows))
-	for i, r := range p.rows {
-		q.rows[i] = row{op: r.op, rhs: r.rhs, entries: append([]entry(nil), r.entries...)}
-	}
-	return q
 }
 
 // Solution is the result of a solve.
@@ -178,13 +185,10 @@ func Solve(p *Problem) (Solution, error) {
 	s := newSimplex(p)
 	sol := s.run()
 	if sol.Status == Optimal || sol.Status == IterLimit {
-		sol.X = make([]float64, n0)
-		copy(sol.X, s.x[:n0])
-		var obj float64
-		for j := 0; j < n0; j++ {
-			obj += p.obj[j] * sol.X[j]
+		sol.X = append([]float64(nil), s.x[:n0]...)
+		for j, c := range p.obj {
+			sol.Obj += c * sol.X[j]
 		}
-		sol.Obj = obj
 	}
 	return sol, nil
 }
@@ -196,10 +200,9 @@ type simplex struct {
 	cols [][]entry
 	lo   []float64
 	hi   []float64
-	obj  []float64 // phase-2 objective over all columns
+	obj  []float64 // structural objective; slack and artificial columns cost 0
 	rhs  []float64
 
-	nArt    int
 	basis   []int // basis[i] = column basic in row i
 	inBasis []int // inBasis[j] = row index or -1
 	atUpper []bool
@@ -210,51 +213,40 @@ type simplex struct {
 }
 
 func newSimplex(p *Problem) *simplex {
-	m := len(p.rows)
-	s := &simplex{m: m}
-	// Structural columns.
+	m := len(p.rhs)
+	s := &simplex{m: m, obj: p.obj, rhs: p.rhs}
+	// Structural columns are p's own, read-only; slack and artificial
+	// columns are appended after them.
 	n0 := len(p.obj)
 	s.cols = make([][]entry, n0, n0+m)
+	copy(s.cols, p.cols)
 	s.lo = append([]float64(nil), p.lo...)
 	s.hi = append([]float64(nil), p.hi...)
-	s.obj = append([]float64(nil), p.obj...)
-	s.rhs = make([]float64, m)
-	for i, r := range p.rows {
-		s.rhs[i] = r.rhs
-		for _, e := range r.entries {
-			s.cols[e.col] = append(s.cols[e.col], entry{i, e.val})
-		}
-	}
 	// Slack columns.
-	for i, r := range p.rows {
-		switch r.op {
+	for i, op := range p.ops {
+		switch op {
 		case LE:
-			j := s.addColumn(0, 0, math.Inf(1))
-			s.cols[j] = append(s.cols[j], entry{i, 1})
+			s.addColumn(entry{i, 1})
 		case GE:
-			j := s.addColumn(0, 0, math.Inf(1))
-			s.cols[j] = append(s.cols[j], entry{i, -1})
+			s.addColumn(entry{i, -1})
 		}
 	}
 	s.n = len(s.cols)
 	return s
 }
 
-func (s *simplex) addColumn(obj, lo, hi float64) int {
-	s.cols = append(s.cols, nil)
-	s.obj = append(s.obj, obj)
-	s.lo = append(s.lo, lo)
-	s.hi = append(s.hi, hi)
+// addColumn appends a column with the single nonzero e and bounds [0, +Inf).
+func (s *simplex) addColumn(e entry) int {
+	s.cols = append(s.cols, []entry{e})
+	s.lo = append(s.lo, 0)
+	s.hi = append(s.hi, math.Inf(1))
 	return len(s.cols) - 1
 }
 
 // run executes phase 1 then phase 2.
 func (s *simplex) run() Solution {
 	// Initial nonbasic values: at lower bound (finite by construction).
-	s.x = make([]float64, s.n)
-	for j := 0; j < s.n; j++ {
-		s.x[j] = s.lo[j]
-	}
+	s.x = append([]float64(nil), s.lo...)
 	s.atUpper = make([]bool, s.n)
 	// Residuals decide artificial signs.
 	resid := make([]float64, s.m)
@@ -264,7 +256,7 @@ func (s *simplex) run() Solution {
 			continue
 		}
 		for _, e := range s.cols[j] {
-			resid[e.row()] -= e.val * s.x[j]
+			resid[e.row] -= e.val * s.x[j]
 		}
 	}
 	// Artificial columns form the initial basis. Each artificial carries the
@@ -272,31 +264,25 @@ func (s *simplex) run() Solution {
 	// and its inverse is the same diagonal.
 	s.basis = make([]int, s.m)
 	phase1Obj := make([]float64, s.n, s.n+s.m)
-	signs := make([]float64, s.m)
+	s.binv = make([][]float64, s.m)
 	for i := 0; i < s.m; i++ {
 		sign := 1.0
 		if resid[i] < 0 {
 			sign = -1
 		}
-		signs[i] = sign
-		j := s.addColumn(0, 0, math.Inf(1))
-		s.cols[j] = append(s.cols[j], entry{i, sign})
+		s.basis[i] = s.addColumn(entry{i, sign})
 		phase1Obj = append(phase1Obj, -1) // maximize −Σ artificials
-		s.basis[i] = j
 		s.x = append(s.x, math.Abs(resid[i]))
 		s.atUpper = append(s.atUpper, false)
+		s.binv[i] = make([]float64, s.m)
+		s.binv[i][i] = sign
 	}
-	s.nArt = s.m
 	s.inBasis = make([]int, len(s.cols))
 	for j := range s.inBasis {
 		s.inBasis[j] = -1
 	}
 	for i, j := range s.basis {
 		s.inBasis[j] = i
-	}
-	s.binv = identity(s.m)
-	for i := 0; i < s.m; i++ {
-		s.binv[i][i] = signs[i]
 	}
 
 	// Phase 1.
@@ -370,7 +356,7 @@ func (s *simplex) iterate(obj []float64, phase1 bool) Status {
 			}
 			d := obj[j]
 			for _, e := range s.cols[j] {
-				d -= y[e.row()] * e.val
+				d -= y[e.row] * e.val
 			}
 			var score float64
 			var dir float64
@@ -398,7 +384,7 @@ func (s *simplex) iterate(obj []float64, phase1 bool) Status {
 		w := make([]float64, s.m)
 		for _, e := range s.cols[enter] {
 			for i := 0; i < s.m; i++ {
-				if v := s.binv[i][e.row()]; v != 0 {
+				if v := s.binv[i][e.row]; v != 0 {
 					w[i] += v * e.val
 				}
 			}
@@ -515,7 +501,7 @@ func (s *simplex) refactorize() error {
 	}
 	for i, j := range s.basis {
 		for _, e := range s.cols[j] {
-			a[e.row()][i] = e.val
+			a[e.row][i] = e.val
 		}
 	}
 	for i := 0; i < m; i++ {
@@ -562,7 +548,7 @@ func (s *simplex) refactorize() error {
 			continue
 		}
 		for _, e := range s.cols[j] {
-			resid[e.row()] -= e.val * s.x[j]
+			resid[e.row] -= e.val * s.x[j]
 		}
 	}
 	for i := 0; i < m; i++ {
@@ -574,16 +560,3 @@ func (s *simplex) refactorize() error {
 	}
 	return nil
 }
-
-func identity(m int) [][]float64 {
-	a := make([][]float64, m)
-	for i := range a {
-		a[i] = make([]float64, m)
-		a[i][i] = 1
-	}
-	return a
-}
-
-// row accessor for entry when used in column-major storage: the col field
-// holds the row index there.
-func (e entry) row() int { return e.col }

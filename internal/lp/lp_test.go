@@ -170,16 +170,18 @@ func TestAddConstraintValidation(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
+func TestWithBoundsIndependence(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVariable(1, 0, 10)
 	p.AddConstraint([]int{x}, []float64{1}, LE, 5)
-	q := p.Clone()
-	q.SetBounds(x, 0, 1)
+	q := p.WithBounds([]float64{0}, []float64{1})
 	solP := solveOK(t, p)
 	solQ := solveOK(t, q)
 	if math.Abs(solP.Obj-5) > 1e-6 || math.Abs(solQ.Obj-1) > 1e-6 {
-		t.Fatalf("clone not independent: %v, %v", solP.Obj, solQ.Obj)
+		t.Fatalf("bounds view not independent: %v, %v", solP.Obj, solQ.Obj)
+	}
+	if lo, hi := p.Bounds(x); lo != 0 || hi != 10 {
+		t.Fatalf("WithBounds changed the original's bounds to [%v, %v]", lo, hi)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"paws/internal/lp"
@@ -44,10 +45,12 @@ type Result struct {
 // integer solution.
 var ErrNoIncumbent = errors.New("milp: no feasible integer solution found")
 
+// node is one branch-and-bound subproblem: the bound vectors it solves p
+// under. A child shares its parent's vectors except the one its branch
+// tightens, which it copies.
 type node struct {
-	lo, hi map[int]float64 // bound overrides
-	bound  float64         // parent LP bound
-	depth  int
+	lo, hi []float64
+	bound  float64 // parent LP bound
 }
 
 // Solve maximizes the problem with the listed variables required integral,
@@ -59,26 +62,10 @@ func Solve(p *lp.Problem, intVars []int, maxNodes int) (Result, error) {
 		}
 	}
 
-	solveNode := func(nd *node) (lp.Solution, error) {
-		q := p.Clone()
-		for j, v := range nd.lo {
-			lo, hi := q.Bounds(j)
-			if v > lo {
-				lo = v
-			}
-			q.SetBounds(j, lo, hi)
-		}
-		for j, v := range nd.hi {
-			lo, hi := q.Bounds(j)
-			if v < hi {
-				hi = v
-			}
-			q.SetBounds(j, lo, hi)
-		}
-		return lp.Solve(q)
+	root := &node{lo: make([]float64, p.NumVariables()), hi: make([]float64, p.NumVariables()), bound: math.Inf(1)}
+	for j := range root.lo {
+		root.lo[j], root.hi[j] = p.Bounds(j)
 	}
-
-	root := &node{lo: map[int]float64{}, hi: map[int]float64{}, bound: math.Inf(1)}
 	res := Result{Status: lp.Infeasible, Obj: math.Inf(-1), Bound: math.Inf(1)}
 	var best []float64
 	bestObj := math.Inf(-1)
@@ -115,7 +102,7 @@ func Solve(p *lp.Problem, intVars []int, maxNodes int) (Result, error) {
 			continue
 		}
 		res.Nodes++
-		sol, err := solveNode(nd)
+		sol, err := lp.Solve(p.WithBounds(nd.lo, nd.hi))
 		if err != nil {
 			return res, err
 		}
@@ -151,10 +138,10 @@ func Solve(p *lp.Problem, intVars []int, maxNodes int) (Result, error) {
 			continue
 		}
 		v := sol.X[branch]
-		down := &node{lo: cloneMap(nd.lo), hi: cloneMap(nd.hi), bound: sol.Obj, depth: nd.depth + 1}
-		down.hi[branch] = math.Floor(v)
-		up := &node{lo: cloneMap(nd.lo), hi: cloneMap(nd.hi), bound: sol.Obj, depth: nd.depth + 1}
-		up.lo[branch] = math.Ceil(v)
+		down := &node{lo: nd.lo, hi: slices.Clone(nd.hi), bound: sol.Obj}
+		down.hi[branch] = math.Min(down.hi[branch], math.Floor(v))
+		up := &node{lo: slices.Clone(nd.lo), hi: nd.hi, bound: sol.Obj}
+		up.lo[branch] = math.Max(up.lo[branch], math.Ceil(v))
 		// Push so the LP-suggested side is popped first during DFS dives.
 		if v-math.Floor(v) >= 0.5 {
 			open = append(open, down, up)
@@ -195,14 +182,6 @@ func frac(v float64) float64 {
 	return math.Min(f, 1-f)
 }
 
-func cloneMap(m map[int]float64) map[int]float64 {
-	out := make(map[int]float64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
 // PWL describes a piecewise-linear function through breakpoints (Xs, Ys),
 // with Xs strictly increasing.
 type PWL struct {
@@ -239,6 +218,16 @@ func (f PWL) Eval(x float64) float64 {
 	return ys[i-1]*(1-t) + ys[i]*t
 }
 
+// NumBinaries returns the number of segment binaries AddToProblem adds for
+// f: none when f is concave, since maximizing it then needs no adjacency
+// constraint, else one per segment.
+func (f PWL) NumBinaries() int {
+	if f.IsConcave(1e-9) {
+		return 0
+	}
+	return len(f.Xs) - 1
+}
+
 // IsConcave reports whether the PWL has non-increasing slopes (within tol),
 // in which case maximizing it needs no binaries.
 func (f PWL) IsConcave(tol float64) bool {
@@ -257,101 +246,61 @@ func (f PWL) IsConcave(tol float64) bool {
 //
 //	x = Σ λ_k·Xs_k,  y = Σ λ_k·Ys_k,  Σ λ_k = 1,  λ ≥ 0,
 //
-// and, unless the function is concave (and the objective maximizes y),
-// segment-activation binaries z_s with Σ z_s = 1 and λ_k ≤ z_{k-1} + z_k
-// enforcing SOS2 adjacency. It returns the y variable index and the binary
-// variable indices (empty for the concave case).
-//
-// objCoef is the objective coefficient placed directly on y.
-func (f PWL) AddToProblem(p *lp.Problem, xVar int, objCoef float64, forceBinaries bool) (yVar int, binaries []int, err error) {
+// with y entering the objective with coefficient 1, so the problem
+// maximizes f. Unless f is concave, NumBinaries segment-activation binaries
+// z_s with Σ z_s = 1 and λ_k ≤ z_{k-1} + z_k enforce SOS2 adjacency. It
+// returns the y variable index and the binary variable indices (empty for
+// the concave case).
+func (f PWL) AddToProblem(p *lp.Problem, xVar int) (yVar int, binaries []int, err error) {
 	k := len(f.Xs)
 	lambdas := make([]int, k)
-	for i := 0; i < k; i++ {
-		lambdas[i] = p.AddVariable(0, 0, 1)
-	}
-	yVar = p.AddVariable(objCoef, minOf(f.Ys), maxOf(f.Ys))
-	// Σ λ = 1.
 	ones := make([]float64, k)
-	for i := range ones {
+	for i := range lambdas {
+		lambdas[i] = p.AddVariable(0, 0, 1)
 		ones[i] = 1
 	}
+	yVar = p.AddVariable(1, slices.Min(f.Ys), slices.Max(f.Ys))
+	// Σ λ = 1.
 	if err := p.AddConstraint(lambdas, ones, lp.EQ, 1); err != nil {
 		return 0, nil, err
 	}
-	// x − Σ λ Xs = 0.
-	idx := append([]int{xVar}, lambdas...)
-	coef := make([]float64, 0, k+1)
-	coef = append(coef, 1)
-	for _, xv := range f.Xs {
-		coef = append(coef, -xv)
+	// x − Σ λ Xs = 0 and y − Σ λ Ys = 0.
+	for _, row := range []struct {
+		v  int
+		bs []float64
+	}{{xVar, f.Xs}, {yVar, f.Ys}} {
+		coef := []float64{1}
+		for _, b := range row.bs {
+			coef = append(coef, -b)
+		}
+		if err := p.AddConstraint(append([]int{row.v}, lambdas...), coef, lp.EQ, 0); err != nil {
+			return 0, nil, err
+		}
 	}
-	if err := p.AddConstraint(idx, coef, lp.EQ, 0); err != nil {
-		return 0, nil, err
-	}
-	// y − Σ λ Ys = 0.
-	idx2 := append([]int{yVar}, lambdas...)
-	coef2 := make([]float64, 0, k+1)
-	coef2 = append(coef2, 1)
-	for _, yv := range f.Ys {
-		coef2 = append(coef2, -yv)
-	}
-	if err := p.AddConstraint(idx2, coef2, lp.EQ, 0); err != nil {
-		return 0, nil, err
-	}
-	if !forceBinaries && objCoef >= 0 && f.IsConcave(1e-9) {
+	segs := f.NumBinaries()
+	if segs == 0 {
 		return yVar, nil, nil
 	}
-	// Segment binaries: z_s for segments s = 0..k−2.
-	segs := k - 1
+	// Segment binaries: z_s for segments s = 0..k−2, Σ z = 1.
 	zs := make([]int, segs)
-	for s := 0; s < segs; s++ {
+	for s := range zs {
 		zs[s] = p.AddVariable(0, 0, 1)
 	}
-	onesZ := make([]float64, segs)
-	for i := range onesZ {
-		onesZ[i] = 1
-	}
-	if err := p.AddConstraint(zs, onesZ, lp.EQ, 1); err != nil {
+	if err := p.AddConstraint(zs, ones[:segs], lp.EQ, 1); err != nil {
 		return 0, nil, err
 	}
 	// λ_k ≤ z_{k−1} + z_k (boundary cases use the single adjacent segment).
 	for i := 0; i < k; i++ {
-		var zi []int
+		idx, coef := []int{lambdas[i]}, []float64{1}
 		if i > 0 {
-			zi = append(zi, zs[i-1])
+			idx, coef = append(idx, zs[i-1]), append(coef, -1)
 		}
 		if i < segs {
-			zi = append(zi, zs[i])
-		}
-		idx := append([]int{lambdas[i]}, zi...)
-		coef := make([]float64, 0, len(zi)+1)
-		coef = append(coef, 1)
-		for range zi {
-			coef = append(coef, -1)
+			idx, coef = append(idx, zs[i]), append(coef, -1)
 		}
 		if err := p.AddConstraint(idx, coef, lp.LE, 0); err != nil {
 			return 0, nil, err
 		}
 	}
 	return yVar, zs, nil
-}
-
-func minOf(v []float64) float64 {
-	m := v[0]
-	for _, x := range v[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-func maxOf(v []float64) float64 {
-	m := v[0]
-	for _, x := range v[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -150,12 +150,12 @@ func TestPWLConcaveMaximizationNoBinaries(t *testing.T) {
 	p := lp.NewProblem()
 	x := p.AddVariable(0, 0, 4)
 	f, _ := NewPWL([]float64{0, 2, 4}, []float64{0, 2, 0})
-	yv, bins, err := f.AddToProblem(p, x, 1, false)
+	yv, bins, err := f.AddToProblem(p, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bins) != 0 {
-		t.Fatal("concave maximization should not need binaries")
+	if len(bins) != 0 || f.NumBinaries() != 0 {
+		t.Fatalf("concave maximization should not need binaries, got %d (NumBinaries %d)", len(bins), f.NumBinaries())
 	}
 	res, err := Solve(p, nil, 10000)
 	if err != nil {
@@ -177,12 +177,12 @@ func TestPWLNonConcaveNeedsBinaries(t *testing.T) {
 	x := p.AddVariable(0, 0, 2)
 	p.AddConstraint([]int{x}, []float64{1}, lp.EQ, 1)
 	f, _ := NewPWL([]float64{0, 1, 2}, []float64{0, 0.1, 2})
-	yv, bins, err := f.AddToProblem(p, x, 1, false)
+	yv, bins, err := f.AddToProblem(p, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bins) == 0 {
-		t.Fatal("non-concave function must get binaries")
+	if len(bins) == 0 || len(bins) != f.NumBinaries() {
+		t.Fatalf("non-concave function must get one binary per segment, got %d (NumBinaries %d)", len(bins), f.NumBinaries())
 	}
 	res, err := Solve(p, bins, 10000)
 	if err != nil {
@@ -203,10 +203,10 @@ func TestPWLSumOfTwoFunctions(t *testing.T) {
 	xs := []float64{0, 1, 2, 3}
 	ys := []float64{0, 1, 1.4, 1.7}
 	f, _ := NewPWL(xs, ys)
-	if _, _, err := f.AddToProblem(p, x1, 1, false); err != nil {
+	if _, _, err := f.AddToProblem(p, x1); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := f.AddToProblem(p, x2, 1, false); err != nil {
+	if _, _, err := f.AddToProblem(p, x2); err != nil {
 		t.Fatal(err)
 	}
 	res, err := Solve(p, nil, 10000)
@@ -216,25 +216,5 @@ func TestPWLSumOfTwoFunctions(t *testing.T) {
 	// Optimal: x1 = 2, x2 = 1 (or symmetric) → 1.4 + 1 = 2.4.
 	if math.Abs(res.Obj-2.4) > 1e-6 {
 		t.Fatalf("obj = %v want 2.4", res.Obj)
-	}
-}
-
-func TestSolveRespectsForceBinaries(t *testing.T) {
-	p := lp.NewProblem()
-	x := p.AddVariable(0, 0, 2)
-	f, _ := NewPWL([]float64{0, 1, 2}, []float64{0, 1, 1.5}) // concave
-	_, bins, err := f.AddToProblem(p, x, 1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bins) == 0 {
-		t.Fatal("forceBinaries must add binaries even for concave PWL")
-	}
-	res, err := Solve(p, bins, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Obj-1.5) > 1e-6 {
-		t.Fatalf("obj = %v want 1.5", res.Obj)
 	}
 }

@@ -122,51 +122,28 @@ func (g *GP) Fit(X [][]float64, y []int) error {
 		}
 	}
 
-	// Newton iterations for the posterior mode (R&W Algorithm 3.1), with the
-	// logistic likelihood: for y ∈ {0,1}, ∇ log p = y − σ(f), W = σ(1−σ).
+	// Newton iterations for the posterior mode (R&W Algorithm 3.1).
 	f := make([]float64, n)
-	grad := make([]float64, n)
-	w := make([]float64, n)
-	wsq := make([]float64, n)
-	var chB *mat.Cholesky
 	prevObj := math.Inf(-1)
 	for iter := 0; iter < g.cfg.MaxNewton; iter++ {
-		for i := 0; i < n; i++ {
-			p := stats.Logistic(f[i])
-			grad[i] = float64(sy[i]) - p
-			w[i] = math.Max(p*(1-p), 1e-10)
-			wsq[i] = math.Sqrt(w[i])
-		}
-		// B = I + W^{1/2} K W^{1/2}
-		B := mat.NewDense(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				v := wsq[i] * K.At(i, j) * wsq[j]
-				if i == j {
-					v += 1
-				}
-				B.Set(i, j, v)
-			}
-		}
-		var err error
-		chB, err = mat.NewCholeskyJitter(B, 1e-10, 8)
+		st, err := newtonAt(K, f, sy)
 		if err != nil {
 			return err
 		}
 		// b = W f + grad;  a = b − W^{1/2} B⁻¹ W^{1/2} K b;  f = K a.
 		b := make([]float64, n)
 		for i := 0; i < n; i++ {
-			b[i] = w[i]*f[i] + grad[i]
+			b[i] = st.w[i]*f[i] + st.grad[i]
 		}
 		kb := K.MulVec(b)
 		rhs := make([]float64, n)
 		for i := 0; i < n; i++ {
-			rhs[i] = wsq[i] * kb[i]
+			rhs[i] = st.wsq[i] * kb[i]
 		}
-		sol := chB.SolveVec(rhs)
+		sol := st.chB.SolveVec(rhs)
 		a := make([]float64, n)
 		for i := 0; i < n; i++ {
-			a[i] = b[i] - wsq[i]*sol[i]
+			a[i] = b[i] - st.wsq[i]*sol[i]
 		}
 		f = K.MulVec(a)
 		// Objective: log p(y|f) − ½ aᵀf (monotone under Newton; used for
@@ -182,32 +159,50 @@ func (g *GP) Fit(X [][]float64, y []int) error {
 		prevObj = obj
 	}
 	// Final state at the mode.
+	st, err := newtonAt(K, f, sy)
+	if err != nil {
+		return err
+	}
+	g.fhat = f
+	g.grad = st.grad
+	g.wSqrt = st.wsq
+	g.chB = st.chB
+	g.fitted = true
+	return nil
+}
+
+// newtonState is the Laplace approximation's state at a latent vector f,
+// with the logistic likelihood: for y ∈ {0,1}, grad = ∇ log p = y − σ(f),
+// W = σ(1−σ) (floored at 1e-10) with its square root wsq, and chB the
+// Cholesky factor of B = I + W^{1/2} K W^{1/2}.
+type newtonState struct {
+	grad, w, wsq []float64
+	chB          *mat.Cholesky
+}
+
+// newtonAt computes the Newton state at f for labels y.
+func newtonAt(K *mat.Dense, f []float64, y []int) (newtonState, error) {
+	n := len(f)
+	st := newtonState{grad: make([]float64, n), w: make([]float64, n), wsq: make([]float64, n)}
 	for i := 0; i < n; i++ {
 		p := stats.Logistic(f[i])
-		grad[i] = float64(sy[i]) - p
-		w[i] = math.Max(p*(1-p), 1e-10)
-		wsq[i] = math.Sqrt(w[i])
+		st.grad[i] = float64(y[i]) - p
+		st.w[i] = math.Max(p*(1-p), 1e-10)
+		st.wsq[i] = math.Sqrt(st.w[i])
 	}
 	B := mat.NewDense(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			v := wsq[i] * K.At(i, j) * wsq[j]
+			v := st.wsq[i] * K.At(i, j) * st.wsq[j]
 			if i == j {
 				v += 1
 			}
 			B.Set(i, j, v)
 		}
 	}
-	chB, errB := mat.NewCholeskyJitter(B, 1e-10, 8)
-	if errB != nil {
-		return errB
-	}
-	g.fhat = f
-	g.grad = grad
-	g.wSqrt = wsq
-	g.chB = chB
-	g.fitted = true
-	return nil
+	var err error
+	st.chB, err = mat.NewCholeskyJitter(B, 1e-10, 8)
+	return st, err
 }
 
 // latent returns the predictive latent mean and variance at x (R&W

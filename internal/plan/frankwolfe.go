@@ -22,10 +22,9 @@ type fwProblem struct {
 	region *Region
 	T      int
 	K      float64
-	// hull[i] is the concave envelope of cell i's sampled utility.
+	// hull[i] is the concave envelope of cell i's sampled utility; beyond
+	// its last breakpoint marginal utility is zero.
 	hull []concaveHull
-	// maxEffort caps the PWL domain; beyond it marginal utility is zero.
-	maxEffort float64
 }
 
 // concaveHull is an upper concave envelope of PWL breakpoints, stored as
@@ -97,28 +96,40 @@ func (h concaveHull) slope(x float64) float64 {
 	return 0
 }
 
-// bestPath runs the longest-path DP over the time-unrolled DAG with node
-// weights w (reward collected on every visit at layers 1..T), returning the
-// per-cell visit counts of the optimal path.
+// bestPath is the linear maximization oracle: the per-cell visit counts of
+// the closed walk that collects the most node weight w (longestWalk), or
+// all zeros when no walk returns to the post.
 func (f *fwProblem) bestPath(w []float64) []float64 {
-	n := f.region.NumCells()
-	T := f.T
+	visits := make([]float64, f.region.NumCells())
+	if walk := longestWalk(f.region, w, f.T); walk != nil {
+		for _, c := range walk[1:] {
+			visits[c]++
+		}
+	}
+	return visits
+}
+
+// longestWalk runs the longest-path DP over the time-unrolled DAG: T moves
+// from the post, each a self-loop or a region adjacency, collecting w[v] on
+// every visit at layers 1..T. It returns the region-local cells of the best
+// walk that ends at the post, layer by layer (T+1 entries), or nil when no
+// walk returns to the post.
+func longestWalk(region *Region, w []float64, T int) []int {
+	n := region.NumCells()
 	negInf := math.Inf(-1)
-	// score[v] at current layer; parent pointers per layer for backtrack.
+	// score[v] at the current layer; parent[t*n+v] for the backtrack.
 	score := make([]float64, n)
 	next := make([]float64, n)
-	parents := make([][]int32, T+1)
-	for t := range parents {
-		parents[t] = make([]int32, n)
-	}
+	parent := make([]int32, (T+1)*n)
 	for v := range score {
 		score[v] = negInf
 	}
 	score[0] = 0 // post at layer 0
 	for t := 1; t <= T; t++ {
+		par := parent[t*n : (t+1)*n]
 		for v := 0; v < n; v++ {
 			next[v] = negInf
-			parents[t][v] = -1
+			par[v] = -1
 		}
 		for u := 0; u < n; u++ {
 			if score[u] == negInf {
@@ -127,31 +138,26 @@ func (f *fwProblem) bestPath(w []float64) []float64 {
 			// Self-loop.
 			if s := score[u] + w[u]; s > next[u] {
 				next[u] = s
-				parents[t][u] = int32(u)
+				par[u] = int32(u)
 			}
-			for _, v := range f.region.Neighbors[u] {
+			for _, v := range region.Neighbors[u] {
 				if s := score[u] + w[v]; s > next[v] {
 					next[v] = s
-					parents[t][v] = int32(u)
+					par[v] = int32(u)
 				}
 			}
 		}
 		score, next = next, score
 	}
-	// Backtrack from the post at layer T.
-	visits := make([]float64, n)
-	cur := 0
 	if score[0] == negInf {
-		return visits // unreachable (degenerate regions); zero plan
+		return nil
 	}
+	// Backtrack from the post at layer T.
+	cells := make([]int, T+1)
 	for t := T; t >= 1; t-- {
-		visits[cur]++
-		cur = int(parents[t][cur])
-		if cur < 0 {
-			break
-		}
+		cells[t-1] = int(parent[t*n+cells[t]])
 	}
-	return visits
+	return cells
 }
 
 // solveFrankWolfe maximizes Σ hull_i(c_i) over the flow polytope with
@@ -220,8 +226,8 @@ func (f *fwProblem) lineSearch(c, d []float64) float64 {
 
 // buildFW constructs the Frank-Wolfe problem over the concave hulls of the
 // sampled utilities.
-func buildFW(region *Region, cfg Config, maxEffort float64, pwls []milp.PWL) *fwProblem {
-	f := &fwProblem{region: region, T: cfg.T, K: cfg.K, maxEffort: maxEffort}
+func buildFW(region *Region, cfg Config, pwls []milp.PWL) *fwProblem {
+	f := &fwProblem{region: region, T: cfg.T, K: cfg.K}
 	f.hull = make([]concaveHull, len(pwls))
 	for i, p := range pwls {
 		f.hull[i] = newConcaveHull(p.Xs, p.Ys)

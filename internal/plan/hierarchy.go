@@ -117,34 +117,28 @@ func (co *coarsening) coarseRegion(park *geo.Park, post, maxCells int) *Region {
 	r := &Region{Park: park, Post: start, index: map[int]int{}}
 	queue := []int{start}
 	seen := map[int]bool{start: true}
+	var nbr []int
 	for len(queue) > 0 && len(r.Cells) < maxCells {
 		cur := queue[0]
 		queue = queue[1:]
 		r.index[cur] = len(r.Cells)
 		r.Cells = append(r.Cells, cur)
-		for _, nb := range co.coarseNeighbors(cur) {
+		nbr = co.coarseNeighbors(cur, nbr[:0])
+		for _, nb := range nbr {
 			if !seen[nb] {
 				seen[nb] = true
 				queue = append(queue, nb)
 			}
 		}
 	}
-	r.Neighbors = make([][]int, len(r.Cells))
-	for li, s := range r.Cells {
-		for _, nb := range co.coarseNeighbors(s) {
-			if lj, ok := r.index[nb]; ok {
-				r.Neighbors[li] = append(r.Neighbors[li], lj)
-			}
-		}
-	}
+	r.linkNeighbors(co.coarseNeighbors)
 	return r
 }
 
-// coarseNeighbors returns the super-cell indices 4-adjacent to s on the
-// coarse lattice, in fixed (+x, −x, +y, −y) order.
-func (co *coarsening) coarseNeighbors(s int) []int {
+// coarseNeighbors appends to out the super-cell indices 4-adjacent to s on
+// the coarse lattice, in fixed (+x, −x, +y, −y) order.
+func (co *coarsening) coarseNeighbors(s int, out []int) []int {
 	x, y := int(co.lx[s]), int(co.ly[s])
-	var out []int
 	for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
 		nx, ny := x+d[0], y+d[1]
 		if nx < 0 || nx >= co.sw || ny < 0 || ny >= co.sh {
@@ -262,15 +256,7 @@ func growFineRegion(park *geo.Park, post, maxCells int, co *coarsening, superEff
 	for len(heap) > 0 && len(r.Cells) < maxCells {
 		absorb(pop())
 	}
-	r.Neighbors = make([][]int, len(r.Cells))
-	for li, cell := range r.Cells {
-		nbr = g.Neighbors4(cell, nbr[:0])
-		for _, n := range nbr {
-			if lj, ok := r.index[n]; ok {
-				r.Neighbors[li] = append(r.Neighbors[li], lj)
-			}
-		}
-	}
+	r.linkNeighbors(g.Neighbors4)
 	return r
 }
 

@@ -97,17 +97,25 @@ func NewRegion(park *geo.Park, post, radius, maxCells int) (*Region, error) {
 			}
 		}
 	}
-	// Local adjacency (self-loops are added by the planner, not here).
+	r.linkNeighbors(park.Grid.Neighbors4)
+	return r, nil
+}
+
+// linkNeighbors fills r.Neighbors: adjacent(cell, buf) appends the cells
+// adjacent to cell to buf, and those inside the region become its
+// region-local neighbors, in that order. Self-loops are added by the
+// planner, not here.
+func (r *Region) linkNeighbors(adjacent func(cell int, buf []int) []int) {
 	r.Neighbors = make([][]int, len(r.Cells))
+	var buf []int
 	for li, cell := range r.Cells {
-		nbr = park.Grid.Neighbors4(cell, nbr[:0])
-		for _, n := range nbr {
+		buf = adjacent(cell, buf[:0])
+		for _, n := range buf {
 			if lj, ok := r.index[n]; ok {
 				r.Neighbors[li] = append(r.Neighbors[li], lj)
 			}
 		}
 	}
-	return r, nil
 }
 
 // NumCells returns the number of cells in the region.
@@ -197,14 +205,63 @@ func Solve(region *Region, model CellModel, cfg Config) (*Plan, error) {
 	}
 	start := now()
 
-	n := region.NumCells()
-	// The PWL domain: a cell cannot absorb more than the full flow.
-	maxEffort := math.Min(cfg.K*float64(cfg.T), cfg.K*4)
+	pwls, err := sampleUtilities(region, model, cfg)
+	if err != nil {
+		return nil, err
+	}
+	exactObj := func(effort []float64) float64 {
+		var s float64
+		for i, f := range pwls {
+			s += f.Eval(effort[i])
+		}
+		return s
+	}
 
-	// Sample the robust utility U_v(c) = g_v(c)·(1 − β·ν_v(c)) at the PWL
-	// breakpoints — both factors depend on the same scalar c, so the product
-	// is a function of c alone and one PWL curve per cell represents it. The
-	// whole region is sampled in one query.
+	out := &Plan{Region: region}
+
+	// Frank-Wolfe relaxation: fast, feasible, exact for concave hulls.
+	if cfg.Solver != SolverMILP {
+		fw := buildFW(region, cfg, pwls)
+		effort := fw.solveFrankWolfe(250)
+		out.Effort = effort
+		out.Objective = exactObj(effort)
+		out.Relaxed = true
+	}
+	if cfg.Solver == SolverFrankWolfe || (cfg.Solver == SolverAuto && !autoRefines(cfg.T, pwls)) {
+		out.Runtime = now().Sub(start)
+		return out, nil
+	}
+
+	// MILP path (problem P of the paper).
+	milpPlan, err := solveMILPPath(region, cfg, pwls, exactObj)
+	if err != nil && cfg.Solver == SolverMILP {
+		return nil, err
+	}
+	// Auto mode keeps the Frank-Wolfe plan when the MILP path fails.
+	if err == nil {
+		out.Binaries = milpPlan.Binaries
+		out.Nodes = milpPlan.Nodes
+		if out.Effort == nil || milpPlan.Objective > out.Objective {
+			out.Effort = milpPlan.Effort
+			out.Objective = milpPlan.Objective
+			out.Relaxed = milpPlan.Relaxed
+		}
+	}
+	out.Runtime = now().Sub(start)
+	return out, nil
+}
+
+// maxEffort is the PWL domain: a cell cannot absorb more than the full flow.
+func (cfg Config) maxEffort() float64 { return math.Min(cfg.K*float64(cfg.T), cfg.K*4) }
+
+// sampleUtilities samples each cell's robust utility U_v(c) = g_v(c)·(1 −
+// β·ν_v(c)) at cfg.Segments+1 evenly spaced PWL breakpoints over [0,
+// maxEffort] — both factors depend on the same scalar c, so the product is
+// a function of c alone and one PWL curve per cell represents it. The whole
+// region is sampled in one query.
+func sampleUtilities(region *Region, model CellModel, cfg Config) ([]milp.PWL, error) {
+	n := region.NumCells()
+	maxEffort := cfg.maxEffort()
 	bp := cfg.Segments + 1
 	cells := make([]int, n*bp)
 	efforts := make([]float64, n*bp)
@@ -230,165 +287,145 @@ func Solve(region *Region, model CellModel, cfg Config) (*Plan, error) {
 		}
 		pwls[i] = f
 	}
-	exactObj := func(effort []float64) float64 {
-		var s float64
-		for i := 0; i < n; i++ {
-			s += pwls[i].Eval(effort[i])
-		}
-		return s
-	}
-
-	out := &Plan{Region: region}
-
-	// Frank-Wolfe relaxation: fast, feasible, exact for concave hulls.
-	if cfg.Solver != SolverMILP {
-		fw := buildFW(region, cfg, maxEffort, pwls)
-		effort := fw.solveFrankWolfe(250)
-		out.Effort = effort
-		out.Objective = exactObj(effort)
-		out.Relaxed = true
-	}
-	if cfg.Solver == SolverFrankWolfe {
-		out.Runtime = now().Sub(start)
-		return out, nil
-	}
-
-	// MILP path (problem P of the paper): build the flow LP with
-	// lambda-encoded PWL utilities.
-	milpPlan, err := solveMILPPath(region, cfg, pwls, maxEffort, exactObj)
-	if err != nil {
-		if cfg.Solver == SolverMILP {
-			return nil, err
-		}
-		// Auto mode: keep the Frank-Wolfe plan when the MILP path fails.
-		out.Runtime = now().Sub(start)
-		return out, nil
-	}
-	if milpPlan != nil {
-		out.Binaries = milpPlan.Binaries
-		out.Nodes = milpPlan.Nodes
-		if out.Effort == nil || milpPlan.Objective > out.Objective {
-			out.Effort = milpPlan.Effort
-			out.Objective = milpPlan.Objective
-			out.Relaxed = milpPlan.Relaxed
-		}
-	}
-	out.Runtime = now().Sub(start)
-	return out, nil
+	return pwls, nil
 }
 
-// solveMILPPath assembles and solves the paper's MILP formulation. In Auto
-// mode it is skipped for instances too large for the budgeted search to make
-// progress (returns nil, nil).
-func solveMILPPath(region *Region, cfg Config, pwls []milp.PWL, maxEffort float64, exactObj func([]float64) float64) (*Plan, error) {
-	n := region.NumCells()
-	// Size guard for Auto mode: edge variables ≈ T·n·5.
-	edgeVars := cfg.T * n * 5
-	if cfg.Solver == SolverAuto && edgeVars > 2600 {
-		return nil, nil
-	}
+// Auto mode refines with problem P only below both caps: past ~2,600 edge
+// variables (T·n·5) the simplex relaxation is slow, and past 220 SOS2
+// binaries a budgeted dive cannot reach a leaf.
+const (
+	autoMaxEdges    = 2600
+	autoMaxBinaries = 220
+)
 
-	p := lp.NewProblem()
-	// Node layers t = 0..T. nodeIn[t][i] accumulates edge variables entering
+// autoRefines reports whether Auto mode builds and solves problem P,
+// checking both caps from the sampled utilities before anything is built.
+func autoRefines(T int, pwls []milp.PWL) bool {
+	if T*len(pwls)*5 > autoMaxEdges {
+		return false
+	}
+	binaries := 0
+	for _, f := range pwls {
+		binaries += f.NumBinaries()
+	}
+	return binaries <= autoMaxBinaries
+}
+
+// problemP is problem P of Section VI over one region: unit flow from (post,
+// 0) to (post, T) on the time-unrolled graph, each cell's effort, and its
+// lambda-encoded sampled utility.
+type problemP struct {
+	lp *lp.Problem
+	// in[t][i] and out[t][i] list the edge variables entering and leaving
 	// node (i, t).
-	type edgeList struct{ idx []int }
-	inEdges := make([][]edgeList, cfg.T+1)
-	outEdges := make([][]edgeList, cfg.T+1)
-	for t := 0; t <= cfg.T; t++ {
-		inEdges[t] = make([]edgeList, n)
-		outEdges[t] = make([]edgeList, n)
-	}
-	postLocal := 0 // region.Cells[0] is the post
+	in, out [][][]int
+	// effort[i] is the variable c_i = K · Σ_{t=1..T} inflow(i, t).
+	effort []int
+	// segments[i] are cell i's SOS2 segment binaries (none when its sampled
+	// utility is concave).
+	segments [][]int
+}
 
-	// Edge variables between consecutive layers. Layer 0 only has the post
-	// occupied, so only its outgoing edges exist.
+// buildP assembles problem P: edge variables between consecutive layers,
+// flow conservation, the effort variables and one PWL encoding per cell.
+func buildP(region *Region, cfg Config, pwls []milp.PWL) (*problemP, error) {
+	n := region.NumCells()
+	P := &problemP{
+		lp:       lp.NewProblem(),
+		in:       make([][][]int, cfg.T+1),
+		out:      make([][][]int, cfg.T+1),
+		effort:   make([]int, n),
+		segments: make([][]int, n),
+	}
+	p := P.lp
+	for t := range P.in {
+		P.in[t] = make([][]int, n)
+		P.out[t] = make([][]int, n)
+	}
+	const post = 0 // region.Cells[0] is the post
+
+	// Edge variables between consecutive layers, self-loop first. Layer 0
+	// only has the post occupied, so only its outgoing edges exist.
 	for t := 0; t < cfg.T; t++ {
 		for i := 0; i < n; i++ {
-			if t == 0 && i != postLocal {
+			if t == 0 && i != post {
 				continue
 			}
-			targets := append([]int{i}, region.Neighbors[i]...) // self-loop + moves
-			for _, j := range targets {
+			for _, j := range append([]int{i}, region.Neighbors[i]...) {
 				v := p.AddVariable(0, 0, 1)
-				outEdges[t][i].idx = append(outEdges[t][i].idx, v)
-				inEdges[t+1][j].idx = append(inEdges[t+1][j].idx, v)
+				P.out[t][i] = append(P.out[t][i], v)
+				P.in[t+1][j] = append(P.in[t+1][j], v)
 			}
 		}
 	}
 	// Flow conservation: for t = 1..T−1, inflow(i,t) = outflow(i,t).
-	ones := func(k int) []float64 {
-		o := make([]float64, k)
-		for i := range o {
-			o[i] = 1
-		}
-		return o
-	}
 	for t := 1; t < cfg.T; t++ {
 		for i := 0; i < n; i++ {
-			in := inEdges[t][i].idx
-			out := outEdges[t][i].idx
+			in, out := P.in[t][i], P.out[t][i]
 			if len(in) == 0 && len(out) == 0 {
 				continue
 			}
 			idx := append(append([]int{}, in...), out...)
-			coef := append(ones(len(in)), negOnes(len(out))...)
+			coef := append(filled(len(in), 1), filled(len(out), -1)...)
 			if err := p.AddConstraint(idx, coef, lp.EQ, 0); err != nil {
 				return nil, err
 			}
 		}
 	}
 	// Source: outflow(post, 0) = 1. Sink: inflow(post, T) = 1.
-	if err := p.AddConstraint(outEdges[0][postLocal].idx, ones(len(outEdges[0][postLocal].idx)), lp.EQ, 1); err != nil {
-		return nil, err
-	}
-	if err := p.AddConstraint(inEdges[cfg.T][postLocal].idx, ones(len(inEdges[cfg.T][postLocal].idx)), lp.EQ, 1); err != nil {
-		return nil, err
-	}
-
-	// Effort variables: c_i = K · Σ_{t=1..T} inflow(i, t).
-	cVars := make([]int, n)
-	for i := 0; i < n; i++ {
-		cVars[i] = p.AddVariable(0, 0, maxEffort)
-		var idx []int
-		for t := 1; t <= cfg.T; t++ {
-			idx = append(idx, inEdges[t][i].idx...)
-		}
-		coef := make([]float64, 0, len(idx)+1)
-		all := append([]int{cVars[i]}, idx...)
-		coef = append(coef, 1)
-		for range idx {
-			coef = append(coef, -cfg.K)
-		}
-		if err := p.AddConstraint(all, coef, lp.EQ, 0); err != nil {
+	for _, edges := range [][]int{P.out[0][post], P.in[cfg.T][post]} {
+		if err := p.AddConstraint(edges, filled(len(edges), 1), lp.EQ, 1); err != nil {
 			return nil, err
 		}
 	}
-
-	// PWL utility per cell via the lambda encoding.
-	var allBinaries []int
+	// Effort variables: c_i − K · Σ_{t=1..T} inflow(i, t) = 0.
+	maxEffort := cfg.maxEffort()
 	for i := 0; i < n; i++ {
-		_, bins, err := pwls[i].AddToProblem(p, cVars[i], 1, false)
+		P.effort[i] = p.AddVariable(0, 0, maxEffort)
+		idx := []int{P.effort[i]}
+		for t := 1; t <= cfg.T; t++ {
+			idx = append(idx, P.in[t][i]...)
+		}
+		coef := filled(len(idx), -cfg.K)
+		coef[0] = 1
+		if err := p.AddConstraint(idx, coef, lp.EQ, 0); err != nil {
+			return nil, err
+		}
+	}
+	// PWL utility per cell via the lambda encoding.
+	for i := 0; i < n; i++ {
+		_, bins, err := pwls[i].AddToProblem(p, P.effort[i])
 		if err != nil {
 			return nil, err
 		}
-		allBinaries = append(allBinaries, bins...)
+		P.segments[i] = bins
 	}
-	if cfg.Solver == SolverAuto && len(allBinaries) > 220 {
-		// A budgeted dive cannot reach a leaf; leave it to Frank-Wolfe.
-		return nil, nil
-	}
+	return P, nil
+}
 
+// solveMILPPath builds problem P and solves it: the simplex relaxation, then
+// branch and bound over the segment binaries when any utility is
+// non-concave.
+func solveMILPPath(region *Region, cfg Config, pwls []milp.PWL, exactObj func([]float64) float64) (*Plan, error) {
+	P, err := buildP(region, cfg, pwls)
+	if err != nil {
+		return nil, err
+	}
+	var binaries []int
+	for _, bins := range P.segments {
+		binaries = append(binaries, bins...)
+	}
 	extract := func(X []float64) []float64 {
-		eff := make([]float64, n)
-		for i := 0; i < n; i++ {
-			eff[i] = X[cVars[i]]
+		eff := make([]float64, len(P.effort))
+		for i, v := range P.effort {
+			eff[i] = X[v]
 		}
 		return eff
 	}
 
 	// Stage 1: simplex relaxation — feasible, and exact when every sampled
 	// utility is concave.
-	relax, err := lp.Solve(p)
+	relax, err := lp.Solve(P.lp)
 	if err != nil {
 		return nil, fmt.Errorf("plan: relaxation: %w", err)
 	}
@@ -399,7 +436,7 @@ func solveMILPPath(region *Region, cfg Config, pwls []milp.PWL, maxEffort float6
 		Region:    region,
 		Effort:    extract(relax.X),
 		Objective: exactObj(extract(relax.X)),
-		Binaries:  len(allBinaries),
+		Binaries:  len(binaries),
 		Relaxed:   true,
 	}
 
@@ -407,8 +444,8 @@ func solveMILPPath(region *Region, cfg Config, pwls []milp.PWL, maxEffort float6
 	// non-concave. The search dives to an incumbent first, so even its
 	// 150-node budget yields an adjacency-feasible solution. The budget
 	// counts nodes, not wall time, so a plan never depends on machine load.
-	if len(allBinaries) > 0 {
-		res, err := milp.Solve(p, allBinaries, 150)
+	if len(binaries) > 0 {
+		res, err := milp.Solve(P.lp, binaries, 150)
 		if err == nil && (res.Status == lp.Optimal || res.Status == lp.IterLimit) && res.X != nil {
 			eff := extract(res.X)
 			if obj := exactObj(eff); obj > out.Objective {
@@ -424,10 +461,11 @@ func solveMILPPath(region *Region, cfg Config, pwls []milp.PWL, maxEffort float6
 	return out, nil
 }
 
-func negOnes(k int) []float64 {
+// filled returns k copies of v.
+func filled(k int, v float64) []float64 {
 	o := make([]float64, k)
 	for i := range o {
-		o[i] = -1
+		o[i] = v
 	}
 	return o
 }

@@ -57,72 +57,20 @@ func ExtractRoutes(region *Region, effort []float64, T int, K int) ([]Route, err
 }
 
 // bestEffortWalk finds a T-step closed walk from the post maximizing
-// collected remaining effort by dynamic programming over the time-unrolled
-// graph. Each visit to a cell collects min(remaining, 1) on first visit
-// within the DP approximation (revisits collect the same score, a small
-// overcount the consumption step corrects across routes).
+// collected remaining effort with the Frank-Wolfe oracle's DP (longestWalk).
+// Each visit to a cell collects min(remaining, 1) on first visit within the
+// DP approximation (revisits collect the same score, a small overcount the
+// consumption step corrects across routes).
 func bestEffortWalk(region *Region, remaining []float64, T int) Route {
-	n := region.NumCells()
-	reward := make([]float64, n)
+	reward := make([]float64, region.NumCells())
 	for i, r := range remaining {
-		if r > 1 {
-			reward[i] = 1
-		} else {
-			reward[i] = r
-		}
+		reward[i] = min(r, 1)
 	}
-	// DP identical to the Frank-Wolfe oracle.
-	f := &fwProblem{region: region, T: T, K: 1}
-	// bestPath maximizes Σ visits·w, so w = reward.
-	_ = f
-	score := make([]float64, n)
-	next := make([]float64, n)
-	parents := make([][]int32, T+1)
-	for t := range parents {
-		parents[t] = make([]int32, n)
+	cells := longestWalk(region, reward, T)
+	if cells == nil {
+		// Degenerate region: stay at the post.
+		cells = make([]int, T+1)
 	}
-	negInf := -1e300
-	for v := range score {
-		score[v] = negInf
-	}
-	score[0] = 0
-	for t := 1; t <= T; t++ {
-		for v := 0; v < n; v++ {
-			next[v] = negInf
-			parents[t][v] = -1
-		}
-		for u := 0; u < n; u++ {
-			if score[u] == negInf {
-				continue
-			}
-			if s := score[u] + reward[u]; s > next[u] {
-				next[u] = s
-				parents[t][u] = int32(u)
-			}
-			for _, v := range region.Neighbors[u] {
-				if s := score[u] + reward[v]; s > next[v] {
-					next[v] = s
-					parents[t][v] = int32(u)
-				}
-			}
-		}
-		score, next = next, score
-	}
-	cells := make([]int, T+1)
-	cur := 0
-	for t := T; t >= 1; t-- {
-		cells[t] = cur
-		p := parents[t][cur]
-		if p < 0 {
-			// Degenerate region: stay at the post.
-			for i := 0; i <= T; i++ {
-				cells[i] = 0
-			}
-			return Route{Cells: cells}
-		}
-		cur = int(p)
-	}
-	cells[0] = cur
 	return Route{Cells: cells}
 }
 
