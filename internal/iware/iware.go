@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 
 	"paws/internal/ml"
+	"paws/internal/ml/bagging"
 	"paws/internal/par"
 	"paws/internal/rng"
 	"paws/internal/stats"
@@ -45,8 +46,10 @@ type Config struct {
 	// Thresholds is the ascending effort ladder θ_1 ≤ … ≤ θ_I. The first
 	// threshold should be 0 so at least one classifier is always qualified.
 	Thresholds []float64
-	// WeakLearner builds one untrained weak learner per threshold.
-	WeakLearner ml.Factory
+	// WeakLearner builds one untrained weak learner per threshold: a bagging
+	// ensemble, which fits on its rung's rows of the training set every rung
+	// shares.
+	WeakLearner func(seed int64) *bagging.Ensemble
 	// CVFolds enables weight optimization with this many folds (0 or 1
 	// disables optimization and uses uniform weights — the iWare-E baseline
 	// of Gholami et al.).
@@ -99,10 +102,13 @@ func Fit(ctx context.Context, X [][]float64, y []int, efforts []float64, cfg Con
 		cfg.WeightIters = 200
 	}
 	m := &Model{cfg: cfg, thresholds: thresholds}
+	// Every weak learner, CV folds included, fits on rows of this one set,
+	// so tree members share one sort of X.
+	d := ml.NewTrainSet(X, y)
 
 	// Optimize weights by cross-validation before the final refit.
 	if cfg.CVFolds > 1 {
-		w, err := optimizeWeights(ctx, X, y, efforts, thresholds, cfg)
+		w, err := optimizeWeights(ctx, d, efforts, thresholds, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -120,10 +126,10 @@ func Fit(ctx context.Context, X [][]float64, y []int, efforts []float64, cfg Con
 	var fitted atomic.Int64
 	err := par.ForEachErrCtx(ctx, cfg.Workers, len(thresholds), func(i int) error {
 		th := thresholds[i]
-		idx := filterIndices(y, efforts, th)
-		fx, fy := ml.Subset(X, y, idx)
 		c := cfg.WeakLearner(seeds[i])
-		if err := fitPossiblyDegenerate(c, fx, fy); err != nil {
+		// An empty slice fails (ml.ErrNoData); a single-class one goes to
+		// the learner as is.
+		if err := c.FitRows(ctx, d, filterIndices(y, efforts, th)); err != nil {
 			return fmt.Errorf("iware: classifier %d (θ=%.3f): %w", i, th, err)
 		}
 		m.classifiers[i] = c
@@ -145,23 +151,14 @@ func Fit(ctx context.Context, X [][]float64, y []int, efforts []float64, cfg Con
 // filterIndices implements the iWare-E data filter: keep all positives, and
 // keep negatives only when their patrol effort exceeds the threshold.
 // Discarding only negatives is the key imbalance-aware insight of iWare-E.
-func filterIndices(y []int, efforts []float64, threshold float64) []int {
-	var idx []int
+func filterIndices(y []int, efforts []float64, threshold float64) []int32 {
+	var idx []int32
 	for i := range y {
 		if y[i] == 1 || efforts[i] > threshold {
-			idx = append(idx, i)
+			idx = append(idx, int32(i))
 		}
 	}
 	return idx
-}
-
-// fitPossiblyDegenerate trains c on one ladder slice's filtered subset. An
-// empty subset is an error; a single-class one goes to the learner as is.
-func fitPossiblyDegenerate(c ml.Classifier, X [][]float64, y []int) error {
-	if len(X) == 0 {
-		return errors.New("empty filtered training set")
-	}
-	return c.Fit(X, y)
 }
 
 // Thresholds returns the sorted threshold ladder.
@@ -368,7 +365,8 @@ func uniformWeights(n int) []float64 {
 // optimizeWeights runs the paper's enhancement: k-fold CV predictions from
 // every weak learner, then exponentiated-gradient descent on the simplex
 // minimizing the log loss of the qualified-weighted ensemble output.
-func optimizeWeights(ctx context.Context, X [][]float64, y []int, efforts []float64, thresholds []float64, cfg Config) ([]float64, error) {
+func optimizeWeights(ctx context.Context, d *ml.TrainSet, efforts []float64, thresholds []float64, cfg Config) ([]float64, error) {
+	X, y := d.X, d.Y
 	n := len(X)
 	I := len(thresholds)
 	r := rng.New(cfg.Seed)
@@ -384,8 +382,7 @@ func optimizeWeights(ctx context.Context, X [][]float64, y []int, efforts []floa
 	// then run the fits concurrently. Each task owns disjoint (v, i) slots
 	// of preds, so the fan-out is race-free and order-independent.
 	type cvTask struct {
-		fx     [][]float64
-		fy     []int
+		rows   []int32 // the fold's training rows kept by threshold i
 		valIdx []int
 		seed   int64
 		i      int // classifier (threshold) index
@@ -394,27 +391,29 @@ func optimizeWeights(ctx context.Context, X [][]float64, y []int, efforts []floa
 	seedRNG := r.Split("cv-seeds")
 	for _, valIdx := range folds {
 		trIdx := ml.TrainIndices(n, valIdx)
-		trX, trY := ml.Subset(X, y, trIdx)
+		trY := make([]int, len(trIdx))
 		trEff := make([]float64, len(trIdx))
 		for i, j := range trIdx {
-			trEff[i] = efforts[j]
+			trY[i], trEff[i] = y[j], efforts[j]
 		}
 		for i, th := range thresholds {
-			fIdx := filterIndices(trY, trEff, th)
-			if len(fIdx) == 0 {
+			rows := filterIndices(trY, trEff, th)
+			if len(rows) == 0 {
 				for _, v := range valIdx {
 					preds[v][i] = 0.5
 				}
 				continue
 			}
-			fx, fy := ml.Subset(trX, trY, fIdx)
-			tasks = append(tasks, cvTask{fx: fx, fy: fy, valIdx: valIdx, seed: seedRNG.Int63(), i: i})
+			for k, j := range rows {
+				rows[k] = int32(trIdx[j])
+			}
+			tasks = append(tasks, cvTask{rows: rows, valIdx: valIdx, seed: seedRNG.Int63(), i: i})
 		}
 	}
 	err := par.ForEachErrCtx(ctx, cfg.Workers, len(tasks), func(t int) error {
 		task := tasks[t]
 		c := cfg.WeakLearner(task.seed)
-		if err := c.Fit(task.fx, task.fy); err != nil {
+		if err := c.FitRows(ctx, d, task.rows); err != nil {
 			return fmt.Errorf("iware: CV classifier %d: %w", task.i, err)
 		}
 		// X is rectangular (Fit checked it), so rows copy in whole.

@@ -12,8 +12,8 @@ import (
 	"paws/internal/stats"
 )
 
-func treeBagFactory(members int) ml.Factory {
-	return func(seed int64) ml.Classifier {
+func treeBagFactory(members int) func(int64) *bagging.Ensemble {
+	return func(seed int64) *bagging.Ensemble {
 		return bagging.New(func(s int64) ml.Classifier {
 			return tree.New(tree.Config{MaxDepth: 5, MinLeaf: 2, MaxFeatures: 0, Seed: s})
 		}, bagging.Config{Members: members, Seed: seed})
@@ -46,7 +46,7 @@ func TestFilterIndicesKeepsAllPositives(t *testing.T) {
 	eff := []float64{0.1, 0.1, 5, 5, 2}
 	idx := filterIndices(y, eff, 3.0)
 	// Positives at 0, 2 always kept; negatives only where effort > 3 → index 3.
-	want := map[int]bool{0: true, 2: true, 3: true}
+	want := map[int32]bool{0: true, 2: true, 3: true}
 	if len(idx) != 3 {
 		t.Fatalf("filter = %v", idx)
 	}

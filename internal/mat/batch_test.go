@@ -21,7 +21,7 @@ func TestSolveLowerBatchMatchesSolveLower(t *testing.T) {
 				m.Set(i, j, r.NormFloat64())
 			}
 		}
-		a := Mul(Transpose(m), m)
+		a := mul(transpose(m), m)
 		for i := 0; i < n; i++ {
 			a.Set(i, i, a.At(i, i)+float64(n))
 		}

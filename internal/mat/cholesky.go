@@ -72,9 +72,6 @@ func NewCholeskyJitter(a *Dense, jitter0 float64, maxTries int) (*Cholesky, erro
 	return nil, ErrNotPositiveDefinite
 }
 
-// Size returns the dimension of the factored matrix.
-func (c *Cholesky) Size() int { return c.n }
-
 // L returns the lower-triangular factor (shared storage; do not modify).
 func (c *Cholesky) L() *Dense { return c.l }
 
@@ -166,9 +163,4 @@ func (c *Cholesky) SolveLowerT(y []float64) []float64 {
 		x[i] = s / c.l.At(i, i)
 	}
 	return x
-}
-
-// Reconstruct recomputes A = L·Lᵀ (for testing).
-func (c *Cholesky) Reconstruct() *Dense {
-	return Mul(c.l, Transpose(c.l))
 }

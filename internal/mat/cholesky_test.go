@@ -10,10 +10,10 @@ import (
 // randomSPD builds a random symmetric positive definite matrix A = BᵀB + nI.
 func randomSPD(r *rand.Rand, n int) *Dense {
 	b := NewDense(n, n)
-	for i := range b.Data() {
-		b.Data()[i] = r.NormFloat64()
+	for i := range b.data {
+		b.data[i] = r.NormFloat64()
 	}
-	a := Mul(Transpose(b), b)
+	a := mul(transpose(b), b)
 	for i := 0; i < n; i++ {
 		a.Set(i, i, a.At(i, i)+float64(n))
 	}
@@ -29,7 +29,7 @@ func TestCholeskyReconstruct(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rec := ch.Reconstruct()
+		rec := mul(ch.L(), transpose(ch.L()))
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if math.Abs(rec.At(i, j)-a.At(i, j)) > 1e-8*(1+math.Abs(a.At(i, j))) {
@@ -68,7 +68,7 @@ func TestCholeskySolve(t *testing.T) {
 }
 
 func TestCholeskyNotPD(t *testing.T) {
-	a := NewDenseData(2, 2, []float64{1, 2, 2, 1}) // eigenvalues 3, -1
+	a := denseOf(2, 2, []float64{1, 2, 2, 1}) // eigenvalues 3, -1
 	if _, err := NewCholesky(a); err != ErrNotPositiveDefinite {
 		t.Fatalf("expected ErrNotPositiveDefinite, got %v", err)
 	}
@@ -76,7 +76,7 @@ func TestCholeskyNotPD(t *testing.T) {
 
 func TestCholeskyJitterRecovers(t *testing.T) {
 	// Singular (rank-1) matrix: plain Cholesky fails, jitter succeeds.
-	a := NewDenseData(2, 2, []float64{1, 1, 1, 1})
+	a := denseOf(2, 2, []float64{1, 1, 1, 1})
 	if _, err := NewCholesky(a); err == nil {
 		t.Fatal("expected plain Cholesky to fail on singular matrix")
 	}
@@ -84,13 +84,13 @@ func TestCholeskyJitterRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("jittered Cholesky failed: %v", err)
 	}
-	if ch.Size() != 2 {
-		t.Fatal("wrong size")
+	if r, c := ch.L().Dims(); r != 2 || c != 2 {
+		t.Fatalf("factor is %d×%d, want 2×2", r, c)
 	}
 }
 
 func TestSolveLowerForwardBackward(t *testing.T) {
-	a := NewDenseData(2, 2, []float64{4, 2, 2, 3})
+	a := denseOf(2, 2, []float64{4, 2, 2, 3})
 	ch, err := NewCholesky(a)
 	if err != nil {
 		t.Fatal(err)

@@ -1,15 +1,13 @@
-// Package mat provides the small dense linear-algebra substrate used by the
-// Gaussian-process classifier and the LP solver: column-major-free dense
-// matrices, Cholesky factorization, and triangular solves.
+// Package mat provides the small dense linear-algebra substrate of the
+// Gaussian-process classifier: row-major dense matrices, Cholesky
+// factorization and triangular solves, plus the dot product the linear SVM
+// also uses.
 //
-// It is deliberately minimal — only the operations the PAWS pipeline needs —
+// It is deliberately minimal — only the operations those two learners call —
 // and uses float64 throughout. All operations are deterministic.
 package mat
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Dense is a dense row-major matrix.
 type Dense struct {
@@ -25,14 +23,6 @@ func NewDense(r, c int) *Dense {
 	return &Dense{rows: r, cols: c, data: make([]float64, r*c)}
 }
 
-// NewDenseData wraps data (len r*c, row-major) without copying.
-func NewDenseData(r, c int, data []float64) *Dense {
-	if len(data) != r*c {
-		panic(fmt.Sprintf("mat: data length %d does not match %d×%d", len(data), r, c))
-	}
-	return &Dense{rows: r, cols: c, data: data}
-}
-
 // Dims returns the matrix dimensions.
 func (m *Dense) Dims() (r, c int) { return m.rows, m.cols }
 
@@ -44,9 +34,6 @@ func (m *Dense) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 
 // Row returns a view of row i (shared backing array).
 func (m *Dense) Row(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
-
-// Data returns the backing slice (row-major).
-func (m *Dense) Data() []float64 { return m.data }
 
 // Clone returns a deep copy.
 func (m *Dense) Clone() *Dense {
@@ -72,59 +59,6 @@ func (m *Dense) MulVec(x []float64) []float64 {
 	return y
 }
 
-// TMulVec computes y = Mᵀ·x.
-func (m *Dense) TMulVec(x []float64) []float64 {
-	if len(x) != m.rows {
-		panic(fmt.Sprintf("mat: TMulVec dimension mismatch %d×%d ᵀ· %d", m.rows, m.cols, len(x)))
-	}
-	y := make([]float64, m.cols)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for j, v := range row {
-			y[j] += v * xi
-		}
-	}
-	return y
-}
-
-// Mul computes C = A·B.
-func Mul(a, b *Dense) *Dense {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("mat: Mul dimension mismatch %d×%d · %d×%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	c := NewDense(a.rows, b.cols)
-	for i := 0; i < a.rows; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
-	return c
-}
-
-// Transpose returns Aᵀ as a new matrix.
-func Transpose(a *Dense) *Dense {
-	t := NewDense(a.cols, a.rows)
-	for i := 0; i < a.rows; i++ {
-		row := a.Row(i)
-		for j, v := range row {
-			t.Set(j, i, v)
-		}
-	}
-	return t
-}
-
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -135,30 +69,4 @@ func Dot(a, b []float64) float64 {
 		s += v * b[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// AddScaled computes dst += alpha*src in place.
-func AddScaled(dst []float64, alpha float64, src []float64) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("mat: AddScaled length mismatch %d vs %d", len(dst), len(src)))
-	}
-	for i, v := range src {
-		dst[i] += alpha * v
-	}
-}
-
-// Scale multiplies every element of v by alpha in place.
-func Scale(v []float64, alpha float64) {
-	for i := range v {
-		v[i] *= alpha
-	}
 }

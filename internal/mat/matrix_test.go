@@ -9,6 +9,41 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// denseOf wraps data (len r*c, row-major) as an r×c matrix.
+func denseOf(r, c int, data []float64) *Dense {
+	if len(data) != r*c {
+		panic("mat: test data does not fill the matrix")
+	}
+	return &Dense{rows: r, cols: c, data: data}
+}
+
+// mul returns the product a·b, the reference the checks of MulVec and of
+// the Cholesky reconstruction compare against.
+func mul(a, b *Dense) *Dense {
+	c := NewDense(a.rows, b.cols)
+	for i := 0; i < a.rows; i++ {
+		for j := 0; j < b.cols; j++ {
+			var s float64
+			for k := 0; k < a.cols; k++ {
+				s += a.At(i, k) * b.At(k, j)
+			}
+			c.Set(i, j, s)
+		}
+	}
+	return c
+}
+
+// transpose returns aᵀ.
+func transpose(a *Dense) *Dense {
+	t := NewDense(a.cols, a.rows)
+	for i := 0; i < a.rows; i++ {
+		for j := 0; j < a.cols; j++ {
+			t.Set(j, i, a.At(i, j))
+		}
+	}
+	return t
+}
+
 func TestNewDenseZeroed(t *testing.T) {
 	m := NewDense(3, 4)
 	r, c := m.Dims()
@@ -35,15 +70,6 @@ func TestSetAt(t *testing.T) {
 	}
 }
 
-func TestNewDenseDataPanicsOnBadLength(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on mismatched data length")
-		}
-	}()
-	NewDenseData(2, 2, []float64{1, 2, 3})
-}
-
 func TestRowIsView(t *testing.T) {
 	m := NewDense(2, 2)
 	row := m.Row(1)
@@ -64,75 +90,10 @@ func TestCloneIndependent(t *testing.T) {
 }
 
 func TestMulVec(t *testing.T) {
-	m := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	m := denseOf(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	y := m.MulVec([]float64{1, 1, 1})
 	if y[0] != 6 || y[1] != 15 {
 		t.Fatalf("MulVec = %v want [6 15]", y)
-	}
-}
-
-func TestTMulVec(t *testing.T) {
-	m := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	y := m.TMulVec([]float64{1, 2})
-	want := []float64{9, 12, 15}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("TMulVec = %v want %v", y, want)
-		}
-	}
-}
-
-func TestMul(t *testing.T) {
-	a := NewDenseData(2, 2, []float64{1, 2, 3, 4})
-	b := NewDenseData(2, 2, []float64{5, 6, 7, 8})
-	c := Mul(a, b)
-	want := []float64{19, 22, 43, 50}
-	for i, v := range want {
-		if c.Data()[i] != v {
-			t.Fatalf("Mul = %v want %v", c.Data(), want)
-		}
-	}
-}
-
-func TestMulDimensionPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on dimension mismatch")
-		}
-	}()
-	Mul(NewDense(2, 3), NewDense(2, 3))
-}
-
-func TestTranspose(t *testing.T) {
-	a := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	tr := Transpose(a)
-	r, c := tr.Dims()
-	if r != 3 || c != 2 {
-		t.Fatalf("Transpose dims = %d,%d want 3,2", r, c)
-	}
-	if tr.At(2, 1) != 6 || tr.At(0, 1) != 4 {
-		t.Fatal("Transpose values wrong")
-	}
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		rows, cols := 1+r.Intn(6), 1+r.Intn(6)
-		a := NewDense(rows, cols)
-		for i := range a.Data() {
-			a.Data()[i] = r.NormFloat64()
-		}
-		b := Transpose(Transpose(a))
-		for i := range a.Data() {
-			if a.Data()[i] != b.Data()[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -140,20 +101,8 @@ func TestDotAndNorm(t *testing.T) {
 	if Dot([]float64{1, 2}, []float64{3, 4}) != 11 {
 		t.Fatal("Dot wrong")
 	}
-	if !almostEq(Norm2([]float64{3, 4}), 5, 1e-12) {
-		t.Fatal("Norm2 wrong")
-	}
-}
-
-func TestAddScaledAndScale(t *testing.T) {
-	dst := []float64{1, 2}
-	AddScaled(dst, 2, []float64{10, 20})
-	if dst[0] != 21 || dst[1] != 42 {
-		t.Fatalf("AddScaled = %v", dst)
-	}
-	Scale(dst, 0.5)
-	if dst[0] != 10.5 || dst[1] != 21 {
-		t.Fatalf("Scale = %v", dst)
+	if v := []float64{3, 4}; !almostEq(math.Sqrt(Dot(v, v)), 5, 1e-12) {
+		t.Fatal("norm from Dot wrong")
 	}
 }
 
@@ -163,16 +112,16 @@ func TestMulVecMatchesMul(t *testing.T) {
 		n := 1 + r.Intn(5)
 		m := 1 + r.Intn(5)
 		a := NewDense(n, m)
-		for i := range a.Data() {
-			a.Data()[i] = r.NormFloat64()
+		for i := range a.data {
+			a.data[i] = r.NormFloat64()
 		}
 		x := make([]float64, m)
 		for i := range x {
 			x[i] = r.NormFloat64()
 		}
-		xm := NewDenseData(m, 1, append([]float64(nil), x...))
+		xm := denseOf(m, 1, append([]float64(nil), x...))
 		y1 := a.MulVec(x)
-		y2 := Mul(a, xm)
+		y2 := mul(a, xm)
 		for i := 0; i < n; i++ {
 			if !almostEq(y1[i], y2.At(i, 0), 1e-10) {
 				return false

@@ -49,7 +49,7 @@ type Ensemble struct {
 	members  []ml.Classifier
 	// inBag[b][i] counts how many times training row i entered bag b
 	// (needed by the infinitesimal jackknife).
-	inBag  [][]int
+	inBag  [][]int32
 	nTrain int
 	// oddsInflation records how balanced bags shifted class odds relative to
 	// the full training set; member predictions divide it back out so the
@@ -84,23 +84,44 @@ func (e *Ensemble) Fit(X [][]float64, y []int) error {
 // canceled run to completion, no new member starts, and ctx.Err() is
 // returned (see par.ForEachErrCtx).
 func (e *Ensemble) FitCtx(ctx context.Context, X [][]float64, y []int) error {
-	if e.base == nil {
-		return ErrNoFactory
-	}
 	if err := ml.CheckXY(X, y); err != nil {
 		return err
 	}
+	rows := make([]int32, len(X))
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return e.FitRows(ctx, ml.NewTrainSet(X, y), rows)
+}
+
+// countFitter is a member that fits from its in-bag counts over rows of a
+// shared training set, without a copy of its bag (tree.Tree is one).
+type countFitter interface {
+	FitCounts(d *ml.TrainSet, rows, counts []int32) error
+}
+
+// FitRows is FitCtx on the training set made of rows rows[0], rows[1], … of
+// d, in that order: bags and in-bag counts index rows. Members that can fit
+// from counts (countFitter) read d in place and share its sort; any other
+// member fits on a copy of its bag.
+func (e *Ensemble) FitRows(ctx context.Context, d *ml.TrainSet, rows []int32) error {
+	if e.base == nil {
+		return ErrNoFactory
+	}
+	if len(rows) == 0 {
+		return ml.ErrNoData
+	}
 	r := rng.New(e.cfg.Seed)
-	e.nTrain = len(X)
+	e.nTrain = len(rows)
 	e.members = make([]ml.Classifier, 0, e.cfg.Members)
-	e.inBag = make([][]int, 0, e.cfg.Members)
+	e.inBag = make([][]int32, 0, e.cfg.Members)
 	e.oddsInflation = 1
-	var posIdx, negIdx []int
-	for i, v := range y {
-		if v == 1 {
-			posIdx = append(posIdx, i)
+	var posIdx, negIdx []int32
+	for i, row := range rows {
+		if d.Y[row] == 1 {
+			posIdx = append(posIdx, int32(i))
 		} else {
-			negIdx = append(negIdx, i)
+			negIdx = append(negIdx, int32(i))
 		}
 	}
 	if e.cfg.Balanced && len(posIdx) > 0 && len(negIdx) > 0 {
@@ -111,24 +132,32 @@ func (e *Ensemble) FitCtx(ctx context.Context, X [][]float64, y []int) error {
 	// stream is consumed in exactly the historical order (bag b, then seed
 	// b), so member b trains on the same data with the same seed no matter
 	// how many workers run.
-	bags := make([][]int, e.cfg.Members)
+	bags := make([][]int32, e.cfg.Members)
 	seeds := make([]int64, e.cfg.Members)
 	for b := range bags {
-		bags[b] = e.sampleBag(posIdx, negIdx, len(X), r)
+		bags[b] = e.sampleBag(posIdx, negIdx, len(rows), r)
 		seeds[b] = r.Int63()
 	}
 	members := make([]ml.Classifier, e.cfg.Members)
-	inBag := make([][]int, e.cfg.Members)
+	inBag := make([][]int32, e.cfg.Members)
 	var fitted atomic.Int64
 	err := par.ForEachErrCtx(ctx, e.cfg.Workers, e.cfg.Members, func(b int) error {
-		idx := bags[b]
-		counts := make([]int, len(X))
-		for _, i := range idx {
+		counts := make([]int32, len(rows))
+		for _, i := range bags[b] {
 			counts[i]++
 		}
-		bx, by := ml.Subset(X, y, idx)
 		m := e.base(seeds[b])
-		if err := m.Fit(bx, by); err != nil {
+		var err error
+		if cf, ok := m.(countFitter); ok {
+			err = cf.FitCounts(d, rows, counts)
+		} else {
+			bag := make([]int, len(bags[b]))
+			for k, i := range bags[b] {
+				bag[k] = int(rows[i])
+			}
+			err = m.Fit(ml.Subset(d.X, d.Y, bag))
+		}
+		if err != nil {
 			return fmt.Errorf("bagging: member %d: %w", b, err)
 		}
 		members[b] = m
@@ -154,7 +183,7 @@ func (e *Ensemble) FitCtx(ctx context.Context, X [][]float64, y []int) error {
 // positives (bootstrap-resampled) plus an equal number of negatives
 // sampled without replacement — the imbalanced-learn BalancedBagging
 // construction.
-func (e *Ensemble) sampleBag(posIdx, negIdx []int, n int, r *rng.RNG) []int {
+func (e *Ensemble) sampleBag(posIdx, negIdx []int32, n int, r *rng.RNG) []int32 {
 	if e.cfg.Balanced && len(posIdx) > 0 && len(negIdx) > 0 {
 		nPos := len(posIdx)
 		cap := e.capFor(2 * nPos)
@@ -162,7 +191,7 @@ func (e *Ensemble) sampleBag(posIdx, negIdx []int, n int, r *rng.RNG) []int {
 		if half < 1 {
 			half = 1
 		}
-		idx := make([]int, 0, 2*half)
+		idx := make([]int32, 0, 2*half)
 		for i := 0; i < half; i++ {
 			idx = append(idx, posIdx[r.Intn(nPos)])
 		}
@@ -175,9 +204,9 @@ func (e *Ensemble) sampleBag(posIdx, negIdx []int, n int, r *rng.RNG) []int {
 	if size < 1 {
 		size = 1
 	}
-	idx := make([]int, size)
+	idx := make([]int32, size)
 	for i := range idx {
-		idx[i] = r.Intn(n)
+		idx[i] = int32(r.Intn(n))
 	}
 	return idx
 }

@@ -103,9 +103,9 @@ func TestBalancedBagsAreBalanced(t *testing.T) {
 				continue
 			}
 			if y[i] == 1 {
-				pos += c
+				pos += int(c)
 			} else {
-				neg += c
+				neg += int(c)
 			}
 		}
 		if pos == 0 || neg == 0 {
@@ -160,7 +160,7 @@ func TestMaxSampleCount(t *testing.T) {
 	for b, counts := range e.inBag {
 		total := 0
 		for _, c := range counts {
-			total += c
+			total += int(c)
 		}
 		if total > 50 {
 			t.Fatalf("bag %d has %d samples, cap 50", b, total)

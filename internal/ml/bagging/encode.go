@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 
 	"paws/internal/ml"
 )
@@ -32,11 +33,19 @@ type ensembleState struct {
 // encoding, so such ensembles are predict-only.
 var ErrNoFactory = errors.New("bagging: ensemble has no base factory (decoded from a persisted model); predict-only")
 
-// GobEncode implements gob.GobEncoder.
+// GobEncode implements gob.GobEncoder. The in-bag counts go out as the
+// [][]int they have always been encoded as.
 func (e *Ensemble) GobEncode() ([]byte, error) {
 	var buf bytes.Buffer
+	inBag := make([][]int, len(e.inBag))
+	for m, counts := range e.inBag {
+		inBag[m] = make([]int, len(counts))
+		for i, c := range counts {
+			inBag[m][i] = int(c)
+		}
+	}
 	err := gob.NewEncoder(&buf).Encode(ensembleState{
-		Cfg: e.cfg, Members: e.members, InBag: e.inBag,
+		Cfg: e.cfg, Members: e.members, InBag: inBag,
 		NTrain: e.nTrain, OddsInflation: e.oddsInflation,
 	})
 	return buf.Bytes(), err
@@ -56,12 +65,20 @@ func (e *Ensemble) GobDecode(b []byte) error {
 	if len(st.InBag) != len(st.Members) {
 		return fmt.Errorf("bagging: corrupt encoding: %d in-bag rows for %d members", len(st.InBag), len(st.Members))
 	}
+	inBag := make([][]int32, len(st.InBag))
 	for m, counts := range st.InBag {
 		if len(counts) != st.NTrain {
 			return fmt.Errorf("bagging: corrupt encoding: in-bag row %d has %d counts, want %d", m, len(counts), st.NTrain)
 		}
+		inBag[m] = make([]int32, len(counts))
+		for i, c := range counts {
+			if c < 0 || c > math.MaxInt32 {
+				return fmt.Errorf("bagging: corrupt encoding: in-bag row %d has count %d", m, c)
+			}
+			inBag[m][i] = int32(c)
+		}
 	}
-	e.cfg, e.members, e.inBag = st.Cfg, st.Members, st.InBag
+	e.cfg, e.members, e.inBag = st.Cfg, st.Members, inBag
 	e.nTrain, e.oddsInflation = st.NTrain, st.OddsInflation
 	e.base = nil
 	return nil

@@ -8,9 +8,9 @@
 // one. Matrix is the only batch format: a caller holding [][]float64
 // converts once with MatrixFromRows. Training stays on [][]float64.
 //
-// The package also holds feature standardization and cross-validation
-// folds. Concrete learners live in the subpackages tree, svm, gp and
-// bagging.
+// The package also holds feature standardization, cross-validation folds
+// and TrainSet, the training matrix whose rows an ensemble's fits share.
+// Concrete learners live in the subpackages tree, svm, gp and bagging.
 package ml
 
 import (

@@ -3,18 +3,25 @@
 // Bagged ensembles of these trees (package bagging) reproduce the paper's
 // DTB weak learner, equivalent to a random forest (Section V-C).
 //
-// The split search sorts each candidate feature's node values per class
-// with a typed sort and merge-walks the two classes in ascending order,
-// scoring the boundary above each distinct value once every sample tied at
-// it, of either class, is on the left. The chosen split therefore depends
-// only on each class's values, not on sample order, and is bit-identical
-// to one combined sorted scan: the same boundaries, counts, Gini arithmetic
-// and (v + next) / 2 thresholds. Features must be finite.
+// Induction is presorted. Each feature's rows are sorted once per training
+// set (ml.TrainSet.Order), and a fit keeps one list per feature of its
+// distinct in-bag rows in that order, each row weighted by its in-bag count.
+// A node owns the same [lo, hi) segment of every list. The split search
+// scans each candidate feature's segment once, ascending, and scores the
+// boundary above each distinct value with the weighted counts of the rows
+// left of it. A split stable-partitions every list's segment, so both
+// children's segments stay sorted. The weighted counts are the integer
+// counts of the materialized bag, and the rest is unchanged: the same
+// boundaries, Gini arithmetic, (v + next) / 2 thresholds, RNG draws and
+// left-first recursion. So a fit from counts is bit-identical to one sorted
+// scan per node of the materialized bag. Rows tied at a value may hold ±0
+// in either order, and (±0 + next) / 2 is the same either way. Features
+// must be finite.
 package tree
 
 import (
 	"fmt"
-	"slices"
+	"sync"
 
 	"paws/internal/ml"
 	"paws/internal/rng"
@@ -60,105 +67,225 @@ func New(cfg Config) *Tree {
 	return &Tree{cfg: cfg}
 }
 
-// Fit grows the tree on (X, y).
+// Fit grows the tree on (X, y), each row counted once. It sorts X for this
+// fit alone; an ensemble's members share one sort through FitCounts.
 func (t *Tree) Fit(X [][]float64, y []int) error {
 	if err := ml.CheckXY(X, y); err != nil {
 		return err
 	}
-	t.nFeat = len(X[0])
-	idx := make([]int, len(X))
-	for i := range idx {
-		idx[i] = i
+	rows := make([]int32, len(X))
+	counts := make([]int32, len(X))
+	for i := range rows {
+		rows[i], counts[i] = int32(i), 1
 	}
-	r := rng.New(t.cfg.Seed)
-	t.root = t.grow(X, y, idx, 0, r, make([]float64, len(X)))
+	return t.FitCounts(ml.NewTrainSet(X, y), rows, counts)
+}
+
+// FitCounts grows the tree on the multiset in which row rows[j] of d
+// appears counts[j] times; a zero count leaves the row out. The tree equals
+// Fit on that multiset materialized, node for node and bit for bit. Fits of
+// one d, from any goroutines, share its sort.
+func (t *Tree) FitCounts(d *ml.TrainSet, rows, counts []int32) error {
+	if len(rows) != len(counts) {
+		return fmt.Errorf("tree: %d rows but %d counts", len(rows), len(counts))
+	}
+	n := 0
+	for j, c := range counts {
+		if c < 0 {
+			return fmt.Errorf("tree: row %d has in-bag count %d", rows[j], c)
+		}
+		n += int(c)
+	}
+	if n == 0 {
+		return ml.ErrNoData
+	}
+	t.nFeat = len(d.X[0])
+	g := scratchPool.Get().(*grower)
+	m, pos := g.load(t, d, rows, counts)
+	t.root = g.grow(0, m, n, pos, 0)
+	g.release(rows)
 	return nil
 }
 
-// grow recursively builds the tree over the sample indices idx, which it
-// partitions in place. buf is bestSplit's scratch, shared by every node.
-func (t *Tree) grow(X [][]float64, y []int, idx []int, depth int, r *rng.RNG, buf []float64) *node {
-	pos := 0
-	for _, i := range idx {
-		pos += y[i]
+// scratchPool recycles growers between fits, so concurrent fits each hold
+// one set of list buffers instead of allocating one per tree.
+var scratchPool = sync.Pool{New: func() any { return new(grower) }}
+
+// grower holds one fit's state. Between fits w and goLeft are all zero.
+type grower struct {
+	t *Tree
+	X [][]float64
+	y []int
+	r *rng.RNG
+	// w[r] is row r's in-bag count, 0 when the row is out of the bag.
+	w []int32
+	// goLeft[r] is 1 while row r is on the left of the split being made.
+	goLeft []uint8
+	// lists[f] holds the in-bag rows in ascending order of feature f; a
+	// node owns the same [lo, hi) segment of every list.
+	lists [][]int32
+	// tmp holds one segment's right-going rows while it is partitioned.
+	tmp []int32
+	// backing stores the lists, and one spare slot (sortedLists).
+	backing []int32
+}
+
+// load readies g to grow t on FitCounts' multiset: m distinct rows, pos
+// of the samples positive.
+func (g *grower) load(t *Tree, d *ml.TrainSet, rows, counts []int32) (m, pos int) {
+	g.t, g.X, g.y, g.r = t, d.X, d.Y, rng.New(t.cfg.Seed)
+	if len(g.w) < len(d.X) {
+		g.w = make([]int32, len(d.X))
+		g.goLeft = make([]uint8, len(d.X))
 	}
-	n := len(idx)
+	for j, c := range counts {
+		if g.w[rows[j]] == 0 && c > 0 {
+			m++
+		}
+		g.w[rows[j]] += c
+		pos += int(c) * d.Y[rows[j]]
+	}
+	g.sortedLists(d.Order(), m)
+	return m, pos
+}
+
+// release zeroes the counts FitCounts set and returns g to the pool.
+func (g *grower) release(rows []int32) {
+	for _, r := range rows {
+		g.w[r] = 0
+	}
+	g.t, g.X, g.y, g.r = nil, nil, nil, nil
+	scratchPool.Put(g)
+}
+
+// sortedLists filters each feature's sorted order of every row down to the
+// m in-bag rows. The filter writes every row and advances past the in-bag
+// ones only, since a branch on the count would be mispredicted often; a
+// list's first slot and one spare take the writes past the list before it.
+func (g *grower) sortedLists(order [][]int32, m int) {
+	if len(g.backing) < len(order)*m+1 {
+		g.backing = make([]int32, len(order)*m+1)
+	}
+	if len(g.tmp) < m {
+		g.tmp = make([]int32, m)
+	}
+	g.lists = g.lists[:0]
+	for f, o := range order {
+		l, k := g.backing[f*m:(f+1)*m+1], 0
+		for _, r := range o {
+			l[k] = r
+			k += int(min(g.w[r], 1))
+		}
+		g.lists = append(g.lists, l[:m:m])
+	}
+}
+
+// stops reports whether a node of n samples, pos of them positive, at this
+// depth is a leaf without a split search.
+func (g *grower) stops(n, pos, depth int) bool {
+	cfg := g.t.cfg
+	return pos == 0 || pos == n || n < 2*cfg.MinLeaf ||
+		(cfg.MaxDepth > 0 && depth >= cfg.MaxDepth)
+}
+
+// grow builds the subtree of the node owning segment [lo, hi) of every
+// list: n samples by weight, pos of them positive.
+func (g *grower) grow(lo, hi, n, pos, depth int) *node {
 	nd := &node{prob: float64(pos) / float64(n), n: n}
-	if pos == 0 || pos == n || n < 2*t.cfg.MinLeaf ||
-		(t.cfg.MaxDepth > 0 && depth >= t.cfg.MaxDepth) {
+	if g.stops(n, pos, depth) {
 		nd.leaf = true
 		return nd
 	}
-	feat, thr, ok := t.bestSplit(X, y, idx, pos, r, buf)
+	feat, thr, ok := g.bestSplit(lo, hi, n, pos)
 	if !ok {
 		nd.leaf = true
 		return nd
 	}
-	nLeft := 0
-	for k, i := range idx {
-		if X[i][feat] <= thr {
-			idx[nLeft], idx[k] = i, idx[nLeft]
-			nLeft++
-		}
+	// The left child is the prefix of feat's segment at or below thr. It
+	// can hold more than the scored boundary: (v + next) / 2 may round up
+	// to next.
+	list := g.lists[feat]
+	mid, nLeft, posLeft := lo, 0, 0
+	for ; mid < hi && g.X[list[mid]][feat] <= thr; mid++ {
+		c := int(g.w[list[mid]])
+		nLeft += c
+		posLeft += c * g.y[list[mid]]
 	}
-	if nLeft < t.cfg.MinLeaf || n-nLeft < t.cfg.MinLeaf {
+	minLeaf := g.t.cfg.MinLeaf
+	if nLeft < minLeaf || n-nLeft < minLeaf {
 		nd.leaf = true
 		return nd
 	}
+	// A child that stops never reads its segments, so two of them need no
+	// partition.
+	if !g.stops(nLeft, posLeft, depth+1) || !g.stops(n-nLeft, pos-posLeft, depth+1) {
+		g.partition(lo, mid, hi, feat)
+	}
 	nd.feature = feat
 	nd.threshold = thr
-	nd.left = t.grow(X, y, idx[:nLeft], depth+1, r, buf)
-	nd.right = t.grow(X, y, idx[nLeft:], depth+1, r, buf)
+	nd.left = g.grow(lo, mid, nLeft, posLeft, depth+1)
+	nd.right = g.grow(mid, hi, n-nLeft, pos-posLeft, depth+1)
 	return nd
 }
 
+// partition stable-partitions segment [lo, hi) of every list so the rows
+// of feat's prefix [lo, mid) come first. feat's own list already has them
+// first. Each row is written to both sides and only its own side's cursor
+// moves, since a branch on the side would be mispredicted half the time.
+func (g *grower) partition(lo, mid, hi, feat int) {
+	left := g.lists[feat][lo:mid]
+	for _, r := range left {
+		g.goLeft[r] = 1
+	}
+	for f, l := range g.lists {
+		if f == feat {
+			continue
+		}
+		seg, k, j := l[lo:hi], 0, 0
+		for _, r := range seg {
+			b := int(g.goLeft[r])
+			seg[k], g.tmp[j] = r, r
+			k += b
+			j += 1 - b
+		}
+		copy(seg[k:], g.tmp[:j])
+	}
+	for _, r := range left {
+		g.goLeft[r] = 0
+	}
+}
+
 // bestSplit searches candidate features for the split minimizing weighted
-// Gini impurity over the samples idx, pos of them positive, by the per-class
-// merge walk the package doc describes. Features are subsampled when
-// MaxFeatures is set. buf holds at least len(idx) values.
-func (t *Tree) bestSplit(X [][]float64, y []int, idx []int, pos int, r *rng.RNG, buf []float64) (feat int, thr float64, ok bool) {
-	candidates := t.candidateFeatures(r)
-	n := len(idx)
+// Gini impurity over the node owning [lo, hi), n samples by weight with pos
+// positive, by the ascending scan the package doc describes. Features are
+// subsampled when MaxFeatures is set.
+func (g *grower) bestSplit(lo, hi, n, pos int) (feat int, thr float64, ok bool) {
+	candidates := g.t.candidateFeatures(g.r)
+	minLeaf := g.t.cfg.MinLeaf
 	bestGini := gini(pos, n) // must strictly improve on parent
 	bestFeat, bestThr := -1, 0.0
-
-	posV, negV := buf[:pos], buf[pos:n]
 	for _, f := range candidates {
-		p, q := 0, 0
-		for _, id := range idx {
-			if y[id] == 1 {
-				posV[p] = X[id][f]
-				p++
-			} else {
-				negV[q] = X[id][f]
-				q++
+		seg := g.lists[f][lo:hi]
+		// nLeft and posLeft weigh the rows left of the boundary above v.
+		nLeft, posLeft := 0, 0
+		v := g.X[seg[0]][f]
+		for k, r := range seg[:len(seg)-1] {
+			c := int(g.w[r])
+			nLeft += c
+			posLeft += c * g.y[r]
+			next := g.X[seg[k+1]][f]
+			if next == v {
+				continue
 			}
-		}
-		slices.Sort(posV)
-		slices.Sort(negV)
-		// i and j count each class's samples left of the boundary above v.
-		// v may come from either class: only ±0 tie with different bits,
-		// and (±0 + next) / 2 is the same either way.
-		i, j := 0, 0
-		v := lowest(posV, 0, negV, 0)
-		for {
-			for i < len(posV) && posV[i] == v {
-				i++
-			}
-			for j < len(negV) && negV[j] == v {
-				j++
-			}
-			nLeft := i + j
-			if nLeft == n || n-nLeft < t.cfg.MinLeaf {
+			if n-nLeft < minLeaf {
 				break
 			}
-			next := lowest(posV, i, negV, j)
-			if nLeft >= t.cfg.MinLeaf {
-				gl := gini(i, nLeft)
-				gr := gini(pos-i, n-nLeft)
-				g := (float64(nLeft)*gl + float64(n-nLeft)*gr) / float64(n)
-				if g < bestGini-1e-12 {
-					bestGini = g
+			if nLeft >= minLeaf {
+				gl := gini(posLeft, nLeft)
+				gr := gini(pos-posLeft, n-nLeft)
+				score := (float64(nLeft)*gl + float64(n-nLeft)*gr) / float64(n)
+				if score < bestGini-1e-12 {
+					bestGini = score
 					bestFeat = f
 					bestThr = (v + next) / 2
 				}
@@ -170,15 +297,6 @@ func (t *Tree) bestSplit(X [][]float64, y []int, idx []int, pos int, r *rng.RNG,
 		return 0, 0, false
 	}
 	return bestFeat, bestThr, true
-}
-
-// lowest returns the smaller of the sorted slices' next values a[i] and
-// b[j], skipping an exhausted slice; one of them must have values left.
-func lowest(a []float64, i int, b []float64, j int) float64 {
-	if j == len(b) || (i < len(a) && a[i] < b[j]) {
-		return a[i]
-	}
-	return b[j]
 }
 
 func (t *Tree) candidateFeatures(r *rng.RNG) []int {

@@ -1,10 +1,12 @@
 package tree
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
 
+	"paws/internal/ml"
 	"paws/internal/rng"
 	"paws/internal/stats"
 )
@@ -271,6 +273,24 @@ func countPos(y []int, idx []int) int {
 	return pos
 }
 
+// rootSplit runs bestSplit on the root of a fit to the multiset idx of
+// rows of X, drawing candidate features from r: the presorted lists of
+// idx's distinct rows, each weighted by how often idx names it.
+func rootSplit(t *Tree, X [][]float64, y []int, idx []int, r *rng.RNG) (feat int, thr float64, ok bool) {
+	rows := make([]int32, len(X))
+	counts := make([]int32, len(X))
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	for _, i := range idx {
+		counts[i]++
+	}
+	g := new(grower)
+	m, pos := g.load(t, ml.NewTrainSet(X, y), rows, counts)
+	g.r = r
+	return g.bestSplit(0, m, len(idx), pos)
+}
+
 // splitData draws m distinct rows of nFeat features and their labels,
 // positive at a rate between 1:200 and 1:1 with at least one of each class.
 // Feature 0 is constant. Every other feature draws either from {-2, -0, +0,
@@ -327,7 +347,7 @@ func TestBestSplitMatchesReference(t *testing.T) {
 				tr.nFeat = nFeat
 				seed := r.Int63()
 				r1, r2 := rng.New(seed), rng.New(seed)
-				f1, thr1, ok1 := tr.bestSplit(X, y, idx, countPos(y, idx), r1, make([]float64, len(idx)))
+				f1, thr1, ok1 := rootSplit(tr, X, y, idx, r1)
 				f2, thr2, ok2 := tr.refBestSplit(X, y, idx, r2)
 				if f1 != f2 || math.Float64bits(thr1) != math.Float64bits(thr2) || ok1 != ok2 {
 					t.Fatalf("minLeaf %d maxFeat %d trial %d: got (%d, %v, %v), reference (%d, %v, %v)",
@@ -384,4 +404,110 @@ func TestTreeMatchesReference(t *testing.T) {
 		}
 	}
 	walk("", got.root, want.root)
+}
+
+// drawBag draws a bag over positions [0, len(ys)) of a training set with
+// labels ys, as package bagging does: a bootstrap of len(ys) draws, or a
+// balanced bag of every positive class bootstrap-resampled plus as many
+// negatives drawn without replacement.
+func drawBag(r *rng.RNG, ys []int, balanced bool) []int {
+	if !balanced {
+		return bootstrap(r, len(ys), len(ys))
+	}
+	var pos, neg []int
+	for j, v := range ys {
+		if v == 1 {
+			pos = append(pos, j)
+		} else {
+			neg = append(neg, j)
+		}
+	}
+	half := min(len(pos), len(neg))
+	bag := make([]int, 0, 2*half)
+	for i := 0; i < half; i++ {
+		bag = append(bag, pos[r.Intn(len(pos))])
+	}
+	for _, k := range r.SampleWithoutReplacement(len(neg), half) {
+		bag = append(bag, neg[k])
+	}
+	return bag
+}
+
+// sameTree fails t unless a and b agree node for node, bit for bit.
+func sameTree(t *testing.T, name string, a, b *node) {
+	t.Helper()
+	var walk func(path string, a, b *node)
+	walk = func(path string, a, b *node) {
+		if a.leaf != b.leaf || a.n != b.n || math.Float64bits(a.prob) != math.Float64bits(b.prob) ||
+			a.feature != b.feature || math.Float64bits(a.threshold) != math.Float64bits(b.threshold) {
+			t.Fatalf("%s node %q: counts fit %+v, materialized fit %+v", name, path, *a, *b)
+		}
+		if !a.leaf {
+			walk(path+"L", a.left, b.left)
+			walk(path+"R", a.right, b.right)
+		}
+	}
+	walk("", a, b)
+}
+
+// TestFitCountsMatchesMaterializedBag fits trees from in-bag counts over a
+// subset of a training set's rows, as a bagged member of an iWare-E rung
+// does, and checks each against Fit on the bag materialized as a multiset
+// of rows. Bags are bootstrap and balanced draws, so counts above one and
+// zero counts both occur.
+func TestFitCountsMatchesMaterializedBag(t *testing.T) {
+	r := rng.New(22)
+	trees, splits, zeros := 0, 0, 0
+	for _, minLeaf := range []int{1, 2, 5} {
+		for _, maxFeat := range []int{0, 3} {
+			for trial := 0; trial < 40; trial++ {
+				m := 2 + r.Intn(300)
+				X, y := splitData(r, m, 4+r.Intn(4))
+				// The rung's rows: a subset of the set, as the iWare-E filter
+				// keeps, and never empty.
+				var rows []int32
+				var ys []int
+				for i := range X {
+					if i == 0 || r.Bernoulli(0.8) {
+						rows = append(rows, int32(i))
+						ys = append(ys, y[i])
+					}
+				}
+				bag := drawBag(r, ys, trial%2 == 1)
+				if len(bag) == 0 {
+					continue // a balanced draw over one class
+				}
+				counts := make([]int32, len(rows))
+				for _, j := range bag {
+					counts[j]++
+				}
+				bx := make([][]float64, len(bag))
+				by := make([]int, len(bag))
+				for k, j := range bag {
+					bx[k], by[k] = X[rows[j]], y[rows[j]]
+				}
+				for _, c := range counts {
+					if c == 0 {
+						zeros++
+					}
+				}
+				cfg := Config{MinLeaf: minLeaf, MaxFeatures: maxFeat, Seed: r.Int63()}
+				got, want := New(cfg), New(cfg)
+				if err := got.FitCounts(ml.NewTrainSet(X, y), rows, counts); err != nil {
+					t.Fatal(err)
+				}
+				if err := want.Fit(bx, by); err != nil {
+					t.Fatal(err)
+				}
+				sameTree(t, fmt.Sprintf("minLeaf %d maxFeat %d trial %d", minLeaf, maxFeat, trial), got.root, want.root)
+				trees++
+				if !got.root.leaf {
+					splits++
+				}
+			}
+		}
+	}
+	if trees < 200 || splits < trees/2 || zeros == 0 {
+		t.Fatalf("covered %d trees, %d with a split, %d zero counts", trees, splits, zeros)
+	}
 }

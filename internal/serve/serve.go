@@ -425,6 +425,20 @@ type PredictResponse struct {
 // unbounded work behind one POST.
 const maxPredictRows = 100_000
 
+// Caps on /v1/plan's overrides. A plan's memory grows with each of them
+// (about 2 KB per PWL segment on a 35-cell region), so without caps a body
+// of a few bytes could ask for gigabytes, and running out of memory kills
+// the replica where recover cannot. Each cap is at least twice the largest
+// value an in-repo planner passes: radius 8 and 90 cells (the sim policy),
+// T 12 (PlanStudy), K 3 (the sim policy) and 25 segments (fig 9).
+const (
+	maxPlanRadius   = 32
+	maxPlanCells    = 400
+	maxPlanT        = 48
+	maxPlanK        = 16
+	maxPlanSegments = 64
+)
+
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req PredictRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -590,7 +604,9 @@ type PlanRequest struct {
 	Model string  `json:"model"`
 	Post  int     `json:"post"`
 	Beta  float64 `json:"beta"`
-	// Optional region / horizon overrides (0 keeps server defaults).
+	// Optional region / horizon overrides (0 keeps server defaults). Each
+	// has a cap, and a larger value is a bad request: radius 32, max_cells
+	// 400, t 48, k 16 and segments 64.
 	Radius    int     `json:"radius,omitempty"`
 	MaxCells  int     `json:"max_cells,omitempty"`
 	T         int     `json:"t,omitempty"`
@@ -759,6 +775,21 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Model == "" {
 		req.Model = "default"
+	}
+	for _, c := range []struct {
+		name     string
+		val, cap float64
+	}{
+		{"radius", float64(req.Radius), maxPlanRadius},
+		{"max_cells", float64(req.MaxCells), maxPlanCells},
+		{"t", float64(req.T), maxPlanT},
+		{"k", req.K, maxPlanK},
+		{"segments", float64(req.Segments), maxPlanSegments},
+	} {
+		if c.val > c.cap {
+			writeErr(w, fmt.Errorf("%s %v exceeds the limit of %v", c.name, c.val, c.cap))
+			return
+		}
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()

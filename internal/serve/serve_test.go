@@ -365,6 +365,13 @@ func TestBadRequests(t *testing.T) {
 		{"riskmap unknown model", http.MethodGet, "/v1/riskmap?model=nope&effort=1", "", http.StatusNotFound, CodeUnknownModel},
 		{"plan bad beta", http.MethodPost, "/v1/plan", `{"model":"default","beta":7}`, http.StatusBadRequest, CodeBadRequest},
 		{"plan bad post", http.MethodPost, "/v1/plan", `{"model":"default","post":-2,"beta":0.5}`, http.StatusBadRequest, CodeBadRequest},
+		// Each override one above its cap. (No case goes far above: were a
+		// cap lost, segments near 10^7 would ask for ~20 GB.)
+		{"plan radius over cap", http.MethodPost, "/v1/plan", `{"post":0,"beta":0.5,"radius":33}`, http.StatusBadRequest, CodeBadRequest},
+		{"plan max_cells over cap", http.MethodPost, "/v1/plan", `{"post":0,"beta":0.5,"max_cells":401}`, http.StatusBadRequest, CodeBadRequest},
+		{"plan t over cap", http.MethodPost, "/v1/plan", `{"post":0,"beta":0.5,"t":49}`, http.StatusBadRequest, CodeBadRequest},
+		{"plan k over cap", http.MethodPost, "/v1/plan", `{"post":0,"beta":0.5,"k":16.5}`, http.StatusBadRequest, CodeBadRequest},
+		{"plan segments over cap", http.MethodPost, "/v1/plan", `{"post":0,"beta":0.5,"segments":65}`, http.StatusBadRequest, CodeBadRequest},
 		{"simulate over cap", http.MethodPost, "/v1/simulate", `{"park":"rand:16","seasons":999}`, http.StatusBadRequest, CodeBadRequest},
 		{"simulate unknown park", http.MethodPost, "/v1/simulate", `{"park":"ATLANTIS","seasons":1}`, http.StatusBadRequest, CodeBadRequest},
 		{"job unknown kind", http.MethodPost, "/v1/jobs", `{"kind":"mine-bitcoin"}`, http.StatusBadRequest, CodeBadRequest},

@@ -270,7 +270,7 @@ type Model struct {
 func (m *Model) NumFeatures() int { return m.numFeatures }
 
 // weakLearnerFactory builds the base bagging ensemble for the model family.
-func weakLearnerFactory(kind ModelKind, o TrainOptions, numFeatures int) ml.Factory {
+func weakLearnerFactory(kind ModelKind, o TrainOptions, numFeatures int) func(seed int64) *bagging.Ensemble {
 	var base ml.Factory
 	switch kind {
 	case SVB, SVBiW:
@@ -287,7 +287,7 @@ func weakLearnerFactory(kind ModelKind, o TrainOptions, numFeatures int) ml.Fact
 			return gp.New(gp.Config{MaxTrain: o.GPMaxTrain, Seed: seed})
 		}
 	}
-	return func(seed int64) ml.Classifier {
+	return func(seed int64) *bagging.Ensemble {
 		return bagging.New(base, bagging.Config{
 			Members:  o.Members,
 			Balanced: o.Balanced,
@@ -350,7 +350,7 @@ func fit(ctx context.Context, train []dataset.Point, thresholds []float64, o Tra
 	factory := weakLearnerFactory(o.Kind, o, len(X[0]))
 	if !o.Kind.IsIWare() {
 		// Plain kinds: the weak learners are the bagging members.
-		ens := factory(o.Seed).(*bagging.Ensemble)
+		ens := factory(o.Seed)
 		ens.OnMemberFit(progressCounter(o.progress, "train"))
 		if err := ens.FitCtx(ctx, X, y); err != nil {
 			return nil, trainErr(o.Kind, err)
