@@ -176,8 +176,8 @@ func BenchmarkScaleRiskMap(b *testing.B) {
 	}
 }
 
-// BenchmarkScalePlan measures Service.Plan with hierarchical targeting (the
-// /v1/plan hot path) against a registered model. Registration — including
+// BenchmarkScalePlan measures the hierarchical plan of the /v1/plan hot path
+// (paws.CoarsePlan) against a registered model. Registration — including
 // the planner feature matrix — happens once, as in a serving process.
 func BenchmarkScalePlan(b *testing.B) {
 	for _, sz := range scaleSizes {
@@ -185,12 +185,13 @@ func BenchmarkScalePlan(b *testing.B) {
 			f := scaleFixtureFor(b, sz.cells)
 			svc := paws.NewService(paws.WithWorkers(0))
 			ctx := context.Background()
-			if _, err := svc.AddModel(ctx, "m", f.m, f.sc.Data, len(f.sc.Data.Steps)-1); err != nil {
+			sm, err := svc.AddModel(ctx, "m", f.m, f.sc.Data, len(f.sc.Data.Steps)-1)
+			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := svc.Plan(ctx, "m", 0, 0.3, paws.WithHierarchical(true))
+				res, err := paws.CoarsePlan(ctx, sm, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -219,14 +220,15 @@ func TestScaleSmoke(t *testing.T) {
 	run := func(workers int) outputs {
 		svc := paws.NewService(paws.WithWorkers(workers))
 		ctx := context.Background()
-		if _, err := svc.AddModel(ctx, "m", f.m, f.sc.Data, len(f.sc.Data.Steps)-1); err != nil {
+		sm, err := svc.AddModel(ctx, "m", f.m, f.sc.Data, len(f.sc.Data.Steps)-1)
+		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		risk, unc, err := svc.RiskMaps(ctx, "m", 2)
 		if err != nil {
 			t.Fatalf("workers=%d riskmaps: %v", workers, err)
 		}
-		res, err := svc.Plan(ctx, "m", 0, 0.3, paws.WithHierarchical(true))
+		res, err := paws.CoarsePlan(ctx, sm, workers)
 		if err != nil {
 			t.Fatalf("workers=%d plan: %v", workers, err)
 		}
@@ -241,9 +243,6 @@ func TestScaleSmoke(t *testing.T) {
 		!reflect.DeepEqual(ref.plan.Cells, got.plan.Cells) ||
 		!reflect.DeepEqual(ref.plan.Routes, got.plan.Routes) {
 		t.Fatal("hierarchical plan differs between workers 1 and 8")
-	}
-	if !ref.plan.Hierarchical {
-		t.Fatal("plan did not use hierarchical targeting")
 	}
 }
 

@@ -526,55 +526,6 @@ func BenchmarkSimSeason(b *testing.B) {
 	b.ReportMetric(float64(detections), "detections")
 }
 
-// BenchmarkServePredict measures the /v1/predict serving path: the batched
-// Service.Predict (chunked through the model's batch fast path, as the HTTP
-// endpoint runs it) against the naive one-point-at-a-time loop a client
-// would otherwise issue. Results are recorded in BENCH_serve.json.
-func BenchmarkServePredict(b *testing.B) {
-	sc := benchScenario(b, "MFNP")
-	split, err := sc.Data.SplitByTestYear(benchLastYear(sc), 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	svc := NewService(WithWorkers(0), WithSeed(57), WithThresholds(5), WithEnsembleSize(5), WithGPMaxTrain(80))
-	ctx := context.Background()
-	m, err := svc.Train(ctx, split.Train, WithKind(GPBiW))
-	if err != nil {
-		b.Fatal(err)
-	}
-	testFrom, _ := sc.Data.StepsForYear(benchLastYear(sc))
-	if _, err := svc.AddModel(ctx, "bench", m, sc.Data, testFrom-1); err != nil {
-		b.Fatal(err)
-	}
-	X := make([][]float64, len(split.Test))
-	for i, p := range split.Test {
-		X[i] = p.Features
-	}
-	rows := float64(len(X))
-	b.Run("batched", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			out, err := svc.Predict(ctx, "bench", X, 1.5)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(out) != len(X) {
-				b.Fatal("short response")
-			}
-		}
-		b.ReportMetric(rows*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-	})
-	b.Run("perpoint", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, x := range X {
-				if p, _ := m.PredictWithVariance(x, 1.5); p < 0 || p > 1 {
-					b.Fatal("probability out of range")
-				}
-			}
-		}
-		b.ReportMetric(rows*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-	})
-}
-
 // BenchmarkJobOverhead measures what the async job layer (internal/job)
 // adds on top of a direct call: the submit → wait → result → remove round
 // trip of a one-shot job (the exact path synchronous /v1/simulate takes
@@ -609,28 +560,4 @@ func BenchmarkJobOverhead(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkCampaignCell measures one campaign grid cell end to end through
-// Service.Campaign — a single (park, seed, seasons) closed-loop comparison
-// of the paws policy against uniform on a small procedural park, plus the
-// campaign layer's grid bookkeeping, job fan-out and paired aggregation.
-// This is the unit of work campaigns scale by (parks × seeds × season
-// counts); results are recorded in BENCH_campaign.json.
-func BenchmarkCampaignCell(b *testing.B) {
-	svc := NewService(WithWorkers(0), WithScale(ScaleSmall))
-	var mean float64
-	for i := 0; i < b.N; i++ {
-		rep, err := svc.Campaign(context.Background(), CampaignConfig{
-			Parks:        []string{"rand:16"},
-			Policies:     []string{"paws", "uniform"},
-			Seeds:        []int64{1},
-			SeasonCounts: []int{1},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		mean = rep.Summaries[0].Deltas[0].Mean
-	}
-	b.ReportMetric(mean, "mean-delta")
 }

@@ -7,7 +7,6 @@ import (
 	"paws/internal/campaign"
 	"paws/internal/env"
 	"paws/internal/obs"
-	"paws/internal/poach"
 )
 
 // CampaignConfig configures Service.Campaign: a deterministic sweep over a
@@ -36,8 +35,9 @@ type CampaignConfig struct {
 	// BudgetKM overrides the per-month patrol budget (0 derives the park's
 	// ranger capacity).
 	BudgetKM float64
-	// Attacker selects the poacher response behaviour (default adaptive).
-	Attacker poach.AttackerConfig
+	// Attacker is the poacher response behaviour, "adaptive" (the default)
+	// or "static".
+	Attacker string
 	// Beta is the paws policy's robustness weight (default 0.9).
 	Beta float64
 	// Baseline names the policy the paired deltas are measured against

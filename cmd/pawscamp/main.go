@@ -86,11 +86,11 @@ func main() {
 		SeasonMonths:    *seasonMonths,
 		BootstrapMonths: *bootstrap,
 		BudgetKM:        *budget,
+		Attacker:        *attacker,
 		Beta:            *beta,
 		Baseline:        *baseline,
 		Resamples:       *resamples,
 	}
-	cfg.Attacker.Kind = *attacker
 	rep, err := svc.Campaign(ctx, cfg)
 	if err != nil {
 		fatal(err)

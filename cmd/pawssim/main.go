@@ -76,9 +76,9 @@ func main() {
 		BootstrapMonths: *bootstrap,
 		BudgetKM:        *budget,
 		Policies:        splitList(*policiesStr),
+		Attacker:        *attacker,
 		Beta:            *beta,
 	}
-	cfg.Attacker.Kind = *attacker
 	for _, park := range splitList(*parks) {
 		cfg.Park = park
 		var rep *env.Report

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"paws/internal/ml"
+	"paws/internal/plan"
 )
 
 // kindOutputs trains one model with the given worker count and returns its
@@ -229,12 +230,34 @@ func TestTable2SweepDeterminism(t *testing.T) {
 	}
 }
 
+// CoarsePlan is the plan Service.Plan makes for post 0 at beta 0.3 on a
+// park of HierAutoCells cells or more — plan.SolveHierarchical on the
+// registered model's PlannerModel with Plan's default horizon and region
+// cap, then its routes — made on a park of any size. It is exported for the
+// scale tests of package paws_test.
+func CoarsePlan(ctx context.Context, sm *ServedModel, workers int) (*PlanResult, error) {
+	cfg := plan.Config{T: 8, K: 2, Segments: 8, Beta: 0.3, Workers: workers}
+	p, region, err := plan.SolveHierarchical(ctx, sm.Park(), sm.Park().Posts[0], sm.PlannerModel(), cfg, 40)
+	if err != nil {
+		return nil, err
+	}
+	routes, err := plan.ExtractRoutes(region, p.Effort, cfg.T, int(cfg.K))
+	if err != nil {
+		return nil, err
+	}
+	res := &PlanResult{Cells: region.Cells, Effort: p.Effort, Hierarchical: true}
+	for _, r := range routes {
+		res.Routes = append(res.Routes, r.ParkCells(region))
+	}
+	return res, nil
+}
+
 // TestPresetPipelineWorkerInvariance runs the serving pipeline on an
-// existing preset park at Workers 1, 4 and 8 — train, risk maps, and both
-// the default and the forced-hierarchical plan — and requires byte-identical
-// outputs. Preset parks sit below HierAutoCells, so the default plan must
-// keep using the exact per-post solver (the columnar refactor's
-// backwards-compatibility check) while a forced hierarchical plan must obey
+// existing preset park at Workers 1, 4 and 8 — train, risk maps, the
+// served plan and the coarse-pass plan (CoarsePlan) — and requires
+// byte-identical outputs. Preset parks sit below HierAutoCells, so the
+// served plan must keep using the exact per-post solver (the columnar
+// refactor's backwards-compatibility check) while the coarse pass must obey
 // the same determinism contract.
 func TestPresetPipelineWorkerInvariance(t *testing.T) {
 	ctx := context.Background()
@@ -255,7 +278,8 @@ func TestPresetPipelineWorkerInvariance(t *testing.T) {
 			t.Fatalf("workers=%d train: %v", workers, err)
 		}
 		svc := NewService(WithWorkers(workers))
-		if _, err := svc.AddModel(ctx, "m", m, sc.Data, prev); err != nil {
+		sm, err := svc.AddModel(ctx, "m", m, sc.Data, prev)
+		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		risk, unc, err := svc.RiskMaps(ctx, "m", 2)
@@ -266,7 +290,7 @@ func TestPresetPipelineWorkerInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d plan: %v", workers, err)
 		}
-		hier, err := svc.Plan(ctx, "m", 0, 0.3, WithHierarchical(true))
+		hier, err := CoarsePlan(ctx, sm, workers)
 		if err != nil {
 			t.Fatalf("workers=%d hierarchical plan: %v", workers, err)
 		}
@@ -275,9 +299,6 @@ func TestPresetPipelineWorkerInvariance(t *testing.T) {
 	ref := run(1)
 	if ref.exact.Hierarchical {
 		t.Fatal("default plan on a preset park must use the exact solver")
-	}
-	if !ref.hier.Hierarchical {
-		t.Fatal("WithHierarchical(true) did not force the coarse pass")
 	}
 	for _, workers := range []int{4, 8} {
 		got := run(workers)

@@ -8,6 +8,7 @@ import (
 
 	"paws/internal/env"
 	"paws/internal/geo"
+	"paws/internal/obs"
 )
 
 // This file is the service-level surface of the stepped environment
@@ -28,7 +29,7 @@ func (s *Service) NewEnv(cfg SimConfig, opts ...Option) (*env.Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	ecfg, err := s.settingsFor(opts).envConfig(cfg)
+	ecfg, err := s.settingsFor(opts).envConfig(context.Background(), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -41,14 +42,17 @@ func (s *Service) NewEnv(cfg SimConfig, opts ...Option) (*env.Env, error) {
 // report), so the printed "seed N" reproduces a report verbatim and an Env
 // episode replays a Simulate policy log exactly. The scenario convention of
 // offsetting the history seed exists to separate park and history streams,
-// which the engine's labelled splits already do.
-func (st settings) envConfig(cfg SimConfig) (env.Config, error) {
+// which the engine's labelled splits already do. Generating the park records
+// a "park" compute span, item the park spec.
+func (st settings) envConfig(ctx context.Context, cfg SimConfig) (env.Config, error) {
 	parkCfg, simCfg, err := resolveConfigs(cfg.Park, st.scale, st.seed)
 	if err != nil {
 		return env.Config{}, err
 	}
 	simCfg.Seed = st.seed
+	endPark := obs.StartSpan(ctx, "park", cfg.Park)
 	park, err := geo.GeneratePark(parkCfg)
+	endPark()
 	if err != nil {
 		return env.Config{}, fmt.Errorf("paws: generate park: %w", err)
 	}
@@ -84,7 +88,7 @@ func (s *Service) SimulateRemote(ctx context.Context, baseURL string, hc *http.C
 			SeasonMonths:    cfg.SeasonMonths,
 			BootstrapMonths: cfg.BootstrapMonths,
 			BudgetKM:        cfg.BudgetKM,
-			Attacker:        cfg.Attacker.Kind,
+			Attacker:        cfg.Attacker,
 		})
 		return c, func() {
 			// Best-effort cleanup even when ctx is already done.

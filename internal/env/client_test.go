@@ -57,7 +57,7 @@ func wireFixture(tb testing.TB) (park *geo.Park, create, step []byte) {
 	e, err := New(Config{
 		Park:            park,
 		Sim:             poach.RandomSim(parkCfg, 21),
-		Attacker:        poach.AttackerConfig{Kind: poach.AttackerAdaptive},
+		Attacker:        poach.AttackerAdaptive,
 		Seasons:         2,
 		SeasonMonths:    1,
 		BootstrapMonths: 3,

@@ -7,7 +7,6 @@ import (
 
 	"paws/internal/obs"
 	"paws/internal/par"
-	"paws/internal/poach"
 	"paws/internal/rng"
 )
 
@@ -40,10 +39,13 @@ type DriveConfig struct {
 // Drive plays one policy through one episode: Reset, then for each season
 // plan (under a per-season split of the seed's policy stream) and Step. The
 // season's Routes count is overlaid from the plan — routes are a reporting
-// artifact of the policy, not an environment outcome. Each season records
-// a "plan" and a "patrol" compute span, item "<policy> season N".
+// artifact of the policy, not an environment outcome. The Reset records a
+// "reset" compute span, item the policy name, and each season a "plan" and
+// a "patrol" span, item "<policy> season N".
 func Drive(ctx context.Context, st Stepper, p Policy, cfg DriveConfig) (PolicyResult, error) {
+	endReset := obs.StartSpan(ctx, "reset", p.Name())
 	o, err := st.Reset(ctx)
+	endReset()
 	if err != nil {
 		return PolicyResult{}, err
 	}
@@ -96,7 +98,8 @@ type RunConfig struct {
 	// Open, when non-nil, supplies each policy's Stepper together with a
 	// release func Run calls once that policy's episode ends, failed or
 	// not — a Client over a remote /v1/envs session, say. Nil plays every
-	// policy against a local Env over one shared bootstrap history.
+	// policy against a local Env over one shared bootstrap history, which
+	// Run simulates under a "bootstrap" compute span.
 	Open func(ctx context.Context) (Stepper, func(), error)
 }
 
@@ -134,17 +137,16 @@ func Run(ctx context.Context, cfg Config, policies []Policy, rc RunConfig) (*Rep
 	}
 	open := rc.Open
 	if open == nil {
+		endBoot := obs.StartSpan(ctx, "bootstrap", cfg.Park.Name)
 		boot, err := Bootstrap(cfg)
+		endBoot()
 		if err != nil {
 			return nil, err
 		}
-		// Validate the attacker config once, before fan-out.
-		if _, err := poach.NewAttacker(boot.Truth, cfg.Attacker); err != nil {
-			return nil, err
-		}
+		// Every policy's Env shares the bootstrap read-only (each episode
+		// appends to its own copy); Drive's Reset starts the episode.
 		open = func(context.Context) (Stepper, func(), error) {
-			e, err := NewWithHistory(cfg, boot)
-			return e, func() {}, err
+			return &Env{cfg: cfg, boot: boot}, func() {}, nil
 		}
 	}
 	results, err := par.MapErrCtx(ctx, rc.Workers, len(policies), func(i int) (PolicyResult, error) {
@@ -162,14 +164,10 @@ func Run(ctx context.Context, cfg Config, policies []Policy, rc RunConfig) (*Rep
 	if err != nil {
 		return nil, err
 	}
-	attacker := cfg.Attacker.Kind
-	if attacker == "" {
-		attacker = poach.AttackerStatic
-	}
 	return &Report{
 		Park:         cfg.Park.Name,
 		Seed:         cfg.Sim.Seed,
-		Attacker:     attacker,
+		Attacker:     cfg.Attacker,
 		Seasons:      cfg.Seasons,
 		SeasonMonths: cfg.SeasonMonths,
 		BudgetKM:     cfg.BudgetKM,

@@ -20,7 +20,7 @@ func runConfig(t *testing.T, attacker string) Config {
 	return Config{
 		Park:            park,
 		Sim:             poach.RandomSim(parkCfg, 21),
-		Attacker:        poach.AttackerConfig{Kind: attacker},
+		Attacker:        attacker,
 		Seasons:         2,
 		BootstrapMonths: 12,
 	}
@@ -130,7 +130,7 @@ func TestRunValidation(t *testing.T) {
 		t.Error("duplicate policy names accepted")
 	}
 	bad := cfg
-	bad.Attacker.Kind = "quantum"
+	bad.Attacker = "quantum"
 	if _, err := Run(ctx, bad, allPolicies(), RunConfig{}); err == nil {
 		t.Error("unknown attacker accepted")
 	}

@@ -104,9 +104,9 @@ type Config struct {
 	// detection rate, patrol character for the bootstrap, temporal noise).
 	// Sim.Months is ignored; BootstrapMonths is used instead.
 	Sim poach.SimConfig
-	// Attacker selects the poacher response behaviour (default: static, the
-	// historical process).
-	Attacker poach.AttackerConfig
+	// Attacker is the poacher response behaviour: poach.AttackerStatic (the
+	// default, the historical process) or poach.AttackerAdaptive.
+	Attacker string
 	// Seasons is the number of seasons an episode lasts.
 	Seasons int
 	// SeasonMonths is the number of months per season (default 3 — one
@@ -156,6 +156,12 @@ func (cfg Config) WithDefaults() (Config, error) {
 	if cfg.BudgetKM <= 0 {
 		return cfg, fmt.Errorf("env: no patrol budget (set BudgetKM or Sim.Patrol)")
 	}
+	if err := poach.ValidateAttackerKind(cfg.Attacker); err != nil {
+		return cfg, err
+	}
+	if cfg.Attacker == "" {
+		cfg.Attacker = poach.AttackerStatic
+	}
 	return cfg, nil
 }
 
@@ -198,22 +204,6 @@ func New(cfg Config) (*Env, error) {
 	}
 	boot, err := Bootstrap(cfg)
 	if err != nil {
-		return nil, err
-	}
-	return NewWithHistory(cfg, boot)
-}
-
-// NewWithHistory builds an environment over an existing bootstrap history,
-// so N environments (one per policy of a comparison) share one bootstrap
-// computation. The history is treated as read-only: each episode appends to
-// its own extendable copy.
-func NewWithHistory(cfg Config, boot *poach.History) (*Env, error) {
-	cfg, err := cfg.WithDefaults()
-	if err != nil {
-		return nil, err
-	}
-	// Validate the attacker config up front, not on first Reset.
-	if _, err := poach.NewAttacker(boot.Truth, cfg.Attacker); err != nil {
 		return nil, err
 	}
 	e := &Env{cfg: cfg, boot: boot}

@@ -22,7 +22,7 @@ func testConfig(t *testing.T) Config {
 	return Config{
 		Park:            park,
 		Sim:             poach.RandomSim(parkCfg, 21),
-		Attacker:        poach.AttackerConfig{Kind: poach.AttackerAdaptive},
+		Attacker:        poach.AttackerAdaptive,
 		Seasons:         2,
 		SeasonMonths:    1,
 		BootstrapMonths: 6,
@@ -90,7 +90,7 @@ func TestEpisodeReplayAfterReset(t *testing.T) {
 func TestStepCommonRandomNumbers(t *testing.T) {
 	ctx := context.Background()
 	cfg := testConfig(t)
-	cfg.Attacker.Kind = poach.AttackerStatic
+	cfg.Attacker = poach.AttackerStatic
 	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

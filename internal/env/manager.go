@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -337,25 +339,18 @@ func (m *Manager) evictDoneLocked(k int) {
 			done = append(done, s)
 		}
 	}
-	sortSessionsByIdle(done)
+	// IDs are unique, so this order is total.
+	slices.SortFunc(done, func(a, b *session) int {
+		if c := a.lastUsed.Compare(b.lastUsed); c != 0 {
+			return c
+		}
+		return strings.Compare(a.id, b.id)
+	})
 	for _, s := range done {
 		if k <= 0 {
 			break
 		}
 		delete(m.sessions, s.id)
 		k--
-	}
-}
-
-// sortSessionsByIdle orders oldest lastUsed first, ID ascending on ties.
-func sortSessionsByIdle(ss []*session) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0; j-- {
-			a, b := ss[j-1], ss[j]
-			if a.lastUsed.Before(b.lastUsed) || (a.lastUsed.Equal(b.lastUsed) && a.id < b.id) {
-				break
-			}
-			ss[j-1], ss[j] = b, a
-		}
 	}
 }

@@ -65,12 +65,6 @@ type Config struct {
 	// Affinity enables cache-key routing for /v1/riskmap and /v1/plan;
 	// disabled they round-robin like stateless traffic.
 	Affinity bool
-	// Client overrides the outbound HTTP client (nil uses a default with
-	// no overall timeout — event streams are long-lived; per-request
-	// contexts bound everything else).
-	Client *http.Client
-	// TraceCapacity bounds the gate's /tracez flight recorder (default 64).
-	TraceCapacity int
 }
 
 // backend is one replica behind the gate.
@@ -148,11 +142,10 @@ func New(cfg Config) (*Gate, error) {
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = 250 * time.Millisecond
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{}
-	}
-	g := &Gate{cfg: cfg, client: client, tracer: obs.NewRecorder(cfg.TraceCapacity)}
+	// The outbound client has no overall timeout: event streams are
+	// long-lived, and per-request contexts bound everything else. The
+	// /tracez flight recorder keeps the recorder's default 64 traces.
+	g := &Gate{cfg: cfg, client: &http.Client{}, tracer: obs.NewRecorder(0)}
 	for _, raw := range cfg.Backends {
 		u, err := url.Parse(raw)
 		if err != nil || u.Scheme == "" || u.Host == "" {

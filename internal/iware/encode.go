@@ -14,11 +14,10 @@ import (
 // serving path needs; Workers is preserved so batch prediction keeps its
 // fan-out.
 type configState struct {
-	Thresholds  []float64
-	CVFolds     int
-	WeightIters int
-	Seed        int64
-	Workers     int
+	Thresholds []float64
+	CVFolds    int
+	Seed       int64
+	Workers    int
 }
 
 // modelState is the exported gob image of a fitted iWare-E ensemble.
@@ -34,11 +33,10 @@ func (m *Model) GobEncode() ([]byte, error) {
 	var buf bytes.Buffer
 	err := gob.NewEncoder(&buf).Encode(modelState{
 		Cfg: configState{
-			Thresholds:  m.cfg.Thresholds,
-			CVFolds:     m.cfg.CVFolds,
-			WeightIters: m.cfg.WeightIters,
-			Seed:        m.cfg.Seed,
-			Workers:     m.cfg.Workers,
+			Thresholds: m.cfg.Thresholds,
+			CVFolds:    m.cfg.CVFolds,
+			Seed:       m.cfg.Seed,
+			Workers:    m.cfg.Workers,
 		},
 		Thresholds:  m.thresholds,
 		Classifiers: m.classifiers,
@@ -68,11 +66,10 @@ func (m *Model) GobDecode(b []byte) error {
 		return fmt.Errorf("iware: corrupt encoding: %w", err)
 	}
 	m.cfg = Config{
-		Thresholds:  st.Cfg.Thresholds,
-		CVFolds:     st.Cfg.CVFolds,
-		WeightIters: st.Cfg.WeightIters,
-		Seed:        st.Cfg.Seed,
-		Workers:     st.Cfg.Workers,
+		Thresholds: st.Cfg.Thresholds,
+		CVFolds:    st.Cfg.CVFolds,
+		Seed:       st.Cfg.Seed,
+		Workers:    st.Cfg.Workers,
 	}
 	m.thresholds = st.Thresholds
 	m.classifiers = st.Classifiers

@@ -54,8 +54,6 @@ type Config struct {
 	// disables optimization and uses uniform weights — the iWare-E baseline
 	// of Gholami et al.).
 	CVFolds int
-	// WeightIters caps the exponentiated-gradient iterations (default 200).
-	WeightIters int
 	// Seed drives fold assignment and weak-learner seeds.
 	Seed int64
 	// Workers bounds the goroutines used to fit ladder slices and CV folds
@@ -98,9 +96,6 @@ func Fit(ctx context.Context, X [][]float64, y []int, efforts []float64, cfg Con
 	}
 	thresholds := append([]float64(nil), cfg.Thresholds...)
 	sort.Float64s(thresholds)
-	if cfg.WeightIters <= 0 {
-		cfg.WeightIters = 200
-	}
 	m := &Model{cfg: cfg, thresholds: thresholds}
 	// Every weak learner, CV folds included, fits on rows of this one set,
 	// so tree members share one sort of X.
@@ -442,11 +437,11 @@ func optimizeWeights(ctx context.Context, d *ml.TrainSet, efforts []float64, thr
 			qual[v][i] = true
 		}
 	}
-	return egMinimizeLogLoss(preds, qual, y, cfg.WeightIters), nil
+	return egMinimizeLogLoss(preds, qual, y), nil
 }
 
 // egMinimizeLogLoss runs exponentiated-gradient descent over the simplex.
-func egMinimizeLogLoss(preds [][]float64, qual [][]bool, y []int, iters int) []float64 {
+func egMinimizeLogLoss(preds [][]float64, qual [][]bool, y []int) []float64 {
 	n := len(preds)
 	if n == 0 {
 		return uniformWeights(1)
@@ -455,6 +450,7 @@ func egMinimizeLogLoss(preds [][]float64, qual [][]bool, y []int, iters int) []f
 	w := uniformWeights(I)
 	const eta = 0.5
 	const eps = 1e-9
+	const iters = 200
 	grad := make([]float64, I)
 	for it := 0; it < iters; it++ {
 		for i := range grad {

@@ -82,7 +82,7 @@ func funcSorts(info *types.Info, fd *ast.FuncDecl) bool {
 }
 
 // sortName reports whether a called function's name marks a key sort
-// ("Sort", "sortSessionsByIdle", …).
+// ("Sort", "sortByIdle", …).
 func sortName(name string) bool {
 	return strings.HasPrefix(name, "sort") || strings.HasPrefix(name, "Sort")
 }

@@ -9,7 +9,6 @@ package bagging
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"paws/internal/ml"
@@ -21,14 +20,8 @@ import (
 type Config struct {
 	// Members is the number of bagged learners.
 	Members int
-	// MaxSamples caps each bootstrap sample size as a fraction of the
-	// training set (0 means 1.0). Values < 1 subsample, which is how bagged
-	// Gaussian processes stay tractable.
-	MaxSamples float64
-	// MaxSampleCount, when > 0, caps the absolute bootstrap sample size.
-	MaxSampleCount int
 	// Balanced undersamples negatives so each bag has an equal number of
-	// negatives and positives (all positives are kept, then capped).
+	// negatives and positives.
 	Balanced bool
 	// Seed drives all resampling.
 	Seed int64
@@ -62,9 +55,6 @@ type Ensemble struct {
 func New(base ml.Factory, cfg Config) *Ensemble {
 	if cfg.Members <= 0 {
 		cfg.Members = 10
-	}
-	if cfg.MaxSamples <= 0 || cfg.MaxSamples > 1 {
-		cfg.MaxSamples = 1
 	}
 	return &Ensemble{cfg: cfg, base: base}
 }
@@ -179,43 +169,27 @@ func (e *Ensemble) FitRows(ctx context.Context, d *ml.TrainSet, rows []int32) er
 	return nil
 }
 
-// sampleBag draws one bootstrap bag. In balanced mode, each bag gets all
-// positives (bootstrap-resampled) plus an equal number of negatives
-// sampled without replacement — the imbalanced-learn BalancedBagging
-// construction.
+// sampleBag draws one bootstrap bag of n draws from n rows. In balanced
+// mode, each bag gets as many positives as there are, bootstrap-resampled,
+// plus an equal number of negatives sampled without replacement — the
+// imbalanced-learn BalancedBagging construction.
 func (e *Ensemble) sampleBag(posIdx, negIdx []int32, n int, r *rng.RNG) []int32 {
 	if e.cfg.Balanced && len(posIdx) > 0 && len(negIdx) > 0 {
 		nPos := len(posIdx)
-		cap := e.capFor(2 * nPos)
-		half := cap / 2
-		if half < 1 {
-			half = 1
-		}
-		idx := make([]int32, 0, 2*half)
-		for i := 0; i < half; i++ {
+		idx := make([]int32, 0, 2*nPos)
+		for i := 0; i < nPos; i++ {
 			idx = append(idx, posIdx[r.Intn(nPos)])
 		}
-		for _, j := range r.SampleWithoutReplacement(len(negIdx), half) {
+		for _, j := range r.SampleWithoutReplacement(len(negIdx), nPos) {
 			idx = append(idx, negIdx[j])
 		}
 		return idx
 	}
-	size := e.capFor(int(math.Ceil(e.cfg.MaxSamples * float64(n))))
-	if size < 1 {
-		size = 1
-	}
-	idx := make([]int32, size)
+	idx := make([]int32, n)
 	for i := range idx {
 		idx[i] = int32(r.Intn(n))
 	}
 	return idx
-}
-
-func (e *Ensemble) capFor(size int) int {
-	if e.cfg.MaxSampleCount > 0 && size > e.cfg.MaxSampleCount {
-		return e.cfg.MaxSampleCount
-	}
-	return size
 }
 
 // Members returns the fitted ensemble members.

@@ -151,23 +151,6 @@ func TestJackknifeVarianceNonNegative(t *testing.T) {
 	}
 }
 
-func TestMaxSampleCount(t *testing.T) {
-	X, y := blobs(300, 300, 12)
-	e := New(treeFactory(3), Config{Members: 4, MaxSampleCount: 50, Seed: 13})
-	if err := e.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	for b, counts := range e.inBag {
-		total := 0
-		for _, c := range counts {
-			total += int(c)
-		}
-		if total > 50 {
-			t.Fatalf("bag %d has %d samples, cap 50", b, total)
-		}
-	}
-}
-
 func TestEnsembleDeterministic(t *testing.T) {
 	X, y := blobs(100, 100, 15)
 	e1 := New(treeFactory(4), Config{Members: 8, Seed: 16})

@@ -21,21 +21,24 @@ import (
 
 // Config controls the GP classifier.
 type Config struct {
-	// LengthScale is the RBF length scale; 0 selects the median heuristic
-	// (median pairwise distance over a subsample of training points).
-	LengthScale float64
-	// SignalVar is the kernel signal variance σ_f² (default 1).
-	SignalVar float64
 	// MaxTrain caps the training subsample size (default 200). The subsample
 	// keeps every positive when possible — the imbalance-aware choice.
 	MaxTrain int
-	// MaxNewton caps Laplace mode-finding iterations (default 30).
-	MaxNewton int
-	// Jitter is the diagonal stabilizer added to the kernel (default 1e-6).
-	Jitter float64
 	// Seed drives subsampling.
 	Seed int64
 }
+
+// The kernel and the Laplace fit run with one parameter set. The RBF
+// length scale is not among them: Fit resolves it from the data by the
+// median heuristic.
+const (
+	// signalVar is the kernel signal variance σ_f².
+	signalVar = 1.0
+	// jitter is the diagonal stabilizer added to the kernel.
+	jitter = 1e-6
+	// maxNewton caps Laplace mode-finding iterations.
+	maxNewton = 30
+)
 
 // GP is a fitted Gaussian-process classifier.
 type GP struct {
@@ -62,17 +65,8 @@ type GP struct {
 
 // New creates an untrained GP classifier.
 func New(cfg Config) *GP {
-	if cfg.SignalVar <= 0 {
-		cfg.SignalVar = 1
-	}
 	if cfg.MaxTrain <= 0 {
 		cfg.MaxTrain = 200
-	}
-	if cfg.MaxNewton <= 0 {
-		cfg.MaxNewton = 30
-	}
-	if cfg.Jitter <= 0 {
-		cfg.Jitter = 1e-6
 	}
 	return &GP{cfg: cfg}
 }
@@ -85,7 +79,7 @@ func (g *GP) kernel(a, b []float64) float64 {
 		d := a[j] - b[j]
 		d2 += d * d
 	}
-	return g.cfg.SignalVar * math.Exp(-d2/(2*g.ls*g.ls))
+	return signalVar * math.Exp(-d2/(2*g.ls*g.ls))
 }
 
 // Fit subsamples, standardizes, resolves the length scale, and runs Newton
@@ -104,10 +98,7 @@ func (g *GP) Fit(X [][]float64, y []int) error {
 	g.std = std
 	Xs := std.TransformAll(sx)
 	g.xf = ml.MatrixFromRows(Xs)
-	g.ls = g.cfg.LengthScale
-	if g.ls <= 0 {
-		g.ls = medianHeuristic(Xs)
-	}
+	g.ls = medianHeuristic(Xs)
 
 	n := g.xf.Rows
 	K := mat.NewDense(n, n)
@@ -115,7 +106,7 @@ func (g *GP) Fit(X [][]float64, y []int) error {
 		for j := i; j < n; j++ {
 			v := g.kernel(g.xf.Row(i), g.xf.Row(j))
 			if i == j {
-				v += g.cfg.Jitter
+				v += jitter
 			}
 			K.Set(i, j, v)
 			K.Set(j, i, v)
@@ -125,7 +116,7 @@ func (g *GP) Fit(X [][]float64, y []int) error {
 	// Newton iterations for the posterior mode (R&W Algorithm 3.1).
 	f := make([]float64, n)
 	prevObj := math.Inf(-1)
-	for iter := 0; iter < g.cfg.MaxNewton; iter++ {
+	for iter := 0; iter < maxNewton; iter++ {
 		st, err := newtonAt(K, f, sy)
 		if err != nil {
 			return err
@@ -221,7 +212,7 @@ func (g *GP) latent(x []float64) (mean, variance float64) {
 		rhs[i] = g.wSqrt[i] * ks[i]
 	}
 	v := g.chB.SolveLower(rhs)
-	variance = g.cfg.SignalVar + g.cfg.Jitter - mat.Dot(v, v)
+	variance = signalVar + jitter - mat.Dot(v, v)
 	if variance < 0 {
 		variance = 0
 	}
@@ -280,9 +271,8 @@ func (g *GP) PredictWithVarianceFlat(X ml.Matrix) ([]float64, []float64) {
 	means := buf[m*n : m*n+m : m*n+m]
 	z := buf[m*n+m:]
 	// The kernel loop is inlined against the flat training matrix: same
-	// expressions as kernel() (difference loop, then SignalVar·exp(−d²/denom)
+	// expressions as kernel() (difference loop, then signalVar·exp(−d²/denom)
 	// with denom computed identically), walking g.xf.Data linearly.
-	sv := g.cfg.SignalVar
 	denom := 2 * g.ls * g.ls
 	xd := g.xf.Data
 	k := g.xf.Cols
@@ -298,7 +288,7 @@ func (g *GP) PredictWithVarianceFlat(X ml.Matrix) ([]float64, []float64) {
 				d := zj - xi[j]
 				d2 += d * d
 			}
-			ks[i] = sv * math.Exp(-d2/denom)
+			ks[i] = signalVar * math.Exp(-d2/denom)
 		}
 		means[r] = mat.Dot(ks, g.grad)
 		// Scale in place: ks is only needed as the W^{1/2}-weighted RHS now.
@@ -312,7 +302,7 @@ func (g *GP) PredictWithVarianceFlat(X ml.Matrix) ([]float64, []float64) {
 	vs := make([]float64, m)
 	for r := 0; r < m; r++ {
 		v := rhs[r*n : (r+1)*n]
-		variance := g.cfg.SignalVar + g.cfg.Jitter - mat.Dot(v, v)
+		variance := signalVar + jitter - mat.Dot(v, v)
 		if variance < 0 {
 			variance = 0
 		}

@@ -64,8 +64,8 @@ func TestGPVarianceGrowsAwayFromData(t *testing.T) {
 		t.Fatalf("variance should grow away from data: near %v far %v", vNear, vFar)
 	}
 	// Far from data the latent variance approaches the prior signal variance.
-	if vFar < 0.9*g.cfg.SignalVar {
-		t.Fatalf("far-field variance %v should approach prior %v", vFar, g.cfg.SignalVar)
+	if vFar < 0.9*signalVar {
+		t.Fatalf("far-field variance %v should approach prior %v", vFar, signalVar)
 	}
 }
 

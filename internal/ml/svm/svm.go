@@ -15,17 +15,17 @@ import (
 
 // Config controls training.
 type Config struct {
-	// Lambda is the L2 regularization strength (default 1e-3).
-	Lambda float64
-	// Epochs is the number of passes over the data (default 20).
-	Epochs int
 	// Seed drives sampling order.
 	Seed int64
-	// ClassWeighted scales the hinge loss of the minority class up by the
-	// imbalance ratio, which keeps the SVM from collapsing to the majority
-	// class under heavy imbalance.
-	ClassWeighted bool
 }
+
+// Training runs with one parameter set.
+const (
+	// lambda is the L2 regularization strength.
+	lambda = 1e-3
+	// epochs is the number of passes over the data.
+	epochs = 12
+)
 
 // SVM is a linear classifier with Platt-calibrated probabilities.
 type SVM struct {
@@ -39,18 +39,12 @@ type SVM struct {
 }
 
 // New creates an untrained SVM.
-func New(cfg Config) *SVM {
-	if cfg.Lambda <= 0 {
-		cfg.Lambda = 1e-3
-	}
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 20
-	}
-	return &SVM{cfg: cfg}
-}
+func New(cfg Config) *SVM { return &SVM{cfg: cfg} }
 
 // Fit trains with Pegasos and then fits the Platt sigmoid on the training
-// margins.
+// margins. The hinge loss of each class is weighted by the inverse of its
+// share of the data, which keeps the SVM from collapsing to the majority
+// class under heavy imbalance.
 func (s *SVM) Fit(X [][]float64, y []int) error {
 	if err := ml.CheckXY(X, y); err != nil {
 		return err
@@ -67,18 +61,17 @@ func (s *SVM) Fit(X [][]float64, y []int) error {
 
 	neg, pos := ml.ClassCounts(y)
 	wPos, wNeg := 1.0, 1.0
-	if s.cfg.ClassWeighted && pos > 0 && neg > 0 {
+	if pos > 0 && neg > 0 {
 		wPos = float64(neg+pos) / (2 * float64(pos))
 		wNeg = float64(neg+pos) / (2 * float64(neg))
 	}
 
 	r := rng.New(s.cfg.Seed)
 	t := 0
-	lam := s.cfg.Lambda
-	for epoch := 0; epoch < s.cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < epochs; epoch++ {
 		for _, i := range r.Perm(len(Z)) {
 			t++
-			eta := 1 / (lam * float64(t))
+			eta := 1 / (lambda * float64(t))
 			yi := 2*float64(y[i]) - 1
 			cw := wNeg
 			if y[i] == 1 {
@@ -86,7 +79,7 @@ func (s *SVM) Fit(X [][]float64, y []int) error {
 			}
 			margin := yi * (mat.Dot(s.w, Z[i]) + s.b)
 			// Regularization shrink.
-			scale := 1 - eta*lam
+			scale := 1 - eta*lambda
 			if scale < 0 {
 				scale = 0
 			}

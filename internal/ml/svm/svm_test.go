@@ -28,7 +28,7 @@ func linearData(n int, seed int64) ([][]float64, []int) {
 
 func TestSVMLearnsLinearBoundary(t *testing.T) {
 	X, y := linearData(600, 1)
-	s := New(Config{Epochs: 30, Seed: 2})
+	s := New(Config{Seed: 2})
 	if err := s.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSVMLearnsLinearBoundary(t *testing.T) {
 
 func TestSVMProbabilitiesCalibratedDirection(t *testing.T) {
 	X, y := linearData(600, 4)
-	s := New(Config{Epochs: 30, Seed: 5})
+	s := New(Config{Seed: 5})
 	if err := s.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestSVMClassWeightedImbalance(t *testing.T) {
 		X = append(X, []float64{r.Normal(2.5, 0.8), r.Normal(2.5, 0.8)})
 		y = append(y, 1)
 	}
-	s := New(Config{Epochs: 40, Seed: 10, ClassWeighted: true})
+	s := New(Config{Seed: 10})
 	if err := s.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}

@@ -30,31 +30,21 @@ type Attacker interface {
 	Displaced(id int) bool
 }
 
-// Attacker kinds accepted by AttackerConfig.Kind.
+// Attacker kinds NewAttacker builds. The empty kind is the static one.
 const (
 	AttackerStatic   = "static"
 	AttackerAdaptive = "adaptive"
 )
 
-// AttackerConfig selects and tunes an attacker behaviour. The zero value is
-// the static attacker, preserving the historical generative process.
-type AttackerConfig struct {
-	// Kind is "static" (default) or "adaptive".
-	Kind string
-	// Memory is the adaptive attacker's month-over-month pressure decay in
-	// [0,1): pressure ← Memory·pressure + realized effort. Default 0.6.
-	Memory float64
-	// Deterrence scales the own-cell pressure penalty in the attack logit.
-	// Default: the ground truth's Deterrence scaled by (1 − Memory), so the
-	// steady-state penalty under constant effort matches the static model.
-	Deterrence float64
-	// Displacement scales the neighbourhood-pressure bonus: patrols next
-	// door push attacks here. Default: half of Deterrence.
-	Displacement float64
-	// Radius is the displacement neighbourhood radius in cells (Chebyshev
-	// distance, self excluded). Default 2.
-	Radius int
-}
+// The adaptive attacker runs with one parameter set.
+const (
+	// adaptiveMemory is the month-over-month pressure decay:
+	// pressure ← adaptiveMemory·pressure + realized effort.
+	adaptiveMemory = 0.6
+	// displacementRadius is the displacement neighbourhood radius in cells
+	// (Chebyshev distance, self excluded).
+	displacementRadius = 2
+)
 
 // ValidateAttackerKind checks a kind without building anything — the
 // submit-time validation surface of the async job API.
@@ -66,35 +56,21 @@ func ValidateAttackerKind(kind string) error {
 	return fmt.Errorf("poach: unknown attacker kind %q (want %s or %s)", kind, AttackerStatic, AttackerAdaptive)
 }
 
-// NewAttacker builds the attacker behaviour cfg selects over a ground truth.
-func NewAttacker(gt *GroundTruth, cfg AttackerConfig) (Attacker, error) {
-	switch cfg.Kind {
+// NewAttacker builds the attacker behaviour kind names over a ground truth.
+func NewAttacker(gt *GroundTruth, kind string) (Attacker, error) {
+	switch kind {
 	case "", AttackerStatic:
 		return &StaticAttacker{Truth: gt}, nil
 	case AttackerAdaptive:
-		mem := cfg.Memory
-		if mem <= 0 || mem >= 1 {
-			mem = 0.6
-		}
-		det := cfg.Deterrence
-		if det <= 0 {
-			det = gt.Deterrence * (1 - mem)
-		}
-		disp := cfg.Displacement
-		if disp <= 0 {
-			disp = det / 2
-		}
-		radius := cfg.Radius
-		if radius <= 0 {
-			radius = 2
-		}
+		// The ground truth's deterrence scaled by (1 − adaptiveMemory), so
+		// the steady-state penalty under constant effort matches the static
+		// model; displacement is half of it.
+		det := gt.Deterrence * (1 - adaptiveMemory)
 		n := gt.Park.Grid.NumCells()
 		return &AdaptiveAttacker{
 			Truth:        gt,
-			Memory:       mem,
-			Deterrence:   det,
-			Displacement: disp,
-			Radius:       radius,
+			deterrence:   det,
+			displacement: det / 2,
 			pressure:     make([]float64, n),
 			spill:        make([]float64, n),
 		}, nil
@@ -102,10 +78,10 @@ func NewAttacker(gt *GroundTruth, cfg AttackerConfig) (Attacker, error) {
 	// Single source of truth for the error: a kind NewAttacker cannot build
 	// must be one ValidateAttackerKind rejects, or the submit-time
 	// validation drifts from the build path.
-	if err := ValidateAttackerKind(cfg.Kind); err != nil {
+	if err := ValidateAttackerKind(kind); err != nil {
 		return nil, err
 	}
-	return nil, fmt.Errorf("poach: attacker kind %q passes validation but has no builder", cfg.Kind)
+	return nil, fmt.Errorf("poach: attacker kind %q passes validation but has no builder", kind)
 }
 
 // StaticAttacker reproduces the historical generative process of
@@ -142,11 +118,12 @@ func (a *StaticAttacker) Displaced(id int) bool { return false }
 // attracts the displaced remainder — poachers stepping sideways out of
 // patrolled areas rather than quitting.
 type AdaptiveAttacker struct {
-	Truth        *GroundTruth
-	Memory       float64
-	Deterrence   float64
-	Displacement float64
-	Radius       int
+	Truth *GroundTruth
+
+	// deterrence scales the own-cell pressure penalty in the attack logit;
+	// displacement scales the neighbourhood-pressure bonus (patrols next
+	// door push attacks here).
+	deterrence, displacement float64
 
 	month    int
 	pressure []float64 // decayed realized-effort trace per cell
@@ -158,7 +135,7 @@ type AdaptiveAttacker struct {
 func (a *AdaptiveAttacker) BeginMonth(month int, prevEffort []float64) {
 	a.month = month
 	for i := range a.pressure {
-		a.pressure[i] *= a.Memory
+		a.pressure[i] *= adaptiveMemory
 	}
 	if prevEffort != nil {
 		for i, e := range prevEffort {
@@ -171,8 +148,8 @@ func (a *AdaptiveAttacker) BeginMonth(month int, prevEffort []float64) {
 		x, y := grid.CellXY(id)
 		var sum float64
 		count := 0
-		for dy := -a.Radius; dy <= a.Radius; dy++ {
-			for dx := -a.Radius; dx <= a.Radius; dx++ {
+		for dy := -displacementRadius; dy <= displacementRadius; dy++ {
+			for dx := -displacementRadius; dx <= displacementRadius; dx++ {
 				if dx == 0 && dy == 0 {
 					continue
 				}
@@ -195,7 +172,7 @@ func (a *AdaptiveAttacker) BeginMonth(month int, prevEffort []float64) {
 // bonus from patrolled neighbours.
 func (a *AdaptiveAttacker) AttackLogit(id int) float64 {
 	base := a.Truth.AttackLogit(id, a.month, 0)
-	return base - a.Deterrence*a.pressure[id] + a.Displacement*a.spill[id]
+	return base - a.deterrence*a.pressure[id] + a.displacement*a.spill[id]
 }
 
 // displacedLogitMargin is the minimum net displacement bonus (in logit
@@ -206,5 +183,5 @@ const displacedLogitMargin = 0.05
 // Displaced reports whether the displacement bonus at the cell currently
 // outweighs its own deterrence by a material margin.
 func (a *AdaptiveAttacker) Displaced(id int) bool {
-	return a.Displacement*a.spill[id] > a.Deterrence*a.pressure[id]+displacedLogitMargin
+	return a.displacement*a.spill[id] > a.deterrence*a.pressure[id]+displacedLogitMargin
 }

@@ -24,12 +24,12 @@ func attackerTestTruth(t *testing.T) *GroundTruth {
 // static attacker is exactly the historical generative process.
 func TestStaticAttackerMatchesGroundTruth(t *testing.T) {
 	gt := attackerTestTruth(t)
-	att, err := NewAttacker(gt, AttackerConfig{})
+	att, err := NewAttacker(gt, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := att.(*StaticAttacker); !ok {
-		t.Fatalf("zero-value config built %T, want *StaticAttacker", att)
+		t.Fatalf("empty kind built %T, want *StaticAttacker", att)
 	}
 	n := gt.Park.Grid.NumCells()
 	prev := make([]float64, n)
@@ -62,14 +62,14 @@ func TestStaticAttackerMatchesGroundTruth(t *testing.T) {
 // the static model's one-month memory.
 func TestAdaptiveAttackerDeterrence(t *testing.T) {
 	gt := attackerTestTruth(t)
-	att, err := NewAttacker(gt, AttackerConfig{Kind: AttackerAdaptive})
+	att, err := NewAttacker(gt, AttackerAdaptive)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := gt.Park.Grid.NumCells()
 	target := n / 2
 	base := func() float64 {
-		fresh, _ := NewAttacker(gt, AttackerConfig{Kind: AttackerAdaptive})
+		fresh, _ := NewAttacker(gt, AttackerAdaptive)
 		fresh.BeginMonth(0, nil)
 		return fresh.AttackLogit(target)
 	}()
@@ -117,7 +117,7 @@ func TestAdaptiveAttackerDisplacement(t *testing.T) {
 			eff[grid.CellID(cx+dx, cy+dy)] = 4
 		}
 	}
-	att, err := NewAttacker(gt, AttackerConfig{Kind: AttackerAdaptive})
+	att, err := NewAttacker(gt, AttackerAdaptive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestAdaptiveAttackerDisplacement(t *testing.T) {
 
 func TestNewAttackerUnknownKind(t *testing.T) {
 	gt := attackerTestTruth(t)
-	if _, err := NewAttacker(gt, AttackerConfig{Kind: "quantum"}); err == nil {
+	if _, err := NewAttacker(gt, "quantum"); err == nil {
 		t.Fatal("unknown attacker kind accepted")
 	}
 }

@@ -43,8 +43,8 @@ func (s *Server) handleEnvCreate(w http.ResponseWriter, r *http.Request) {
 		SeasonMonths:    req.SeasonMonths,
 		BootstrapMonths: req.BootstrapMonths,
 		BudgetKM:        req.BudgetKM,
+		Attacker:        req.Attacker,
 	}
-	cfg.Attacker.Kind = req.Attacker
 	// NewEnv validates cfg in full before the (expensive) bootstrap, so a
 	// typo'd request fails as a structured 400 up front. No request context
 	// is threaded into the build: the bootstrap simulation is quick CPU work

@@ -373,8 +373,8 @@ func (s *Server) campaignFn(req CampaignJobRequest) (job.Fn, error) {
 		Beta:         req.Beta,
 		Baseline:     req.Baseline,
 		Resamples:    req.Resamples,
+		Attacker:     req.Attacker,
 	}
-	cfg.Attacker.Kind = req.Attacker
 	// One library call does the full validation and yields the cell count
 	// of the defaults-filled grid Campaign would actually run, so the cap
 	// cannot drift from the library's defaults.

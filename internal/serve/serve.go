@@ -402,7 +402,10 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 // PredictRequest scores a batch at one planned patrol effort. Exactly one
 // of Features (raw vectors, park features + previous patrol coverage) or
 // Cells (park cell ids, scored on the model's frozen serving features) must
-// be set.
+// be set. A batch holds at most 100,000 rows and its body at most 16 MiB.
+// A Cells batch reaches the row cap first. A Features batch reaches the body
+// cap first: an MFNP row of 22 features is about 390 bytes of JSON, so only
+// batches up to about 43,000 such rows get through.
 type PredictRequest struct {
 	Model     string      `json:"model"`
 	Effort    float64     `json:"effort"`
@@ -422,7 +425,9 @@ type PredictResponse struct {
 }
 
 // maxPredictRows bounds one request's batch so a single client cannot queue
-// unbounded work behind one POST.
+// unbounded work behind one POST. Only Cells batches can reach it: the
+// maxBodyBytes cap refuses a Features batch first, since 100,000 MFNP
+// feature rows are 36.9 MiB of JSON.
 const maxPredictRows = 100_000
 
 // Caps on /v1/plan's overrides. A plan's memory grows with each of them
@@ -613,9 +618,6 @@ type PlanRequest struct {
 	K         float64 `json:"k,omitempty"`
 	Segments  int     `json:"segments,omitempty"`
 	TimeoutMS int     `json:"timeout_ms,omitempty"`
-	// Hierarchical forces the coarse super-cell targeting pass on or off.
-	// Absent, the server decides by park size (paws.HierAutoCells).
-	Hierarchical *bool `json:"hierarchical,omitempty"`
 }
 
 // PlanResponse is the deployment artifact: planned effort per region cell
@@ -630,7 +632,7 @@ type PlanResponse struct {
 	Objective float64   `json:"objective"`
 	RuntimeMS float64   `json:"runtime_ms"`
 	// Hierarchical reports whether the coarse targeting pass shaped the
-	// region (requested explicitly or auto-enabled by park size).
+	// region, which it does on parks of paws.HierAutoCells cells or more.
 	Hierarchical bool `json:"hierarchical,omitempty"`
 }
 
@@ -716,8 +718,8 @@ func (s *Server) simulateFn(req SimulateRequest) (job.Fn, error) {
 		Policies:     req.Policies,
 		Beta:         req.Beta,
 		BudgetKM:     req.BudgetKM,
+		Attacker:     req.Attacker,
 	}
-	cfg.Attacker.Kind = req.Attacker
 	// Full library-level validation at submit time: unknown park specs,
 	// policies and attacker kinds, negative ranges and beta fail as a
 	// structured 400 here instead of a job doomed to fail at run time.
@@ -799,9 +801,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.T > 0 || req.K > 0 || req.Segments > 0 {
 		opts = append(opts, paws.WithPlanHorizon(req.T, req.K, req.Segments))
-	}
-	if req.Hierarchical != nil {
-		opts = append(opts, paws.WithHierarchical(*req.Hierarchical))
 	}
 	res, err := s.svc.Plan(ctx, req.Model, req.Post, req.Beta, opts...)
 	if err != nil {

@@ -61,7 +61,7 @@ func TestSimulateByteIdenticalUnderTracing(t *testing.T) {
 		}
 	}
 	names := spanNames(rec)
-	for _, stage := range []string{"plan", "patrol", "build", "train", "riskmap", "routes"} {
+	for _, stage := range []string{"park", "bootstrap", "reset", "plan", "patrol", "build", "train", "riskmap", "routes"} {
 		if !names[stage] {
 			t.Fatalf("traced simulate missing %q span (got %v)", stage, names)
 		}

@@ -16,8 +16,8 @@ type Option func(*settings)
 // settings is the merged state behind the functional options. The training
 // fields lower to TrainOptions (trainOptions); every other field is read
 // directly by the methods it tunes, zero or negative meaning "use the
-// method's default". The *Set flags distinguish "not specified" from
-// genuine zero values where zero is meaningful.
+// method's default". kindSet distinguishes "not specified" from the zero
+// ModelKind, SVB.
 type settings struct {
 	workers int
 
@@ -31,7 +31,6 @@ type settings struct {
 	kind       ModelKind
 	kindSet    bool
 	thresholds int
-	maxThPct   float64
 	members    int
 	balanced   bool
 	cvFolds    int
@@ -56,8 +55,6 @@ type settings struct {
 	horizonT      int
 	horizonK      float64
 	segments      int
-	hierarchical  bool
-	hierSet       bool
 
 	// Field tests.
 	perGroup           int
@@ -117,12 +114,6 @@ func WithEnsembleSize(members int) Option {
 // WithThresholds sets the iWare-E threshold-ladder size (paper: 20 for
 // MFNP/QENP, 10 for SWS).
 func WithThresholds(n int) Option { return func(s *settings) { s.thresholds = n } }
-
-// WithMaxThresholdPercentile sets the top effort percentile of the iWare-E
-// ladder (default 80).
-func WithMaxThresholdPercentile(pct float64) Option {
-	return func(s *settings) { s.maxThPct = pct }
-}
 
 // WithCVFolds enables iWare-E weight optimization with k-fold
 // cross-validation (0 keeps uniform weights).
@@ -198,16 +189,6 @@ func WithPlanHorizon(t int, k float64, segments int) Option {
 	return func(s *settings) { s.horizonT = t; s.horizonK = k; s.segments = segments }
 }
 
-// WithHierarchical forces hierarchical planning on or off for Service.Plan:
-// a coarse Frank-Wolfe pass over aggregated super-cells targets the post's
-// refined region before the standard per-post solve (see plan.SolveHierarchical).
-// When unset, Plan enables it automatically for parks with at least
-// HierAutoCells cells, where a flat breadth-first region would see an
-// arbitrary sliver of the park.
-func WithHierarchical(on bool) Option {
-	return func(s *settings) { s.hierarchical = on; s.hierSet = true }
-}
-
 // WithFieldProtocol tunes the Table III field-test protocol: blocks
 // selected per risk group and ranger effort intensity (km per cell-month).
 func WithFieldProtocol(perGroup int, effortPerCellMonth float64) Option {
@@ -222,16 +203,15 @@ func WithFieldProtocol(perGroup int, effortPerCellMonth float64) Option {
 // trainOptions lowers the merged settings to TrainOptions.
 func (s settings) trainOptions() TrainOptions {
 	return TrainOptions{
-		Kind:                   s.kind,
-		Thresholds:             s.thresholds,
-		MaxThresholdPercentile: s.maxThPct,
-		Members:                s.members,
-		Balanced:               s.balanced,
-		CVFolds:                s.cvFolds,
-		GPMaxTrain:             s.gpMaxTrain,
-		TreeDepth:              s.treeDepth,
-		Seed:                   s.seed,
-		Workers:                s.workers,
-		progress:               s.progress,
+		Kind:       s.kind,
+		Thresholds: s.thresholds,
+		Members:    s.members,
+		Balanced:   s.balanced,
+		CVFolds:    s.cvFolds,
+		GPMaxTrain: s.gpMaxTrain,
+		TreeDepth:  s.treeDepth,
+		Seed:       s.seed,
+		Workers:    s.workers,
+		progress:   s.progress,
 	}
 }

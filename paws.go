@@ -204,11 +204,9 @@ func ParseModelKind(s string) (ModelKind, error) {
 type TrainOptions struct {
 	Kind ModelKind
 	// Thresholds is the iWare-E threshold-ladder size (paper: 20 for
-	// MFNP/QENP, 10 for SWS). Default 10.
+	// MFNP/QENP, 10 for SWS). Default 10. Train places the rungs at evenly
+	// spaced training-effort percentiles from the 0th to the 80th.
 	Thresholds int
-	// MaxThresholdPercentile is the top percentile for the ladder
-	// (default 80).
-	MaxThresholdPercentile float64
 	// Members is the bagging ensemble size (default 10).
 	Members int
 	// Balanced enables balanced bagging — undersampling negatives — the
@@ -237,9 +235,6 @@ func (o TrainOptions) withDefaults() TrainOptions {
 	if o.Thresholds <= 0 {
 		o.Thresholds = 10
 	}
-	if o.MaxThresholdPercentile <= 0 {
-		o.MaxThresholdPercentile = 80
-	}
 	if o.Members <= 0 {
 		o.Members = 10
 	}
@@ -251,6 +246,10 @@ func (o TrainOptions) withDefaults() TrainOptions {
 	}
 	return o
 }
+
+// maxThresholdPercentile is the training-effort percentile of the top rung
+// of Train's iWare-E ladder.
+const maxThresholdPercentile = 80
 
 // Model is a trained predictive model, either a plain bagging ensemble or an
 // iWare-E ensemble of them.
@@ -275,7 +274,7 @@ func weakLearnerFactory(kind ModelKind, o TrainOptions, numFeatures int) func(se
 	switch kind {
 	case SVB, SVBiW:
 		base = func(seed int64) ml.Classifier {
-			return svm.New(svm.Config{Epochs: 12, Seed: seed, ClassWeighted: true})
+			return svm.New(svm.Config{Seed: seed})
 		}
 	case DTB, DTBiW:
 		mf := int(math.Sqrt(float64(numFeatures)) + 0.5)
@@ -308,7 +307,7 @@ func Train(ctx context.Context, train []dataset.Point, opts TrainOptions) (*Mode
 	o := opts.withDefaults()
 	var thresholds []float64
 	if o.Kind.IsIWare() {
-		thresholds = dataset.EffortPercentileThresholds(train, o.Thresholds, o.MaxThresholdPercentile)
+		thresholds = dataset.EffortPercentileThresholds(train, o.Thresholds, maxThresholdPercentile)
 	}
 	return fit(ctx, train, thresholds, o)
 }

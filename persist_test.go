@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
 	"testing"
@@ -310,5 +311,73 @@ func TestLoadedModelIsPredictOnly(t *testing.T) {
 	}
 	if err := loaded.Ensemble().Fit(X, y); !errors.Is(err, bagging.ErrNoFactory) {
 		t.Fatalf("refit of loaded ensemble: err = %v, want bagging.ErrNoFactory", err)
+	}
+}
+
+// TestSavedV1ModelsLoad loads two format-1 model files that an earlier
+// build wrote with SaveFile (testdata/persist: an SVB-iW and a GPB-iW model
+// trained on every point of MFNP small at seed 7, with the options below)
+// and requires their predictions to be bit-identical to the same models
+// retrained now. That build's learner configurations still had the SVM,
+// GP, bagging, iWare-E and ladder tuning fields that are now constants, and
+// its files store them: so this shows each constant equals the value those
+// models were trained with, and that a file holding a since-deleted field
+// still decodes. The SVM model is unbalanced so its class weighting matters;
+// the GP model covers balanced bags.
+func TestSavedV1ModelsLoad(t *testing.T) {
+	ctx := context.Background()
+	sc, err := NewService(WithScale(ScaleSmall), WithSeed(7)).Scenario(ctx, "MFNP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := sc.Data.AllPoints()
+	X := make([][]float64, len(pts))
+	for i, p := range pts {
+		X[i] = p.Features
+	}
+	Xm := ml.MatrixFromRows(X)
+	for _, c := range []struct {
+		file string
+		opts TrainOptions
+	}{
+		{"svb-iw.model", TrainOptions{Kind: SVBiW, Thresholds: 3, Members: 3, CVFolds: 2, Seed: 11}},
+		{"gpb-iw.model", TrainOptions{Kind: GPBiW, Thresholds: 3, Members: 2, Balanced: true, GPMaxTrain: 40, CVFolds: 2, Seed: 12}},
+	} {
+		t.Run(c.opts.Kind.String(), func(t *testing.T) {
+			saved, err := LoadModelFile(filepath.Join("testdata", "persist", c.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if saved.Kind != c.opts.Kind {
+				t.Fatalf("file holds a %v model, want %v", saved.Kind, c.opts.Kind)
+			}
+			fresh, err := Train(ctx, pts, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, "thresholds", saved.IWare().Thresholds(), fresh.IWare().Thresholds())
+			sameBits(t, "weights", saved.IWare().Weights(), fresh.IWare().Weights())
+			sameBits(t, "PredictPoints", saved.PredictPoints(pts), fresh.PredictPoints(pts))
+			for _, e := range []float64{0, 0.5, 2, math.Inf(1)} {
+				p0, v0 := saved.PredictWithVarianceFlat(Xm, e)
+				p1, v1 := fresh.PredictWithVarianceFlat(Xm, e)
+				sameBits(t, fmt.Sprintf("p at effort %v", e), p0, p1)
+				sameBits(t, fmt.Sprintf("variance at effort %v", e), v0, v1)
+			}
+		})
+	}
+}
+
+// sameBits fails unless the saved model's floats a and the retrained
+// model's floats b have the same bit patterns.
+func sameBits(t *testing.T, label string, a, b []float64) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d saved values, %d retrained", label, len(a), len(b))
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("%s[%d]: saved model %v, retrained %v", label, i, a[i], b[i])
+		}
 	}
 }

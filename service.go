@@ -331,15 +331,14 @@ type PlanResult struct {
 	Objective float64
 	RuntimeMS float64
 	// Hierarchical reports that the region was targeted by the coarse
-	// super-cell pass (WithHierarchical, or automatic above HierAutoCells).
+	// super-cell pass (parks of HierAutoCells cells or more).
 	Hierarchical bool
 }
 
 // HierAutoCells is the park size at which Service.Plan switches to
-// hierarchical planning by default: above it, a flat breadth-first region
-// around the post covers so little of the park that region choice, not the
-// solve, dominates plan quality. WithHierarchical overrides the default
-// either way.
+// hierarchical planning: above it, a flat breadth-first region around the
+// post covers so little of the park that region choice, not the solve,
+// dominates plan quality.
 const HierAutoCells = 20_000
 
 // Plan computes a robust patrol plan for one patrol post of a registered
@@ -349,8 +348,8 @@ const HierAutoCells = 20_000
 // the solve (the LP/MILP solve itself is not interruptible); keep regions
 // bounded via WithRegionShape for latency-sensitive serving.
 //
-// On parks of HierAutoCells cells or more (or when WithHierarchical(true) is
-// set), the region is targeted hierarchically: a coarse Frank-Wolfe pass over
+// On parks of HierAutoCells cells or more, the region is targeted
+// hierarchically (plan.SolveHierarchical): a coarse Frank-Wolfe pass over
 // aggregated super-cells decides where in the park the post's bounded region
 // should grow, so /v1/plan stays interactive at 10^6 cells.
 func (s *Service) Plan(ctx context.Context, name string, post int, beta float64, opts ...Option) (*PlanResult, error) {
@@ -376,10 +375,7 @@ func (s *Service) Plan(ctx context.Context, name string, post int, beta float64,
 		Beta:     beta,
 		Workers:  st.workers,
 	}
-	useHier := st.hierarchical
-	if !st.hierSet {
-		useHier = sm.park.Grid.NumCells() >= HierAutoCells
-	}
+	useHier := sm.park.Grid.NumCells() >= HierAutoCells
 	var region *plan.Region
 	var p *plan.Plan
 	if useHier {

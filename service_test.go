@@ -209,9 +209,9 @@ func TestEntryPointsHonourCanceledContext(t *testing.T) {
 }
 
 // TestServiceTable2HonoursTrainSettings checks that Service.Table2 trains
-// each cell with every merged training setting, tree depth and ladder
-// percentile included: each row's AUC must equal that of Service.Train under
-// the same options and the cell's grid seed, on the same split.
+// each cell with every merged training setting, tree depth included: each
+// row's AUC must equal that of Service.Train under the same options and the
+// cell's grid seed, on the same split.
 func TestServiceTable2HonoursTrainSettings(t *testing.T) {
 	ctx := context.Background()
 	sc := smallScenario(t, 59, false)
@@ -222,7 +222,7 @@ func TestServiceTable2HonoursTrainSettings(t *testing.T) {
 	}
 	const seed = 61
 	svc := NewService(WithSeed(seed), WithThresholds(4), WithEnsembleSize(4),
-		WithTreeDepth(2), WithMaxThresholdPercentile(60))
+		WithTreeDepth(2))
 	kinds := []ModelKind{DTB, DTBiW}
 	rows, err := svc.Table2(ctx, sc, "SMALL", WithKinds(kinds...), WithTestYears(year))
 	if err != nil {

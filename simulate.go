@@ -37,10 +37,10 @@ type SimConfig struct {
 	// Policies names the policies to compare (default
 	// paws,uniform,historical,random).
 	Policies []string
-	// Attacker selects the poacher response behaviour. Default: adaptive
-	// (deterrence + displacement); set Kind to poach.AttackerStatic for the
-	// historical non-responsive process.
-	Attacker poach.AttackerConfig
+	// Attacker is the poacher response behaviour: poach.AttackerAdaptive
+	// (the default; deterrence + displacement) or poach.AttackerStatic (the
+	// historical non-responsive process).
+	Attacker string
 	// Beta is the robustness weight of the paws policy's planner
 	// (default 0.9).
 	Beta float64
@@ -93,10 +93,10 @@ func (cfg SimConfig) withDefaults() (SimConfig, error) {
 			return cfg, fmt.Errorf("paws: %w (plus \"paws\")", err)
 		}
 	}
-	if cfg.Attacker.Kind == "" {
-		cfg.Attacker.Kind = poach.AttackerAdaptive
+	if cfg.Attacker == "" {
+		cfg.Attacker = poach.AttackerAdaptive
 	}
-	if err := poach.ValidateAttackerKind(cfg.Attacker.Kind); err != nil {
+	if err := poach.ValidateAttackerKind(cfg.Attacker); err != nil {
 		return cfg, err
 	}
 	if cfg.Beta == 0 {
@@ -136,7 +136,7 @@ func (s *Service) simulate(ctx context.Context, cfg SimConfig, opts []Option,
 	if err != nil {
 		return nil, err
 	}
-	ecfg, err := st.envConfig(cfg)
+	ecfg, err := st.envConfig(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}

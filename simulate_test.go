@@ -98,7 +98,7 @@ func TestSimulateSeasonLogShape(t *testing.T) {
 func TestSimulateStaticAttackerOption(t *testing.T) {
 	svc := NewService(WithSeed(7), WithScale(ScaleSmall))
 	cfg := SimConfig{Park: "rand:16", Seasons: 1, Policies: []string{"uniform"}}
-	cfg.Attacker.Kind = "static"
+	cfg.Attacker = "static"
 	rep, err := svc.Simulate(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestSimulateStaticAttackerOption(t *testing.T) {
 func TestSimulateErrors(t *testing.T) {
 	svc := NewService(WithSeed(7), WithScale(ScaleSmall))
 	bad := SimConfig{Park: "MFNP", Seasons: 1, Policies: []string{"uniform"}}
-	bad.Attacker.Kind = "quantum"
+	bad.Attacker = "quantum"
 	cases := []struct {
 		name string
 		cfg  SimConfig
