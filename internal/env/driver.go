@@ -99,7 +99,8 @@ type RunConfig struct {
 	// release func Run calls once that policy's episode ends, failed or
 	// not — a Client over a remote /v1/envs session, say. Nil plays every
 	// policy against a local Env over one shared bootstrap history, which
-	// Run simulates under a "bootstrap" compute span.
+	// Run simulates, and warms an attacker on, under a "bootstrap" compute
+	// span.
 	Open func(ctx context.Context) (Stepper, func(), error)
 }
 
@@ -138,15 +139,16 @@ func Run(ctx context.Context, cfg Config, policies []Policy, rc RunConfig) (*Rep
 	open := rc.Open
 	if open == nil {
 		endBoot := obs.StartSpan(ctx, "bootstrap", cfg.Park.Name)
-		boot, err := Bootstrap(cfg)
+		boot, warm, err := bootstrap(cfg)
 		endBoot()
 		if err != nil {
 			return nil, err
 		}
-		// Every policy's Env shares the bootstrap read-only (each episode
-		// appends to its own copy); Drive's Reset starts the episode.
+		// Every policy's Env shares the bootstrap and its warmed attacker
+		// read-only (each episode appends to its own copy of the record and
+		// plays its own clone); Drive's Reset starts the episode.
 		open = func(context.Context) (Stepper, func(), error) {
-			return &Env{cfg: cfg, boot: boot}, func() {}, nil
+			return &Env{cfg: cfg, boot: boot, warm: warm}, func() {}, nil
 		}
 	}
 	results, err := par.MapErrCtx(ctx, rc.Workers, len(policies), func(i int) (PolicyResult, error) {

@@ -3,9 +3,10 @@
 // the Reset/Step(allocation) → (observation, stats, done) shape
 // reinforcement-learning harnesses expect. One Env is one episode stream:
 // Reset rebuilds the observed record from the bootstrap history and
-// re-warms the attacker's memory, and each Step executes one season of
-// patrol effort against the responsive poacher, appending the realized
-// effort, detections and observations to the policy-visible record.
+// restores the attacker's memory as warmed on it once, and each Step
+// executes one season of patrol effort against the responsive poacher,
+// appending the realized effort, detections and observations to the
+// policy-visible record.
 //
 // Run is the policy comparison over it: every policy plays one episode
 // through Drive against a Stepper — a local Env over one shared bootstrap,
@@ -170,16 +171,25 @@ func (cfg Config) WithDefaults() (Config, error) {
 // 409 conflict.
 var ErrDone = errors.New("env: episode is done")
 
-// Bootstrap simulates the historical record an environment starts from —
-// BootstrapMonths of the park's status-quo ranger behaviour.
-func Bootstrap(cfg Config) (*poach.History, error) {
+// bootstrap simulates the historical record every episode of cfg starts
+// from — BootstrapMonths of the park's status-quo ranger behaviour — and
+// warms an attacker of cfg's kind on it. Episodes share both read-only:
+// Reset copies the record's outer slices and clones the attacker.
+func bootstrap(cfg Config) (*poach.History, poach.Attacker, error) {
 	bootCfg := cfg.Sim
 	bootCfg.Months = cfg.BootstrapMonths
 	boot, err := poach.Simulate(cfg.Park, bootCfg)
 	if err != nil {
-		return nil, fmt.Errorf("env: bootstrap history: %w", err)
+		return nil, nil, fmt.Errorf("env: bootstrap history: %w", err)
 	}
-	return boot, nil
+	att, err := poach.NewAttacker(boot.Truth, cfg.Attacker)
+	if err != nil {
+		return nil, nil, err
+	}
+	for m := 0; m < boot.Months; m++ {
+		att.BeginMonth(m, prevEffort(boot, m))
+	}
+	return boot, att, nil
 }
 
 // Env is the local stepped environment. It is not safe for concurrent use;
@@ -187,6 +197,8 @@ func Bootstrap(cfg Config) (*poach.History, error) {
 type Env struct {
 	cfg  Config
 	boot *poach.History
+	// warm is the attacker warmed on boot; each Reset plays a clone.
+	warm poach.Attacker
 
 	// Per-episode state, rebuilt by Reset.
 	h      *poach.History
@@ -202,11 +214,11 @@ func New(cfg Config) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	boot, err := Bootstrap(cfg)
+	boot, warm, err := bootstrap(cfg)
 	if err != nil {
 		return nil, err
 	}
-	e := &Env{cfg: cfg, boot: boot}
+	e := &Env{cfg: cfg, boot: boot, warm: warm}
 	if _, err := e.Reset(context.Background()); err != nil {
 		return nil, err
 	}
@@ -238,21 +250,12 @@ func (e *Env) Obs() *Obs {
 	}
 }
 
-// Reset starts a fresh episode: a fresh attacker instance warmed on the
+// Reset starts a fresh episode: a clone of the attacker warmed on the
 // bootstrap record, and an extendable copy of the bootstrap history. The
 // context parameter exists for the Stepper interface (a remote Reset is a
 // network call); the local reset never blocks on it.
 func (e *Env) Reset(context.Context) (*Obs, error) {
-	att, err := poach.NewAttacker(e.boot.Truth, e.cfg.Attacker)
-	if err != nil {
-		return nil, err
-	}
-	h := extendableCopy(e.boot)
-	// Warm the attacker's memory on the bootstrap record.
-	for m := 0; m < h.Months; m++ {
-		att.BeginMonth(m, prevEffort(h, m))
-	}
-	e.h, e.att = h, att
+	e.h, e.att = extendableCopy(e.boot), e.warm.Clone()
 	e.season, e.done = 0, false
 	return e.Obs(), nil
 }

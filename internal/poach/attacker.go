@@ -1,6 +1,9 @@
 package poach
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Attacker is the poacher decision model the closed-loop simulator
 // (internal/env) plays patrol policies against. The simulator drives it month
@@ -28,6 +31,10 @@ type Attacker interface {
 	// attributed to displacement — patrol pressure on neighbouring cells
 	// pushing poachers here — rather than the cell's intrinsic risk.
 	Displaced(id int) bool
+	// Clone returns an independent copy of the attacker's state: months fed
+	// to either copy leave the other unchanged, so one attacker warmed on a
+	// historical record can start any number of episodes.
+	Clone() Attacker
 }
 
 // Attacker kinds NewAttacker builds. The empty kind is the static one.
@@ -112,6 +119,13 @@ func (a *StaticAttacker) AttackLogit(id int) float64 {
 // Displaced always reports false: the static attacker never relocates.
 func (a *StaticAttacker) Displaced(id int) bool { return false }
 
+// Clone copies the month and shares the previous month's effort, which
+// BeginMonth replaces and never writes into.
+func (a *StaticAttacker) Clone() Attacker {
+	c := *a
+	return &c
+}
+
 // AdaptiveAttacker responds to realized patrol effort with memory: an
 // exponentially decayed per-cell pressure trace deters attacks where patrols
 // have been, and the average pressure of the surrounding neighbourhood
@@ -165,6 +179,14 @@ func (a *AdaptiveAttacker) BeginMonth(month int, prevEffort []float64) {
 			a.spill[id] = 0
 		}
 	}
+}
+
+// Clone copies the month and the pressure and spill fields.
+func (a *AdaptiveAttacker) Clone() Attacker {
+	c := *a
+	c.pressure = slices.Clone(a.pressure)
+	c.spill = slices.Clone(a.spill)
+	return &c
 }
 
 // AttackLogit returns the cell's intrinsic log-odds (the ground truth's

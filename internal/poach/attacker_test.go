@@ -166,3 +166,56 @@ func TestRandomSimDeterministicAndSeasonal(t *testing.T) {
 		t.Fatal("non-seasonal park got a seasonal amplitude")
 	}
 }
+
+// TestAttackerCloneIsIndependent warms each attacker kind, clones it, and
+// feeds the same further months to the clone and to an attacker warmed
+// from scratch: their logits and displacement flags must agree bit for bit,
+// and the months fed to the clone must leave the original's state as
+// warmed.
+func TestAttackerCloneIsIndependent(t *testing.T) {
+	gt := attackerTestTruth(t)
+	n := gt.Park.Grid.NumCells()
+	effort := func(m int) []float64 {
+		e := make([]float64, n)
+		for id := range e {
+			e[id] = float64((id*7+m*3)%5) * 0.6
+		}
+		return e
+	}
+	feed := func(a Attacker, from, to int) {
+		for m := from; m < to; m++ {
+			var prev []float64
+			if m > 0 {
+				prev = effort(m - 1)
+			}
+			a.BeginMonth(m, prev)
+		}
+	}
+	same := func(t *testing.T, what string, a, b Attacker) {
+		t.Helper()
+		for id := 0; id < n; id++ {
+			if a.AttackLogit(id) != b.AttackLogit(id) || a.Displaced(id) != b.Displaced(id) {
+				t.Fatalf("%s: cell %d differs: logit %v vs %v", what, id, a.AttackLogit(id), b.AttackLogit(id))
+			}
+		}
+	}
+	for _, kind := range []string{AttackerStatic, AttackerAdaptive} {
+		t.Run(kind, func(t *testing.T) {
+			build := func() Attacker {
+				a, err := NewAttacker(gt, kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return a
+			}
+			warm, scratch, before := build(), build(), build()
+			feed(warm, 0, 6)
+			feed(before, 0, 6)
+			clone := warm.Clone()
+			feed(clone, 6, 10)
+			feed(scratch, 0, 10)
+			same(t, "clone vs scratch", clone, scratch)
+			same(t, "original after the clone moved on", warm, before)
+		})
+	}
+}

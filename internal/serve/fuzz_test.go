@@ -5,8 +5,11 @@ import (
 	"cmp"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 
 	"paws"
@@ -102,6 +105,141 @@ func FuzzClosedLoopRequest(f *testing.F) {
 				if cells > maxCampaignCells {
 					t.Fatalf("campaign grid of %d cells accepted: %+v", cells, camp)
 				}
+			}
+		}
+	})
+}
+
+// smallServer serves a DTB-iW model of the procedural park rand:16 under
+// the name "default", small enough to fuzz quickly. It returns the server
+// and the park's cell count.
+func smallServer(tb testing.TB) (*Server, int) {
+	tb.Helper()
+	smallOnce.Do(func() {
+		ctx := context.Background()
+		svc := paws.NewService(paws.WithWorkers(1), paws.WithSeed(3),
+			paws.WithThresholds(3), paws.WithEnsembleSize(3), paws.WithTreeDepth(4))
+		sc, err := svc.Scenario(ctx, "rand:16")
+		if err != nil {
+			smallErr = err
+			return
+		}
+		year := sc.Data.Steps[len(sc.Data.Steps)-1].Year
+		split, err := sc.Data.SplitByTestYear(year, 3)
+		if err != nil {
+			smallErr = err
+			return
+		}
+		m, err := svc.Train(ctx, split.Train, paws.WithKind(paws.DTBiW))
+		if err != nil {
+			smallErr = err
+			return
+		}
+		testFrom, _ := sc.Data.StepsForYear(year)
+		if _, err := svc.AddModel(ctx, "default", m, sc.Data, testFrom-1); err != nil {
+			smallErr = err
+			return
+		}
+		smallSrv, smallCells = New(svc, Config{}), sc.Park.Grid.NumCells()
+	})
+	if smallErr != nil {
+		tb.Fatal(smallErr)
+	}
+	return smallSrv, smallCells
+}
+
+var (
+	smallOnce  sync.Once
+	smallSrv   *Server
+	smallCells int
+	smallErr   error
+)
+
+// FuzzPredictRequest posts arbitrary bytes to /v1/predict and /v1/riskmap
+// through the full handler, on smallServer's model. No request may panic
+// or answer 5xx, except 504 when the body set its own timeout_ms. A 200
+// predict carries one probability per requested row, a 200 riskmap one
+// risk and one uncertainty per cell, and a cells request on the served
+// model that names a cell outside [0, cells) answers 400.
+func FuzzPredictRequest(f *testing.F) {
+	s, n := smallServer(f)
+	sm, _ := s.svc.Served("default")
+	row := make([]float64, sm.FeatureDim())
+	// The fixture must serve, or every fuzzed request would fail alike.
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict",
+		strings.NewReader(fmt.Sprintf(`{"effort":1,"cells":[0,%d]}`, n-1))))
+	if rec.Code != http.StatusOK {
+		f.Fatalf("predict on the fixture: status %d, body %s", rec.Code, rec.Body)
+	}
+	for _, req := range []any{
+		PredictRequest{Effort: 1, Cells: []int{-1}},
+		PredictRequest{Effort: 1, Cells: []int{0}},
+		PredictRequest{Effort: 1, Cells: []int{n - 1}},
+		PredictRequest{Effort: 1, Cells: []int{n}},
+		PredictRequest{Effort: 1, Cells: make([]int, maxPredictRows+1)},
+		PredictRequest{Model: "default", Effort: 2.5, Cells: []int{0, n / 2, n - 1}, TimeoutMS: 1000},
+		PredictRequest{Effort: 1, Features: [][]float64{row}, Variance: true},
+		PredictRequest{Effort: 1, Features: [][]float64{row[1:]}},
+		PredictRequest{Effort: 1, Features: [][]float64{row}, Cells: []int{0}},
+		PredictRequest{Effort: 1, Cells: []int{0}, Variance: true},
+		PredictRequest{Effort: -1, Cells: []int{0}},
+		PredictRequest{Model: "nope", Effort: 1, Cells: []int{0}},
+		RiskMapRequest{Effort: 1.5},
+		RiskMapRequest{Effort: 1e308},
+		RiskMapRequest{Effort: 0},
+		RiskMapRequest{Model: "nope", Effort: 1},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		post := func(path string, v any) (int, []byte, bool) {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			// Decode as the handler does, to know what it was asked.
+			decoded := decodeBody(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)), v) == nil
+			return rec.Code, rec.Body.Bytes(), decoded
+		}
+		check5xx := func(path string, code int, timeoutMS int, raw []byte) {
+			if code >= 500 && (code != http.StatusGatewayTimeout || timeoutMS <= 0) {
+				t.Fatalf("%s answered %d to %q: %s", path, code, body, raw)
+			}
+		}
+
+		var pr PredictRequest
+		code, raw, ok := post("/v1/predict", &pr)
+		check5xx("/v1/predict", code, pr.TimeoutMS, raw)
+		if code == http.StatusOK {
+			var resp PredictResponse
+			if err := json.Unmarshal(raw, &resp); err != nil {
+				t.Fatalf("predict 200 body %q: %v", raw, err)
+			}
+			if !ok || len(resp.Probs) != len(pr.Cells)+len(pr.Features) {
+				t.Fatalf("predict 200 with %d probs for %d cells and %d rows", len(resp.Probs), len(pr.Cells), len(pr.Features))
+			}
+		}
+		if ok && (pr.Model == "" || pr.Model == "default") {
+			for _, c := range pr.Cells {
+				if (c < 0 || c >= n) && code != http.StatusBadRequest {
+					t.Fatalf("predict naming cell %d of %d answered %d: %s", c, n, code, raw)
+				}
+			}
+		}
+
+		var rr RiskMapRequest
+		code, raw, _ = post("/v1/riskmap", &rr)
+		check5xx("/v1/riskmap", code, rr.TimeoutMS, raw)
+		if code == http.StatusOK {
+			var resp RiskMapResponse
+			if err := json.Unmarshal(raw, &resp); err != nil {
+				t.Fatalf("riskmap 200 body %q: %v", raw, err)
+			}
+			if len(resp.Risk) != n || len(resp.Uncertainty) != n {
+				t.Fatalf("riskmap 200 with %d risks and %d uncertainties for %d cells", len(resp.Risk), len(resp.Uncertainty), n)
 			}
 		}
 	})

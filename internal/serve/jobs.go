@@ -397,18 +397,20 @@ func (s *Server) campaignFn(req CampaignJobRequest) (job.Fn, error) {
 // riskmapFn validates a riskmap request (including that the model is
 // registered — the registry is available at submit time) and lowers it to
 // a job function that shares computeRiskMap (and its LRU) with the
-// synchronous endpoint.
+// synchronous endpoint. Its result is the endpoint's encoded body, which
+// the result endpoint's encoder writes back unchanged.
 func (s *Server) riskmapFn(req RiskMapRequest) (job.Fn, error) {
-	if _, _, err := s.checkRiskMap(req); err != nil {
+	req, _, err := s.checkRiskMap(req)
+	if err != nil {
 		return nil, err
 	}
 	return func(ctx context.Context, publish func(job.Event)) (any, error) {
-		resp, err := s.computeRiskMap(ctx, req)
+		body, err := s.computeRiskMap(ctx, req)
 		if err != nil {
 			return nil, err
 		}
-		publish(job.Event{Stage: "map", Item: resp.Model, Current: 1, Total: 1})
-		return resp, nil
+		publish(job.Event{Stage: "map", Item: req.Model, Current: 1, Total: 1})
+		return json.RawMessage(body), nil
 	}, nil
 }
 

@@ -6,9 +6,10 @@ import (
 )
 
 // lruCache is a small, mutex-guarded, bounded LRU — the risk-map response
-// cache. Park-wide map generation costs seconds of model evaluation while a
-// cached response costs a map lookup, and rangers query the same handful of
-// nominal efforts, so a tiny cache absorbs almost all riskmap traffic.
+// cache, whose values are encoded response bodies. Park-wide map generation
+// costs seconds of model evaluation while a cached response costs a map
+// lookup, and rangers query the same handful of nominal efforts, so a tiny
+// cache absorbs almost all riskmap traffic.
 type lruCache struct {
 	mu    sync.Mutex
 	max   int

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"paws"
+	"paws/internal/job"
 )
 
 // fixture builds one served GPB-iW model shared by every test (training is
@@ -292,6 +293,113 @@ func TestRiskMapCacheHit(t *testing.T) {
 		t.Fatalf("cache holds %d entries, want 1", got)
 	}
 }
+
+// TestRiskMapBodyBytes pins the riskmap cache's stored bodies. The hit's
+// body must be the miss's with "cached":false swapped for "cached":true,
+// and exactly json.NewEncoder's output for the maps with Cached set, its
+// trailing newline included. A riskmap job's result must carry the same
+// bytes as the synchronous answer: the hit body when the LRU holds the
+// maps, the miss body when the job computed them.
+func TestRiskMapBodyBytes(t *testing.T) {
+	s := testServer(t, Config{RiskMapCacheSize: 8})
+	get := func(effort string) []byte {
+		t.Helper()
+		rec := doRaw(t, s, http.MethodGet, "/v1/riskmap?model=default&effort="+effort)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("riskmap at effort %s: status %d, body %s", effort, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	miss, hit := get("1.75"), get("1.75")
+	if want := bytes.Replace(miss, []byte(`"cached":false`), []byte(`"cached":true`), 1); !bytes.Equal(hit, want) {
+		t.Fatalf("hit body differs from the miss body with cached swapped:\n%.200s…\n%.200s…", hit, miss)
+	}
+	sm, _ := s.svc.Served("default")
+	risk, unc, err := s.svc.RiskMaps(context.Background(), "default", 1.75)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc bytes.Buffer
+	if err := json.NewEncoder(&enc).Encode(RiskMapResponse{
+		Model: "default", Effort: 1.75, Width: sm.Park().Grid.W, Height: sm.Park().Grid.H,
+		Cells: len(risk), Risk: risk, Uncertainty: unc, Cached: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(hit, enc.Bytes()) {
+		t.Fatal("hit body differs from json.NewEncoder's output for the maps")
+	}
+	// Two hits hand out the one stored slice: a hit neither encodes nor
+	// copies.
+	a, errA := s.computeRiskMap(context.Background(), RiskMapRequest{Effort: 1.75})
+	b, errB := s.computeRiskMap(context.Background(), RiskMapRequest{Effort: 1.75})
+	if errA != nil || errB != nil || &a[0] != &b[0] {
+		t.Fatalf("two hits returned different slices (errors %v, %v)", errA, errB)
+	}
+
+	jobBody := func(effort float64) []byte {
+		t.Helper()
+		snap := submitJob(t, s, JobSubmitRequest{Kind: "riskmap", RiskMap: &RiskMapRequest{Effort: effort}})
+		if final := pollJob(t, s, snap.ID); final.State != job.StateDone {
+			t.Fatalf("riskmap job ended %s", final.State)
+		}
+		rec := doRaw(t, s, http.MethodGet, "/v1/jobs/"+snap.ID+"/result")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("job result: status %d, body %s", rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	if got := jobBody(1.75); !bytes.Equal(got, hit) {
+		t.Fatal("riskmap job on a cached effort: result differs from the hit body")
+	}
+	computed := jobBody(2.75)
+	if want := bytes.Replace(get("2.75"), []byte(`"cached":true`), []byte(`"cached":false`), 1); !bytes.Equal(computed, want) {
+		t.Fatal("riskmap job that computed its maps: result differs from the miss body")
+	}
+}
+
+// TestRiskMapHitAllocations counts the allocations of one cached riskmap
+// GET through the full handler, with a writer that drops the body: the
+// count must not grow with the park, as it would if a hit allocated per
+// cell. On the 580-cell fixture and on smallServer's park it must stay
+// within one bound, well below either cell count. (The bound is not an
+// equality: under the race detector, sync.Pool drops items at random, so
+// the counts wobble by one or two.)
+func TestRiskMapHitAllocations(t *testing.T) {
+	small, smallN := smallServer(t)
+	hitAllocs := func(s *Server) float64 {
+		req := httptest.NewRequest(http.MethodGet, "/v1/riskmap?model=default&effort=1.25", nil)
+		w := &discardWriter{header: http.Header{}}
+		s.ServeHTTP(w, req) // fill the cache
+		return testing.AllocsPerRun(50, func() {
+			w.code = 0
+			s.ServeHTTP(w, req)
+			if w.code != http.StatusOK {
+				t.Fatalf("riskmap status %d", w.code)
+			}
+		})
+	}
+	const bound = 64
+	for _, c := range []struct {
+		s     *Server
+		cells int
+	}{{testServer(t, Config{}), fixtureN}, {small, smallN}} {
+		if got := hitAllocs(c.s); got > bound {
+			t.Fatalf("a riskmap hit on %d cells allocates %v times, want at most %d", c.cells, got, bound)
+		}
+	}
+}
+
+// discardWriter is an http.ResponseWriter that keeps the status and drops
+// the body.
+type discardWriter struct {
+	header http.Header
+	code   int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 
 // TestRequestDeadline checks an unmeetable per-request deadline surfaces as
 // 504 — the ctx reached mid-sweep and aborted the work.

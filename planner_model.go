@@ -25,9 +25,11 @@ import (
 // rungs evaluated so far — the ladder memo — and answers any effort with an
 // O(I) prefix combine plus the squash, the same float operations in the same
 // order as Model.PredictWithVariance. Service.RiskMaps and Service.Plan end
-// here; Service.Predict, PredictWithVariance and PredictCells evaluate the
-// same rungs and combine them through Model.PredictWithVarianceFlat, so all
-// five return the same probability for a cell and effort.
+// here, and Service.PredictCells reads the memo for each cell it covers;
+// Service.Predict, PredictWithVariance and PredictCells' other cells
+// evaluate the same rungs and combine them through
+// Model.PredictWithVarianceFlat, so all five return the same probability
+// for a cell and effort.
 //
 // A lookup that finds its prefix short fills the missing rungs: map sweeps
 // fill [have, nq(c)) for every park cell, a planner miss the full ladder of

@@ -265,31 +265,63 @@ func (s *Service) PredictWithVariance(ctx context.Context, name string, X [][]fl
 
 // PredictCells scores park cells of a registered model's serving context at
 // one planned effort, using the frozen per-cell feature vectors — the query
-// rangers actually ask ("how risky are these cells?"). It computes its rows
-// rather than reading the PlannerModel memo, whose single-flight fill slot
-// would make a handful of cells wait behind a cold park-wide risk-map fill;
-// the two agree bit for bit.
+// rangers actually ask ("how risky are these cells?"). A cell whose
+// PlannerModel ladder memo already holds the effort's qualified prefix is
+// answered from the memo, lock-free as Maps reads it; only the other cells
+// are computed, and they are not memoized. It never waits on the memo's
+// fill slot, so a few cells never queue behind a cold park-wide fill. Both
+// paths combine the same rung outputs, so they agree bit for bit. A
+// "predict" span records how many cells each path answered.
 func (s *Service) PredictCells(ctx context.Context, name string, cells []int, effort float64, opts ...Option) ([]float64, error) {
 	sm, err := s.served(name)
 	if err != nil {
 		return nil, err
 	}
-	n := sm.pm.features.Rows
-	X := ml.NewMatrix(len(cells), sm.pm.features.Cols)
-	for i, c := range cells {
-		if c < 0 || c >= n {
-			return nil, fmt.Errorf("paws: cell %d out of range [0, %d)", c, n)
+	pm := sm.pm
+	for _, c := range cells {
+		if c < 0 || c >= pm.features.Rows {
+			return nil, fmt.Errorf("paws: cell %d out of range [0, %d)", c, pm.features.Rows)
 		}
-		copy(X.Row(i), sm.pm.features.Row(c))
 	}
-	p, _, err := s.predict(ctx, sm, X, effort, opts)
-	return p, err
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
+	nq := sm.Model.qualifiedRungs(effort)
+	var memo, rest []int // indexes into cells
+	for i, c := range cells {
+		if int(pm.have[c].Load()) >= nq {
+			memo = append(memo, i)
+		} else {
+			rest = append(rest, i)
+		}
+	}
+	defer obs.StartSpan(ctx, "predict", fmt.Sprintf("memo %d computed %d", len(memo), len(rest)))()
+	out := make([]float64, len(cells))
+	p, v := pm.scratch()
+	for _, i := range memo {
+		out[i], _ = pm.raw(cells[i], effort, p, v)
+	}
+	if len(rest) == 0 {
+		return out, nil
+	}
+	X := ml.NewMatrix(len(rest), pm.features.Cols)
+	for k, i := range rest {
+		copy(X.Row(k), pm.features.Row(cells[i]))
+	}
+	computed, _, err := s.predict(ctx, sm, X, effort, opts)
+	if err != nil {
+		return nil, err
+	}
+	for k, i := range rest {
+		out[i] = computed[k]
+	}
+	return out, nil
 }
 
-// predict is the one body behind Predict, PredictWithVariance and
-// PredictCells: it scores X through Model.PredictWithVarianceFlat in
-// predictChunkSize-row chunks over the worker pool, observing ctx between
-// chunks.
+// predict is the one body behind Predict, PredictWithVariance and the cells
+// PredictCells finds unmemoized: it scores X through
+// Model.PredictWithVarianceFlat in predictChunkSize-row chunks over the
+// worker pool, observing ctx between chunks.
 func (s *Service) predict(ctx context.Context, sm *ServedModel, X ml.Matrix, effort float64, opts []Option) (p, variance []float64, err error) {
 	p, variance = make([]float64, X.Rows), make([]float64, X.Rows)
 	err = par.ForEachSliceCtx(ctx, s.settingsFor(opts).workers, X.Rows, predictChunkSize, func(lo, hi int) {

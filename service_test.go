@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"paws/internal/obs"
 	"paws/internal/plan"
 )
 
@@ -122,6 +123,13 @@ func TestEntryPointsHonourCanceledContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := NewService(WithScale(ScaleSmall))
+	if _, err := svc.AddModel(live, "default", m, sc.Data, testFrom-1); err != nil {
+		t.Fatal(err)
+	}
+	// Warm the memo at effort 1, so PredictCells would answer from it.
+	if _, _, err := svc.RiskMaps(live, "default", 1); err != nil {
+		t.Fatal(err)
+	}
 	quick := quickOpts(DTBiW, 89)
 	ps, err := svc.PlanStudy(live, sc, append(quick,
 		WithPosts(1), WithRegionShape(2, 8), WithPlanHorizon(4, 1, 3),
@@ -153,6 +161,14 @@ func TestEntryPointsHonourCanceledContext(t *testing.T) {
 		}},
 		{"PlannerModel.Maps", func(ctx context.Context) error {
 			_, _, err := pm.Maps(ctx, 1)
+			return err
+		}},
+		{"Service.RiskMaps", func(ctx context.Context) error {
+			_, _, err := svc.RiskMaps(ctx, "default", 1)
+			return err
+		}},
+		{"Service.PredictCells", func(ctx context.Context) error {
+			_, err := svc.PredictCells(ctx, "default", []int{0, 1, 2}, 1)
 			return err
 		}},
 		{"RunTable1", func(ctx context.Context) error {
@@ -523,6 +539,190 @@ func TestServicePredictCellsMatchesRiskMap(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestServicePredictCellsMemoStates pins PredictCells, which reads the
+// ladder memo for each cell whose memoized prefix covers the effort and
+// computes the rest, to Predict over the same feature rows, bit for bit,
+// for all six model kinds in four memo states, in this order: cold (only
+// AddModel's calibration sample is memoized), mixed (a Plan has filled the
+// full ladder of its region cells; the request also names cells outside
+// it), prefix too short (RiskMaps at effort 0.5, then PredictCells at 3)
+// and warm (RiskMaps at 3). PredictCells must not write the memo, and its
+// predict span must count the cells each path answered.
+func TestServicePredictCellsMemoStates(t *testing.T) {
+	ctx := context.Background()
+	const effort = 3
+	for _, kind := range []ModelKind{SVB, DTB, GPB, SVBiW, DTBiW, GPBiW} {
+		t.Run(kind.String(), func(t *testing.T) {
+			svc, _ := serviceFixture(t, kind)
+			sm, _ := svc.Served("default")
+			pm := sm.pm
+			nq := sm.Model.qualifiedRungs(effort)
+			all := make([]int, pm.features.Rows)
+			for c := range all {
+				all[c] = c
+			}
+			// check runs one state and returns how many cells came from
+			// the memo.
+			check := func(state string, cells []int) (memo int) {
+				t.Helper()
+				X := make([][]float64, len(cells))
+				for i, c := range cells {
+					X[i] = pm.features.Row(c)
+					if int(pm.have[c].Load()) >= nq {
+						memo++
+					}
+				}
+				want, err := svc.Predict(ctx, "default", X, effort)
+				if err != nil {
+					t.Fatal(err)
+				}
+				evals := pm.evals.Load()
+				rec := obs.NewRecorder(1)
+				tr := rec.Start("", "test:predict")
+				got, err := svc.PredictCells(obs.WithTrace(ctx, tr), "default", cells, effort)
+				tr.Finish("ok")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, c := range cells {
+					if got[i] != want[i] {
+						t.Fatalf("%s: cell %d: PredictCells %v, Predict %v", state, c, got[i], want[i])
+					}
+				}
+				if pm.evals.Load() != evals {
+					t.Fatalf("%s: PredictCells filled the memo", state)
+				}
+				item := fmt.Sprintf("memo %d computed %d", memo, len(cells)-memo)
+				if spans := rec.Recent()[0].Spans; len(spans) != 1 || spans[0].Name != "predict" || spans[0].Item != item {
+					t.Fatalf("%s: spans %+v, want one predict span %q", state, spans, item)
+				}
+				return memo
+			}
+
+			if memo := check("cold", all); memo == len(all) {
+				t.Fatalf("cold: all %d cells memoized", memo)
+			}
+
+			res, err := svc.Plan(ctx, "default", 0, 0.9, WithRegionShape(2, 8), WithPlanHorizon(4, 1, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			inRegion := map[int]bool{}
+			for _, c := range res.Cells {
+				inRegion[c] = true
+			}
+			mixed := append([]int(nil), res.Cells...)
+			for c := 1; len(mixed) < 2*len(res.Cells); c += 2 {
+				if !inRegion[c] {
+					mixed = append(mixed, c)
+				}
+			}
+			if memo := check("mixed", mixed); memo < len(res.Cells) || memo == len(mixed) {
+				t.Fatalf("mixed: %d of %d cells memoized, want every one of the %d region cells and not all", memo, len(mixed), len(res.Cells))
+			}
+
+			if _, _, err := svc.RiskMaps(ctx, "default", 0.5); err != nil {
+				t.Fatal(err)
+			}
+			memo := check("prefix too short", all)
+			if sm.Model.iw != nil && memo == len(all) {
+				t.Fatal("prefix too short: every cell memoized, so effort 0.5's prefix already covers effort 3")
+			}
+
+			if _, _, err := svc.RiskMaps(ctx, "default", effort); err != nil {
+				t.Fatal(err)
+			}
+			if memo := check("warm", all); memo != len(all) {
+				t.Fatalf("warm: %d of %d cells memoized", memo, len(all))
+			}
+		})
+	}
+}
+
+// TestServicePredictCellsIgnoresFillSlot holds the memo's single-flight
+// fill slot, as a cold park-wide fill would, and requires PredictCells to
+// answer a memoized and an unmemoized cell regardless.
+func TestServicePredictCellsIgnoresFillSlot(t *testing.T) {
+	svc, _ := serviceFixture(t, DTBiW)
+	sm, _ := svc.Served("default")
+	pm := sm.pm
+	// Cell 0 is in the calibration sample, cell 1 is not.
+	nq := sm.Model.qualifiedRungs(calibrationEffort)
+	if int(pm.have[0].Load()) < nq || pm.have[1].Load() != 0 {
+		t.Fatalf("memo holds %d and %d rungs of cells 0 and 1, want at least %d and 0", pm.have[0].Load(), pm.have[1].Load(), nq)
+	}
+	pm.fillSlot <- struct{}{}
+	defer func() { <-pm.fillSlot }()
+	done := make(chan error, 1)
+	go func() {
+		_, err := svc.PredictCells(context.Background(), "default", []int{0, 1}, calibrationEffort)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("PredictCells is waiting on the fill slot")
+	}
+}
+
+// TestServicePredictCellsDuringFill races PredictCells over every cell
+// against the map sweeps that fill the memo under it: whichever rungs each
+// call finds published, it must answer every cell as Predict does. Run
+// under -race, it checks that the memo reads are ordered after the fills.
+func TestServicePredictCellsDuringFill(t *testing.T) {
+	svc, _ := serviceFixture(t, GPBiW)
+	ctx := context.Background()
+	sm, _ := svc.Served("default")
+	cells := make([]int, sm.pm.features.Rows)
+	X := make([][]float64, len(cells))
+	for c := range cells {
+		cells[c] = c
+		X[c] = sm.pm.features.Row(c)
+	}
+	efforts := []float64{0.5, 3}
+	want := map[float64][]float64{}
+	for _, e := range efforts {
+		w, err := svc.Predict(ctx, "default", X, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[e] = w
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for g := range errs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			e := efforts[g%len(efforts)]
+			if g < len(efforts) {
+				_, _, errs[g] = svc.RiskMaps(ctx, "default", e)
+				return
+			}
+			got, err := svc.PredictCells(ctx, "default", cells, e)
+			if err != nil {
+				errs[g] = err
+				return
+			}
+			for c := range cells {
+				if got[c] != want[e][c] {
+					errs[g] = fmt.Errorf("effort %g cell %d: PredictCells %v, Predict %v", e, c, got[c], want[e][c])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
