@@ -1,9 +1,6 @@
 package geo
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // DistanceTransform computes, for every in-park cell, the shortest-path
 // distance in km to the nearest source cell, moving through in-park cells
@@ -14,25 +11,22 @@ func DistanceTransform(g *Grid, sources []int) *Raster {
 	for i := range r.V {
 		r.V[i] = math.Inf(1)
 	}
-	pq := &distHeap{}
-	heap.Init(pq)
+	var pq distHeap
 	for _, s := range sources {
 		if s < 0 || s >= g.NumCells() {
 			continue
 		}
 		if r.V[s] > 0 {
 			r.V[s] = 0
-			heap.Push(pq, distItem{id: s, d: 0})
+			pq.push(distItem{id: s, d: 0})
 		}
 	}
-	scratch := make([]int, 0, 8)
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(distItem)
+	for len(pq) > 0 {
+		it := pq.pop()
 		if it.d > r.V[it.id] {
 			continue
 		}
 		x, y := g.CellXY(it.id)
-		scratch = scratch[:0]
 		for dy := -1; dy <= 1; dy++ {
 			for dx := -1; dx <= 1; dx++ {
 				if dx == 0 && dy == 0 {
@@ -49,11 +43,10 @@ func DistanceTransform(g *Grid, sources []int) *Raster {
 				nd := it.d + step
 				if nd < r.V[n] {
 					r.V[n] = nd
-					heap.Push(pq, distItem{id: n, d: nd})
+					pq.push(distItem{id: n, d: nd})
 				}
 			}
 		}
-		_ = scratch
 	}
 	return r
 }
@@ -63,18 +56,50 @@ type distItem struct {
 	d  float64
 }
 
+// distHeap is a binary min-heap on d. push and pop sift exactly as
+// container/heap's Push and Pop do (the same comparisons, so the same
+// element lands in each slot), so items of equal distance pop in the same
+// order and every raster stays bit-identical; they only skip its interface
+// calls and the boxing of each item.
 type distHeap []distItem
 
-func (h distHeap) Len() int            { return len(h) }
-func (h distHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(distItem)) }
-func (h *distHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+func (h *distHeap) push(it distItem) {
+	q := append(*h, it)
+	j := len(q) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !(it.d < q[i].d) {
+			break
+		}
+		q[j] = q[i]
+		j = i
+	}
+	q[j] = it
+	*h = q
+}
+
+func (h *distHeap) pop() distItem {
+	q := *h
+	n := len(q) - 1
+	top, it := q[0], q[n]
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for j := 1; j < n; j = 2*i + 1 {
+		if j+1 < n && q[j+1].d < q[j].d {
+			j++
+		}
+		if !(q[j].d < it.d) {
+			break
+		}
+		q[i] = q[j]
+		i = j
+	}
+	q[i] = it
+	return top
 }
 
 // BoundaryCells returns the compact ids of all cells on the park boundary.

@@ -1,9 +1,12 @@
 package geo
 
 import (
+	"container/heap"
 	"math"
 	"testing"
 	"testing/quick"
+
+	"paws/internal/rng"
 )
 
 func squareGrid(n int) *Grid {
@@ -198,6 +201,39 @@ func TestDistanceTransformTriangleInequality(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refHeap is container/heap's view of distItem: the pop order distHeap
+// must keep, ties included, for DistanceTransform to stay bit-identical.
+type refHeap []distItem
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i].d < h[j].d }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(distItem)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
+}
+
+func TestDistHeapMatchesContainerHeap(t *testing.T) {
+	r := rng.New(3)
+	var got distHeap
+	want := &refHeap{}
+	for step := 0; step < 20000; step++ {
+		if len(got) == 0 || (step < 15000 && r.Float64() < 0.6) {
+			// Few distinct distances, so most comparisons are ties.
+			it := distItem{id: step, d: float64(r.Intn(16))}
+			got.push(it)
+			heap.Push(want, it)
+			continue
+		}
+		if g, w := got.pop(), heap.Pop(want).(distItem); g != w {
+			t.Fatalf("step %d: popped %+v, container/heap pops %+v", step, g, w)
+		}
 	}
 }
 

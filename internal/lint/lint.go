@@ -22,8 +22,10 @@
 //     deterministic-compute packages, where streams must derive from
 //     internal/rng instead.
 //   - maporder: a `range` over a map that appends to a slice declared
-//     outside the loop, writes to an io.Writer, or sends on a channel,
-//     in a function with no key sort — the classic determinism killer.
+//     outside the loop, writes to an io.Writer, sends on a channel, or
+//     keeps its key or value in an outer variable under an ordering
+//     comparison (an arg-max), in a function with no key sort — the
+//     classic determinism killer.
 //   - goroutine: bare `go` statements outside the sanctioned concurrency
 //     owners (internal/par, internal/job, internal/env, internal/gate,
 //     internal/load, and cmd/examples binaries).
@@ -89,7 +91,7 @@ func Checks() []Check {
 	return []Check{
 		{"wallclock", "time.Now/Since/Sleep calls in deterministic-compute packages (inject a now hook instead)", checkWallclock},
 		{"globalrand", "global math/rand functions anywhere; rand.New/NewSource in compute packages (derive from internal/rng)", checkGlobalRand},
-		{"maporder", "map iteration emitting order-dependent output (append to outer slice, io.Writer, channel send) without a key sort", checkMapOrder},
+		{"maporder", "map iteration emitting order-dependent output (append to outer slice, io.Writer, channel send, arg-max into an outer variable) without a key sort", checkMapOrder},
 		{"goroutine", "bare go statements outside the sanctioned concurrency owners (internal/par, job, env, gate, load, cmd)", checkGoroutine},
 		{"errenvelope", "serve/gate handlers writing non-2xx responses without the structured error envelope", checkErrEnvelope},
 	}

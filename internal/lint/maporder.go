@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -10,10 +11,13 @@ import (
 // checkMapOrder flags `range` statements over maps whose body emits
 // order-dependent output — appends to a slice declared outside the loop,
 // writes to an io.Writer (which includes http.ResponseWriter and
-// strings.Builder), or sends on a channel — in a function that performs
-// no key sort. Go randomizes map iteration order per run, so any of
-// these leaks scheduling noise into output that the determinism contract
-// says is a pure function of the inputs.
+// strings.Builder), sends on a channel, or keeps the range key or value
+// in a variable declared outside the loop under an ordering comparison
+// (an arg-max or arg-min, whose winner on a tie is whichever entry came
+// first) — in a function that performs no key sort. Go randomizes map
+// iteration order per run, so any of these leaks scheduling noise into
+// output that the determinism contract says is a pure function of the
+// inputs.
 //
 // The standard collect-keys-then-sort idiom passes: the presence of any
 // sort call (package sort, slices.Sort*, a .Sort() method, or a helper
@@ -114,10 +118,64 @@ func emitKind(info *types.Info, rs *ast.RangeStmt) string {
 				kind = "writes to io.Writer " + target
 				return false
 			}
+		case *ast.IfStmt:
+			if !hasOrdering(n.Cond) {
+				return true
+			}
+			if from, to := keepsRangeVar(info, rs, n); to != "" {
+				kind = fmt.Sprintf("keeps %s in %s (declared outside the loop) under a comparison", from, to)
+				return false
+			}
 		}
 		return true
 	})
 	return kind
+}
+
+// hasOrdering reports whether e contains an ordering comparison
+// (<, <=, >, >=).
+func hasOrdering(e ast.Expr) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if b, ok := n.(*ast.BinaryExpr); ok {
+			switch b.Op {
+			case token.LSS, token.LEQ, token.GTR, token.GEQ:
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// keepsRangeVar finds the first plain assignment in the if statement
+// (either branch) that stores rs's key or value, as is, into a variable
+// declared outside the loop, and returns the two names ("" when none).
+func keepsRangeVar(info *types.Info, rs *ast.RangeStmt, ifs *ast.IfStmt) (from, to string) {
+	rangeVars := map[types.Object]bool{}
+	for _, e := range []ast.Expr{rs.Key, rs.Value} {
+		if id, ok := e.(*ast.Ident); ok && info.ObjectOf(id) != nil {
+			rangeVars[info.ObjectOf(id)] = true
+		}
+	}
+	ast.Inspect(ifs, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if to != "" || !ok || as.Tok != token.ASSIGN || len(as.Lhs) != len(as.Rhs) {
+			return to == ""
+		}
+		for i, rhs := range as.Rhs {
+			src, ok := ast.Unparen(rhs).(*ast.Ident)
+			if !ok || !rangeVars[info.ObjectOf(src)] {
+				continue
+			}
+			if id := rootIdent(as.Lhs[i]); id != nil && declaredOutside(info, id, rs) {
+				from, to = src.Name, id.Name
+				return false
+			}
+		}
+		return true
+	})
+	return from, to
 }
 
 // isAppendCall reports whether e is a call to the append builtin.

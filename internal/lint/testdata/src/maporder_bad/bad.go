@@ -1,5 +1,5 @@
-// Corpus: maporder must fire on map iterations that emit
-// order-dependent output with no key sort (loaded as internal/campaign).
+// Corpus: maporder must fire on map iterations that emit order-dependent
+// output or pick an arg-max, with no key sort (loaded as internal/campaign).
 package badmap
 
 import (
@@ -25,4 +25,14 @@ func StreamUnsorted(m map[int]bool, ch chan<- int) {
 	for k := range m {
 		ch <- k
 	}
+}
+
+func ArgmaxUnsorted(m map[string]float64) string {
+	best, arg := -1.0, ""
+	for k, v := range m {
+		if v > best {
+			best, arg = v, k
+		}
+	}
+	return arg
 }

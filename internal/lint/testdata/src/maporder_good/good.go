@@ -1,5 +1,6 @@
-// Corpus: maporder must stay silent on the collect-then-sort idiom and
-// on order-independent aggregation (loaded as internal/campaign).
+// Corpus: maporder must stay silent on the collect-then-sort idiom, on an
+// arg-max over sorted keys and on order-independent aggregation (loaded as
+// internal/campaign).
 package goodmap
 
 import (
@@ -50,6 +51,31 @@ func LocalOnly(m map[string][]int) int {
 		var evens []int
 		evens = append(evens, vs...)
 		n += len(evens)
+	}
+	return n
+}
+
+func ArgmaxSorted(m map[string]float64) string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	best, arg := -1.0, ""
+	for _, k := range keys {
+		if m[k] > best {
+			best, arg = m[k], k
+		}
+	}
+	return arg
+}
+
+func CountAbove(m map[string]float64, t float64) int {
+	n := 0
+	for _, v := range m {
+		if v > t {
+			n++
+		}
 	}
 	return n
 }

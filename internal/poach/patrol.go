@@ -43,15 +43,16 @@ type PatrolConfig struct {
 // draws a random sector target within half the patrol length of the post,
 // heads toward it on the outbound leg, then returns — the sector-rotation
 // behaviour that spreads real ranger patrols over many distinct cells.
-func patrolWalk(p *geo.Park, post int, cfg PatrolConfig, month int, riverSet map[int]bool, r *rng.RNG) []int {
+//
+// road and river are per-cell masks indexed by cell id. road marks the
+// park's road cells; river marks its river cells when rivers are
+// impassable this month and is nil when they are not. SimulatePatrolMonth
+// builds both once and shares them across the month's patrols: a walk
+// looks up only its steps' neighbours, while a park can hold thousands of
+// road cells (6,738 at 10^5 cells), so building a mask per walk would cost
+// more than the walk itself.
+func patrolWalk(p *geo.Park, post int, cfg PatrolConfig, road, river []bool, r *rng.RNG) []int {
 	attract := p.FeatureByName("animal_density")
-	roads := map[int]bool{}
-	for _, id := range p.Roads {
-		roads[id] = true
-	}
-	blocked := func(id int) bool {
-		return cfg.WetSeasonRiverBlock && !DrySeason(month) && riverSet[id]
-	}
 	roam := cfg.Roam
 	if roam <= 0 {
 		roam = 0.15
@@ -80,11 +81,11 @@ func patrolWalk(p *geo.Park, post int, cfg PatrolConfig, month int, riverSet map
 		best := -1
 		bestScore := math.Inf(-1)
 		for _, n := range nbr {
-			if blocked(n) {
+			if river != nil && river[n] {
 				continue
 			}
 			score := r.Float64()
-			if roads[n] {
+			if road[n] {
 				score += cfg.RoadBias
 			}
 			if attract != nil {
@@ -117,19 +118,21 @@ func patrolWalk(p *geo.Park, post int, cfg PatrolConfig, month int, riverSet map
 // SimulatePatrolMonth runs all patrols for one month and returns the raw
 // waypoint stream plus the true per-cell effort (km walked in each cell).
 // patrolIDBase offsets patrol identifiers so IDs are globally unique.
+// It builds the walk's road mask, and in wet months under
+// WetSeasonRiverBlock its river mask, once for all of the month's patrols
+// (see patrolWalk).
 func SimulatePatrolMonth(p *geo.Park, cfg PatrolConfig, month, patrolIDBase int, r *rng.RNG) ([]Waypoint, []float64) {
 	effort := make([]float64, p.Grid.NumCells())
 	var wps []Waypoint
-	riverSet := map[int]bool{}
-	if cfg.WetSeasonRiverBlock {
-		for _, id := range p.Rivers {
-			riverSet[id] = true
-		}
+	road := cellMask(p.Grid.NumCells(), p.Roads)
+	var river []bool
+	if cfg.WetSeasonRiverBlock && !DrySeason(month) {
+		river = cellMask(p.Grid.NumCells(), p.Rivers)
 	}
 	pid := patrolIDBase
 	for _, post := range p.Posts {
 		for k := 0; k < cfg.PatrolsPerPostMonth; k++ {
-			path := patrolWalk(p, post, cfg, month, riverSet, r)
+			path := patrolWalk(p, post, cfg, road, river, r)
 			prev := -1
 			for step, cell := range path {
 				// Effort: distance entering the cell (1 or √2 km).
@@ -153,6 +156,15 @@ func SimulatePatrolMonth(p *geo.Park, cfg PatrolConfig, month, patrolIDBase int,
 		}
 	}
 	return wps, effort
+}
+
+// cellMask returns a per-cell mask of length n that is true at ids.
+func cellMask(n int, ids []int) []bool {
+	mask := make([]bool, n)
+	for _, id := range ids {
+		mask[id] = true
+	}
+	return mask
 }
 
 func maxInt(a, b int) int {

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # pawsvet smoke test: build the analyzer, prove every check still fires on a
-# scratch module seeded with one violation per check (so a check cannot be
-# removed or neutered without CI failing), and assert the repository itself
-# is pawsvet-clean. Used by CI and runnable locally:
+# scratch module seeded with one violation per check, plus maporder's
+# map-range arg-max (so a check cannot be removed or neutered without CI
+# failing), and assert the repository itself is pawsvet-clean. Used by CI and runnable locally:
 # ./scripts/pawsvet_smoke.sh
 set -euo pipefail
 
@@ -56,6 +56,19 @@ func Keys(m map[string]int) []string {
 	return out
 }
 EOF
+cat >"$SCRATCH/internal/campaign/argmax.go" <<'EOF'
+package campaign
+
+func Argmax(m map[string]float64) string {
+	best, arg := -1.0, ""
+	for k, v := range m {
+		if v > best {
+			best, arg = v, k
+		}
+	}
+	return arg
+}
+EOF
 cat >"$SCRATCH/internal/stats/spawn.go" <<'EOF'
 package stats
 
@@ -88,6 +101,12 @@ for check in wallclock globalrand maporder goroutine errenvelope; do
     exit 1
   fi
 done
+
+if ! grep -q "argmax.go:.*: maporder: .* under a comparison" "$WORKDIR/findings.txt"; then
+  echo "FAIL: seeded map-range arg-max not reported by maporder:"
+  cat "$WORKDIR/findings.txt"
+  exit 1
+fi
 
 echo "== pawsvet -json emits machine-readable findings"
 set +e
