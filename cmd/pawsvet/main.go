@@ -81,6 +81,13 @@ func run(jsonOut bool, checksFlag string, list bool, patterns []string) int {
 		return 2
 	}
 
+	// A package that does not typecheck leaves the type-based checks with
+	// partial information, so its findings may be incomplete.
+	for _, pkg := range pkgs {
+		for _, err := range pkg.TypeErrors {
+			fmt.Fprintf(os.Stderr, "pawsvet: type error (findings may be incomplete): %v\n", err)
+		}
+	}
 	findings := lint.Run(pkgs, checks)
 	if jsonOut {
 		if err := lint.WriteJSON(os.Stdout, findings); err != nil {

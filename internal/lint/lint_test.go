@@ -24,6 +24,7 @@ var corpus = []struct{ dir, rel string }{
 	{"errenvelope_good", "internal/serve"},
 	{"suppress_bad", "internal/env"},
 	{"suppress_good", "internal/env"},
+	{"buildtags_good", "internal/mat"},
 }
 
 // runCorpus loads one corpus dir and returns its findings.
@@ -35,6 +36,9 @@ func runCorpus(t *testing.T, dir, rel string) []Finding {
 	}
 	if pkg.Types == nil {
 		t.Fatalf("LoadDir(%s): no type information", dir)
+	}
+	if len(pkg.TypeErrors) > 0 {
+		t.Fatalf("LoadDir(%s): type errors %v", dir, pkg.TypeErrors)
 	}
 	return Run([]*Package{pkg}, Checks())
 }
@@ -130,6 +134,13 @@ func TestSelfLint(t *testing.T) {
 	}
 	if len(mod.Pkgs) < 20 {
 		t.Fatalf("implausibly few packages loaded (%d) — loader regression?", len(mod.Pkgs))
+	}
+	// A package that does not typecheck leaves the type-based checks
+	// with partial information, and they go quiet on it.
+	for _, pkg := range mod.Pkgs {
+		for _, err := range pkg.TypeErrors {
+			t.Errorf("package %q: type error: %v", pkg.Rel, err)
+		}
 	}
 	findings := Run(mod.Pkgs, Checks())
 	if len(findings) != 0 {

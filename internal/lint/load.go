@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -24,13 +25,17 @@ type Package struct {
 	Class Class
 	// Fset positions all Files.
 	Fset *token.FileSet
-	// Files are the package's non-test source files.
+	// Files are the package's non-test source files that the host's
+	// build constraints select (go/build's default context).
 	Files []*ast.File
 	// Types and Info carry the go/types results. Info may be partial if
 	// the package did not typecheck cleanly; checks degrade to silence,
-	// never to panics, on missing type information.
+	// never to panics, on missing type information, so TypeErrors says
+	// when that happened.
 	Types *types.Package
 	Info  *types.Info
+	// TypeErrors are the typechecker's errors, in the order it found them.
+	TypeErrors []error
 
 	root string // module root, for rendering file paths
 }
@@ -98,9 +103,10 @@ func modulePath(gomod string) (string, error) {
 }
 
 // LoadModule parses and typechecks every package of the module rooted at
-// root (skipping *_test.go files, testdata, and hidden directories).
-// Packages that fail to typecheck are still returned with partial type
-// information; parse failures abort the load.
+// root (skipping *_test.go files, files the host's build constraints
+// exclude, testdata, and hidden directories). Packages that fail to
+// typecheck are still returned, with partial type information and their
+// TypeErrors; parse failures abort the load.
 func LoadModule(root string) (*Module, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -131,6 +137,9 @@ func LoadModule(root string) (*Module, error) {
 			return nil
 		}
 		dir := filepath.Dir(p)
+		if ok, err := build.Default.MatchFile(dir, d.Name()); err != nil || !ok {
+			return err
+		}
 		rel, err := filepath.Rel(root, dir)
 		if err != nil {
 			return err
@@ -224,7 +233,7 @@ func LoadModule(root string) (*Module, error) {
 				}
 				return imp.Import(p)
 			}),
-			Error: func(error) {}, // collect nothing; tolerate partial info
+			Error: func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 		}
 		pkg.Info = &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
@@ -242,8 +251,9 @@ func LoadModule(root string) (*Module, error) {
 
 // LoadDir parses and typechecks one directory as a standalone package
 // with the given module-relative directory (which decides its
-// classification). Imports resolve against the standard library only —
-// the corpus-test entry point.
+// classification), skipping the files the host's build constraints
+// exclude. Imports resolve against the standard library only — the
+// corpus-test entry point.
 func LoadDir(dir, rel string) (*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -259,6 +269,13 @@ func LoadDir(dir, rel string) (*Package, error) {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
 			continue
 		}
+		ok, err := build.Default.MatchFile(abs, e.Name())
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			continue
+		}
 		file, err := parser.ParseFile(fset, filepath.Join(abs, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
@@ -268,7 +285,10 @@ func LoadDir(dir, rel string) (*Package, error) {
 	if len(pkg.Files) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
-	cfg := types.Config{Importer: newStdImporter(fset), Error: func(error) {}}
+	cfg := types.Config{
+		Importer: newStdImporter(fset),
+		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
+	}
 	pkg.Info = &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Uses:       map[*ast.Ident]types.Object{},

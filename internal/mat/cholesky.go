@@ -98,57 +98,6 @@ func (c *Cholesky) SolveLower(b []float64) []float64 {
 	return y
 }
 
-// SolveLowerFlat solves L·Y = B in place for nrhs right-hand sides stored
-// contiguously in B (row-major, one RHS per stride-n row). One forward pass
-// over L serves every RHS, instead of one pass per RHS as repeated
-// SolveLower calls would make, and the RHS loop is unrolled four ways so
-// each loaded L row element feeds four independent accumulators. Per-RHS
-// arithmetic still runs in SolveLower's exact order (k ascending, one
-// subtraction per step), so results are bit-identical to the one-at-a-time
-// path — the unroll only interleaves independent RHS streams.
-func (c *Cholesky) SolveLowerFlat(B []float64, nrhs int) {
-	n := c.n
-	if len(B) != nrhs*n {
-		panic(fmt.Sprintf("mat: SolveLowerFlat buffer length %d want %d×%d", len(B), nrhs, n))
-	}
-	r := 0
-	for ; r+4 <= nrhs; r += 4 {
-		y0 := B[(r+0)*n : (r+1)*n]
-		y1 := B[(r+1)*n : (r+2)*n]
-		y2 := B[(r+2)*n : (r+3)*n]
-		y3 := B[(r+3)*n : (r+4)*n]
-		for i := 0; i < n; i++ {
-			lrow := c.l.Row(i)
-			d := lrow[i]
-			s0, s1, s2, s3 := y0[i], y1[i], y2[i], y3[i]
-			a0, a1, a2, a3 := y0[:i], y1[:i], y2[:i], y3[:i]
-			for k, lk := range lrow[:i] {
-				s0 -= lk * a0[k]
-				s1 -= lk * a1[k]
-				s2 -= lk * a2[k]
-				s3 -= lk * a3[k]
-			}
-			y0[i] = s0 / d
-			y1[i] = s1 / d
-			y2[i] = s2 / d
-			y3[i] = s3 / d
-		}
-	}
-	for ; r < nrhs; r++ {
-		y := B[r*n : (r+1)*n]
-		for i := 0; i < n; i++ {
-			lrow := c.l.Row(i)
-			d := lrow[i]
-			s := y[i]
-			a := y[:i]
-			for k, lk := range lrow[:i] {
-				s -= lk * a[k]
-			}
-			y[i] = s / d
-		}
-	}
-}
-
 // SolveLowerT solves Lᵀ·x = y by backward substitution.
 func (c *Cholesky) SolveLowerT(y []float64) []float64 {
 	if len(y) != c.n {

@@ -1,6 +1,7 @@
 package gp
 
 import (
+	"math"
 	"testing"
 
 	"paws/internal/ml"
@@ -9,8 +10,10 @@ import (
 )
 
 // TestPredictBatchMatchesPointwise asserts the batched GP prediction path
-// (single back-substitution pass per batch) returns exactly the floats the
-// per-point path does.
+// (32-query panels) returns exactly the floats the per-point path does: 40
+// two-feature rows (one short panel), then 22-feature data at batch sizes
+// around the panel width, where full panels run the host's fastest kernels
+// and a short last panel the Go ones.
 func TestPredictBatchMatchesPointwise(t *testing.T) {
 	r := rng.New(9)
 	var X [][]float64
@@ -44,6 +47,22 @@ func TestPredictBatchMatchesPointwise(t *testing.T) {
 	for i, q := range Q {
 		if probs[i] != g.PredictProba(q) {
 			t.Fatalf("point %d: proba batch mismatch", i)
+		}
+	}
+
+	Xw, yw := wideData(400, 22, 31)
+	gw := New(Config{MaxTrain: 150, Seed: 6})
+	if err := gw.Fit(Xw, yw); err != nil {
+		t.Fatal(err)
+	}
+	Qw, _ := wideData(200, 22, 32)
+	for _, m := range []int{1, 31, 32, 33, 64, 65, 200} {
+		ps, vs := gw.PredictWithVarianceFlat(ml.MatrixFromRows(Qw[:m]))
+		for i, q := range Qw[:m] {
+			p, v := gw.PredictWithVariance(q)
+			if math.Float64bits(ps[i]) != math.Float64bits(p) || math.Float64bits(vs[i]) != math.Float64bits(v) {
+				t.Fatalf("22 features, m=%d, point %d: batch (%v, %v) != pointwise (%v, %v)", m, i, ps[i], vs[i], p, v)
+			}
 		}
 	}
 }

@@ -246,69 +246,92 @@ func (g *GP) PredictProbaFlat(X ml.Matrix) []float64 {
 }
 
 // PredictWithVarianceFlat scores a whole flat matrix at once — the columnar
-// hot path of the repo. The kernel vectors of all query points are assembled
-// into one backing buffer (which then becomes the W^{1/2}-weighted RHS block
-// in place), and a single batched forward substitution
-// (mat.Cholesky.SolveLowerFlat) resolves every predictive variance in one
-// unrolled pass over L — instead of re-walking the factor per point as the
-// pointwise path does. One standardization scratch vector serves every row.
-// The arithmetic per point is identical, so the returned floats match
-// PredictWithVariance bit for bit.
+// hot path of the repo. It works through the query rows in panels of
+// mat.PanelWidth (32); a panel of w queries goes through five passes:
+//
+//  1. its queries are standardized and stored feature-major in zt (k rows
+//     of w values);
+//  2. mat.SqDistPanel fills the n×w panel K with their squared distances to
+//     the n training rows, so row i holds training point i's distance to
+//     each query; one separate pass then maps every entry d² to
+//     signalVar·exp(−d²/denom);
+//  3. a pass down the rows adds K[i][q]·grad[i] into query q's latent mean
+//     and scales row i by W^{1/2}_i in place, turning K into the
+//     right-hand sides;
+//  4. mat.Cholesky.SolveLowerPanel solves L·V = K in place, one column per
+//     query;
+//  5. a last pass sums each column's v·v for the variance.
+//
+// Every sum runs in the pointwise path's index order (features, then
+// training rows, ascending), so the returned floats match
+// PredictWithVariance bit for bit. The panel, zt and the per-query sums,
+// about (n+k)·32 floats, come from a pool and serve every panel of the
+// call; the panel starts on a 64-byte boundary for the assembly kernels.
 func (g *GP) PredictWithVarianceFlat(X ml.Matrix) ([]float64, []float64) {
 	if !g.fitted {
 		panic(ml.ErrNotFitted)
 	}
+	const pw = mat.PanelWidth
 	m := X.Rows
 	n := g.xf.Rows
-	// One pooled scratch block serves the RHS matrix, the latent means and
-	// the standardization buffer: map sweeps call this method thousands of
-	// times per second, and pooling keeps those calls allocation-free. Every
-	// scratch entry is overwritten before it is read, so reuse cannot change
-	// results.
-	buf := getScratch(m*n + m + X.Cols)
-	defer putScratch(buf)
-	rhs := buf[: m*n : m*n]
-	means := buf[m*n : m*n+m : m*n+m]
-	z := buf[m*n+m:]
-	// The kernel loop is inlined against the flat training matrix: same
-	// expressions as kernel() (difference loop, then signalVar·exp(−d²/denom)
-	// with denom computed identically), walking g.xf.Data linearly.
-	denom := 2 * g.ls * g.ls
-	xd := g.xf.Data
 	k := g.xf.Cols
-	for r := 0; r < m; r++ {
-		g.std.TransformInto(X.Row(r), z)
-		ks := rhs[r*n : (r+1)*n]
-		base := 0
-		for i := 0; i < n; i++ {
-			xi := xd[base : base+k]
-			base += k
-			var d2 float64
-			for j, zj := range z {
-				d := zj - xi[j]
-				d2 += d * d
-			}
-			ks[i] = signalVar * math.Exp(-d2/denom)
-		}
-		means[r] = mat.Dot(ks, g.grad)
-		// Scale in place: ks is only needed as the W^{1/2}-weighted RHS now.
-		for i := 0; i < n; i++ {
-			ks[i] *= g.wSqrt[i]
-		}
-	}
-	// v_r = L \ (W^{1/2} k*_r), solved in place for all rows at once.
-	g.chB.SolveLowerFlat(rhs, m)
+	// One pooled scratch block serves the panel, zt, the standardization
+	// buffer and the per-query sums: map sweeps call this method thousands
+	// of times per second, and pooling keeps those calls allocation-free.
+	// Every scratch entry is overwritten before it is read, so reuse cannot
+	// change results.
+	size := n*pw + k*pw + k + 2*pw
+	buf := getScratch(size + 7)
+	defer putScratch(buf)
+	work := mat.AlignedPanel(buf, size)
+	panel, work := work[:n*pw], work[n*pw:]
+	ztBuf, work := work[:k*pw], work[k*pw:]
+	z, work := work[:k], work[k:]
+	meanBuf, vvBuf := work[:pw], work[pw:]
+	denom := 2 * g.ls * g.ls
 	ps := make([]float64, m)
 	vs := make([]float64, m)
-	for r := 0; r < m; r++ {
-		v := rhs[r*n : (r+1)*n]
-		variance := signalVar + jitter - mat.Dot(v, v)
-		if variance < 0 {
-			variance = 0
+	for r0 := 0; r0 < m; r0 += pw {
+		w := min(pw, m-r0)
+		K, zt := panel[:n*w], ztBuf[:k*w]
+		for q := 0; q < w; q++ {
+			g.std.TransformInto(X.Row(r0+q), z)
+			for j, v := range z {
+				zt[j*w+q] = v
+			}
 		}
-		p := stats.Logistic(means[r] / math.Sqrt(1+math.Pi*variance/8))
-		ps[r] = correctOdds(p, g.oddsInflation)
-		vs[r] = variance
+		mat.SqDistPanel(K, g.xf.Data, zt, n, k, w)
+		for i, d2 := range K {
+			K[i] = signalVar * math.Exp(-d2/denom)
+		}
+		means := meanBuf[:w]
+		clear(means)
+		for i := 0; i < n; i++ {
+			gi, si := g.grad[i], g.wSqrt[i]
+			row := K[i*w : (i+1)*w]
+			for q, v := range row {
+				means[q] += v * gi
+				row[q] = v * si
+			}
+		}
+		// v_q = L \ (W^{1/2} k*_q), solved in place for the whole panel.
+		g.chB.SolveLowerPanel(K, w)
+		vv := vvBuf[:w]
+		clear(vv)
+		for i := 0; i < n; i++ {
+			for q, v := range K[i*w : (i+1)*w] {
+				vv[q] += v * v
+			}
+		}
+		for q := 0; q < w; q++ {
+			variance := signalVar + jitter - vv[q]
+			if variance < 0 {
+				variance = 0
+			}
+			p := stats.Logistic(means[q] / math.Sqrt(1+math.Pi*variance/8))
+			ps[r0+q] = correctOdds(p, g.oddsInflation)
+			vs[r0+q] = variance
+		}
 	}
 	return ps, vs
 }

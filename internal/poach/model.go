@@ -234,29 +234,42 @@ func (gt *GroundTruth) Calibrate(cells []int, efforts []float64, months []int, t
 	if len(cells) == 0 {
 		return 0, fmt.Errorf("poach: no patrolled points to calibrate on")
 	}
+	// Detection does not depend on the bias, so each point's probability
+	// is computed once, not at every bisection step.
+	detect := make([]float64, len(cells))
+	n := 0
+	for i, e := range efforts {
+		if e > 0 {
+			detect[i] = gt.DetectProb(e)
+			n++
+		}
+	}
 	rate := func(bias float64) float64 {
+		if n == 0 {
+			return 0
+		}
 		var sum float64
-		n := 0
 		for i, id := range cells {
 			if efforts[i] <= 0 {
 				continue
 			}
 			logit := gt.score[id] + bias + gt.seasonal(id, months[i])
-			sum += stats.Logistic(logit) * gt.DetectProb(efforts[i])
-			n++
-		}
-		if n == 0 {
-			return 0
+			sum += stats.Logistic(logit) * detect[i]
 		}
 		return sum / float64(n)
 	}
 	lo, hi := -20.0, 10.0
-	if rate(hi) < target {
+	if r := rate(hi); r < target {
 		gt.Bias = hi
-		return rate(hi), nil
+		return r, nil
 	}
 	for iter := 0; iter < 80; iter++ {
 		mid := (lo + hi) / 2
+		// Once mid equals an end of the interval, every later step leaves
+		// (lo+hi)/2 where it is, so the bias is already final.
+		if mid == lo || mid == hi {
+			break
+		}
 		if rate(mid) < target {
 			lo = mid
 		} else {

@@ -274,13 +274,10 @@ func (pm *PlannerModel) fillChunk(cells []int, from, to int) {
 func (pm *PlannerModel) SquashScale() float64 { return pm.squashScale }
 
 // mapChunkSize is the row count of one memo-fill batch: small enough that a
-// canceled context stops a park-wide sweep promptly, large enough that the
-// GP's batched back-substitution still amortizes its pass over the Cholesky
-// factor. Chunk boundaries never change the floats (every batch path is
-// row-independent), so this is purely a latency/cancellation knob. 128 rows
-// also keep the flat per-chunk scratch (rows × GP subsample) inside L1/L2
-// for the columnar path — larger chunks measurably lose more to cache misses
-// than they gain in amortized dispatch.
+// canceled context stops a park-wide sweep promptly, and a multiple of the
+// GP's 32-query panel (mat.PanelWidth), so a full chunk fills whole panels.
+// Chunk boundaries never change the floats (every batch path is
+// row-independent), so this is purely a latency/cancellation knob.
 const mapChunkSize = 128
 
 // Maps evaluates the model over every park cell at one planned effort in a
