@@ -9,26 +9,39 @@
 // # Panel kernels
 //
 // The GP scores its queries in panels of PanelWidth (32): SqDistPanel fills
-// a panel with squared kernel distances, and Cholesky.SolveLowerPanel runs
-// the forward substitution over a whole panel in place. Which code runs:
+// a panel with squared kernel distances, ExpPanel maps them through
+// exp(−d²/denom) and folds in the latent means and the W^{1/2} scaling,
+// and Cholesky.SolveLowerPanel runs the forward substitution over a whole
+// panel in place. Which code runs:
 //
 //   - On amd64 hosts with AVX2 (CPUID, plus XGETBV for the YMM state the
 //     operating system saves; checked once, at start-up), a full panel runs
-//     a Go-assembly kernel (panel_amd64.s) that holds one panel row in
-//     eight YMM accumulators.
-//   - Everything else runs the Go kernels in panel.go over the same layout,
-//     four columns at a time: other architectures, hosts without AVX2, and
-//     a panel narrower than 32 (a call's last one).
+//     a Go-assembly kernel (panel_amd64.s). The distance and solve kernels
+//     hold one panel row in eight YMM accumulators; the exp kernel works
+//     four lanes at a time.
+//   - Everything else runs the Go kernels in panel.go over the same layout:
+//     other architectures, hosts without AVX2, and a panel narrower than 32
+//     (a call's last one). ExpPanel also leaves to Go any row holding a d²
+//     beyond ±700·denom or a NaN, and every row where the exp kernel does
+//     not match math.Exp (no FMA, or GODEBUG=cpu.fma=off).
 //
 // Both are bit-identical to each other and to the pointwise loops
-// (SolveLower, and the GP's `d := z − x; d2 += d*d`). Every lane sums in
-// the same index order, and every product and every sum or difference
-// rounds on its own. So the assembly multiplies, then subtracts or adds
-// (VMULPD, then VSUBPD or VADDPD), and never uses a fused multiply-add,
-// whose single rounding would change the last bit; the Go compiler fuses
-// nothing on amd64 unless the code calls math.FMA. The tests hold the
-// assembly to the Go kernels bit for bit, NaN, infinities, subnormals and
-// −0 included.
+// (SolveLower, the GP's `d := z − x; d2 += d*d`, and math.Exp). Every lane
+// sums in the same index order. The distance and solve kernels round
+// every product and every sum or difference on their own (VMULPD, then
+// VSUBPD or VADDPD), as the Go compiler does on amd64, where it fuses no
+// multiply-add unless the code calls math.FMA.
+//
+// The exp kernel is math.Exp's own amd64 algorithm (exp_amd64.s) on its
+// fused path. That algorithm has two paths: math.Exp fuses ten of its
+// steps where the CPU has FMA and GODEBUG does not set cpu.fma=off, and
+// none elsewhere. At start-up the kernel runs on a probe row, some of
+// whose lanes the two paths round differently, and it is used only if
+// every lane equals math.Exp's bits; elsewhere every row runs in Go. So
+// the exp kernel is the only assembly here that fuses, exactly where
+// math.Exp does, and only where math.Exp fuses too. The tests hold the
+// assembly to the Go kernels and to a Go port of the fused path bit for
+// bit, NaN, infinities, subnormals and −0 included.
 //
 // Go cannot preempt assembly asynchronously, so one assembly call covers
 // one panel and no more. At n = 150 a panel solve is 357,600

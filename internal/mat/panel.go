@@ -2,6 +2,7 @@ package mat
 
 import (
 	"fmt"
+	"math"
 	"unsafe"
 )
 
@@ -67,6 +68,65 @@ func SqDistPanel(D, X, ZT []float64, n, k, w int) {
 		return
 	}
 	sqDistPanelGo(D, X, ZT, n, k, w)
+}
+
+// expMaxArg bounds the exp kernel's inputs: a row holding a d² outside
+// [−expMaxArg·denom, expMaxArg·denom] runs in Go. Within it exp(x) and its
+// power of two 2^round(x·log2 e) are normal floats, so the kernel never
+// meets the overflow, denormal and non-finite branches of math.Exp.
+const expMaxArg = 700
+
+// expProbe is lane q of the row that checks the exp kernel at start-up:
+// d² = (3+17q)/16 at denominator 1, so x runs from −0.1875 to −33.125.
+// archExp's two paths round four of its lanes differently (the tests hold
+// it to at least one), so the kernel, which follows the fused path, cannot
+// match math.Exp on its plain path.
+func expProbe(q int) float64 { return float64(3+17*q) / 16 }
+
+// ExpPanel maps a panel of squared distances through exp(−d²/denom) and
+// folds it into two uses at once, in place: P holds n rows of w values,
+// weight and scale one value per row, and sums w values. For each row i in
+// order, and each column q,
+//
+//	e := math.Exp(-P[i*w+q] / denom)
+//	sums[q] += e * weight[i]
+//	P[i*w+q] = e * scale[i]
+//
+// which is the loop a row runs in Go. A full panel (w = PanelWidth) runs
+// the AVX2 exp kernel where it rounds as math.Exp does on the host (see
+// the package doc), so every result is bit-identical to the Go loop's; a
+// row holding a d² beyond ±700·denom, or a NaN, runs in Go, and the
+// kernel resumes after it.
+func ExpPanel(P []float64, n, w int, denom float64, weight, scale, sums []float64) {
+	if n < 0 || w < 0 || w > PanelWidth || len(P) != n*w || len(weight) != n || len(scale) != n || len(sums) != w {
+		panic(fmt.Sprintf("mat: ExpPanel lengths P %d weight %d scale %d sums %d want %d×%d, %d, %d, %d (width ≤ %d)",
+			len(P), len(weight), len(scale), len(sums), n, w, n, n, w, PanelWidth))
+	}
+	// A bound that is not a positive finite number could let ±Inf or 0/0
+	// into the kernel.
+	hi := expMaxArg * denom
+	kernel := w == PanelWidth && useExpKernel && hi > 0 && hi <= math.MaxFloat64
+	for i := 0; i < n; i++ {
+		if kernel {
+			// The kernel takes the rows up to the first it must not; that
+			// row runs in Go, and the kernel resumes after it.
+			i += expRowsAsm(P[i*w:], denom, hi, weight[i:], scale[i:], sums)
+			if i == n {
+				return
+			}
+		}
+		expRowGo(P[i*w:(i+1)*w], denom, weight[i], scale[i], sums)
+	}
+}
+
+// expRowGo is ExpPanel's loop for one row.
+func expRowGo(row []float64, denom, weight, scale float64, sums []float64) {
+	sums = sums[:len(row)]
+	for q, d2 := range row {
+		e := math.Exp(-d2 / denom)
+		sums[q] += e * weight
+		row[q] = e * scale
+	}
 }
 
 // solveLowerPanelGo is the portable panel forward substitution, one panel

@@ -2,8 +2,12 @@
 
 package mat
 
-// hasAVX2 is false off amd64: every panel runs the Go kernels.
-const hasAVX2 = false
+// Off amd64 every panel runs the Go kernels.
+const (
+	hasAVX2      = false
+	hasFMA       = false
+	useExpKernel = false
+)
 
 func solveLowerPanelAsm(l []float64, n int, P []float64) {
 	panic("mat: no assembly panel kernels on this architecture")
@@ -11,4 +15,8 @@ func solveLowerPanelAsm(l []float64, n int, P []float64) {
 
 func sqDistPanelAsm(D, X, ZT []float64, n, k int) {
 	panic("mat: no assembly panel kernels on this architecture")
+}
+
+func expRowsAsm(P []float64, denom, hi float64, weight, scale, sums []float64) int {
+	panic("mat: no assembly exp kernel on this architecture")
 }

@@ -11,6 +11,7 @@ package gp
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"paws/internal/mat"
@@ -253,20 +254,22 @@ func (g *GP) PredictProbaFlat(X ml.Matrix) []float64 {
 //     of w values);
 //  2. mat.SqDistPanel fills the n×w panel K with their squared distances to
 //     the n training rows, so row i holds training point i's distance to
-//     each query; one separate pass then maps every entry d² to
-//     signalVar·exp(−d²/denom);
-//  3. a pass down the rows adds K[i][q]·grad[i] into query q's latent mean
-//     and scales row i by W^{1/2}_i in place, turning K into the
-//     right-hand sides;
+//     each query;
+//  3. mat.ExpPanel maps every entry d² to the kernel value
+//     e = signalVar·exp(−d²/denom), adds e·grad[i] into query q's latent
+//     mean, row by row, and scales row i by W^{1/2}_i in place, turning K
+//     into the right-hand sides;
 //  4. mat.Cholesky.SolveLowerPanel solves L·V = K in place, one column per
 //     query;
 //  5. a last pass sums each column's v·v for the variance.
 //
 // Every sum runs in the pointwise path's index order (features, then
-// training rows, ascending), so the returned floats match
-// PredictWithVariance bit for bit. The panel, zt and the per-query sums,
-// about (n+k)·32 floats, come from a pool and serve every panel of the
-// call; the panel starts on a 64-byte boundary for the assembly kernels.
+// training rows, ascending), and the exp kernel rounds as math.Exp does,
+// so the returned floats match PredictWithVariance bit for bit. Full
+// panels run mat's AVX2 kernels where the host has them, a short last
+// panel its Go ones. The panel, zt and the per-query sums, about (n+k)·32
+// floats, come from a pool and serve every panel of the call; the panel
+// starts on a 64-byte boundary for the assembly kernels.
 func (g *GP) PredictWithVarianceFlat(X ml.Matrix) ([]float64, []float64) {
 	if !g.fitted {
 		panic(ml.ErrNotFitted)
@@ -301,19 +304,11 @@ func (g *GP) PredictWithVarianceFlat(X ml.Matrix) ([]float64, []float64) {
 			}
 		}
 		mat.SqDistPanel(K, g.xf.Data, zt, n, k, w)
-		for i, d2 := range K {
-			K[i] = signalVar * math.Exp(-d2/denom)
-		}
 		means := meanBuf[:w]
 		clear(means)
-		for i := 0; i < n; i++ {
-			gi, si := g.grad[i], g.wSqrt[i]
-			row := K[i*w : (i+1)*w]
-			for q, v := range row {
-				means[q] += v * gi
-				row[q] = v * si
-			}
-		}
+		// signalVar is 1, so each kernel value signalVar·exp(−d²/denom) is
+		// the bare exp that ExpPanel computes.
+		mat.ExpPanel(K, n, w, denom, g.grad, g.wSqrt, means)
 		// v_q = L \ (W^{1/2} k*_q), solved in place for the whole panel.
 		g.chB.SolveLowerPanel(K, w)
 		vv := vvBuf[:w]
@@ -450,7 +445,6 @@ func medianHeuristic(X [][]float64) float64 {
 	for n*(n-1)/2/stride > 200000 {
 		stride++
 	}
-	count := 0
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j += stride {
 			var d2 float64
@@ -459,13 +453,15 @@ func medianHeuristic(X [][]float64) float64 {
 				d2 += d * d
 			}
 			dists = append(dists, math.Sqrt(d2))
-			count++
 		}
 	}
 	if len(dists) == 0 {
 		return 1
 	}
-	m := stats.Percentile(dists, 50)
+	// stats.Percentile(dists, 50) without its copy: it sorts with
+	// sort.Float64s, which is slices.Sort.
+	slices.Sort(dists)
+	m := stats.PercentileSorted(dists, 50)
 	if m <= 1e-9 {
 		return 1
 	}

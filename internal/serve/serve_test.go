@@ -23,8 +23,8 @@ var (
 	fixtureSvc  *paws.Service
 	fixtureErr  error
 	fixtureN    int // park cells
-	// fixtureReg re-registers the fixture model on another service (see
-	// coldServer).
+	// fixtureReg trains a GPB-iW model on the fixture's data with larger
+	// GPs and registers it on another service (see coldServer).
 	fixtureReg func(ctx context.Context, svc *paws.Service) error
 )
 
@@ -63,8 +63,12 @@ func testService(t *testing.T) *paws.Service {
 		}
 		fixtureSvc = svc
 		fixtureN = sc.Park.Grid.NumCells()
-		fixtureReg = func(ctx context.Context, svc *paws.Service) error {
-			_, err := svc.AddModel(ctx, "default", m, sc.Data, testFrom-1)
+		fixtureReg = func(ctx context.Context, other *paws.Service) error {
+			big, err := svc.Train(ctx, split.Train, paws.WithKind(paws.GPBiW), paws.WithGPMaxTrain(200))
+			if err != nil {
+				return err
+			}
+			_, err = other.AddModel(ctx, "default", big, sc.Data, testFrom-1)
 			return err
 		}
 	})
@@ -78,9 +82,13 @@ func testServer(t *testing.T, cfg Config) *Server {
 	return New(testService(t), cfg)
 }
 
-// coldServer serves the fixture model from a fresh registration on its own
+// coldServer serves a GPB-iW model from a fresh registration on its own
 // service, so no earlier test has warmed its planner memo: a park-wide
-// riskmap on it is real model work.
+// riskmap on it is real model work. Its GPs keep 200 training points, not
+// the fixture's 50, so that work takes ~15 ms on a 2-vCPU VM: far past a
+// 1 ms deadline even when the timer behind it fires late under load. The
+// fixture model's own sweep takes ~3 ms, and beside a CPU-heavy test run
+// it finished before the timer fired in 14 of 150 tries.
 func coldServer(t *testing.T, cfg Config) *Server {
 	testService(t)
 	svc := paws.NewService(paws.WithWorkers(2))

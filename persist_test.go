@@ -323,7 +323,11 @@ func TestLoadedModelIsPredictOnly(t *testing.T) {
 // its files store them: so this shows each constant equals the value those
 // models were trained with, and that a file holding a since-deleted field
 // still decodes. The SVM model is unbalanced so its class weighting matters;
-// the GP model covers balanced bags.
+// the GP model covers balanced bags. The files were written on a host where
+// math.Exp takes the fused (FMA) path of its amd64 algorithm, and their
+// weights carry its bits: under GODEBUG=cpu.fma=off, math.Exp takes the
+// plain path, the retrained weights differ in the last bits and this test
+// fails. CI's cpu.fma=off step leaves the root package out for that reason.
 func TestSavedV1ModelsLoad(t *testing.T) {
 	ctx := context.Background()
 	sc, err := NewService(WithScale(ScaleSmall), WithSeed(7)).Scenario(ctx, "MFNP")

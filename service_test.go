@@ -368,15 +368,18 @@ func TestRiskMapCtxDeadlineAbortsSweepEarly(t *testing.T) {
 	// cells than the park — the sweep stopped early — and the error must
 	// still surface. The sweep runs sequentially at an effort that
 	// qualifies the whole ladder, so it spans several chunks of real work.
+	// The deadline passes once the first chunk is filled: a wall-clock
+	// budget would race the sweep, which takes under 3 ms here.
 	sm.pm.Workers = 1
 	const top = 8
-	short, cancel2 := context.WithTimeout(context.Background(), 2*time.Millisecond)
-	defer cancel2()
-	if _, _, err := svc.RiskMaps(short, "default", top); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("RiskMaps with 2ms budget: err = %v, want context.DeadlineExceeded", err)
+	filled := sm.pm.evals.Load()
+	mid := &expiringCtx{Context: context.Background(), done: make(chan struct{}),
+		expired: func() bool { return sm.pm.evals.Load() > filled }}
+	if _, _, err := svc.RiskMaps(mid, "default", top); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("RiskMaps expiring after its first chunk: err = %v, want context.DeadlineExceeded", err)
 	}
 	if covered := sm.pm.covered(top); covered >= n {
-		t.Fatalf("all %d cells evaluated despite the 2ms deadline (sweep did not abort early)", n)
+		t.Fatalf("all %d cells evaluated despite the deadline (sweep did not abort early)", n)
 	}
 
 	// A live context still produces the full maps afterwards.
@@ -387,6 +390,29 @@ func TestRiskMapCtxDeadlineAbortsSweepEarly(t *testing.T) {
 	if len(risk) != n || len(unc) != len(risk) {
 		t.Fatalf("map sizes %d/%d, want %d", len(risk), len(unc), n)
 	}
+}
+
+// expiringCtx is a context whose deadline passes as soon as expired
+// reports true: from then on Err returns context.DeadlineExceeded and Done
+// is closed.
+type expiringCtx struct {
+	context.Context
+	expired func() bool
+	done    chan struct{}
+	once    sync.Once
+}
+
+func (c *expiringCtx) Err() error {
+	if !c.expired() {
+		return nil
+	}
+	c.once.Do(func() { close(c.done) })
+	return context.DeadlineExceeded
+}
+
+func (c *expiringCtx) Done() <-chan struct{} {
+	c.Err()
+	return c.done
 }
 
 // TestServicePredictConcurrentDeterministic floods one served model with
