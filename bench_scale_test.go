@@ -63,6 +63,9 @@ var (
 	scaleCache = map[int]*scaleFixture{}
 )
 
+// scaleTrainOpts configure the DTB-iW model every park size trains.
+var scaleTrainOpts = []paws.Option{paws.WithKind(paws.DTBiW), paws.WithThresholds(5), paws.WithEnsembleSize(5), paws.WithSeed(53)}
+
 // scaleFixtureFor builds (once per process) the rand:7@cells scenario and a
 // DTB-iW model sized for throughput benchmarking.
 func scaleFixtureFor(tb testing.TB, cells int) *scaleFixture {
@@ -80,9 +83,7 @@ func scaleFixtureFor(tb testing.TB, cells int) *scaleFixture {
 		tb.Fatalf("scenario rand:7@%d: %v", cells, err)
 	}
 	pts := sc.Data.AllPoints()
-	m, err := paws.Train(context.Background(), pts, paws.TrainOptions{
-		Kind: paws.DTBiW, Thresholds: 5, Members: 5, Seed: 53, Workers: 0,
-	})
+	m, err := paws.NewService().Train(context.Background(), pts, scaleTrainOpts...)
 	if err != nil {
 		tb.Fatalf("train at %d cells: %v", cells, err)
 	}
@@ -136,11 +137,10 @@ func BenchmarkScaleTrain(b *testing.B) {
 	for _, sz := range scaleSizes {
 		b.Run(sz.name, func(b *testing.B) {
 			f := scaleFixtureFor(b, sz.cells)
+			svc := paws.NewService()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := paws.Train(context.Background(), f.pts, paws.TrainOptions{
-					Kind: paws.DTBiW, Thresholds: 5, Members: 5, Seed: 53, Workers: 0,
-				}); err != nil {
+				if _, err := svc.Train(context.Background(), f.pts, scaleTrainOpts...); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -157,13 +157,17 @@ func BenchmarkScaleRiskMap(b *testing.B) {
 		b.Run(sz.name, func(b *testing.B) {
 			f := scaleFixtureFor(b, sz.cells)
 			prev := len(f.sc.Data.Steps) - 1
+			svc := paws.NewService()
+			ctx := context.Background()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pm, err := paws.NewPlannerModel(context.Background(), f.m, f.sc.Data, prev, 0)
+				// Re-registering the name builds a fresh PlannerModel, so
+				// every iteration starts from a cold memo.
+				sm, err := svc.AddModel(ctx, "m", f.m, f.sc.Data, prev)
 				if err != nil {
 					b.Fatal(err)
 				}
-				risk, unc, err := pm.Maps(context.Background(), 2)
+				risk, unc, err := sm.PlannerModel().Maps(ctx, 2)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"paws/internal/dataset"
-	"paws/internal/job"
 	"paws/internal/plan"
 	"paws/internal/stats"
 )
@@ -252,17 +251,15 @@ func BenchmarkAblationThresholds(b *testing.B) {
 	var aucPct, aucFixed float64
 	for i := 0; i < b.N; i++ {
 		// Percentile ladder (library default).
-		m1, err := Train(context.Background(), split.Train, TrainOptions{
-			Kind: DTBiW, Thresholds: 5, Members: 5, Seed: int64(37 + i),
-		})
+		m1, err := NewService().Train(context.Background(), split.Train,
+			WithKind(DTBiW), WithThresholds(5), WithEnsembleSize(5), WithSeed(int64(37+i)))
 		if err != nil {
 			b.Fatal(err)
 		}
 		aucPct = m1.AUC(split.Test)
 		// Fixed-km ladder, emulating the original iWare-E grid.
-		m2, err := TrainWithThresholds(context.Background(), split.Train, []float64{0, 1.5, 3, 4.5, 6}, TrainOptions{
-			Kind: DTBiW, Members: 5, Seed: int64(37 + i),
-		})
+		st := settings{kind: DTBiW, members: 5, seed: int64(37 + i)}
+		m2, err := st.fit(context.Background(), split.Train, []float64{0, 1.5, 3, 4.5, 6})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -282,16 +279,13 @@ func BenchmarkAblationWeights(b *testing.B) {
 	}
 	var aucOpt, aucUni float64
 	for i := 0; i < b.N; i++ {
-		mo, err := Train(context.Background(), split.Train, TrainOptions{
-			Kind: DTBiW, Thresholds: 5, Members: 5, CVFolds: 3, Seed: int64(41 + i),
-		})
+		svc := NewService(WithKind(DTBiW), WithThresholds(5), WithEnsembleSize(5), WithSeed(int64(41+i)))
+		mo, err := svc.Train(context.Background(), split.Train, WithCVFolds(3))
 		if err != nil {
 			b.Fatal(err)
 		}
 		aucOpt = mo.AUC(split.Test)
-		mu, err := Train(context.Background(), split.Train, TrainOptions{
-			Kind: DTBiW, Thresholds: 5, Members: 5, Seed: int64(41 + i),
-		})
+		mu, err := svc.Train(context.Background(), split.Train)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -311,16 +305,13 @@ func BenchmarkAblationBalancedBagging(b *testing.B) {
 	}
 	var aucBal, aucPlain float64
 	for i := 0; i < b.N; i++ {
-		mb, err := Train(context.Background(), split.Train, TrainOptions{
-			Kind: DTB, Members: 6, Balanced: true, Seed: int64(43 + i),
-		})
+		svc := NewService(WithKind(DTB), WithEnsembleSize(6), WithSeed(int64(43+i)))
+		mb, err := svc.Train(context.Background(), split.Train, WithBalancedBagging(true))
 		if err != nil {
 			b.Fatal(err)
 		}
 		aucBal = mb.AUC(split.Test)
-		mp, err := Train(context.Background(), split.Train, TrainOptions{
-			Kind: DTB, Members: 6, Seed: int64(43 + i),
-		})
+		mp, err := svc.Train(context.Background(), split.Train)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -340,7 +331,8 @@ func BenchmarkSubstrateGP(b *testing.B) {
 	}
 	var auc float64
 	for i := 0; i < b.N; i++ {
-		m, err := Train(context.Background(), split.Train, TrainOptions{Kind: GPB, Members: 1, GPMaxTrain: 100, Seed: int64(47 + i)})
+		m, err := NewService().Train(context.Background(), split.Train,
+			WithKind(GPB), WithEnsembleSize(1), WithGPMaxTrain(100), WithSeed(int64(47+i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -381,7 +373,7 @@ func BenchmarkChiSquared(b *testing.B) {
 
 // ------------------------------------------------------- Parallel layer
 
-// The benchmarks below size the worker pool to GOMAXPROCS (Workers: 0), so
+// The benchmarks below size the worker pool to GOMAXPROCS (WithWorkers(0)), so
 // running them with `-cpu 1,4` compares sequential against 4-way parallel
 // wall-clock directly — e.g.
 //
@@ -400,20 +392,21 @@ func BenchmarkEnsembleTrain(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, opts := range []TrainOptions{
-		{Kind: GPBiW, Thresholds: 5, Members: 5, GPMaxTrain: 80, Seed: 51, Workers: 0},
-		{Kind: DTBiW, Thresholds: 5, Members: 5, Seed: 51, Workers: 0},
-	} {
-		b.Run(opts.Kind.String(), func(b *testing.B) {
+	svc := NewService(WithWorkers(0), WithThresholds(5), WithEnsembleSize(5), WithGPMaxTrain(80), WithSeed(51))
+	for _, kind := range []ModelKind{GPBiW, DTBiW} {
+		b.Run(kind.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Train(context.Background(), split.Train, opts); err != nil {
+				if _, err := svc.Train(context.Background(), split.Train, WithKind(kind)); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
 }
+
+// benchGPBiW is the GPB-iW model the risk-map and warm-up benchmarks serve.
+var benchGPBiW = []Option{WithKind(GPBiW), WithThresholds(5), WithEnsembleSize(5), WithGPMaxTrain(80), WithSeed(53)}
 
 // BenchmarkRiskMapGen measures full-park risk + uncertainty map generation
 // through the batch prediction API. A fresh PlannerModel per iteration keeps
@@ -424,16 +417,14 @@ func BenchmarkRiskMapGen(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := Train(context.Background(), split.Train, TrainOptions{
-		Kind: GPBiW, Thresholds: 5, Members: 5, GPMaxTrain: 80, Seed: 53, Workers: 0,
-	})
+	m, err := NewService().Train(context.Background(), split.Train, benchGPBiW...)
 	if err != nil {
 		b.Fatal(err)
 	}
 	testFrom, _ := sc.Data.StepsForYear(benchLastYear(sc))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pm, err := NewPlannerModel(context.Background(), m, sc.Data, testFrom-1, 0)
+		pm, err := newPlannerModel(context.Background(), m, sc.Data, testFrom-1, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -457,9 +448,7 @@ func BenchmarkPlannerWarmUp(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := Train(context.Background(), split.Train, TrainOptions{
-		Kind: GPBiW, Thresholds: 5, Members: 5, GPMaxTrain: 80, Seed: 53, Workers: 0,
-	})
+	m, err := NewService().Train(context.Background(), split.Train, benchGPBiW...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -501,63 +490,4 @@ func BenchmarkTable2Sweep(b *testing.B) {
 		auc = rows[len(rows)-1].AUC
 	}
 	b.ReportMetric(auc, "AUC-last")
-}
-
-// BenchmarkSimSeason measures one closed-loop simulation season of the paws
-// policy — bootstrap the history, rebuild the dataset, retrain DTB-iW, plan
-// the risk-targeted allocation plus Frank-Wolfe routes, and execute three
-// months against the adaptive attacker. This is the unit of work
-// Service.Simulate scales by (seasons × policies × parks). Results are
-// recorded in BENCH_sim.json.
-func BenchmarkSimSeason(b *testing.B) {
-	svc := NewService(WithWorkers(0), WithSeed(7), WithScale(ScaleSmall))
-	var detections int
-	for i := 0; i < b.N; i++ {
-		rep, err := svc.Simulate(context.Background(), SimConfig{
-			Park:     "MFNP",
-			Seasons:  1,
-			Policies: []string{"paws"},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		detections = rep.Policies[0].Detections
-	}
-	b.ReportMetric(float64(detections), "detections")
-}
-
-// BenchmarkJobOverhead measures what the async job layer (internal/job)
-// adds on top of a direct call: the submit → wait → result → remove round
-// trip of a one-shot job (the exact path synchronous /v1/simulate takes
-// through Manager.Run) against invoking the same function inline. The
-// workload is a small fixed compute so the numbers isolate the job
-// machinery itself. Results are recorded in BENCH_jobs.json.
-func BenchmarkJobOverhead(b *testing.B) {
-	work := func() float64 {
-		var s float64
-		for i := 0; i < 4096; i++ {
-			s += float64(i%97) * 1.0000001
-		}
-		return s
-	}
-	want := work()
-	b.Run("direct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if work() != want {
-				b.Fatal("diverged")
-			}
-		}
-	})
-	b.Run("job", func(b *testing.B) {
-		m := job.NewManager(job.Config{Workers: 1})
-		ctx := context.Background()
-		for i := 0; i < b.N; i++ {
-			res, err := m.Run(ctx, "bench", func(ctx context.Context, publish func(job.Event)) (any, error) {
-				return work(), nil
-			})
-			if err != nil || res.(float64) != want {
-				b.Fatalf("job run: %v, %v", res, err)
-			}
-		}
-	})
 }

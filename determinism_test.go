@@ -26,19 +26,18 @@ func kindOutputs(t *testing.T, sc *Scenario, kind ModelKind, workers int) (preds
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := quickTrainOpts(kind, 5)
-	opts.Workers = workers
+	opts := append(quickOpts(kind, 5), WithWorkers(workers))
 	if kind.IsIWare() {
 		// Exercise the staged CV fan-out too.
-		opts.CVFolds = 2
+		opts = append(opts, WithCVFolds(2))
 	}
-	m, err := Train(context.Background(), split.Train, opts)
+	m, err := NewService().Train(context.Background(), split.Train, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	preds = m.PredictPoints(split.Test)
 	testFrom, _ := sc.Data.StepsForYear(year)
-	pm, err := NewPlannerModel(context.Background(), m, sc.Data, testFrom-1, 0)
+	pm, err := newPlannerModel(context.Background(), m, sc.Data, testFrom-1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +89,7 @@ func TestBatchPredictionMatchesPointwise(t *testing.T) {
 	}
 	for _, kind := range []ModelKind{DTB, GPBiW} {
 		t.Run(kind.String(), func(t *testing.T) {
-			m, err := Train(context.Background(), split.Train, quickTrainOpts(kind, 9))
+			m, err := NewService().Train(context.Background(), split.Train, quickOpts(kind, 9)...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,13 +117,13 @@ func TestPlannerModelConcurrentLookups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Train(context.Background(), split.Train, quickTrainOpts(DTBiW, 7))
+	m, err := NewService().Train(context.Background(), split.Train, quickOpts(DTBiW, 7)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	testFrom, _ := sc.Data.StepsForYear(year)
 	newPM := func() *PlannerModel {
-		pm, err := NewPlannerModel(context.Background(), m, sc.Data, testFrom-1, 0)
+		pm, err := newPlannerModel(context.Background(), m, sc.Data, testFrom-1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,13 +270,11 @@ func TestPresetPipelineWorkerInvariance(t *testing.T) {
 		exact, hier *PlanResult
 	}
 	run := func(workers int) outputs {
-		opts := quickTrainOpts(DTBiW, 53)
-		opts.Workers = workers
-		m, err := Train(ctx, sc.Data.AllPoints(), opts)
+		svc := NewService(WithWorkers(workers))
+		m, err := svc.Train(ctx, sc.Data.AllPoints(), quickOpts(DTBiW, 53)...)
 		if err != nil {
 			t.Fatalf("workers=%d train: %v", workers, err)
 		}
-		svc := NewService(WithWorkers(workers))
 		sm, err := svc.AddModel(ctx, "m", m, sc.Data, prev)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

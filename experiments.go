@@ -147,11 +147,10 @@ func (s *Service) Table2(ctx context.Context, sc *Scenario, name string, opts ..
 	var done atomic.Int64
 	return par.MapErrCtx(ctx, st.workers, len(cells), func(i int) (Table2Row, error) {
 		c := cells[i]
-		tr := st.trainOptions()
-		tr.Kind = c.kind
-		tr.Seed = c.seed
-		tr.progress = nil // the sweep reports per cell, not per weak learner
-		m, err := Train(ctx, c.split.Train, tr)
+		cs := st
+		cs.kind, cs.seed = c.kind, c.seed
+		cs.progress = nil // the sweep reports per cell, not per weak learner
+		m, err := cs.train(ctx, c.split.Train)
 		if err != nil {
 			return Table2Row{}, fmt.Errorf("paws: %s %d %v: %w", name, c.year, c.kind, err)
 		}
@@ -259,12 +258,12 @@ func (s *Service) Fig6(ctx context.Context, sc *Scenario, testYear int, opts ...
 	if err != nil {
 		return nil, err
 	}
-	m, err := Train(ctx, split.Train, st.trainOptions())
+	m, err := st.train(ctx, split.Train)
 	if err != nil {
 		return nil, err
 	}
 	testFrom, _ := sc.Data.StepsForYear(testYear)
-	pm, err := NewPlannerModel(ctx, m, sc.Data, testFrom-1, st.workers)
+	pm, err := newPlannerModel(ctx, m, sc.Data, testFrom-1, st.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -324,9 +323,9 @@ func (s *Service) Fig7(ctx context.Context, sc *Scenario, testYear int, opts ...
 	}
 	// The two probe models are independent; train them concurrently.
 	models, err := par.MapErrCtx(ctx, st.workers, 2, func(i int) (*Model, error) {
-		mo := st.trainOptions()
-		mo.Kind = []ModelKind{GPB, DTB}[i]
-		return Train(ctx, split.Train, mo)
+		ms := st
+		ms.kind = []ModelKind{GPB, DTB}[i]
+		return ms.train(ctx, split.Train)
 	})
 	if err != nil {
 		return nil, err
@@ -382,12 +381,12 @@ func (s *Service) PlanStudy(ctx context.Context, sc *Scenario, opts ...Option) (
 	if !st.kind.IsIWare() {
 		st.kind = GPBiW
 	}
-	m, err := Train(ctx, split.Train, st.trainOptions())
+	m, err := st.train(ctx, split.Train)
 	if err != nil {
 		return nil, err
 	}
 	testFrom, _ := sc.Data.StepsForYear(testYear)
-	pm, err := NewPlannerModel(ctx, m, sc.Data, testFrom-1, st.workers)
+	pm, err := newPlannerModel(ctx, m, sc.Data, testFrom-1, st.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -530,12 +529,12 @@ func (s *Service) Table3(ctx context.Context, sc *Scenario, name string, blockSi
 			st.kind = GPBiW
 		}
 	}
-	m, err := Train(ctx, split.Train, st.trainOptions())
+	m, err := st.train(ctx, split.Train)
 	if err != nil {
 		return nil, err
 	}
 	testFrom, _ := d.StepsForYear(testYear)
-	pm, err := NewPlannerModel(ctx, m, d, testFrom-1, st.workers)
+	pm, err := newPlannerModel(ctx, m, d, testFrom-1, st.workers)
 	if err != nil {
 		return nil, err
 	}

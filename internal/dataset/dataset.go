@@ -162,69 +162,38 @@ func build(h *poach.History, cfg Config, addEffort func(month int, dst []float64
 		return nil, fmt.Errorf("dataset: no steps produced for %d months", h.Months)
 	}
 	d := &Dataset{Park: h.Park, Cfg: cfg, Steps: steps}
-	// Month-slice the observation stream when it is already month-sorted
-	// (simulated histories always are); fall back to a map grouping only for
-	// unordered streams.
-	obsOff, obsSorted := observationOffsets(h.Observations, h.Months)
-	var obsByMonth map[int][]poach.Observation
-	if !obsSorted {
-		obsByMonth = make(map[int][]poach.Observation)
-		for _, o := range h.Observations {
-			if o.Poaching {
-				obsByMonth[o.Month] = append(obsByMonth[o.Month], o)
-			}
-		}
-	}
 	n := h.Park.Grid.NumCells()
 	T := len(steps)
 	effBack := make([]float64, T*n)
 	labBack := make([]bool, T*n)
 	d.Effort = make([][]float64, T)
 	d.Label = make([][]bool, T)
+	// stepOf[m] is the step holding month m, or -1: buildSteps never puts a
+	// month in two steps.
+	stepOf := make([]int, h.Months)
+	for m := range stepOf {
+		stepOf[m] = -1
+	}
 	for t, st := range steps {
 		eff := effBack[t*n : (t+1)*n : (t+1)*n]
-		lab := labBack[t*n : (t+1)*n : (t+1)*n]
 		for _, m := range st.Months {
 			addEffort(m, eff)
-			if obsSorted {
-				if m >= 0 && m < len(obsOff)-1 {
-					for _, o := range h.Observations[obsOff[m]:obsOff[m+1]] {
-						if o.Poaching {
-							lab[o.CellID] = true
-						}
-					}
-				}
-				continue
-			}
-			for _, o := range obsByMonth[m] {
-				lab[o.CellID] = true
-			}
+			stepOf[m] = t
 		}
 		d.Effort[t] = eff
-		d.Label[t] = lab
+		d.Label[t] = labBack[t*n : (t+1)*n : (t+1)*n]
+	}
+	// A label is an OR over one step and one cell, so observations may come
+	// in any order. Writing through the step's own row keeps an out-of-range
+	// cell id a panic, not a label in the next step.
+	for _, o := range h.Observations {
+		if o.Poaching && o.Month >= 0 && o.Month < h.Months {
+			if t := stepOf[o.Month]; t >= 0 {
+				d.Label[t][o.CellID] = true
+			}
+		}
 	}
 	return d, nil
-}
-
-// observationOffsets reports whether the observation stream is sorted by
-// month with all months in [0, months), and if so returns offsets such that
-// month m's observations (poaching and other, unfiltered) live at
-// obs[off[m]:off[m+1]].
-func observationOffsets(obs []poach.Observation, months int) (off []int, sorted bool) {
-	counts := make([]int, months+1)
-	prev := 0
-	for _, o := range obs {
-		if o.Month < prev || o.Month >= months {
-			return nil, false
-		}
-		prev = o.Month
-		counts[o.Month]++
-	}
-	off = make([]int, months+1)
-	for m := 0; m < months; m++ {
-		off[m+1] = off[m] + counts[m]
-	}
-	return off, true
 }
 
 // buildSteps maps simulated months into discretized steps.

@@ -3,11 +3,13 @@ package dataset
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"paws/internal/geo"
 	"paws/internal/poach"
+	"paws/internal/rng"
 )
 
 func testPark(t *testing.T) *geo.Park {
@@ -188,6 +190,52 @@ func TestBuildDataset(t *testing.T) {
 		ratio := rebuiltTotal / trueTotal
 		if ratio < 0.7 || ratio > 1.3 {
 			t.Fatalf("step %d: rebuilt/true effort ratio %v", ti, ratio)
+		}
+	}
+}
+
+// TestBuildIgnoresStreamOrder shuffles a history's waypoint and observation
+// streams, which simulators write month-sorted: Build must give back the
+// sorted build's Effort and Label rasters bit for bit, for quarterly steps
+// and for dry-season steps that leave months out.
+func TestBuildIgnoresStreamOrder(t *testing.T) {
+	park := testPark(t)
+	h := testHistory(t, park, 48)
+	shuffled := *h
+	shuffled.Waypoints = slices.Clone(h.Waypoints)
+	shuffled.Observations = slices.Clone(h.Observations)
+	r := rng.New(5)
+	r.Shuffle(len(shuffled.Waypoints), func(i, j int) {
+		shuffled.Waypoints[i], shuffled.Waypoints[j] = shuffled.Waypoints[j], shuffled.Waypoints[i]
+	})
+	r.Shuffle(len(shuffled.Observations), func(i, j int) {
+		shuffled.Observations[i], shuffled.Observations[j] = shuffled.Observations[j], shuffled.Observations[i]
+	})
+	for _, cfg := range []Config{StandardConfig(), DrySeasonConfig()} {
+		want, err := Build(h, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Build(&shuffled, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels := 0
+		for ti := range want.Steps {
+			for cell, e := range want.Effort[ti] {
+				if math.Float64bits(got.Effort[ti][cell]) != math.Float64bits(e) {
+					t.Fatalf("%+v step %d cell %d: shuffled effort %v, sorted %v", cfg, ti, cell, got.Effort[ti][cell], e)
+				}
+				if got.Label[ti][cell] != want.Label[ti][cell] {
+					t.Fatalf("%+v step %d cell %d: shuffled label %v, sorted %v", cfg, ti, cell, got.Label[ti][cell], want.Label[ti][cell])
+				}
+				if want.Label[ti][cell] {
+					labels++
+				}
+			}
+		}
+		if labels == 0 {
+			t.Fatalf("%+v: no positive labels to compare", cfg)
 		}
 	}
 }

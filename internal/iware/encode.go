@@ -10,14 +10,15 @@ import (
 )
 
 // configState is Config without the WeakLearner factory, which is a function
-// and cannot be encoded. A decoded model is predict-only, which is all the
-// serving path needs; Workers is preserved so batch prediction keeps its
-// fan-out.
+// and cannot be encoded, and without Workers, so that one model trained
+// under any worker count encodes to the same bytes. A decoded model is
+// predict-only, which is all the serving path needs, and fans its batch
+// predictions out over par.Workers(0). Files that hold a Workers field
+// still decode: gob skips a field the type lacks.
 type configState struct {
 	Thresholds []float64
 	CVFolds    int
 	Seed       int64
-	Workers    int
 }
 
 // modelState is the exported gob image of a fitted iWare-E ensemble.
@@ -36,7 +37,6 @@ func (m *Model) GobEncode() ([]byte, error) {
 			Thresholds: m.cfg.Thresholds,
 			CVFolds:    m.cfg.CVFolds,
 			Seed:       m.cfg.Seed,
-			Workers:    m.cfg.Workers,
 		},
 		Thresholds:  m.thresholds,
 		Classifiers: m.classifiers,
@@ -69,7 +69,6 @@ func (m *Model) GobDecode(b []byte) error {
 		Thresholds: st.Cfg.Thresholds,
 		CVFolds:    st.Cfg.CVFolds,
 		Seed:       st.Cfg.Seed,
-		Workers:    st.Cfg.Workers,
 	}
 	m.thresholds = st.Thresholds
 	m.classifiers = st.Classifiers

@@ -34,7 +34,10 @@ type ensembleState struct {
 var ErrNoFactory = errors.New("bagging: ensemble has no base factory (decoded from a persisted model); predict-only")
 
 // GobEncode implements gob.GobEncoder. The in-bag counts go out as the
-// [][]int they have always been encoded as.
+// [][]int they have always been encoded as. Config.Workers goes out as 0,
+// which gob omits, so that one ensemble fitted under any worker count
+// encodes to the same bytes; a decoded ensemble fans out over
+// par.Workers(0).
 func (e *Ensemble) GobEncode() ([]byte, error) {
 	var buf bytes.Buffer
 	inBag := make([][]int, len(e.inBag))
@@ -44,8 +47,10 @@ func (e *Ensemble) GobEncode() ([]byte, error) {
 			inBag[m][i] = int(c)
 		}
 	}
+	cfg := e.cfg
+	cfg.Workers = 0
 	err := gob.NewEncoder(&buf).Encode(ensembleState{
-		Cfg: e.cfg, Members: e.members, InBag: inBag,
+		Cfg: cfg, Members: e.members, InBag: inBag,
 		NTrain: e.nTrain, OddsInflation: e.oddsInflation,
 	})
 	return buf.Bytes(), err
@@ -79,6 +84,7 @@ func (e *Ensemble) GobDecode(b []byte) error {
 		}
 	}
 	e.cfg, e.members, e.inBag = st.Cfg, st.Members, inBag
+	e.cfg.Workers = 0 // files from older builds may hold their trainer's count
 	e.nTrain, e.oddsInflation = st.NTrain, st.OddsInflation
 	e.base = nil
 	return nil

@@ -59,10 +59,6 @@ func FuzzClosedLoopRequest(f *testing.F) {
 	}
 	s := New(paws.NewService(), Config{})
 	f.Cleanup(func() { s.Close(context.Background()) })
-	decode := func(body []byte, v any) error {
-		r := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
-		return decodeBody(httptest.NewRecorder(), r, v)
-	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var sim SimulateRequest
 		if decode(body, &sim) == nil {
@@ -105,6 +101,82 @@ func FuzzClosedLoopRequest(f *testing.F) {
 				if cells > maxCampaignCells {
 					t.Fatalf("campaign grid of %d cells accepted: %+v", cells, camp)
 				}
+			}
+		}
+	})
+}
+
+// decode decodes a request body with decodeBody, as a handler does.
+func decode(body []byte, v any) error {
+	r := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
+	return decodeBody(httptest.NewRecorder(), r, v)
+}
+
+// FuzzTrainingRequest decodes arbitrary bytes with decodeBody as a
+// TrainJobRequest and as a Table2JobRequest and submits each to trainFn and
+// table2Fn. It only validates: the job functions they return never run.
+// Neither may panic; every accepted request must stay within the training
+// caps and name a valid park spec, scale and model kinds.
+func FuzzTrainingRequest(f *testing.F) {
+	for _, req := range []any{
+		TrainJobRequest{Name: "x"},
+		TrainJobRequest{Name: "x", Park: "rand:16", Scale: "full", Kind: "GPB-iW", Thresholds: 3, Members: 3, CVFolds: 2},
+		TrainJobRequest{Park: "rand:16"},
+		TrainJobRequest{Name: "x", Park: "ATLANTIS"},
+		TrainJobRequest{Name: "x", Scale: "huge"},
+		TrainJobRequest{Name: "x", Kind: "XGB"},
+		TrainJobRequest{Name: "x", Thresholds: maxTrainThresholds + 1},
+		TrainJobRequest{Name: "x", Members: 1_000_000_000},
+		TrainJobRequest{Name: "x", CVFolds: maxTrainCVFolds + 1},
+		Table2JobRequest{Park: "rand:16", Kinds: []string{"DTB", "GPB-iW"}, TestYears: []int{2017}, Members: 3},
+		Table2JobRequest{Kinds: []string{"SVB", "nope"}},
+		Table2JobRequest{Kinds: make([]string, maxTable2Kinds+1)},
+		Table2JobRequest{TestYears: make([]int, maxTable2TestYears+1)},
+		Table2JobRequest{Thresholds: maxTrainThresholds + 1},
+		Table2JobRequest{Members: maxTrainMembers + 1},
+		Table2JobRequest{Scale: "tiny"},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	s := New(paws.NewService(), Config{})
+	f.Cleanup(func() { s.Close(context.Background()) })
+	// checkNames fails unless the park spec, scale and every kind an
+	// accepted request names (or defaults to) are valid.
+	checkNames := func(t *testing.T, park, scale string, kinds []string) {
+		if err := paws.ValidateParkSpec(cmp.Or(park, "MFNP")); err != nil {
+			t.Fatalf("request with park %q accepted: %v", park, err)
+		}
+		if _, err := paws.ParseScale(cmp.Or(scale, "small")); err != nil {
+			t.Fatalf("request with scale %q accepted: %v", scale, err)
+		}
+		for _, k := range kinds {
+			if _, err := paws.ParseModelKind(k); err != nil {
+				t.Fatalf("request with kind %q accepted: %v", k, err)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var tr TrainJobRequest
+		if decode(body, &tr) == nil {
+			if _, err := s.trainFn(tr); err == nil {
+				if tr.Thresholds > maxTrainThresholds || tr.Members > maxTrainMembers || tr.CVFolds > maxTrainCVFolds {
+					t.Fatalf("train request over the caps accepted: %+v", tr)
+				}
+				checkNames(t, tr.Park, tr.Scale, []string{cmp.Or(tr.Kind, "DTB-iW")})
+			}
+		}
+		var t2 Table2JobRequest
+		if decode(body, &t2) == nil {
+			if _, err := s.table2Fn(t2); err == nil {
+				if t2.Thresholds > maxTrainThresholds || t2.Members > maxTrainMembers ||
+					len(t2.Kinds) > maxTable2Kinds || len(t2.TestYears) > maxTable2TestYears {
+					t.Fatalf("table2 request over the caps accepted: %+v", t2)
+				}
+				checkNames(t, t2.Park, t2.Scale, t2.Kinds)
 			}
 		}
 	})

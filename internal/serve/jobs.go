@@ -66,13 +66,30 @@ type TrainJobRequest struct {
 	// TrainYears is the training window before the final simulated year
 	// (default 3).
 	TrainYears int `json:"train_years,omitempty"`
-	// Optional training overrides (0 keeps the park preset's values).
+	// Optional training overrides (0 keeps the park preset's values). Each
+	// has a cap, and a larger value is a bad request: thresholds 40,
+	// members 20 and cv_folds 6.
 	Thresholds int `json:"thresholds,omitempty"`
 	Members    int `json:"members,omitempty"`
 	CVFolds    int `json:"cv_folds,omitempty"`
 	// TimeoutMS bounds the job's runtime (0 = unbounded).
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
+
+// Caps on the training overrides of train and table2 jobs. Bagging
+// allocates and draws one bag per member, and iWare-E fits one ensemble per
+// threshold and CV fold, so without caps a body of a few bytes could ask for
+// gigabytes, and running out of memory kills the replica where recover
+// cannot. Each cap is at least twice the largest value an in-repo caller
+// passes: 20 thresholds (the Uganda presets), 10 members (the default), 3
+// CV folds, all six kinds and three test years (Table II).
+const (
+	maxTrainThresholds = 40
+	maxTrainMembers    = 20
+	maxTrainCVFolds    = 6
+	maxTable2Kinds     = 12
+	maxTable2TestYears = 6
+)
 
 // TrainJobResponse reports the registered model and its held-out quality.
 type TrainJobResponse struct {
@@ -95,6 +112,13 @@ type TrainJobResponse struct {
 func (s *Server) trainFn(req TrainJobRequest) (job.Fn, error) {
 	if req.Name == "" {
 		return nil, errors.New("train job needs a model name to register under")
+	}
+	if err := checkLimits(
+		limit{"thresholds", float64(req.Thresholds), maxTrainThresholds},
+		limit{"members", float64(req.Members), maxTrainMembers},
+		limit{"cv_folds", float64(req.CVFolds), maxTrainCVFolds},
+	); err != nil {
+		return nil, err
 	}
 	park := req.Park
 	if park == "" {
@@ -197,13 +221,16 @@ type Table2JobRequest struct {
 	// (default small).
 	Park  string `json:"park,omitempty"`
 	Scale string `json:"scale,omitempty"`
-	// Kinds restricts the model variants (default: all six).
+	// Kinds restricts the model variants (default: all six; at most 12
+	// entries).
 	Kinds []string `json:"kinds,omitempty"`
-	// TestYears restricts the calendar test years (default: last three).
+	// TestYears restricts the calendar test years (default: last three; at
+	// most 6 entries).
 	TestYears []int `json:"test_years,omitempty"`
 	// Seed overrides the service-wide root seed (0 keeps the default).
 	Seed int64 `json:"seed,omitempty"`
-	// Optional training overrides.
+	// Optional training overrides. Thresholds and Members have the caps of
+	// TrainJobRequest's: 40 and 20.
 	TrainYears int `json:"train_years,omitempty"`
 	Thresholds int `json:"thresholds,omitempty"`
 	Members    int `json:"members,omitempty"`
@@ -239,6 +266,14 @@ func (s *Server) table2Fn(req Table2JobRequest) (job.Fn, error) {
 	}
 	scale, err := paws.ParseScale(scaleStr)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkLimits(
+		limit{"thresholds", float64(req.Thresholds), maxTrainThresholds},
+		limit{"members", float64(req.Members), maxTrainMembers},
+		limit{"number of kinds", float64(len(req.Kinds)), maxTable2Kinds},
+		limit{"number of test_years", float64(len(req.TestYears)), maxTable2TestYears},
+	); err != nil {
 		return nil, err
 	}
 	kinds := make([]paws.ModelKind, 0, len(req.Kinds))

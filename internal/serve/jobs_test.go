@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -376,6 +377,51 @@ func TestTable2JobRuns(t *testing.T) {
 	}
 	if cells == 0 {
 		t.Fatalf("table2 job emitted no cell events: %s", rec.Body.String())
+	}
+}
+
+// TestTrainingJobCaps: a train or table2 body with one training override
+// one above its cap is rejected at submit time with the bad_request
+// envelope, and no job is queued. Each body asks for a plain-kind job on a
+// small procedural park, so a build without the caps runs it in seconds.
+func TestTrainingJobCaps(t *testing.T) {
+	s := testServer(t, Config{})
+	train := func(r TrainJobRequest) JobSubmitRequest {
+		r.Name, r.Park, r.Kind = "x", "rand:16", "DTB"
+		return JobSubmitRequest{Kind: "train", Train: &r}
+	}
+	table2 := func(r Table2JobRequest) JobSubmitRequest {
+		r.Park = "rand:16"
+		if r.Kinds == nil {
+			r.Kinds = []string{"DTB"}
+		}
+		return JobSubmitRequest{Kind: "table2", Table2: &r}
+	}
+	for _, tc := range []struct {
+		name string
+		req  JobSubmitRequest
+	}{
+		{"train thresholds", train(TrainJobRequest{Thresholds: maxTrainThresholds + 1})},
+		{"train members", train(TrainJobRequest{Members: maxTrainMembers + 1})},
+		{"train cv_folds", train(TrainJobRequest{CVFolds: maxTrainCVFolds + 1})},
+		{"table2 thresholds", table2(Table2JobRequest{Thresholds: maxTrainThresholds + 1})},
+		{"table2 members", table2(Table2JobRequest{Members: maxTrainMembers + 1})},
+		{"table2 kinds", table2(Table2JobRequest{Kinds: slices.Repeat([]string{"DTB"}, maxTable2Kinds+1)})},
+		{"table2 test_years", table2(Table2JobRequest{TestYears: make([]int, maxTable2TestYears+1)})},
+	} {
+		status, raw := do(t, s, http.MethodPost, "/v1/jobs", tc.req, nil)
+		if status != http.StatusBadRequest {
+			t.Errorf("%s: status %d, body %s", tc.name, status, raw)
+			continue
+		}
+		var er errorResponse
+		if err := json.Unmarshal(raw, &er); err != nil || er.Error.Code != CodeBadRequest {
+			t.Errorf("%s: envelope %s", tc.name, raw)
+		}
+	}
+	var list jobListResponse
+	if status, _ := do(t, s, http.MethodGet, "/v1/jobs", nil, &list); status != http.StatusOK || len(list.Jobs) != 0 {
+		t.Fatalf("rejected submissions left jobs: %+v", list.Jobs)
 	}
 }
 

@@ -448,6 +448,22 @@ const (
 	maxPlanSegments = 64
 )
 
+// limit is one request value and the cap above which it is a bad request.
+type limit struct {
+	name     string
+	val, cap float64
+}
+
+// checkLimits rejects the first value above its cap.
+func checkLimits(limits ...limit) error {
+	for _, l := range limits {
+		if l.val > l.cap {
+			return fmt.Errorf("%s %v exceeds the limit of %v", l.name, l.val, l.cap)
+		}
+	}
+	return nil
+}
+
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req PredictRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -799,20 +815,15 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if req.Model == "" {
 		req.Model = "default"
 	}
-	for _, c := range []struct {
-		name     string
-		val, cap float64
-	}{
-		{"radius", float64(req.Radius), maxPlanRadius},
-		{"max_cells", float64(req.MaxCells), maxPlanCells},
-		{"t", float64(req.T), maxPlanT},
-		{"k", req.K, maxPlanK},
-		{"segments", float64(req.Segments), maxPlanSegments},
-	} {
-		if c.val > c.cap {
-			writeErr(w, fmt.Errorf("%s %v exceeds the limit of %v", c.name, c.val, c.cap))
-			return
-		}
+	if err := checkLimits(
+		limit{"radius", float64(req.Radius), maxPlanRadius},
+		limit{"max_cells", float64(req.MaxCells), maxPlanCells},
+		limit{"t", float64(req.T), maxPlanT},
+		limit{"k", req.K, maxPlanK},
+		limit{"segments", float64(req.Segments), maxPlanSegments},
+	); err != nil {
+		writeErr(w, err)
+		return
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()

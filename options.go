@@ -9,15 +9,14 @@ package paws
 //
 // Precedence: per-call options override Service-level defaults, which
 // override the paper-flavoured defaults of the method that reads them
-// (TrainOptions.withDefaults for training, each experiment method for its
-// own knobs).
+// (settings.train and settings.fit for training, each experiment method for
+// its own knobs).
 type Option func(*settings)
 
-// settings is the merged state behind the functional options. The training
-// fields lower to TrainOptions (trainOptions); every other field is read
-// directly by the methods it tunes, zero or negative meaning "use the
-// method's default". kindSet distinguishes "not specified" from the zero
-// ModelKind, SVB.
+// settings is the merged state behind the functional options. Every field
+// is read directly by the methods it tunes, zero or negative meaning "use
+// the method's default". kindSet distinguishes "not specified" from the
+// zero ModelKind, SVB.
 type settings struct {
 	workers int
 
@@ -137,16 +136,22 @@ func WithScale(scale Scale) Option {
 }
 
 // WithPreset applies the paper-flavoured training configuration for a park
-// at a scale (TrainOptionsAt): threshold-ladder size, ensemble size, GP
-// subsample cap, and balanced bagging for SWS. Later options override
+// at a scale: 20 thresholds for the Uganda parks and 10 for SWS (Section
+// IV), balanced bagging for SWS (Section V-A), 8 members and a GP subsample
+// cap of 120 at full scale, and at ScaleSmall at most 6 thresholds, 5
+// members and a cap of 80. It also sets the scale. Later options override
 // individual fields.
 func WithPreset(park string, scale Scale) Option {
 	return func(s *settings) {
-		o := TrainOptionsAt(park, s.kind, scale, s.seed)
-		s.thresholds = o.Thresholds
-		s.members = o.Members
-		s.gpMaxTrain = o.GPMaxTrain
-		s.balanced = o.Balanced
+		s.thresholds, s.balanced = 20, false
+		if park == "SWS" {
+			s.thresholds, s.balanced = 10, true
+		}
+		s.members, s.gpMaxTrain = 8, 120
+		if scale == ScaleSmall {
+			s.thresholds = min(s.thresholds, 6)
+			s.members, s.gpMaxTrain = 5, 80
+		}
 		s.scale = scale
 	}
 }
@@ -195,23 +200,5 @@ func WithFieldProtocol(perGroup int, effortPerCellMonth float64) Option {
 	return func(s *settings) {
 		s.perGroup = perGroup
 		s.effortPerCellMonth = effortPerCellMonth
-	}
-}
-
-// ---------------------------------------------------------------- adapters
-
-// trainOptions lowers the merged settings to TrainOptions.
-func (s settings) trainOptions() TrainOptions {
-	return TrainOptions{
-		Kind:       s.kind,
-		Thresholds: s.thresholds,
-		Members:    s.members,
-		Balanced:   s.balanced,
-		CVFolds:    s.cvFolds,
-		GPMaxTrain: s.gpMaxTrain,
-		TreeDepth:  s.treeDepth,
-		Seed:       s.seed,
-		Workers:    s.workers,
-		progress:   s.progress,
 	}
 }

@@ -22,9 +22,8 @@
 // planning and the experiments; per-call options override the Service
 // defaults. Every table and figure of the paper's evaluation is one Service
 // method (Table1, Table2, Table3, Fig4, Fig6, Fig7, PlanStudy) that reads
-// the merged options directly. Below the Service, Train,
-// TrainWithThresholds and NewPlannerModel are context-taking functions over
-// TrainOptions and a worker count.
+// the merged options directly. Service.Train is the only way to train a
+// model, and Service.AddModel the only way to build a PlannerModel over one.
 //
 // # Model persistence and serving
 //
@@ -64,12 +63,13 @@
 // # Determinism
 //
 // Every entry point takes an explicit seed and is deterministic — including
-// under parallel execution and concurrent serving: WithWorkers (below the
-// Service, TrainOptions.Workers and NewPlannerModel's workers argument)
-// bounds a worker pool (internal/par) whose output is byte-identical for
-// any worker count. A count of 1 forces sequential execution; 0 or negative
-// sizes the pool to runtime.GOMAXPROCS(0), so -cpu / GOMAXPROCS set the
-// pool size of the whole pipeline.
+// under parallel execution and concurrent serving: WithWorkers bounds a
+// worker pool (internal/par) whose output is byte-identical for any worker
+// count. A count of 1 forces sequential execution; 0 or negative sizes the
+// pool to runtime.GOMAXPROCS(0), so -cpu / GOMAXPROCS set the pool size of
+// the whole pipeline. A saved model records no worker count, so one model
+// trained under any count saves to the same bytes, and a loaded model fans
+// out over GOMAXPROCS workers.
 package paws
 
 import (
@@ -199,63 +199,14 @@ func ParseModelKind(s string) (ModelKind, error) {
 	return 0, fmt.Errorf("paws: unknown model kind %q (want SVB, DTB, GPB, SVB-iW, DTB-iW or GPB-iW)", s)
 }
 
-// TrainOptions tunes model training. Zero values select paper-flavoured
-// defaults scaled for interactive use.
-type TrainOptions struct {
-	Kind ModelKind
-	// Thresholds is the iWare-E threshold-ladder size (paper: 20 for
-	// MFNP/QENP, 10 for SWS). Default 10. Train places the rungs at evenly
-	// spaced training-effort percentiles from the 0th to the 80th.
-	Thresholds int
-	// Members is the bagging ensemble size (default 10).
-	Members int
-	// Balanced enables balanced bagging — undersampling negatives — the
-	// paper's remedy for SWS-grade imbalance.
-	Balanced bool
-	// CVFolds enables iWare-E weight optimization (0 = uniform weights).
-	CVFolds int
-	// GPMaxTrain caps each GP's training subsample (default 150).
-	GPMaxTrain int
-	// TreeDepth caps decision-tree depth (default 10).
-	TreeDepth int
-	Seed      int64
-	// Workers bounds the goroutines used to train ensemble members /
-	// iWare-E ladder slices concurrently and to fan batch predictions out
-	// (par.Workers semantics: 1 forces sequential execution, 0 or negative
-	// uses one worker per CPU, i.e. GOMAXPROCS). Training and prediction
-	// results are byte-identical for every worker count.
-	Workers int
-	// progress observes per-weak-learner fit completion (WithProgress).
-	// Unexported deliberately: the field is set through the Service options
-	// and must stay out of the gob-encoded model envelope (persist.go).
-	progress ProgressFunc
-}
-
-func (o TrainOptions) withDefaults() TrainOptions {
-	if o.Thresholds <= 0 {
-		o.Thresholds = 10
-	}
-	if o.Members <= 0 {
-		o.Members = 10
-	}
-	if o.GPMaxTrain <= 0 {
-		o.GPMaxTrain = 150
-	}
-	if o.TreeDepth <= 0 {
-		o.TreeDepth = 10
-	}
-	return o
-}
-
 // maxThresholdPercentile is the training-effort percentile of the top rung
-// of Train's iWare-E ladder.
+// of the iWare-E ladder Service.Train places.
 const maxThresholdPercentile = 80
 
 // Model is a trained predictive model, either a plain bagging ensemble or an
 // iWare-E ensemble of them.
 type Model struct {
 	Kind ModelKind
-	opts TrainOptions
 
 	// numFeatures is the feature-vector width the model was trained on
 	// (0 in models from builds predating persistence).
@@ -268,91 +219,71 @@ type Model struct {
 // NumFeatures returns the feature-vector width the model was trained on.
 func (m *Model) NumFeatures() int { return m.numFeatures }
 
-// weakLearnerFactory builds the base bagging ensemble for the model family.
-func weakLearnerFactory(kind ModelKind, o TrainOptions, numFeatures int) func(seed int64) *bagging.Ensemble {
+// weakLearnerFactory builds the base bagging ensemble for the merged
+// settings' model family.
+func (s settings) weakLearnerFactory(numFeatures int) func(seed int64) *bagging.Ensemble {
 	var base ml.Factory
-	switch kind {
+	switch s.kind {
 	case SVB, SVBiW:
 		base = func(seed int64) ml.Classifier {
 			return svm.New(svm.Config{Seed: seed})
 		}
 	case DTB, DTBiW:
 		mf := int(math.Sqrt(float64(numFeatures)) + 0.5)
+		depth := positiveOr(s.treeDepth, 10)
 		base = func(seed int64) ml.Classifier {
-			return tree.New(tree.Config{MaxDepth: o.TreeDepth, MinLeaf: 2, MaxFeatures: mf, Seed: seed})
+			return tree.New(tree.Config{MaxDepth: depth, MinLeaf: 2, MaxFeatures: mf, Seed: seed})
 		}
 	case GPB, GPBiW:
+		maxTrain := positiveOr(s.gpMaxTrain, 150)
 		base = func(seed int64) ml.Classifier {
-			return gp.New(gp.Config{MaxTrain: o.GPMaxTrain, Seed: seed})
+			return gp.New(gp.Config{MaxTrain: maxTrain, Seed: seed})
 		}
 	}
 	return func(seed int64) *bagging.Ensemble {
 		return bagging.New(base, bagging.Config{
-			Members:  o.Members,
-			Balanced: o.Balanced,
+			Members:  positiveOr(s.members, 10),
+			Balanced: s.balanced,
 			Seed:     seed,
-			Workers:  o.Workers,
+			Workers:  s.workers,
 		})
 	}
 }
 
-// Train fits the selected model on training points. Cancellation and
-// deadlines are observed between weak-learner fits (ensemble members,
-// iWare-E ladder slices and CV tasks): fits already in flight drain, no new
-// fit starts, and the context's error is returned.
-func Train(ctx context.Context, train []dataset.Point, opts TrainOptions) (*Model, error) {
-	if len(train) == 0 {
+// train is Service.Train under the merged settings.
+func (s settings) train(ctx context.Context, pts []dataset.Point) (*Model, error) {
+	if len(pts) == 0 {
 		return nil, errors.New("paws: no training points")
 	}
-	o := opts.withDefaults()
 	var thresholds []float64
-	if o.Kind.IsIWare() {
-		thresholds = dataset.EffortPercentileThresholds(train, o.Thresholds, maxThresholdPercentile)
+	if s.kind.IsIWare() {
+		thresholds = dataset.EffortPercentileThresholds(pts, positiveOr(s.thresholds, 10), maxThresholdPercentile)
 	}
-	return fit(ctx, train, thresholds, o)
+	return s.fit(ctx, pts, thresholds)
 }
 
-// TrainWithThresholds trains an iWare-E model with an explicit threshold
-// ladder instead of the percentile-derived one — used by the threshold
-// ablation (the original iWare-E used fixed-kilometre grids). It observes
-// ctx as Train does.
-func TrainWithThresholds(ctx context.Context, train []dataset.Point, thresholds []float64, opts TrainOptions) (*Model, error) {
-	if len(train) == 0 {
-		return nil, errors.New("paws: no training points")
-	}
-	o := opts.withDefaults()
-	if !o.Kind.IsIWare() {
-		return nil, errors.New("paws: explicit thresholds require an iWare-E kind")
-	}
-	return fit(ctx, train, thresholds, o)
-}
-
-// fit trains the defaults-filled options o on a non-empty training set: the
-// bagging ensemble itself for plain kinds, an iWare-E ensemble over the
-// threshold ladder for iWare-E kinds.
-func fit(ctx context.Context, train []dataset.Point, thresholds []float64, o TrainOptions) (*Model, error) {
-	X := make([][]float64, len(train))
-	y := make([]int, len(train))
-	eff := make([]float64, len(train))
-	for i, p := range train {
+// fit trains the merged settings' model kind on a non-empty training set:
+// the bagging ensemble itself for plain kinds, an iWare-E ensemble over the
+// given threshold ladder for iWare-E kinds. Unset settings take the
+// defaults of 10 members per ensemble, at most 150 training points per GP
+// and trees 10 deep.
+func (s settings) fit(ctx context.Context, pts []dataset.Point, thresholds []float64) (*Model, error) {
+	X := make([][]float64, len(pts))
+	y := make([]int, len(pts))
+	eff := make([]float64, len(pts))
+	for i, p := range pts {
 		X[i] = p.Features
 		y[i] = p.Label
 		eff[i] = p.Effort
 	}
-	// The stored options must not retain the progress closure: a Model can
-	// live for the process lifetime in a Service registry, and the closure
-	// would pin its train job's event log and request. Nothing on the
-	// predict path reports progress.
-	stored := o
-	stored.progress = nil
-	m := &Model{Kind: o.Kind, opts: stored, numFeatures: len(X[0])}
-	factory := weakLearnerFactory(o.Kind, o, len(X[0]))
-	if !o.Kind.IsIWare() {
+	m := &Model{Kind: s.kind, numFeatures: len(X[0])}
+	factory := s.weakLearnerFactory(len(X[0]))
+	if !s.kind.IsIWare() {
 		// Plain kinds: the weak learners are the bagging members.
-		ens := factory(o.Seed)
-		ens.OnMemberFit(progressCounter(o.progress, "train"))
+		ens := factory(s.seed)
+		ens.OnMemberFit(progressCounter(s.progress, "train"))
 		if err := ens.FitCtx(ctx, X, y); err != nil {
-			return nil, trainErr(o.Kind, err)
+			return nil, trainErr(s.kind, err)
 		}
 		m.plain = ens
 		return m, nil
@@ -360,14 +291,14 @@ func fit(ctx context.Context, train []dataset.Point, thresholds []float64, o Tra
 	iw, err := iware.Fit(ctx, X, y, eff, iware.Config{
 		Thresholds:  thresholds,
 		WeakLearner: factory,
-		CVFolds:     o.CVFolds,
-		Seed:        o.Seed,
-		Workers:     o.Workers,
+		CVFolds:     s.cvFolds,
+		Seed:        s.seed,
+		Workers:     s.workers,
 		// iWare-E kinds: the weak learners are the ladder slices.
-		Progress: progressCounter(o.progress, "train"),
+		Progress: progressCounter(s.progress, "train"),
 	})
 	if err != nil {
-		return nil, trainErr(o.Kind, err)
+		return nil, trainErr(s.kind, err)
 	}
 	m.iw = iw
 	return m, nil

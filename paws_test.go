@@ -41,18 +41,7 @@ func smallScenario(t testing.TB, seed int64, seasonal bool) *Scenario {
 	return sc
 }
 
-func quickTrainOpts(kind ModelKind, seed int64) TrainOptions {
-	return TrainOptions{
-		Kind:       kind,
-		Thresholds: 4,
-		Members:    4,
-		GPMaxTrain: 60,
-		TreeDepth:  6,
-		Seed:       seed,
-	}
-}
-
-// quickOpts is quickTrainOpts as Service options.
+// quickOpts trains a small model of one kind fast enough for unit tests.
 func quickOpts(kind ModelKind, seed int64) []Option {
 	return []Option{WithKind(kind), WithThresholds(4), WithEnsembleSize(4),
 		WithGPMaxTrain(60), WithTreeDepth(6), WithSeed(seed)}
@@ -105,7 +94,7 @@ func TestTrainAllKindsAndAUC(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []ModelKind{SVB, DTB, GPB, SVBiW, DTBiW, GPBiW} {
-		m, err := Train(context.Background(), split.Train, quickTrainOpts(kind, 17))
+		m, err := NewService().Train(context.Background(), split.Train, quickOpts(kind, 17)...)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -123,7 +112,7 @@ func TestTrainAllKindsAndAUC(t *testing.T) {
 }
 
 func TestTrainErrors(t *testing.T) {
-	if _, err := Train(context.Background(), nil, TrainOptions{Kind: DTB}); err == nil {
+	if _, err := NewService().Train(context.Background(), nil, WithKind(DTB)); err == nil {
 		t.Fatal("expected empty-training error")
 	}
 }
@@ -152,12 +141,12 @@ func TestPlannerModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Train(context.Background(), split.Train, quickTrainOpts(GPBiW, 23))
+	m, err := NewService().Train(context.Background(), split.Train, quickOpts(GPBiW, 23)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	testFrom, _ := sc.Data.StepsForYear(dataset.BaseYear + 4)
-	pm, err := NewPlannerModel(context.Background(), m, sc.Data, testFrom-1, 0)
+	pm, err := newPlannerModel(context.Background(), m, sc.Data, testFrom-1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +173,10 @@ func TestPlannerModel(t *testing.T) {
 		t.Fatal("squash scale must be positive")
 	}
 	// Errors.
-	if _, err := NewPlannerModel(context.Background(), nil, sc.Data, 0, 0); err == nil {
+	if _, err := newPlannerModel(context.Background(), nil, sc.Data, 0, 0); err == nil {
 		t.Fatal("expected nil-model error")
 	}
-	if _, err := NewPlannerModel(context.Background(), m, sc.Data, -1, 0); err == nil {
+	if _, err := newPlannerModel(context.Background(), m, sc.Data, -1, 0); err == nil {
 		t.Fatal("expected step-range error")
 	}
 }

@@ -26,6 +26,10 @@ import (
 // Version history:
 //
 //	1: initial format (Kind + TrainOptions + bagging/iWare-E state).
+//	   Later builds write no training options and no worker count, so a
+//	   model saves to the same bytes whatever worker count trained it.
+//	   Files that hold them still load: gob skips a field the decoding
+//	   type lacks, so the version stays 1.
 //
 // Decoded models are predict-only: learner factories are functions and do
 // not survive encoding, so refitting a loaded model returns an error rather
@@ -43,7 +47,6 @@ var ErrBadModelFile = errors.New("paws: not a PAWS model file")
 // modelEnvelope is the gob payload behind the versioned header.
 type modelEnvelope struct {
 	Kind        ModelKind
-	Opts        TrainOptions
 	NumFeatures int
 	Plain       *bagging.Ensemble
 	IW          *iware.Model
@@ -63,7 +66,7 @@ func (m *Model) Save(w io.Writer) error {
 	if err := binary.Write(bw, binary.BigEndian, uint32(PersistVersion)); err != nil {
 		return fmt.Errorf("paws: save model: %w", err)
 	}
-	env := modelEnvelope{Kind: m.Kind, Opts: m.opts, NumFeatures: m.numFeatures, Plain: m.plain, IW: m.iw}
+	env := modelEnvelope{Kind: m.Kind, NumFeatures: m.numFeatures, Plain: m.plain, IW: m.iw}
 	if err := gob.NewEncoder(bw).Encode(env); err != nil {
 		return fmt.Errorf("paws: save model: %w", err)
 	}
@@ -135,7 +138,7 @@ func LoadModel(r io.Reader) (*Model, error) {
 	if width != env.NumFeatures {
 		return nil, fmt.Errorf("%w: learners are %d features wide, header says %d", ErrBadModelFile, width, env.NumFeatures)
 	}
-	return &Model{Kind: env.Kind, opts: env.Opts, numFeatures: env.NumFeatures, plain: env.Plain, iw: env.IW}, nil
+	return &Model{Kind: env.Kind, numFeatures: env.NumFeatures, plain: env.Plain, iw: env.IW}, nil
 }
 
 // LoadModelBytes reads a model from its in-memory encoding (SaveBytes) —

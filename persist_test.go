@@ -15,6 +15,7 @@ import (
 	"paws/internal/ml"
 	"paws/internal/ml/bagging"
 	"paws/internal/ml/tree"
+	"paws/internal/store"
 )
 
 // FuzzLoadModelBytes: LoadModelBytes never panics, and a model it returns
@@ -29,9 +30,8 @@ func FuzzLoadModelBytes(f *testing.F) {
 		pts = append(pts, all[i])
 	}
 	for _, kind := range []ModelKind{DTB, SVB, GPBiW} {
-		opts := quickTrainOpts(kind, 47)
-		opts.Members, opts.Thresholds, opts.GPMaxTrain, opts.TreeDepth = 2, 2, 12, 3
-		m, err := Train(context.Background(), pts, opts)
+		m, err := NewService().Train(context.Background(), pts, append(quickOpts(kind, 47),
+			WithEnsembleSize(2), WithThresholds(2), WithGPMaxTrain(12), WithTreeDepth(3))...)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -177,11 +177,11 @@ func TestModelPersistenceRoundTrip(t *testing.T) {
 	efforts := []float64{0, 0.7, 1.5, 3.2}
 	for _, kind := range []ModelKind{SVB, DTB, GPB, SVBiW, DTBiW, GPBiW} {
 		t.Run(kind.String(), func(t *testing.T) {
-			opts := quickTrainOpts(kind, 41)
+			opts := quickOpts(kind, 41)
 			if kind.IsIWare() {
-				opts.CVFolds = 2 // non-uniform weights must survive the trip
+				opts = append(opts, WithCVFolds(2)) // non-uniform weights must survive the trip
 			}
-			m, err := Train(context.Background(), split.Train, opts)
+			m, err := NewService().Train(context.Background(), split.Train, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,6 +226,36 @@ func TestModelPersistenceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSavedBytesIndependentOfWorkers trains every kind under 1 and under 4
+// workers: the two models predict alike, so they must also save to the same
+// bytes and hence the same fleet-store hash.
+func TestSavedBytesIndependentOfWorkers(t *testing.T) {
+	sc := smallScenario(t, 39, false)
+	year := sc.Data.Steps[len(sc.Data.Steps)-1].Year
+	split, err := sc.Data.SplitByTestYear(year, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []ModelKind{SVB, DTB, GPB, SVBiW, DTBiW, GPBiW} {
+		t.Run(kind.String(), func(t *testing.T) {
+			var saved [2][]byte
+			for i, workers := range []int{1, 4} {
+				m, err := NewService(WithWorkers(workers)).Train(context.Background(), split.Train, quickOpts(kind, 49)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if saved[i], err = m.SaveBytes(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(saved[0], saved[1]) {
+				t.Fatalf("1 worker saves %d bytes (hash %s), 4 workers %d bytes (hash %s)",
+					len(saved[0]), store.HashBytes(saved[0]), len(saved[1]), store.HashBytes(saved[1]))
+			}
+		})
+	}
+}
+
 // TestModelPersistenceFile exercises the SaveFile/LoadModelFile convenience
 // path and the PlannerModel construction on a loaded model.
 func TestModelPersistenceFile(t *testing.T) {
@@ -235,7 +265,7 @@ func TestModelPersistenceFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Train(context.Background(), split.Train, quickTrainOpts(GPBiW, 43))
+	m, err := NewService().Train(context.Background(), split.Train, quickOpts(GPBiW, 43)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,11 +278,11 @@ func TestModelPersistenceFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	testFrom, _ := sc.Data.StepsForYear(year)
-	pm0, err := NewPlannerModel(context.Background(), m, sc.Data, testFrom-1, 0)
+	pm0, err := newPlannerModel(context.Background(), m, sc.Data, testFrom-1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm1, err := NewPlannerModel(context.Background(), loaded, sc.Data, testFrom-1, 0)
+	pm1, err := newPlannerModel(context.Background(), loaded, sc.Data, testFrom-1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +321,7 @@ func TestLoadedModelIsPredictOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Train(context.Background(), split.Train, quickTrainOpts(DTB, 45))
+	m, err := NewService().Train(context.Background(), split.Train, quickOpts(DTB, 45)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,20 +372,21 @@ func TestSavedV1ModelsLoad(t *testing.T) {
 	Xm := ml.MatrixFromRows(X)
 	for _, c := range []struct {
 		file string
-		opts TrainOptions
+		kind ModelKind
+		opts []Option
 	}{
-		{"svb-iw.model", TrainOptions{Kind: SVBiW, Thresholds: 3, Members: 3, CVFolds: 2, Seed: 11}},
-		{"gpb-iw.model", TrainOptions{Kind: GPBiW, Thresholds: 3, Members: 2, Balanced: true, GPMaxTrain: 40, CVFolds: 2, Seed: 12}},
+		{"svb-iw.model", SVBiW, []Option{WithThresholds(3), WithEnsembleSize(3), WithCVFolds(2), WithSeed(11)}},
+		{"gpb-iw.model", GPBiW, []Option{WithThresholds(3), WithEnsembleSize(2), WithBalancedBagging(true), WithGPMaxTrain(40), WithCVFolds(2), WithSeed(12)}},
 	} {
-		t.Run(c.opts.Kind.String(), func(t *testing.T) {
+		t.Run(c.kind.String(), func(t *testing.T) {
 			saved, err := LoadModelFile(filepath.Join("testdata", "persist", c.file))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if saved.Kind != c.opts.Kind {
-				t.Fatalf("file holds a %v model, want %v", saved.Kind, c.opts.Kind)
+			if saved.Kind != c.kind {
+				t.Fatalf("file holds a %v model, want %v", saved.Kind, c.kind)
 			}
-			fresh, err := Train(ctx, pts, c.opts)
+			fresh, err := NewService(WithKind(c.kind)).Train(ctx, pts, c.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}

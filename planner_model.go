@@ -88,14 +88,14 @@ const ladderBlockCells = 16
 // ladderBlockCells consecutive cells.
 type ladderBlock [2 * ladderBlockCells]float64
 
-// NewPlannerModel freezes features from the dataset as of step prevStep
+// newPlannerModel freezes features from the dataset as of step prevStep
 // (whose effort becomes the coverage covariate) and calibrates the variance
 // squashing scale on a sample of cells. workers sizes the pool for the
 // calibration pass and subsequent map generation (par.Workers semantics: 1
 // is sequential, ≤ 0 means GOMAXPROCS). The calibration sweep observes ctx
 // between batch chunks, so a dead context aborts construction instead of
 // evaluating the whole sample.
-func NewPlannerModel(ctx context.Context, m *Model, d *dataset.Dataset, prevStep, workers int) (*PlannerModel, error) {
+func newPlannerModel(ctx context.Context, m *Model, d *dataset.Dataset, prevStep, workers int) (*PlannerModel, error) {
 	if m == nil || d == nil {
 		return nil, errors.New("paws: nil model or dataset")
 	}

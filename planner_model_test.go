@@ -32,7 +32,7 @@ var planBreakpoints = []float64{0, 1, 2, 3, 4, 5, 6, 7, 8}
 // Model.PredictWithVariance plus the calibrated squash for every cell.
 func assertLadderMatchesPointwise(t *testing.T, m *Model, sc *Scenario, prev int) {
 	t.Helper()
-	pm, err := NewPlannerModel(context.Background(), m, sc.Data, prev, 0)
+	pm, err := newPlannerModel(context.Background(), m, sc.Data, prev, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func assertLadderMatchesPointwise(t *testing.T, m *Model, sc *Scenario, prev int
 			efforts = append(efforts, e)
 		}
 	}
-	fresh, err := NewPlannerModel(context.Background(), m, sc.Data, prev, 0)
+	fresh, err := newPlannerModel(context.Background(), m, sc.Data, prev, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestPlannerModelLadderMatchesPointwise(t *testing.T) {
 	testFrom, _ := sc.Data.StepsForYear(year)
 	for _, kind := range []ModelKind{SVB, DTB, GPB, SVBiW, DTBiW, GPBiW} {
 		t.Run(kind.String(), func(t *testing.T) {
-			m, err := Train(context.Background(), split.Train, quickTrainOpts(kind, 37))
+			m, err := NewService().Train(context.Background(), split.Train, quickOpts(kind, 37)...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -119,26 +119,3 @@ func smallConfigs(name string, seed int64) (geo.ParkConfig, poach.SimConfig, err
 	}
 	return geo.ParkConfig{}, poach.SimConfig{}, fmt.Errorf("paws: unknown park %q (want %s)", name, geo.SpecHelp)
 }
-
-// TrainOptionsAt returns paper-flavoured training options for a park at a
-// scale: 20 thresholds for the Uganda parks and 10 for SWS (Section IV),
-// balanced bagging for SWS (Section V-A), scaled down for ScaleSmall.
-func TrainOptionsAt(park string, kind ModelKind, scale Scale, seed int64) TrainOptions {
-	o := TrainOptions{Kind: kind, Seed: seed}
-	switch park {
-	case "SWS":
-		o.Thresholds = 10
-		o.Balanced = true
-	default:
-		o.Thresholds = 20
-	}
-	if scale == ScaleSmall {
-		o.Thresholds = min(o.Thresholds, 6)
-		o.Members = 5
-		o.GPMaxTrain = 80
-	} else {
-		o.Members = 8
-		o.GPMaxTrain = 120
-	}
-	return o
-}

@@ -153,10 +153,14 @@ func (s *Service) Scenario(ctx context.Context, name string, opts ...Option) (*S
 }
 
 // Train fits a model on training points under the merged options
-// (WithKind, WithEnsembleSize, WithThresholds, …), observing ctx between
-// weak-learner fits.
+// (WithKind, WithEnsembleSize, WithThresholds, …). An iWare-E kind places
+// its WithThresholds rungs (default 10) at evenly spaced training-effort
+// percentiles from the 0th to the 80th. Cancellation and deadlines are
+// observed between weak-learner fits (ensemble members, iWare-E ladder
+// slices and CV tasks): fits already in flight drain, no new fit starts,
+// and the context's error is returned.
 func (s *Service) Train(ctx context.Context, train []dataset.Point, opts ...Option) (*Model, error) {
-	return Train(ctx, train, s.settingsFor(opts).trainOptions())
+	return s.settingsFor(opts).train(ctx, train)
 }
 
 // ------------------------------------------------------------ registry API
@@ -172,7 +176,7 @@ func (s *Service) AddModel(ctx context.Context, name string, m *Model, d *datase
 	if nf, want := m.NumFeatures(), d.Park.NumFeatures()+1; nf > 0 && nf != want {
 		return nil, fmt.Errorf("paws: model %q was trained on %d features but the park needs %d — wrong park, scale or seed for this model file?", name, nf, want)
 	}
-	pm, err := NewPlannerModel(ctx, m, d, prevStep, s.settingsFor(opts).workers)
+	pm, err := newPlannerModel(ctx, m, d, prevStep, s.settingsFor(opts).workers)
 	if err != nil {
 		return nil, err
 	}

@@ -36,33 +36,9 @@ func serviceFixture(t testing.TB, kind ModelKind) (*Service, *Scenario) {
 	return svc, sc
 }
 
-// TestServiceTrainMatchesLegacyTrain checks the functional-options path of
-// Service.Train lowers to exactly the TrainOptions struct taken by the free
-// function Train: identical predictions.
-func TestServiceTrainMatchesLegacyTrain(t *testing.T) {
-	sc := smallScenario(t, 53, false)
-	year := sc.Data.Steps[len(sc.Data.Steps)-1].Year
-	split, err := sc.Data.SplitByTestYear(year, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := NewService(WithSeed(17), WithThresholds(4), WithEnsembleSize(4), WithGPMaxTrain(60), WithTreeDepth(6))
-	for _, kind := range []ModelKind{DTB, GPBiW} {
-		newAPI, err := svc.Train(context.Background(), split.Train, WithKind(kind))
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy, err := Train(context.Background(), split.Train, quickTrainOpts(kind, 17))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameFloats(t, kind.String(),
-			newAPI.PredictPoints(split.Test), legacy.PredictPoints(split.Test))
-	}
-}
-
-// TestTrainCtxCanceled checks an already-dead context passed to Train aborts
-// training before any work and surfaces the context error unwrapped.
+// TestTrainCtxCanceled checks an already-dead context passed to
+// Service.Train aborts training before any work and surfaces the context
+// error unwrapped.
 func TestTrainCtxCanceled(t *testing.T) {
 	sc := smallScenario(t, 55, false)
 	year := sc.Data.Steps[len(sc.Data.Steps)-1].Year
@@ -72,7 +48,7 @@ func TestTrainCtxCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Train(ctx, split.Train, quickTrainOpts(GPBiW, 17)); !errors.Is(err, context.Canceled) {
+	if _, err := NewService().Train(ctx, split.Train, quickOpts(GPBiW, 17)...); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Train on canceled ctx: err = %v, want context.Canceled", err)
 	}
 }
@@ -89,10 +65,8 @@ func TestTrainCtxDeadlineMidTraining(t *testing.T) {
 	// GPB-iW with a CV pass takes seconds; 5ms cannot finish it.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	opts := quickTrainOpts(GPBiW, 17)
-	opts.CVFolds = 3
 	start := time.Now()
-	_, err = Train(ctx, split.Train, opts)
+	_, err = NewService().Train(ctx, split.Train, append(quickOpts(GPBiW, 17), WithCVFolds(3))...)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Train past deadline: err = %v, want context.DeadlineExceeded", err)
 	}
@@ -112,17 +86,17 @@ func TestEntryPointsHonourCanceledContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := context.Background()
-	opts := quickTrainOpts(DTBiW, 89)
-	m, err := Train(live, split.Train, opts)
+	svc := NewService(WithScale(ScaleSmall))
+	quick := quickOpts(DTBiW, 89)
+	m, err := svc.Train(live, split.Train, quick...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	testFrom, _ := sc.Data.StepsForYear(year)
-	pm, err := NewPlannerModel(live, m, sc.Data, testFrom-1, 0)
+	pm, err := newPlannerModel(live, m, sc.Data, testFrom-1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := NewService(WithScale(ScaleSmall))
 	if _, err := svc.AddModel(live, "default", m, sc.Data, testFrom-1); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +104,6 @@ func TestEntryPointsHonourCanceledContext(t *testing.T) {
 	if _, _, err := svc.RiskMaps(live, "default", 1); err != nil {
 		t.Fatal(err)
 	}
-	quick := quickOpts(DTBiW, 89)
 	ps, err := svc.PlanStudy(live, sc, append(quick,
 		WithPosts(1), WithRegionShape(2, 8), WithPlanHorizon(4, 1, 3),
 		WithSegmentCounts(3), WithTestYears(year))...)
@@ -151,12 +124,12 @@ func TestEntryPointsHonourCanceledContext(t *testing.T) {
 			_, err := svc.Simulate(ctx, SimConfig{Park: "rand:8", Seasons: 1, Policies: []string{"paws"}})
 			return err
 		}},
-		{"TrainWithThresholds", func(ctx context.Context) error {
-			_, err := TrainWithThresholds(ctx, split.Train, []float64{0, 1, 2}, opts)
+		{"settings.fit", func(ctx context.Context) error {
+			_, err := settings{}.apply(quick).fit(ctx, split.Train, []float64{0, 1, 2})
 			return err
 		}},
-		{"NewPlannerModel", func(ctx context.Context) error {
-			_, err := NewPlannerModel(ctx, m, sc.Data, testFrom-1, 0)
+		{"newPlannerModel", func(ctx context.Context) error {
+			_, err := newPlannerModel(ctx, m, sc.Data, testFrom-1, 0)
 			return err
 		}},
 		{"PlannerModel.Maps", func(ctx context.Context) error {

@@ -195,21 +195,17 @@ type pawsPolicy struct {
 
 func (p *pawsPolicy) Name() string { return "paws" }
 
-// trainOptions picks lighter-than-paper defaults (the model retrains every
+// trainSettings picks lighter-than-paper defaults (the model retrains every
 // season) unless the caller set them explicitly.
-func (p *pawsPolicy) trainOptions(seed int64) TrainOptions {
-	tr := p.st.trainOptions()
-	if !p.st.kindSet {
-		tr.Kind = DTBiW
+func (p *pawsPolicy) trainSettings(seed int64) settings {
+	st := p.st
+	if !st.kindSet {
+		st.kind = DTBiW
 	}
-	if tr.Thresholds <= 0 {
-		tr.Thresholds = 6
-	}
-	if tr.Members <= 0 {
-		tr.Members = 5
-	}
-	tr.Seed = seed
-	return tr
+	st.thresholds = positiveOr(st.thresholds, 6)
+	st.members = positiveOr(st.members, 5)
+	st.seed = seed
+	return st
 }
 
 func (p *pawsPolicy) PlanSeason(ctx context.Context, o *env.Obs, season int, r *rng.RNG) (*env.SeasonPlan, error) {
@@ -229,12 +225,12 @@ func (p *pawsPolicy) PlanSeason(ctx context.Context, o *env.Obs, season int, r *
 		return nil, err
 	}
 	endTrain := obs.StartSpan(ctx, "train", item)
-	m, err := Train(ctx, d.AllPoints(), p.trainOptions(r.Int63()))
+	m, err := p.trainSettings(r.Int63()).train(ctx, d.AllPoints())
 	if err != nil {
 		endTrain()
 		return nil, err
 	}
-	pm, err := NewPlannerModel(ctx, m, d, len(d.Steps)-1, p.st.workers)
+	pm, err := newPlannerModel(ctx, m, d, len(d.Steps)-1, p.st.workers)
 	endTrain()
 	if err != nil {
 		return nil, err
