@@ -30,22 +30,28 @@ func AlignedPanel(buf []float64, n int) []float64 {
 // panel (P[i*w+q] for i ascending) is one right-hand side. Each column is
 // solved in SolveLower's exact order (k ascending, one subtraction per
 // step, then one division by the diagonal), so every result is
-// bit-identical to SolveLower on that column. Full panels (w =
-// PanelWidth) run the AVX2 kernel where the host has it; every other
+// bit-identical to SolveLower on that column. As it stores each solved
+// row it adds the row's squares into vv, one sum per column:
+//
+//	vv[q] += y * y
+//
+// for the rows in ascending order, which is the loop a caller would run
+// over the solved panel, so every sum keeps that loop's bits. Full panels
+// (w = PanelWidth) run the AVX2 kernel where the host has it; every other
 // case runs the Go kernel.
-func (c *Cholesky) SolveLowerPanel(P []float64, w int) {
+func (c *Cholesky) SolveLowerPanel(P []float64, w int, vv []float64) {
 	n := c.n
-	if w < 0 || w > PanelWidth || len(P) != n*w {
-		panic(fmt.Sprintf("mat: SolveLowerPanel buffer length %d want %d×%d (width ≤ %d)", len(P), n, w, PanelWidth))
+	if w < 0 || w > PanelWidth || len(P) != n*w || len(vv) != w {
+		panic(fmt.Sprintf("mat: SolveLowerPanel lengths P %d vv %d want %d×%d, %d (width ≤ %d)", len(P), len(vv), n, w, w, PanelWidth))
 	}
 	if n == 0 || w == 0 {
 		return
 	}
 	if w == PanelWidth && hasAVX2 {
-		solveLowerPanelAsm(c.l.data, n, P)
+		solveLowerPanelAsm(c.l.data, n, P, vv)
 		return
 	}
-	solveLowerPanelGo(c.l.data, n, P, w)
+	solveLowerPanelGo(c.l.data, n, P, w, vv)
 }
 
 // SqDistPanel fills D (n rows of w values) with squared Euclidean
@@ -131,22 +137,24 @@ func expRowGo(row []float64, denom, weight, scale float64, sums []float64) {
 
 // solveLowerPanelGo is the portable panel forward substitution, one panel
 // row at a time.
-func solveLowerPanelGo(l []float64, n int, P []float64, w int) {
+func solveLowerPanelGo(l []float64, n int, P []float64, w int, vv []float64) {
 	for i := 0; i < n; i++ {
-		solveRowGo(l[i*n:i*n+i+1], P, i*w, w)
+		solveRowGo(l[i*n:i*n+i+1], P, i*w, w, vv)
 	}
 }
 
 // solveRowGo solves panel row i, P[base:base+w], against the rows above it,
-// with lrow = L[i][0..i]. It walks the row four columns at a time, so each
-// loaded L[i][k] feeds four independent accumulators; a width that is not
-// a multiple of four finishes one column at a time. It is a function of its
-// own so that the inner loop's state fits in registers.
-func solveRowGo(lrow, P []float64, base, w int) {
+// with lrow = L[i][0..i], and adds the solved row's squares into vv. It
+// walks the row four columns at a time, so each loaded L[i][k] feeds four
+// independent accumulators; a width that is not a multiple of four
+// finishes one column at a time. It is a function of its own so that the
+// inner loop's state fits in registers.
+func solveRowGo(lrow, P []float64, base, w int, vv []float64) {
 	i := len(lrow) - 1
 	d := lrow[i]
 	lk := lrow[:i]
 	yi := P[base : base+w]
+	vv = vv[:w]
 	q := 0
 	for ; q+4 <= w; q += 4 {
 		s0, s1, s2, s3 := yi[q], yi[q+1], yi[q+2], yi[q+3]
@@ -159,10 +167,12 @@ func solveRowGo(lrow, P []float64, base, w int) {
 			s3 -= v * y[3]
 			off += w
 		}
-		yi[q] = s0 / d
-		yi[q+1] = s1 / d
-		yi[q+2] = s2 / d
-		yi[q+3] = s3 / d
+		s0, s1, s2, s3 = s0/d, s1/d, s2/d, s3/d
+		yi[q], yi[q+1], yi[q+2], yi[q+3] = s0, s1, s2, s3
+		vv[q] += s0 * s0
+		vv[q+1] += s1 * s1
+		vv[q+2] += s2 * s2
+		vv[q+3] += s3 * s3
 	}
 	for ; q < w; q++ {
 		s := yi[q]
@@ -171,7 +181,9 @@ func solveRowGo(lrow, P []float64, base, w int) {
 			s -= v * P[off]
 			off += w
 		}
-		yi[q] = s / d
+		s /= d
+		yi[q] = s
+		vv[q] += s * s
 	}
 }
 

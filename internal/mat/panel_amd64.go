@@ -64,12 +64,24 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // solveLowerPanelAsm runs the AVX2 forward substitution on one full panel
-// (n rows of PanelWidth values) against the row-major n×n factor l.
-func solveLowerPanelAsm(l []float64, n int, P []float64) {
-	if n <= 0 || len(l) != n*n || len(P) != n*PanelWidth {
-		panic(fmt.Sprintf("mat: panel solve lengths L %d P %d want %d, %d", len(l), len(P), n*n, n*PanelWidth))
+// (n rows of PanelWidth values) against the row-major n×n factor l, adding
+// each solved row's squares into vv.
+func solveLowerPanelAsm(l []float64, n int, P, vv []float64) {
+	if n <= 0 || len(l) != n*n || len(P) != n*PanelWidth || len(vv) != PanelWidth {
+		panic(fmt.Sprintf("mat: panel solve lengths L %d P %d vv %d want %d, %d, %d",
+			len(l), len(P), len(vv), n*n, n*PanelWidth, PanelWidth))
 	}
-	solveLowerPanelAVX2(&l[0], n, &P[0])
+	solveLowerPanelAVX2(&l[0], n, &P[0], &vv[0])
+}
+
+// cholColAsm runs the AVX2 column kernel on column j of the column-major
+// n×n factorization workspace w, which must reach cholSlack entries past
+// n·n for the last 32-row block of a column.
+func cholColAsm(w []float64, n, j int) {
+	if n <= 0 || j < 0 || j >= n || len(w) != n*n+cholSlack {
+		panic(fmt.Sprintf("mat: column kernel length %d column %d want %d, < %d", len(w), j, n*n+cholSlack, n))
+	}
+	cholColAVX2(&w[0], n, j)
 }
 
 // sqDistPanelAsm runs the AVX2 distance kernel on one full panel.
@@ -95,7 +107,10 @@ func expRowsAsm(P []float64, denom, hi float64, weight, scale, sums []float64) i
 }
 
 //go:noescape
-func solveLowerPanelAVX2(l *float64, n int, p *float64)
+func solveLowerPanelAVX2(l *float64, n int, p, vv *float64)
+
+//go:noescape
+func cholColAVX2(w *float64, n, j int)
 
 //go:noescape
 func sqDistPanelAVX2(d, x, zt *float64, n, k int)

@@ -1,10 +1,14 @@
 #include "textflag.h"
 
 // A panel is PanelWidth = 32 doubles per row. The solve and distance
-// kernels hold one row in the eight accumulators Y0–Y7 and use only
-// VBROADCASTSD, VMOVUPD, VXORPD, VMULPD, VSUBPD, VADDPD and VDIVPD: each
-// lane rounds its product and its sum or difference separately, exactly
-// as the scalar Go loops do.
+// kernels hold one row in the eight accumulators Y0–Y7, and the
+// factorization's column kernel cholColAVX2 holds 32 rows of one factor
+// column there, one call per column. They use only VBROADCASTSD, VMOVUPD,
+// VXORPD, VMULPD, VSUBPD, VADDPD and VDIVPD: each lane rounds its product
+// and its sum or difference separately, exactly as the scalar Go loops
+// do. After its eight VDIVPD the solve kernel adds the row's squares into
+// the caller's 32 v·v sums (VMULPD, then VADDPD), the rows in ascending
+// order.
 //
 // The exp kernel expRowsFMA runs math.Exp's own amd64 algorithm
 // ($GOROOT/src/math/exp_amd64.s) four lanes at a time, on archExp's FMA
@@ -33,14 +37,15 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func solveLowerPanelAVX2(l *float64, n int, p *float64)
+// func solveLowerPanelAVX2(l *float64, n int, p, vv *float64)
 //
 // For i = 0..n-1: acc = P[i]; acc -= L[i][k]·P[k] for k = 0..i-1; then
-// P[i] = acc / L[i][i]. Requires n ≥ 1.
-TEXT ·solveLowerPanelAVX2(SB), NOSPLIT, $0-24
+// P[i] = acc / L[i][i] and vv += P[i]·P[i]. Requires n ≥ 1.
+TEXT ·solveLowerPanelAVX2(SB), NOSPLIT, $0-32
 	MOVQ l+0(FP), SI  // &L[i][0]
 	MOVQ n+8(FP), CX
 	MOVQ p+16(FP), DI // &P[0][0]
+	MOVQ vv+24(FP), BX
 	MOVQ CX, DX
 	SHLQ $3, DX       // one L row in bytes
 	MOVQ DI, R9       // &P[i][0]
@@ -102,11 +107,111 @@ solvediag:
 	VMOVUPD Y5, 160(R9)
 	VMOVUPD Y6, 192(R9)
 	VMOVUPD Y7, 224(R9)
+	VMULPD Y0, Y0, Y0
+	VADDPD 0(BX), Y0, Y0
+	VMOVUPD Y0, 0(BX)
+	VMULPD Y1, Y1, Y1
+	VADDPD 32(BX), Y1, Y1
+	VMOVUPD Y1, 32(BX)
+	VMULPD Y2, Y2, Y2
+	VADDPD 64(BX), Y2, Y2
+	VMOVUPD Y2, 64(BX)
+	VMULPD Y3, Y3, Y3
+	VADDPD 96(BX), Y3, Y3
+	VMOVUPD Y3, 96(BX)
+	VMULPD Y4, Y4, Y4
+	VADDPD 128(BX), Y4, Y4
+	VMOVUPD Y4, 128(BX)
+	VMULPD Y5, Y5, Y5
+	VADDPD 160(BX), Y5, Y5
+	VMOVUPD Y5, 160(BX)
+	VMULPD Y6, Y6, Y6
+	VADDPD 192(BX), Y6, Y6
+	VMOVUPD Y6, 192(BX)
+	VMULPD Y7, Y7, Y7
+	VADDPD 224(BX), Y7, Y7
+	VMOVUPD Y7, 224(BX)
 	ADDQ $256, R9
 	ADDQ DX, SI
 	INCQ R8
 	CMPQ R8, CX
 	JLT solverow
+
+	VZEROUPPER
+	RET
+
+// func cholColAVX2(w *float64, n, j int)
+//
+// Column j of the column-major n×n workspace at w (column k starts at
+// w + 8·k·n): for each block of 32 rows i from the diagonal down,
+// acc = w[j][i]; acc -= w[k][i]·w[k][j] for k = 0..j-1; then
+// w[j][i] = acc. The last block may run up to 31 rows past row n-1.
+// Requires 0 ≤ j < n.
+TEXT ·cholColAVX2(SB), NOSPLIT, $0-24
+	MOVQ w+0(FP), SI
+	MOVQ n+8(FP), CX
+	MOVQ j+16(FP), R8
+	MOVQ CX, DX
+	SHLQ $3, DX          // one column in bytes
+	LEAQ (SI)(R8*8), R10 // &w[0][j], the first L[j][k]
+	MOVQ R10, DI         // &w[0][i] for the block's first row i
+	MOVQ R8, AX
+	IMULQ DX, AX
+	LEAQ (R10)(AX*1), R9 // &w[j][i]
+	MOVQ CX, BX
+	SUBQ R8, BX          // rows left: n − i
+
+colblock:
+	VMOVUPD 0(R9), Y0
+	VMOVUPD 32(R9), Y1
+	VMOVUPD 64(R9), Y2
+	VMOVUPD 96(R9), Y3
+	VMOVUPD 128(R9), Y4
+	VMOVUPD 160(R9), Y5
+	VMOVUPD 192(R9), Y6
+	VMOVUPD 224(R9), Y7
+	MOVQ DI, R11      // &w[k][i]
+	MOVQ R10, R12     // &w[k][j]
+	MOVQ R8, R13      // steps left: j − k
+	TESTQ R13, R13
+	JZ colstore
+
+colk:
+	VBROADCASTSD (R12), Y8
+	VMULPD 0(R11), Y8, Y9
+	VSUBPD Y9, Y0, Y0
+	VMULPD 32(R11), Y8, Y10
+	VSUBPD Y10, Y1, Y1
+	VMULPD 64(R11), Y8, Y11
+	VSUBPD Y11, Y2, Y2
+	VMULPD 96(R11), Y8, Y12
+	VSUBPD Y12, Y3, Y3
+	VMULPD 128(R11), Y8, Y13
+	VSUBPD Y13, Y4, Y4
+	VMULPD 160(R11), Y8, Y14
+	VSUBPD Y14, Y5, Y5
+	VMULPD 192(R11), Y8, Y15
+	VSUBPD Y15, Y6, Y6
+	VMULPD 224(R11), Y8, Y9
+	VSUBPD Y9, Y7, Y7
+	ADDQ DX, R11
+	ADDQ DX, R12
+	DECQ R13
+	JNZ colk
+
+colstore:
+	VMOVUPD Y0, 0(R9)
+	VMOVUPD Y1, 32(R9)
+	VMOVUPD Y2, 64(R9)
+	VMOVUPD Y3, 96(R9)
+	VMOVUPD Y4, 128(R9)
+	VMOVUPD Y5, 160(R9)
+	VMOVUPD Y6, 192(R9)
+	VMOVUPD Y7, 224(R9)
+	ADDQ $256, R9
+	ADDQ $256, DI
+	SUBQ $32, BX
+	JGT colblock
 
 	VZEROUPPER
 	RET

@@ -9,8 +9,12 @@ const (
 	useExpKernel = false
 )
 
-func solveLowerPanelAsm(l []float64, n int, P []float64) {
+func solveLowerPanelAsm(l []float64, n int, P, vv []float64) {
 	panic("mat: no assembly panel kernels on this architecture")
+}
+
+func cholColAsm(w []float64, n, j int) {
+	panic("mat: no assembly column kernel on this architecture")
 }
 
 func sqDistPanelAsm(D, X, ZT []float64, n, k int) {

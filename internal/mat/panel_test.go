@@ -70,25 +70,34 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 }
 
 // columns solves each column of an n×w panel with SolveLower and returns
-// the solutions as a panel.
-func columns(ch *Cholesky, P []float64, w int) []float64 {
+// the solutions as a panel, and then, for each column, the sum of its
+// squares taken by a separate loop over the solved rows in ascending
+// order from +0, the order SolveLowerPanel's sums must keep.
+func columns(ch *Cholesky, P []float64, w int) (sol, vv []float64) {
 	n := ch.n
-	out := make([]float64, n*w)
+	sol = make([]float64, n*w)
 	col := make([]float64, n)
 	for q := 0; q < w; q++ {
 		for i := range col {
 			col[i] = P[i*w+q]
 		}
 		for i, v := range ch.SolveLower(col) {
-			out[i*w+q] = v
+			sol[i*w+q] = v
 		}
 	}
-	return out
+	vv = make([]float64, w)
+	for i := 0; i < n; i++ {
+		for q, v := range sol[i*w : (i+1)*w] {
+			vv[q] += v * v
+		}
+	}
+	return sol, vv
 }
 
 // TestSolveLowerBatchMatchesSolveLower asserts the panel forward
 // substitution, SolveLowerPanel, is bit-identical to the one-column-at-a-
-// time path at every panel width: partial widths exercise the Go kernel's
+// time path at every panel width, and its sums of squares to a separate
+// loop over the solved panel: partial widths exercise the Go kernel's
 // four-way groups and its tail, and the full width the kernel the host
 // dispatches to.
 func TestSolveLowerBatchMatchesSolveLower(t *testing.T) {
@@ -97,30 +106,35 @@ func TestSolveLowerBatchMatchesSolveLower(t *testing.T) {
 		ch := randomFactor(t, r, n)
 		for w := 1; w <= PanelWidth; w++ {
 			P := fill(r, n*w, 0)
-			want := columns(ch, P, w)
-			ch.SolveLowerPanel(P, w)
+			want, wantVV := columns(ch, P, w)
+			vv := make([]float64, w)
+			ch.SolveLowerPanel(P, w, vv)
 			sameBits(t, "SolveLowerPanel", P, want)
+			sameBits(t, "SolveLowerPanel sums", vv, wantVV)
 		}
 	}
 }
 
 // TestSolveLowerPanelKernels compares the Go kernel and, where the host
 // has AVX2, the assembly kernel with SolveLower bit for bit, on right-hand
-// sides that carry NaN, ±Inf, subnormals and −0. The assembly only runs
-// full panels, so a w-column case fills the other columns with unrelated
-// values that must not leak into the first w. It runs both on an aligned
-// panel and on one shifted off the cache line.
+// sides that carry NaN, ±Inf, subnormals and −0, and their sums of
+// squares with a separate loop over the solved rows. The assembly only
+// runs full panels, so a w-column case fills the other columns with
+// unrelated values that must not leak into the first w. It runs both on
+// an aligned panel and on one shifted off the cache line.
 func TestSolveLowerPanelKernels(t *testing.T) {
 	r := rng.New(5)
 	for _, n := range panelSizes {
 		ch := randomFactor(t, r, n)
 		for w := 1; w <= PanelWidth; w++ {
 			P := fill(r, n*w, 2*n)
-			want := columns(ch, P, w)
+			want, wantVV := columns(ch, P, w)
 
 			goP := append([]float64(nil), P...)
-			solveLowerPanelGo(ch.l.data, n, goP, w)
+			vv := make([]float64, w)
+			solveLowerPanelGo(ch.l.data, n, goP, w, vv)
 			sameBits(t, "Go kernel", goP, want)
+			sameBits(t, "Go kernel sums", vv, wantVV)
 
 			if !hasAVX2 {
 				continue
@@ -132,12 +146,14 @@ func TestSolveLowerPanelKernels(t *testing.T) {
 				for i := 0; i < n; i++ {
 					copy(full[i*PanelWidth:i*PanelWidth+w], P[i*w:(i+1)*w])
 				}
-				solveLowerPanelAsm(ch.l.data, n, full)
+				vvFull := make([]float64, PanelWidth)
+				solveLowerPanelAsm(ch.l.data, n, full, vvFull)
 				got := make([]float64, n*w)
 				for i := 0; i < n; i++ {
 					copy(got[i*w:(i+1)*w], full[i*PanelWidth:])
 				}
 				sameBits(t, "AVX2 kernel", got, want)
+				sameBits(t, "AVX2 kernel sums", vvFull[:w], wantVV)
 			}
 		}
 	}
@@ -215,7 +231,8 @@ func isAligned(p []float64) bool { return uintptr(unsafe.Pointer(&p[0]))%64 == 0
 
 // TestSolveLowerBatchEmpty asserts an empty panel (w = 0, nil or empty
 // buffer) is accepted and solves nothing, and that a buffer whose length
-// does not match n·w, or a width over PanelWidth, is rejected.
+// does not match n·w, a width over PanelWidth, or sums whose length is not
+// w, are rejected.
 func TestSolveLowerBatchEmpty(t *testing.T) {
 	a := NewDense(2, 2)
 	a.Set(0, 0, 4)
@@ -224,22 +241,24 @@ func TestSolveLowerBatchEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch.SolveLowerPanel(nil, 0)
-	ch.SolveLowerPanel([]float64{}, 0)
+	ch.SolveLowerPanel(nil, 0, nil)
+	ch.SolveLowerPanel([]float64{}, 0, []float64{})
 	for _, c := range []struct {
-		P []float64
-		w int
+		P  []float64
+		w  int
+		vv []float64
 	}{
-		{[]float64{1, 2}, 0},
-		{make([]float64, 2*(PanelWidth+1)), PanelWidth + 1},
+		{[]float64{1, 2}, 0, nil},
+		{make([]float64, 2*(PanelWidth+1)), PanelWidth + 1, make([]float64, PanelWidth+1)},
+		{[]float64{1, 2}, 1, nil},
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("SolveLowerPanel accepted a %d-long buffer for w = %d", len(c.P), c.w)
+					t.Fatalf("SolveLowerPanel accepted a %d-long buffer and %d sums for w = %d", len(c.P), len(c.vv), c.w)
 				}
 			}()
-			ch.SolveLowerPanel(c.P, c.w)
+			ch.SolveLowerPanel(c.P, c.w, c.vv)
 		}()
 	}
 }

@@ -10,7 +10,9 @@
 package gp
 
 import (
+	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -72,7 +74,8 @@ func New(cfg Config) *GP {
 	return &GP{cfg: cfg}
 }
 
-// kernel is the RBF kernel on standardized inputs.
+// kernel is the RBF kernel on standardized inputs, pointwise; Fit forms
+// the same values a panel at a time (see kernelMatrix).
 func (g *GP) kernel(a, b []float64) float64 {
 	b = b[:len(a)] // hoist the bounds check out of the distance loop
 	var d2 float64
@@ -85,6 +88,13 @@ func (g *GP) kernel(a, b []float64) float64 {
 
 // Fit subsamples, standardizes, resolves the length scale, and runs Newton
 // iterations to the Laplace mode.
+//
+// The kernel matrix K and the length scale come from one pass over the
+// training pairs (kernelMatrix). The Newton steps share one buffer for
+// B = I + W^{1/2} K W^{1/2} and one Cholesky, whose storage each step's
+// factorization reuses; the factor at the mode is the one the GP keeps.
+// Every float equals the one the pointwise kernel and the row-form
+// factorization would give.
 func (g *GP) Fit(X [][]float64, y []int) error {
 	if err := ml.CheckXY(X, y); err != nil {
 		return err
@@ -97,28 +107,18 @@ func (g *GP) Fit(X [][]float64, y []int) error {
 		return err
 	}
 	g.std = std
-	Xs := std.TransformAll(sx)
-	g.xf = ml.MatrixFromRows(Xs)
-	g.ls = medianHeuristic(Xs)
-
-	n := g.xf.Rows
-	K := mat.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := g.kernel(g.xf.Row(i), g.xf.Row(j))
-			if i == j {
-				v += jitter
-			}
-			K.Set(i, j, v)
-			K.Set(j, i, v)
-		}
-	}
+	g.xf = ml.MatrixFromRows(std.TransformAll(sx))
+	var K *mat.Dense
+	K, g.ls = kernelMatrix(g.xf)
 
 	// Newton iterations for the posterior mode (R&W Algorithm 3.1).
+	n := g.xf.Rows
+	B := mat.NewDense(n, n)
+	chB := new(mat.Cholesky)
 	f := make([]float64, n)
 	prevObj := math.Inf(-1)
 	for iter := 0; iter < maxNewton; iter++ {
-		st, err := newtonAt(K, f, sy)
+		st, err := newtonAt(K, B, chB, f, sy)
 		if err != nil {
 			return err
 		}
@@ -132,7 +132,7 @@ func (g *GP) Fit(X [][]float64, y []int) error {
 		for i := 0; i < n; i++ {
 			rhs[i] = st.wsq[i] * kb[i]
 		}
-		sol := st.chB.SolveVec(rhs)
+		sol := chB.SolveVec(rhs)
 		a := make([]float64, n)
 		for i := 0; i < n; i++ {
 			a[i] = b[i] - st.wsq[i]*sol[i]
@@ -151,29 +151,85 @@ func (g *GP) Fit(X [][]float64, y []int) error {
 		prevObj = obj
 	}
 	// Final state at the mode.
-	st, err := newtonAt(K, f, sy)
+	st, err := newtonAt(K, B, chB, f, sy)
 	if err != nil {
 		return err
 	}
 	g.fhat = f
 	g.grad = st.grad
 	g.wSqrt = st.wsq
-	g.chB = st.chB
+	g.chB = chB
 	g.fitted = true
 	return nil
 }
 
-// newtonState is the Laplace approximation's state at a latent vector f,
-// with the logistic likelihood: for y ∈ {0,1}, grad = ∇ log p = y − σ(f),
-// W = σ(1−σ) (floored at 1e-10) with its square root wsq, and chB the
-// Cholesky factor of B = I + W^{1/2} K W^{1/2}.
-type newtonState struct {
-	grad, w, wsq []float64
-	chB          *mat.Cholesky
+// kernelMatrix returns the n×n kernel matrix of X's rows, jitter on its
+// diagonal, and the length scale the median heuristic resolves, from one
+// pass over the pairs:
+//
+//  1. mat.SqDistPanel fills the matrix with squared distances, 32 columns
+//     at a time, the training rows serving as their own queries. Each
+//     sums (x_j − x_i)² in feature order, the bits of the pointwise
+//     kernel's (x_i − x_j)², since a difference and its negation round
+//     alike; so the matrix is symmetric bit for bit.
+//  2. lengthScale takes the median heuristic from the entries above the
+//     diagonal.
+//  3. mat.ExpPanel maps every entry d² to exp(−d²/(2·ls²)) in place, with
+//     weight 0 and scale 1, the whole matrix viewed as rows of 32; that is
+//     the kernel's signalVar·math.Exp(−d²/(2·ls²)), as signalVar is 1, and
+//     the diagonal then gains the jitter.
+func kernelMatrix(X ml.Matrix) (*mat.Dense, float64) {
+	const pw = mat.PanelWidth
+	n, k := X.Rows, X.Cols
+	K := make([]float64, n*n)
+	buf := getScratch(n*pw + k*pw + 7)
+	defer putScratch(buf)
+	work := mat.AlignedPanel(buf, n*pw+k*pw)
+	panel, ztBuf := work[:n*pw], work[n*pw:]
+	for c0 := 0; c0 < n; c0 += pw {
+		w := min(pw, n-c0)
+		P, zt := panel[:n*w], ztBuf[:k*w]
+		for q := 0; q < w; q++ {
+			for j, v := range X.Row(c0 + q) {
+				zt[j*w+q] = v
+			}
+		}
+		mat.SqDistPanel(P, X.Data, zt, n, k, w)
+		for i := 0; i < n; i++ {
+			copy(K[i*n+c0:i*n+c0+w], P[i*w:(i+1)*w])
+		}
+	}
+	ls := lengthScale(K, n)
+
+	rows, tail := n*n/pw, n*n%pw
+	weight := make([]float64, rows+1)
+	scale := make([]float64, rows+1)
+	for i := range scale {
+		scale[i] = 1
+	}
+	var sums [pw]float64
+	denom := 2 * ls * ls
+	mat.ExpPanel(K[:rows*pw], rows, pw, denom, weight[:rows], scale[:rows], sums[:])
+	if tail > 0 {
+		mat.ExpPanel(K[rows*pw:], 1, tail, denom, weight[:1], scale[:1], sums[:tail])
+	}
+	for i := 0; i < n; i++ {
+		K[i*n+i] += jitter
+	}
+	return mat.NewDenseData(n, n, K), ls
 }
 
-// newtonAt computes the Newton state at f for labels y.
-func newtonAt(K *mat.Dense, f []float64, y []int) (newtonState, error) {
+// newtonState is the Laplace approximation's state at a latent vector f,
+// with the logistic likelihood: for y ∈ {0,1}, grad = ∇ log p = y − σ(f),
+// and W = σ(1−σ) (floored at 1e-10) with its square root wsq.
+type newtonState struct {
+	grad, w, wsq []float64
+}
+
+// newtonAt computes the Newton state at f for labels y, and factors
+// B = I + W^{1/2} K W^{1/2} into chB. It writes only B's lower triangle,
+// the part the factorization reads, each entry as (W^{1/2}_i·K_ij)·W^{1/2}_j.
+func newtonAt(K, B *mat.Dense, chB *mat.Cholesky, f []float64, y []int) (newtonState, error) {
 	n := len(f)
 	st := newtonState{grad: make([]float64, n), w: make([]float64, n), wsq: make([]float64, n)}
 	for i := 0; i < n; i++ {
@@ -182,19 +238,14 @@ func newtonAt(K *mat.Dense, f []float64, y []int) (newtonState, error) {
 		st.w[i] = math.Max(p*(1-p), 1e-10)
 		st.wsq[i] = math.Sqrt(st.w[i])
 	}
-	B := mat.NewDense(n, n)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			v := st.wsq[i] * K.At(i, j) * st.wsq[j]
-			if i == j {
-				v += 1
-			}
-			B.Set(i, j, v)
+		wi, krow, brow := st.wsq[i], K.Row(i)[:i+1], B.Row(i)[:i+1]
+		for j, kij := range krow {
+			brow[j] = wi * kij * st.wsq[j]
 		}
+		brow[i] += 1
 	}
-	var err error
-	st.chB, err = mat.NewCholeskyJitter(B, 1e-10, 8)
-	return st, err
+	return st, chB.FactorizeJitter(B, 1e-10, 8)
 }
 
 // latent returns the predictive latent mean and variance at x (R&W
@@ -260,8 +311,8 @@ func (g *GP) PredictProbaFlat(X ml.Matrix) []float64 {
 //     mean, row by row, and scales row i by W^{1/2}_i in place, turning K
 //     into the right-hand sides;
 //  4. mat.Cholesky.SolveLowerPanel solves L·V = K in place, one column per
-//     query;
-//  5. a last pass sums each column's v·v for the variance.
+//     query, and adds each solved row's squares into the query's v·v for
+//     the variance as it goes.
 //
 // Every sum runs in the pointwise path's index order (features, then
 // training rows, ascending), and the exp kernel rounds as math.Exp does,
@@ -309,15 +360,11 @@ func (g *GP) PredictWithVarianceFlat(X ml.Matrix) ([]float64, []float64) {
 		// signalVar is 1, so each kernel value signalVar·exp(−d²/denom) is
 		// the bare exp that ExpPanel computes.
 		mat.ExpPanel(K, n, w, denom, g.grad, g.wSqrt, means)
-		// v_q = L \ (W^{1/2} k*_q), solved in place for the whole panel.
-		g.chB.SolveLowerPanel(K, w)
+		// v_q = L \ (W^{1/2} k*_q), solved in place for the whole panel,
+		// and v_q·v_q.
 		vv := vvBuf[:w]
 		clear(vv)
-		for i := 0; i < n; i++ {
-			for q, v := range K[i*w : (i+1)*w] {
-				vv[q] += v * v
-			}
-		}
+		g.chB.SolveLowerPanel(K, w, vv)
 		for q := 0; q < w; q++ {
 			variance := signalVar + jitter - vv[q]
 			if variance < 0 {
@@ -432,38 +479,102 @@ func subsample(y []int, maxN int, r *rng.RNG) []int {
 	return idx
 }
 
-// medianHeuristic returns the median pairwise Euclidean distance over a
-// capped number of point pairs (a standard kernel-bandwidth heuristic).
-func medianHeuristic(X [][]float64) float64 {
-	n := len(X)
-	if n < 2 {
-		return 1
-	}
-	var dists []float64
+// lengthScale is the median heuristic: the median Euclidean distance over
+// the pairs i < j of the n×n squared distances D (with n > 632, over every
+// stride-th pair of a row, so that at most ~2e5 are taken), or 1 where
+// that is at most 1e-9 or there is no pair.
+func lengthScale(D []float64, n int) float64 {
 	stride := 1
-	// Cap at ~2e5 pairs.
 	for n*(n-1)/2/stride > 200000 {
 		stride++
 	}
+	// Row i gives ⌈(n−1−i)/stride⌉ pairs, so this holds them all.
+	d2 := make([]float64, 0, n*(n-1)/2/stride+n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j += stride {
-			var d2 float64
-			for k := range X[i] {
-				d := X[i][k] - X[j][k]
-				d2 += d * d
-			}
-			dists = append(dists, math.Sqrt(d2))
+			d2 = append(d2, D[i*n+j])
 		}
 	}
-	if len(dists) == 0 {
+	if len(d2) == 0 {
 		return 1
 	}
-	// stats.Percentile(dists, 50) without its copy: it sorts with
-	// sort.Float64s, which is slices.Sort.
-	slices.Sort(dists)
-	m := stats.PercentileSorted(dists, 50)
+	m := medianSqrt(d2)
 	if m <= 1e-9 {
 		return 1
 	}
 	return m
+}
+
+// medianSqrt returns stats.Percentile(√d2, 50), reordering d2: it selects
+// the one or two middle order statistics of d2 and square-roots only
+// those. The square root is monotone, so they are the middle order
+// statistics of √d2 too, and stats.PercentileSorted interpolates between
+// the two exactly as it does at the middle of the whole sorted set. The
+// selection orders floats as slices.Sort does, NaN first.
+func medianSqrt(d2 []float64) float64 {
+	lo, hi := (len(d2)-1)/2, len(d2)/2
+	selectNth(d2, lo)
+	mid := []float64{math.Sqrt(d2[lo])}
+	if hi > lo {
+		// Everything past lo orders at or after d2[lo], so the next order
+		// statistic is their minimum; slices.Min returns NaN if any is,
+		// as the NaN-first order would.
+		mid = append(mid, math.Sqrt(slices.Min(d2[hi:])))
+	}
+	return stats.PercentileSorted(mid, 50)
+}
+
+// selectNth reorders v so that v[k] holds what slices.Sort would put
+// there, no element before it ordering after it and none after it before
+// it, in cmp.Compare's order (NaN first, NaNs equal). It partitions three
+// ways about a median-of-three pivot, so runs of equal values settle at
+// once, and sorts what is left after 2·log₂ len(v) rounds.
+func selectNth(v []float64, k int) {
+	lo, hi := 0, len(v)
+	for rounds := 2 * bits.Len(uint(len(v))); hi-lo > 1; rounds-- {
+		if rounds == 0 {
+			slices.Sort(v[lo:hi])
+			return
+		}
+		p := median3(v[lo], v[lo+(hi-lo)/2], v[hi-1])
+		// v[lo:lt] < p, v[lt:gt] == p, v[gt:hi] > p.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch c := cmp.Compare(v[i], p); {
+			case c < 0:
+				v[lt], v[i] = v[i], v[lt]
+				lt++
+				i++
+			case c > 0:
+				gt--
+				v[i], v[gt] = v[gt], v[i]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return
+		}
+	}
+}
+
+// median3 returns the middle one of a, b and c in cmp.Compare's order.
+func median3(a, b, c float64) float64 {
+	if cmp.Less(b, a) {
+		a, b = b, a
+	}
+	// a ≤ b: the middle one is b, unless c comes before it, and then it
+	// is the later of a and c.
+	switch {
+	case !cmp.Less(c, b):
+		return b
+	case cmp.Less(c, a):
+		return a
+	}
+	return c
 }

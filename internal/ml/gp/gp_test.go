@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"paws/internal/ml"
 	"paws/internal/rng"
 	"paws/internal/stats"
 )
@@ -142,6 +143,10 @@ func TestGPMaxTrainRespected(t *testing.T) {
 }
 
 func TestGPMedianHeuristic(t *testing.T) {
+	medianHeuristic := func(X [][]float64) float64 {
+		_, ls := kernelMatrix(ml.MatrixFromRows(X))
+		return ls
+	}
 	X := [][]float64{{0, 0}, {1, 0}, {0, 1}, {1, 1}}
 	ls := medianHeuristic(X)
 	// Pairwise distances: 1 (×4), √2 (×2) → median ≈ 1.
@@ -154,6 +159,44 @@ func TestGPMedianHeuristic(t *testing.T) {
 	// Identical points: fall back to 1 rather than 0.
 	if medianHeuristic([][]float64{{2, 2}, {2, 2}, {2, 2}}) != 1 {
 		t.Fatal("zero median distance should fall back to 1")
+	}
+}
+
+// TestMedianSqrtMatchesPercentile holds the median selection to the
+// sorted median, stats.Percentile of the square roots at 50, bit for bit:
+// at every length from 1 to 64, on sets of squared distances drawn with
+// many ties (zeros among them), with +Inf, and with NaN, which orders
+// first.
+func TestMedianSqrtMatchesPercentile(t *testing.T) {
+	r := rng.New(41)
+	draw := func(kind int) float64 {
+		switch v := r.Intn(12); {
+		case kind >= 1 && v == 0:
+			return math.Inf(1)
+		case kind >= 2 && v == 1:
+			return math.NaN()
+		case v < 5:
+			return float64(r.Intn(4)) // ties, zeros among them
+		default:
+			return math.Abs(r.Normal(0, 3)) * math.Abs(r.Normal(0, 3))
+		}
+	}
+	for m := 1; m <= 64; m++ {
+		for kind := 0; kind < 3; kind++ {
+			for trial := 0; trial < 20; trial++ {
+				d2 := make([]float64, m)
+				roots := make([]float64, m)
+				for i := range d2 {
+					d2[i] = draw(kind)
+					roots[i] = math.Sqrt(d2[i])
+				}
+				want := stats.Percentile(roots, 50)
+				if got := medianSqrt(d2); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("m=%d kind %d: medianSqrt = %v (%#x), want %v (%#x)",
+						m, kind, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@
 # byte-identical). Used by CI and runnable locally:
 # ./scripts/pawsd_jobs_smoke.sh
 set -euo pipefail
+. "$(dirname "$0")/stop_pids.sh"
 
 ADDR="127.0.0.1:${PAWSD_JOBS_SMOKE_PORT:-18109}"
 WORKDIR="$(mktemp -d)"
@@ -12,7 +13,7 @@ BIN="$WORKDIR/pawsd"
 LOG="$WORKDIR/pawsd.log"
 
 cleanup() {
-  [[ -n "${SERVER_PID:-}" ]] && kill "$SERVER_PID" 2>/dev/null || true
+  stop_pids "${SERVER_PID:-}"
   rm -rf "$WORKDIR"
 }
 trap cleanup EXIT

@@ -3,6 +3,7 @@
 # /v1 endpoints, and assert 200s with well-formed JSON. Used by CI and
 # runnable locally: ./scripts/pawsd_smoke.sh
 set -euo pipefail
+. "$(dirname "$0")/stop_pids.sh"
 
 ADDR="127.0.0.1:${PAWSD_SMOKE_PORT:-18099}"
 WORKDIR="$(mktemp -d)"
@@ -11,7 +12,7 @@ MODEL="$WORKDIR/model.paws"
 LOG="$WORKDIR/pawsd.log"
 
 cleanup() {
-  [[ -n "${SERVER_PID:-}" ]] && kill "$SERVER_PID" 2>/dev/null || true
+  stop_pids "${SERVER_PID:-}"
   rm -rf "$WORKDIR"
 }
 trap cleanup EXIT
@@ -52,7 +53,7 @@ check_json riskmap '/v1/riskmap?model=default&effort=2'
 check_json plan /v1/plan -X POST -d '{"model":"default","post":0,"beta":0.9,"radius":2,"max_cells":12,"t":5,"k":2,"segments":6}'
 
 # The persisted model must reload: restart without -train.
-kill "$SERVER_PID"; wait "$SERVER_PID" 2>/dev/null || true
+stop_pids "$SERVER_PID"
 "$BIN" -addr "$ADDR" -kind DTB-iW -model "$MODEL" >"$LOG" 2>&1 &
 SERVER_PID=$!
 for _ in $(seq 1 60); do

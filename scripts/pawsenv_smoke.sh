@@ -10,6 +10,7 @@
 # env surface itself never touches it. Used by CI and runnable locally:
 # ./scripts/pawsenv_smoke.sh
 set -euo pipefail
+. "$(dirname "$0")/stop_pids.sh"
 
 PORT_A="${PAWSENV_SMOKE_PORT_A:-18141}"
 PORT_B="${PAWSENV_SMOKE_PORT_B:-18142}"
@@ -20,9 +21,7 @@ ADDR_G="127.0.0.1:$PORT_G"
 WORKDIR="$(mktemp -d)"
 
 cleanup() {
-  for pid in "${PID_A:-}" "${PID_B:-}" "${PID_G:-}"; do
-    [[ -n "$pid" ]] && kill "$pid" 2>/dev/null || true
-  done
+  stop_pids "${PID_A:-}" "${PID_B:-}" "${PID_G:-}"
   rm -rf "$WORKDIR"
 }
 trap cleanup EXIT

@@ -7,6 +7,7 @@
 # produce a sane bench record. Used by CI and runnable locally:
 # ./scripts/pawsgate_smoke.sh
 set -euo pipefail
+. "$(dirname "$0")/stop_pids.sh"
 
 PORT_A="${PAWSGATE_SMOKE_PORT_A:-18121}"
 PORT_B="${PAWSGATE_SMOKE_PORT_B:-18122}"
@@ -18,9 +19,7 @@ WORKDIR="$(mktemp -d)"
 STORE="$WORKDIR/store"
 
 cleanup() {
-  for pid in "${PID_A:-}" "${PID_B:-}" "${PID_G:-}"; do
-    [[ -n "$pid" ]] && kill "$pid" 2>/dev/null || true
-  done
+  stop_pids "${PID_A:-}" "${PID_B:-}" "${PID_G:-}"
   rm -rf "$WORKDIR"
 }
 trap cleanup EXIT
@@ -127,7 +126,7 @@ EOF
 
 # Kill replica A (the trainer). The gate must health-check it out and
 # keep serving byte-identical answers from replica B.
-kill "$PID_A"; wait "$PID_A" 2>/dev/null || true; PID_A=""
+stop_pids "$PID_A"; PID_A=""
 for _ in $(seq 1 60); do
   H="$(curl -s "http://$ADDR_G/gatez" | python3 -c 'import json,sys; print(sum(b["healthy"] for b in json.load(sys.stdin)["backends"]))')"
   [[ "$H" == "1" ]] && break

@@ -7,6 +7,7 @@
 # and a completed job's trace carrying at least one compute-stage span.
 # Used by CI and runnable locally: ./scripts/pawsobs_smoke.sh
 set -euo pipefail
+. "$(dirname "$0")/stop_pids.sh"
 
 PORT_A="${PAWSOBS_SMOKE_PORT_A:-18131}"
 PORT_B="${PAWSOBS_SMOKE_PORT_B:-18132}"
@@ -18,9 +19,7 @@ WORKDIR="$(mktemp -d)"
 STORE="$WORKDIR/store"
 
 cleanup() {
-  for pid in "${PID_A:-}" "${PID_B:-}" "${PID_G:-}"; do
-    [[ -n "$pid" ]] && kill "$pid" 2>/dev/null || true
-  done
+  stop_pids "${PID_A:-}" "${PID_B:-}" "${PID_G:-}"
   rm -rf "$WORKDIR"
 }
 trap cleanup EXIT
