@@ -50,9 +50,6 @@ func NewClient(baseURL string, hc *http.Client, park *geo.Park, req CreateReques
 	return &Client{baseURL: strings.TrimRight(baseURL, "/"), http: hc, park: park, req: req}
 }
 
-// ID returns the server-assigned session ID ("" before the first Reset).
-func (c *Client) ID() string { return c.id }
-
 // RemoteError is a structured error envelope decoded from a non-2xx
 // response: the server's machine-readable code plus the HTTP status.
 type RemoteError struct {
@@ -205,16 +202,6 @@ func (c *Client) Step(ctx context.Context, effort []float64) (*Obs, SeasonStats,
 		return nil, SeasonStats{}, false, fmt.Errorf("env: step session %s: %w", c.id, err)
 	}
 	return c.obs(), resp.Stats, resp.Done, nil
-}
-
-// Get fetches the session snapshot.
-func (c *Client) Get(ctx context.Context) (Snapshot, error) {
-	if c.id == "" {
-		return Snapshot{}, fmt.Errorf("env: client has no session (call Reset first)")
-	}
-	var snap Snapshot
-	err := c.do(ctx, http.MethodGet, "/v1/envs/"+c.id, nil, &snap)
-	return snap, err
 }
 
 // Close deletes the server session, if any.

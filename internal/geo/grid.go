@@ -134,13 +134,6 @@ func NewRaster(g *Grid) *Raster {
 	return &Raster{Grid: g, V: make([]float64, g.NumCells())}
 }
 
-// Clone returns a deep copy of the raster.
-func (r *Raster) Clone() *Raster {
-	out := NewRaster(r.Grid)
-	copy(out.V, r.V)
-	return out
-}
-
 // MinMax returns the minimum and maximum values of the raster.
 func (r *Raster) MinMax() (lo, hi float64) {
 	if len(r.V) == 0 {

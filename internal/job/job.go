@@ -257,22 +257,11 @@ func (m *Manager) submitLocked(kind string, fn Fn, pinned bool) (*rec, error) {
 	return r, nil
 }
 
-// Submit queues fn as a new job of the given kind and returns its ID. The
-// job starts immediately if a worker slot is free.
-func (m *Manager) Submit(kind string, fn Fn) (string, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r, err := m.submitLocked(kind, fn, false)
-	if err != nil {
-		return "", err
-	}
-	return r.id, nil
-}
-
-// SubmitSnapshot is Submit returning the job's initial snapshot
-// atomically, so the caller's view cannot race with retention eviction of
-// a job that finished immediately.
-func (m *Manager) SubmitSnapshot(kind string, fn Fn) (Snapshot, error) {
+// Submit queues fn as a new job of the given kind and returns the job's
+// initial snapshot, taken atomically with the submission, so the caller's
+// view cannot race with retention eviction of a job that finished
+// immediately. The job starts at once if a worker slot is free.
+func (m *Manager) Submit(kind string, fn Fn) (Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	r, err := m.submitLocked(kind, fn, false)

@@ -49,23 +49,23 @@ func waitTerminal(t *testing.T, m *Manager, id string) Snapshot {
 
 func TestLifecycleDone(t *testing.T) {
 	m := NewManager(Config{Workers: 1})
-	id, err := m.Submit("demo", doneFn(3, 42))
+	sub, err := m.Submit("demo", doneFn(3, 42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := waitTerminal(t, m, id)
+	snap := waitTerminal(t, m, sub.ID)
 	if snap.State != StateDone {
 		t.Fatalf("state %s, want done", snap.State)
 	}
 	if snap.Started.IsZero() || snap.Finished.IsZero() || snap.Created.IsZero() {
 		t.Fatalf("missing timestamps: %+v", snap)
 	}
-	res, _, err := m.Result(id)
+	res, _, err := m.Result(sub.ID)
 	if err != nil || res != 42 {
 		t.Fatalf("result %v, %v; want 42, nil", res, err)
 	}
 	// 3 published events plus the running and done state events.
-	evs, state, _, err := m.EventsSince(id, 0)
+	evs, state, _, err := m.EventsSince(sub.ID, 0)
 	if err != nil || state != StateDone {
 		t.Fatalf("events: %v, state %s", err, state)
 	}
@@ -84,7 +84,7 @@ func TestLifecycleDone(t *testing.T) {
 		t.Fatalf("last event %+v, want done state event", last)
 	}
 	// Replay from the middle.
-	evs, _, _, _ = m.EventsSince(id, 3)
+	evs, _, _, _ = m.EventsSince(sub.ID, 3)
 	if len(evs) != 2 || evs[0].Seq != 3 {
 		t.Fatalf("replay from 3: %+v", evs)
 	}
@@ -93,28 +93,28 @@ func TestLifecycleDone(t *testing.T) {
 func TestLifecycleFailed(t *testing.T) {
 	m := NewManager(Config{Workers: 1})
 	boom := errors.New("boom")
-	id, _ := m.Submit("demo", func(ctx context.Context, publish func(Event)) (any, error) {
+	sub, _ := m.Submit("demo", func(ctx context.Context, publish func(Event)) (any, error) {
 		return nil, boom
 	})
-	snap := waitTerminal(t, m, id)
+	snap := waitTerminal(t, m, sub.ID)
 	if snap.State != StateFailed || snap.Error != "boom" {
 		t.Fatalf("snapshot %+v, want failed/boom", snap)
 	}
-	if _, _, err := m.Result(id); !errors.Is(err, boom) {
+	if _, _, err := m.Result(sub.ID); !errors.Is(err, boom) {
 		t.Fatalf("result err %v, want boom", err)
 	}
 }
 
 func TestPanicBecomesFailure(t *testing.T) {
 	m := NewManager(Config{Workers: 1})
-	id, _ := m.Submit("demo", func(ctx context.Context, publish func(Event)) (any, error) {
+	sub, _ := m.Submit("demo", func(ctx context.Context, publish func(Event)) (any, error) {
 		panic("kaboom")
 	})
-	snap := waitTerminal(t, m, id)
+	snap := waitTerminal(t, m, sub.ID)
 	if snap.State != StateFailed {
 		t.Fatalf("state %s, want failed", snap.State)
 	}
-	if _, _, err := m.Result(id); err == nil || snap.Error == "" {
+	if _, _, err := m.Result(sub.ID); err == nil || snap.Error == "" {
 		t.Fatalf("panic not surfaced: %+v", snap)
 	}
 }
@@ -128,15 +128,15 @@ func TestBoundedConcurrencyFIFO(t *testing.T) {
 	second, _ := m.Submit("demo", doneFn(0, "second"))
 	// The second job must stay queued while the first occupies the slot.
 	time.Sleep(20 * time.Millisecond)
-	snap, err := m.Get(second)
+	snap, err := m.Get(second.ID)
 	if err != nil || snap.State != StateQueued {
 		t.Fatalf("second job state %s (%v), want queued", snap.State, err)
 	}
 	close(release)
-	if s := waitTerminal(t, m, first); s.State != StateDone {
+	if s := waitTerminal(t, m, first.ID); s.State != StateDone {
 		t.Fatalf("first ended %s", s.State)
 	}
-	if s := waitTerminal(t, m, second); s.State != StateDone {
+	if s := waitTerminal(t, m, second.ID); s.State != StateDone {
 		t.Fatalf("second ended %s", s.State)
 	}
 }
@@ -151,11 +151,11 @@ func TestCancelQueued(t *testing.T) {
 	}
 	<-started
 	queued, _ := m.Submit("demo", doneFn(0, nil))
-	snap, err := m.Cancel(queued)
+	snap, err := m.Cancel(queued.ID)
 	if err != nil || snap.State != StateCanceled {
 		t.Fatalf("cancel queued: %+v, %v", snap, err)
 	}
-	if _, _, err := m.Result(queued); !errors.Is(err, context.Canceled) {
+	if _, _, err := m.Result(queued.ID); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled result err %v, want context.Canceled", err)
 	}
 }
@@ -164,20 +164,20 @@ func TestCancelRunningLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	m := NewManager(Config{Workers: 2})
 	started := make(chan string, 1)
-	id, _ := m.Submit("demo", blockingFn(started, nil))
+	sub, _ := m.Submit("demo", blockingFn(started, nil))
 	<-started
-	snap, err := m.Cancel(id)
+	snap, err := m.Cancel(sub.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if snap.State != StateRunning && snap.State != StateCanceled {
 		t.Fatalf("state %s right after cancel", snap.State)
 	}
-	final := waitTerminal(t, m, id)
+	final := waitTerminal(t, m, sub.ID)
 	if final.State != StateCanceled {
 		t.Fatalf("final state %s, want canceled", final.State)
 	}
-	if _, _, err := m.Result(id); !errors.Is(err, context.Canceled) {
+	if _, _, err := m.Result(sub.ID); !errors.Is(err, context.Canceled) {
 		t.Fatalf("result err %v, want context.Canceled", err)
 	}
 	// The job goroutine must have exited; allow the runtime a moment.
@@ -197,21 +197,21 @@ func TestCancelRacingCompletionKeepsResult(t *testing.T) {
 	// the race must not discard the finished result.
 	started := make(chan string, 1)
 	release := make(chan struct{})
-	id, _ := m.Submit("demo", func(ctx context.Context, publish func(Event)) (any, error) {
+	sub, _ := m.Submit("demo", func(ctx context.Context, publish func(Event)) (any, error) {
 		started <- "running"
 		<-release
 		return "finished", nil
 	})
 	<-started
-	if _, err := m.Cancel(id); err != nil {
+	if _, err := m.Cancel(sub.ID); err != nil {
 		t.Fatal(err)
 	}
 	close(release)
-	snap := waitTerminal(t, m, id)
+	snap := waitTerminal(t, m, sub.ID)
 	if snap.State != StateDone {
 		t.Fatalf("state %s, want done (completion beat the cancel)", snap.State)
 	}
-	if res, _, err := m.Result(id); err != nil || res != "finished" {
+	if res, _, err := m.Result(sub.ID); err != nil || res != "finished" {
 		t.Fatalf("result %v, %v", res, err)
 	}
 }
@@ -220,13 +220,13 @@ func TestResultTTLEviction(t *testing.T) {
 	clock := time.Unix(1000, 0)
 	now := func() time.Time { return clock }
 	m := NewManager(Config{Workers: 1, ResultTTL: time.Minute, now: now})
-	id, _ := m.Submit("demo", doneFn(0, "v"))
-	waitTerminal(t, m, id)
-	if _, err := m.Get(id); err != nil {
+	sub, _ := m.Submit("demo", doneFn(0, "v"))
+	waitTerminal(t, m, sub.ID)
+	if _, err := m.Get(sub.ID); err != nil {
 		t.Fatalf("fresh job evicted: %v", err)
 	}
 	clock = clock.Add(2 * time.Minute)
-	if _, err := m.Get(id); !errors.Is(err, ErrUnknownJob) {
+	if _, err := m.Get(sub.ID); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("expired job still present: %v", err)
 	}
 }
@@ -243,12 +243,12 @@ func TestLRURetentionBound(t *testing.T) {
 	m := NewManager(Config{Workers: 1, MaxRetained: 2, ResultTTL: -1, now: now})
 	var ids []string
 	for i := 0; i < 3; i++ {
-		id, err := m.Submit("demo", doneFn(0, i))
+		sub, err := m.Submit("demo", doneFn(0, i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitTerminal(t, m, id)
-		ids = append(ids, id)
+		waitTerminal(t, m, sub.ID)
+		ids = append(ids, sub.ID)
 	}
 	if _, err := m.Get(ids[0]); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("oldest job survived past the retention bound: %v", err)
@@ -267,7 +267,7 @@ func TestShutdownDrainsRunningJobs(t *testing.T) {
 	m := NewManager(Config{Workers: 1})
 	started := make(chan string, 1)
 	release := make(chan struct{})
-	id, _ := m.Submit("demo", blockingFn(started, release))
+	sub, _ := m.Submit("demo", blockingFn(started, release))
 	<-started
 	queued, _ := m.Submit("demo", doneFn(0, "q"))
 	go func() {
@@ -280,7 +280,7 @@ func TestShutdownDrainsRunningJobs(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 	// Both the running and the already-queued job drained to done.
-	for _, jid := range []string{id, queued} {
+	for _, jid := range []string{sub.ID, queued.ID} {
 		if snap, err := m.Get(jid); err != nil || snap.State != StateDone {
 			t.Fatalf("job %s after drain: %+v, %v", jid, snap, err)
 		}
@@ -293,14 +293,14 @@ func TestShutdownDrainsRunningJobs(t *testing.T) {
 func TestShutdownExpiredDrainCancels(t *testing.T) {
 	m := NewManager(Config{Workers: 1})
 	started := make(chan string, 1)
-	id, _ := m.Submit("demo", blockingFn(started, nil)) // never releases
+	sub, _ := m.Submit("demo", blockingFn(started, nil)) // never releases
 	<-started
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if err := m.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("shutdown err %v, want deadline", err)
 	}
-	if snap, err := m.Get(id); err != nil || snap.State != StateCanceled {
+	if snap, err := m.Get(sub.ID); err != nil || snap.State != StateCanceled {
 		t.Fatalf("job after expired drain: %+v, %v", snap, err)
 	}
 	if m.Active() != 0 {
@@ -337,7 +337,7 @@ func TestEventsStreamReplayAcrossSubscribers(t *testing.T) {
 	m := NewManager(Config{Workers: 1})
 	started := make(chan string, 1)
 	release := make(chan struct{})
-	id, _ := m.Submit("demo", func(ctx context.Context, publish func(Event)) (any, error) {
+	sub, _ := m.Submit("demo", func(ctx context.Context, publish func(Event)) (any, error) {
 		started <- "running"
 		publish(Event{Stage: "step", Current: 1, Total: 2})
 		<-release
@@ -349,7 +349,7 @@ func TestEventsStreamReplayAcrossSubscribers(t *testing.T) {
 	var from int
 	deadline := time.Now().Add(5 * time.Second)
 	for from < 2 { // running state event + step 1
-		evs, _, ch, err := m.EventsSince(id, from)
+		evs, _, ch, err := m.EventsSince(sub.ID, from)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,9 +364,9 @@ func TestEventsStreamReplayAcrossSubscribers(t *testing.T) {
 		}
 	}
 	close(release)
-	waitTerminal(t, m, id)
+	waitTerminal(t, m, sub.ID)
 	// A later subscriber replays everything from scratch.
-	evs, state, _, err := m.EventsSince(id, 0)
+	evs, state, _, err := m.EventsSince(sub.ID, 0)
 	if err != nil || !state.Terminal() {
 		t.Fatalf("late subscribe: %v, %s", err, state)
 	}
@@ -384,12 +384,12 @@ func TestConcurrentSubmitters(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			id, err := m.Submit("demo", doneFn(1, i))
+			sub, err := m.Submit("demo", doneFn(1, i))
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			ids[i] = id
+			ids[i] = sub.ID
 		}(i)
 	}
 	wg.Wait()
@@ -425,15 +425,15 @@ func TestUnknownJobErrors(t *testing.T) {
 	if _, _, _, err := m.EventsSince("j-nope", 0); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("events: %v", err)
 	}
-	id, _ := m.Submit("demo", doneFn(0, nil))
-	waitTerminal(t, m, id)
-	if _, _, err := m.Result(id); err != nil {
+	sub, _ := m.Submit("demo", doneFn(0, nil))
+	waitTerminal(t, m, sub.ID)
+	if _, _, err := m.Result(sub.ID); err != nil {
 		t.Fatalf("result: %v", err)
 	}
-	if err := m.Remove(id); err != nil {
+	if err := m.Remove(sub.ID); err != nil {
 		t.Fatalf("remove: %v", err)
 	}
-	if _, err := m.Get(id); !errors.Is(err, ErrUnknownJob) {
+	if _, err := m.Get(sub.ID); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("removed job still present: %v", err)
 	}
 }
@@ -442,23 +442,23 @@ func TestResultNotFinished(t *testing.T) {
 	m := NewManager(Config{Workers: 1})
 	started := make(chan string, 1)
 	release := make(chan struct{})
-	id, _ := m.Submit("demo", blockingFn(started, release))
+	sub, _ := m.Submit("demo", blockingFn(started, release))
 	<-started
-	if _, _, err := m.Result(id); !errors.Is(err, ErrNotFinished) {
+	if _, _, err := m.Result(sub.ID); !errors.Is(err, ErrNotFinished) {
 		t.Fatalf("running result err %v, want ErrNotFinished", err)
 	}
-	if err := m.Remove(id); !errors.Is(err, ErrNotFinished) {
+	if err := m.Remove(sub.ID); !errors.Is(err, ErrNotFinished) {
 		t.Fatalf("remove running err %v, want ErrNotFinished", err)
 	}
 	close(release)
-	waitTerminal(t, m, id)
+	waitTerminal(t, m, sub.ID)
 }
 
 func TestSnapshotJSONShape(t *testing.T) {
 	m := NewManager(Config{Workers: 1})
-	id, _ := m.Submit("simulate", doneFn(0, nil))
-	snap := waitTerminal(t, m, id)
-	if snap.ID != id || snap.Kind != "simulate" {
+	sub, _ := m.Submit("simulate", doneFn(0, nil))
+	snap := waitTerminal(t, m, sub.ID)
+	if snap.ID != sub.ID || snap.Kind != "simulate" {
 		t.Fatalf("snapshot identity: %+v", snap)
 	}
 	if snap.Events != 2 {

@@ -10,24 +10,24 @@ import (
 
 func TestIDPrefixNamespacesJobs(t *testing.T) {
 	m := NewManager(Config{Workers: 1, IDPrefix: "r1"})
-	id, err := m.Submit("noop", doneFn(0, 1))
+	sub, err := m.Submit("noop", doneFn(0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != "j-r1-000001" {
-		t.Fatalf("prefixed id %q, want j-r1-000001", id)
+	if sub.ID != "j-r1-000001" {
+		t.Fatalf("prefixed id %q, want j-r1-000001", sub.ID)
 	}
-	if _, err := m.Wait(context.Background(), id); err != nil {
+	if _, err := m.Wait(context.Background(), sub.ID); err != nil {
 		t.Fatal(err)
 	}
 	// Default format is unchanged.
 	m2 := NewManager(Config{Workers: 1})
-	id2, err := m2.Submit("noop", doneFn(0, 1))
+	sub2, err := m2.Submit("noop", doneFn(0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id2 != "j-000001" {
-		t.Fatalf("unprefixed id %q, want j-000001", id2)
+	if sub2.ID != "j-000001" {
+		t.Fatalf("unprefixed id %q, want j-000001", sub2.ID)
 	}
 }
 
@@ -46,7 +46,7 @@ func TestStatsTracksLoadAndMeanCost(t *testing.T) {
 		}
 		return nil, nil
 	}
-	id1, err := m.Submit("block", blocker)
+	sub1, err := m.Submit("block", blocker)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestStatsTracksLoadAndMeanCost(t *testing.T) {
 		t.Fatalf("mid-run stats %+v, want running=1 queued=1 completed=0", s)
 	}
 	close(release)
-	if _, err := m.Wait(context.Background(), id1); err != nil {
+	if _, err := m.Wait(context.Background(), sub1.ID); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -86,11 +86,11 @@ func TestStatsTracksLoadAndMeanCost(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	qid, err := m2.Submit("queued", doneFn(0, 1))
+	q, err := m2.Submit("queued", doneFn(0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m2.Cancel(qid); err != nil {
+	if _, err := m2.Cancel(q.ID); err != nil {
 		t.Fatal(err)
 	}
 	if s := m2.Stats(); s.Completed != 1 || s.MeanJobSeconds != 0 {
@@ -112,11 +112,11 @@ func TestDrainReportsShuttingDownNotUnknown(t *testing.T) {
 		return time.Now().Add(offset)
 	}
 	m := NewManager(Config{Workers: 1, ResultTTL: time.Minute, now: clock})
-	id, err := m.Submit("quick", doneFn(0, "r"))
+	sub, err := m.Submit("quick", doneFn(0, "r"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Wait(context.Background(), id); err != nil {
+	if _, err := m.Wait(context.Background(), sub.ID); err != nil {
 		t.Fatal(err)
 	}
 	// Before shutdown an evicted ID is honestly unknown. (Get applies lazy
@@ -124,7 +124,7 @@ func TestDrainReportsShuttingDownNotUnknown(t *testing.T) {
 	clockMu.Lock()
 	offset = 2 * time.Minute // jump past the TTL
 	clockMu.Unlock()
-	if _, err := m.Get(id); !errors.Is(err, ErrUnknownJob) {
+	if _, err := m.Get(sub.ID); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("pre-shutdown evicted lookup: %v, want ErrUnknownJob", err)
 	}
 	if err := m.Shutdown(context.Background()); err != nil {
@@ -132,22 +132,22 @@ func TestDrainReportsShuttingDownNotUnknown(t *testing.T) {
 	}
 	// After shutdown the same lookup reports the drain, consistently with
 	// what Submit would say.
-	if _, _, _, err := m.EventsSince(id, 0); !errors.Is(err, ErrShuttingDown) {
+	if _, _, _, err := m.EventsSince(sub.ID, 0); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("EventsSince during drain: %v, want ErrShuttingDown", err)
 	}
-	if _, err := m.Get(id); !errors.Is(err, ErrShuttingDown) {
+	if _, err := m.Get(sub.ID); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("Get during drain: %v, want ErrShuttingDown", err)
 	}
-	if _, _, err := m.Result(id); !errors.Is(err, ErrShuttingDown) {
+	if _, _, err := m.Result(sub.ID); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("Result during drain: %v, want ErrShuttingDown", err)
 	}
-	if _, err := m.Cancel(id); !errors.Is(err, ErrShuttingDown) {
+	if _, err := m.Cancel(sub.ID); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("Cancel during drain: %v, want ErrShuttingDown", err)
 	}
-	if _, err := m.Wait(context.Background(), id); !errors.Is(err, ErrShuttingDown) {
+	if _, err := m.Wait(context.Background(), sub.ID); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("Wait during drain: %v, want ErrShuttingDown", err)
 	}
-	if err := m.Remove(id); !errors.Is(err, ErrShuttingDown) {
+	if err := m.Remove(sub.ID); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("Remove during drain: %v, want ErrShuttingDown", err)
 	}
 	if _, _, _, err := m.EventsSince("j-999999", 0); !errors.Is(err, ErrShuttingDown) {

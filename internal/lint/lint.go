@@ -32,9 +32,19 @@
 //   - errenvelope: handlers in internal/serve and internal/gate producing
 //     non-2xx responses via http.Error or a constant non-2xx WriteHeader
 //     instead of the structured {"error":{code,message,trace_id}} envelope.
+//   - testonly: package-level exported funcs, types, vars and consts of
+//     internal/ packages that no non-test file of the module refers to —
+//     API that only tests keep alive, to delete or move into a _test.go
+//     file. References come from the whole module (cmd/pawsbench, its own
+//     module, included), so the findings do not depend on which packages
+//     are reported on. Test-helper packages named *test are exempt.
+//     Methods are left out: a method may exist only to satisfy an
+//     interface, gob's reflective GobEncode among them, and uses alone
+//     cannot show that.
 //
 // Test files (*_test.go) and testdata directories are not analyzed: the
-// checks target production code paths.
+// checks target production code paths, and a use in a test file does not
+// count as a reference for testonly.
 //
 // # Suppressions
 //
@@ -94,6 +104,7 @@ func Checks() []Check {
 		{"maporder", "map iteration emitting order-dependent output (append to outer slice, io.Writer, channel send, arg-max into an outer variable) without a key sort", checkMapOrder},
 		{"goroutine", "bare go statements outside the sanctioned concurrency owners (internal/par, job, env, gate, load, cmd)", checkGoroutine},
 		{"errenvelope", "serve/gate handlers writing non-2xx responses without the structured error envelope", checkErrEnvelope},
+		{"testonly", "exported package-level identifiers of internal/ packages that no non-test file uses (not methods: interface satisfaction, gob's GobEncode included, is invisible to uses)", checkTestOnly},
 	}
 }
 

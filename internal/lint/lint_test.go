@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // corpus pairs each testdata/src directory with the module-relative
 // package directory it is loaded as — which is what decides its
-// classification, exactly like a real package's location would.
+// classification, exactly like a real package's location would. A
+// directory holding a go.mod is instead loaded whole with LoadModule, its
+// packages classified by their own paths (rel is unused).
 var corpus = []struct{ dir, rel string }{
 	{"wallclock_bad", "internal/env"},
 	{"wallclock_good", "internal/env"},
@@ -25,12 +28,17 @@ var corpus = []struct{ dir, rel string }{
 	{"suppress_bad", "internal/env"},
 	{"suppress_good", "internal/env"},
 	{"buildtags_good", "internal/mat"},
+	{"testonly_module", ""},
 }
 
 // runCorpus loads one corpus dir and returns its findings.
 func runCorpus(t *testing.T, dir, rel string) []Finding {
 	t.Helper()
-	pkg, err := LoadDir(filepath.Join("testdata", "src", dir), rel)
+	path := filepath.Join("testdata", "src", dir)
+	if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+		return Run(loadCorpusModule(t, path).Pkgs, Checks())
+	}
+	pkg, err := LoadDir(path, rel)
 	if err != nil {
 		t.Fatalf("LoadDir(%s): %v", dir, err)
 	}
@@ -41,6 +49,22 @@ func runCorpus(t *testing.T, dir, rel string) []Finding {
 		t.Fatalf("LoadDir(%s): type errors %v", dir, pkg.TypeErrors)
 	}
 	return Run([]*Package{pkg}, Checks())
+}
+
+// loadCorpusModule loads a corpus module and fails the test unless every
+// package typechecks.
+func loadCorpusModule(t *testing.T, path string) *Module {
+	t.Helper()
+	mod, err := LoadModule(path)
+	if err != nil {
+		t.Fatalf("LoadModule(%s): %v", path, err)
+	}
+	for _, pkg := range mod.Pkgs {
+		if len(pkg.TypeErrors) > 0 {
+			t.Fatalf("LoadModule(%s): package %q: type errors %v", path, pkg.Rel, pkg.TypeErrors)
+		}
+	}
+	return mod
 }
 
 // TestCorpusGolden compares every corpus directory's findings against
@@ -114,6 +138,27 @@ func TestSuppressionSemantics(t *testing.T) {
 	}
 	if counts["globalrand"] != 1 {
 		t.Errorf("suppress_bad: unknown-check allow must not silence globalrand; findings: %v", bad)
+	}
+}
+
+// TestTestOnlyIgnoresSelection pins that testonly reads the module-wide
+// reference set: a package run on its own gets exactly the findings it
+// gets in a run over the whole module, so `pawsvet ./internal/core` and
+// `pawsvet ./...` agree on it.
+func TestTestOnlyIgnoresSelection(t *testing.T) {
+	mod := loadCorpusModule(t, filepath.Join("testdata", "src", "testonly_module"))
+	whole := map[string][]Finding{}
+	for _, f := range Run(mod.Pkgs, Checks()) {
+		whole[f.Package] = append(whole[f.Package], f)
+	}
+	if len(whole["internal/core"]) == 0 {
+		t.Fatal("testonly reports nothing for internal/core over the whole module")
+	}
+	for _, pkg := range mod.Pkgs {
+		alone := Run([]*Package{pkg}, Checks())
+		if !reflect.DeepEqual(alone, whole[pkg.Rel]) {
+			t.Errorf("package %q: alone %v, within the module %v", pkg.Rel, alone, whole[pkg.Rel])
+		}
 	}
 }
 

@@ -38,6 +38,13 @@ type Package struct {
 	TypeErrors []error
 
 	root string // module root, for rendering file paths
+	// refs is the module's reference set, shared by every package
+	// LoadModule returns: each object that some loaded (non-test) file
+	// refers to. go/types records a use of a generic func or type as the
+	// generic object itself, so an instantiation counts as a use of it.
+	// The testonly check reads the set; it is nil for a package loaded on
+	// its own.
+	refs map[types.Object]bool
 }
 
 // finding builds a Finding at a token position, rendering the file path
@@ -104,9 +111,10 @@ func modulePath(gomod string) (string, error) {
 
 // LoadModule parses and typechecks every package of the module rooted at
 // root (skipping *_test.go files, files the host's build constraints
-// exclude, testdata, and hidden directories). Packages that fail to
-// typecheck are still returned, with partial type information and their
-// TypeErrors; parse failures abort the load.
+// exclude, testdata, and hidden directories), and gives the packages one
+// reference set built from all of their types.Info.Uses. Packages that
+// fail to typecheck are still returned, with partial type information and
+// their TypeErrors; parse failures abort the load.
 func LoadModule(root string) (*Module, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -246,57 +254,17 @@ func LoadModule(root string) (*Module, error) {
 		checked[rel] = tp
 		mod.Pkgs = append(mod.Pkgs, pkg)
 	}
-	return mod, nil
-}
 
-// LoadDir parses and typechecks one directory as a standalone package
-// with the given module-relative directory (which decides its
-// classification), skipping the files the host's build constraints
-// exclude. Imports resolve against the standard library only — the
-// corpus-test entry point.
-func LoadDir(dir, rel string) (*Package, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	entries, err := os.ReadDir(abs)
-	if err != nil {
-		return nil, err
-	}
-	pkg := &Package{Rel: rel, Dir: abs, Class: classify(rel), Fset: fset, root: abs}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
-			continue
+	refs := map[types.Object]bool{}
+	for _, pkg := range mod.Pkgs {
+		for _, obj := range pkg.Info.Uses {
+			refs[obj] = true
 		}
-		ok, err := build.Default.MatchFile(abs, e.Name())
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		file, err := parser.ParseFile(fset, filepath.Join(abs, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		pkg.Files = append(pkg.Files, file)
 	}
-	if len(pkg.Files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
+	for _, pkg := range mod.Pkgs {
+		pkg.refs = refs
 	}
-	cfg := types.Config{
-		Importer: newStdImporter(fset),
-		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
-	}
-	pkg.Info = &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
-	pkg.Types, _ = cfg.Check("lintcorpus/"+rel, fset, pkg.Files, pkg.Info)
-	return pkg, nil
+	return mod, nil
 }
 
 // importerFunc adapts a function to types.Importer.

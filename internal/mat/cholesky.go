@@ -17,16 +17,6 @@ type Cholesky struct {
 	l *Dense // lower triangular, upper part zero
 }
 
-// NewCholesky factorizes the symmetric matrix a (only the lower triangle is
-// read). It returns ErrNotPositiveDefinite if a pivot is ≤ 0.
-func NewCholesky(a *Dense) (*Cholesky, error) {
-	c := new(Cholesky)
-	if err := c.FactorizeJitter(a, 0, 1); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // FactorizeJitter factorizes the symmetric matrix a (only the lower
 // triangle is read) into c, reusing c's storage when it already holds a
 // factor of a's order. The first try adds nothing; each of the other

@@ -8,6 +8,16 @@ import (
 	"testing/quick"
 )
 
+// NewCholesky factorizes the symmetric matrix a (only the lower triangle is
+// read). It returns ErrNotPositiveDefinite if a pivot is ≤ 0.
+func NewCholesky(a *Dense) (*Cholesky, error) {
+	c := new(Cholesky)
+	if err := c.FactorizeJitter(a, 0, 1); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
 // randomSPD builds a random symmetric positive definite matrix A = BᵀB + nI.
 func randomSPD(r *rand.Rand, n int) *Dense {
 	b := NewDense(n, n)

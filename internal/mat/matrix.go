@@ -17,11 +17,11 @@
 // its kernel matrix with SqDistPanel and ExpPanel, the training rows
 // serving as their own queries.
 //
-// The factorization (NewCholesky, Cholesky.FactorizeJitter) works column
-// by column on a column-major workspace. Row i of column j starts from
-// a[i][j] and subtracts L[i][k]·L[j][k] for k ascending, the products and
-// the order of the textbook row-by-row loop, so the rows of a column are
-// independent lanes; L() is transposed back to row-major at the end.
+// The factorization (Cholesky.FactorizeJitter) works column by column on
+// a column-major workspace. Row i of column j starts from a[i][j] and
+// subtracts L[i][k]·L[j][k] for k ascending, the products and the order
+// of the textbook row-by-row loop, so the rows of a column are independent
+// lanes; L() is transposed back to row-major at the end.
 // Which code runs:
 //
 //   - On amd64 hosts with AVX2 (CPUID, plus XGETBV for the YMM state the

@@ -192,9 +192,6 @@ func (e *Ensemble) sampleBag(posIdx, negIdx []int32, n int, r *rng.RNG) []int32 
 	return idx
 }
 
-// Members returns the fitted ensemble members.
-func (e *Ensemble) Members() []ml.Classifier { return e.members }
-
 // NumFeatures returns the feature-vector width the members were fitted on.
 func (e *Ensemble) NumFeatures() int {
 	if len(e.members) == 0 {

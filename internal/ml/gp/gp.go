@@ -429,9 +429,6 @@ func (g *GP) TrainSize() int { return g.xf.Rows }
 // NumFeatures returns the feature-vector width the GP was fitted on.
 func (g *GP) NumFeatures() int { return g.xf.Cols }
 
-// LengthScale returns the resolved RBF length scale.
-func (g *GP) LengthScale() float64 { return g.ls }
-
 // subsample selects at most maxN indices. Positives are kept whole when they
 // fit in half the budget; when they are abundant, the subsample is balanced
 // half/half so no class ever disappears (an all-positive GP would be

@@ -8,11 +8,12 @@
 // metrics must never change computed bytes: instruments only read or
 // accumulate, and the compute layers consult them for nothing.
 //
-// Metrics: a Registry holds named families — counters, gauges,
-// callback collectors, and fixed-bucket histograms — each with an
-// optional label dimension. All instruments are safe for concurrent
-// use; hot-path updates are single atomic ops. WriteText renders the
-// registry in deterministic (sorted) Prometheus text format.
+// Metrics: a Registry holds named families — counters, gauges and
+// counters read from a callback at scrape time (GaugeFunc, CounterFunc),
+// and fixed-bucket histograms — each with an optional label dimension.
+// All instruments are safe for concurrent use; hot-path updates are
+// single atomic ops. WriteText renders the registry in deterministic
+// (sorted) Prometheus text format.
 //
 // Tracing: a Recorder is a fixed-size ring buffer of completed
 // traces. A Trace is minted per HTTP request (adopting an inbound
@@ -76,7 +77,7 @@ type collectFn struct {
 type series struct {
 	labelValues []string
 
-	bits atomic.Uint64 // float64 bits for counters/gauges
+	bits atomic.Uint64 // float64 bits of a counter
 
 	// histogram state
 	bounds  []float64
@@ -143,18 +144,6 @@ func (c Counter) Add(v float64) { addFloat(&c.s.bits, v) }
 // Value returns the current total.
 func (c Counter) Value() float64 { return math.Float64frombits(c.s.bits.Load()) }
 
-// Gauge is a value that can go up and down.
-type Gauge struct{ s *series }
-
-// Set replaces the value.
-func (g Gauge) Set(v float64) { g.s.bits.Store(math.Float64bits(v)) }
-
-// Add adds v (may be negative).
-func (g Gauge) Add(v float64) { addFloat(&g.s.bits, v) }
-
-// Value returns the current value.
-func (g Gauge) Value() float64 { return math.Float64frombits(g.s.bits.Load()) }
-
 func addFloat(bits *atomic.Uint64, v float64) {
 	for {
 		old := bits.Load()
@@ -167,9 +156,6 @@ func addFloat(bits *atomic.Uint64, v float64) {
 // CounterVec is a counter family with labels.
 type CounterVec struct{ f *family }
 
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
 // HistogramVec is a histogram family with labels.
 type HistogramVec struct {
 	f      *family
@@ -178,9 +164,6 @@ type HistogramVec struct {
 
 // With returns the counter for the given label values.
 func (v CounterVec) With(values ...string) Counter { return Counter{v.f.get(values, nil)} }
-
-// With returns the gauge for the given label values.
-func (v GaugeVec) With(values ...string) Gauge { return Gauge{v.f.get(values, nil)} }
 
 // With returns the histogram for the given label values.
 func (v HistogramVec) With(values ...string) Histogram {
@@ -199,16 +182,6 @@ func (r *Registry) Counter(name, help string) Counter {
 // CounterVec registers (or fetches) a labeled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) CounterVec {
 	return CounterVec{r.family(name, help, kindCounter, labels)}
-}
-
-// Gauge registers (or fetches) an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) Gauge {
-	return Gauge{r.family(name, help, kindGauge, nil).get(nil, nil)}
-}
-
-// GaugeVec registers (or fetches) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) GaugeVec {
-	return GaugeVec{r.family(name, help, kindGauge, labels)}
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at scrape

@@ -7,17 +7,23 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 // TestConcurrentStorm hammers every instrument kind from many
-// goroutines; run under -race this pins the registry's thread
-// safety, and the totals pin that no increments are lost.
+// goroutines while another renders the registry; run under -race this
+// pins the registry's thread safety, and the totals pin that no
+// increments are lost.
 func TestConcurrentStorm(t *testing.T) {
 	r := NewRegistry()
 	cv := r.CounterVec("storm_requests_total", "req", "endpoint")
-	gv := r.GaugeVec("storm_inflight", "gauge", "endpoint")
 	hv := r.HistogramVec("storm_seconds", "hist", []float64{0.01, 0.1, 1}, "endpoint")
+	var inflight [4]atomic.Int64
+	for i := range inflight {
+		r.GaugeFunc("storm_inflight", "gauge", func() float64 { return float64(inflight[i].Load()) },
+			"endpoint", fmt.Sprintf("ep%d", i))
+	}
 
 	const workers, perWorker = 16, 500
 	var wg sync.WaitGroup
@@ -27,14 +33,23 @@ func TestConcurrentStorm(t *testing.T) {
 			defer wg.Done()
 			ep := fmt.Sprintf("ep%d", w%4)
 			for i := 0; i < perWorker; i++ {
+				inflight[w%4].Add(1)
 				cv.With(ep).Inc()
-				gv.With(ep).Add(1)
-				gv.With(ep).Add(-1)
 				hv.With(ep).Observe(float64(i%3) * 0.05)
+				inflight[w%4].Add(-1)
 			}
 		}(w)
 	}
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for i := 0; i < 50; i++ {
+			var b strings.Builder
+			r.WriteText(&b)
+		}
+	}()
 	wg.Wait()
+	<-scraped
 
 	var total float64
 	for i := 0; i < 4; i++ {
@@ -43,15 +58,16 @@ func TestConcurrentStorm(t *testing.T) {
 	if want := float64(workers * perWorker); total != want {
 		t.Fatalf("lost increments: got %v want %v", total, want)
 	}
-	for i := 0; i < 4; i++ {
-		if v := gv.With(fmt.Sprintf("ep%d", i)).Value(); v != 0 {
-			t.Fatalf("gauge ep%d = %v, want 0", i, v)
-		}
-	}
 	var b strings.Builder
 	r.WriteText(&b)
-	if !strings.Contains(b.String(), `storm_seconds_count{endpoint="ep0"} 2000`) {
-		t.Fatalf("histogram count missing from exposition:\n%s", b.String())
+	for _, want := range []string{
+		`storm_seconds_count{endpoint="ep0"} 2000`,
+		`storm_inflight{endpoint="ep0"} 0`,
+		`storm_inflight{endpoint="ep3"} 0`,
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("exposition missing %q:\n%s", want, b.String())
+		}
 	}
 }
 
@@ -86,7 +102,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 func TestExpositionFormat(t *testing.T) {
 	r := NewRegistry()
 	r.CounterVec("zz_total", "last family", "k").With(`a"b\c`).Add(3)
-	r.Gauge("aa_depth", "first family").Set(7)
+	r.GaugeFunc("aa_depth", "first family", func() float64 { return 7 })
 	r.GaugeFunc("mm_live", "func gauge", func() float64 { return 42 }, "replica", "a")
 
 	var b strings.Builder
@@ -100,9 +116,9 @@ func TestExpositionFormat(t *testing.T) {
 	}
 
 	// Re-registering the same family must return the same series.
-	r.Gauge("aa_depth", "first family").Add(1)
-	if v := r.Gauge("aa_depth", "first family").Value(); v != 8 {
-		t.Fatalf("re-registered gauge = %v, want 8", v)
+	r.CounterVec("zz_total", "last family", "k").With(`a"b\c`).Add(1)
+	if v := r.CounterVec("zz_total", "last family", "k").With(`a"b\c`).Value(); v != 4 {
+		t.Fatalf("re-registered counter = %v, want 4", v)
 	}
 }
 

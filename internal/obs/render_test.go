@@ -21,9 +21,9 @@ func TestWriteTextByteStable(t *testing.T) {
 		}
 		for _, l := range labels {
 			r.CounterVec("paws_requests_total", "requests by route", "route").With(l).Add(float64(len(l)))
-			r.GaugeVec("paws_inflight", "inflight by route", "route").With(l).Set(float64(len(l) * 2))
+			r.GaugeFunc("paws_inflight", "inflight by route", func() float64 { return float64(len(l) * 2) }, "route", l)
 		}
-		r.Gauge("paws_up", "liveness").Set(1)
+		r.GaugeFunc("paws_up", "liveness", func() float64 { return 1 })
 		return r
 	}
 

@@ -1,9 +1,52 @@
 package plan
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 )
+
+// RouteCoverage sums, per region cell, the number of visits across routes —
+// the executed analogue of the planned effort (in visit units; multiply by
+// the per-visit kilometreage to compare with effort).
+func RouteCoverage(region *Region, routes []Route) []float64 {
+	cov := make([]float64, region.NumCells())
+	for _, r := range routes {
+		for _, c := range r.Cells[1:] {
+			cov[c]++
+		}
+	}
+	return cov
+}
+
+// ValidateRoute checks that a route is executable: starts and ends at the
+// post and every move is a self-loop or region adjacency.
+func ValidateRoute(region *Region, r Route) error {
+	if len(r.Cells) < 2 {
+		return errors.New("plan: route too short")
+	}
+	if r.Cells[0] != 0 || r.Cells[len(r.Cells)-1] != 0 {
+		return errors.New("plan: route must start and end at the post")
+	}
+	for i := 1; i < len(r.Cells); i++ {
+		u, v := r.Cells[i-1], r.Cells[i]
+		if u == v {
+			continue // waiting in place
+		}
+		ok := false
+		for _, nb := range region.Neighbors[u] {
+			if nb == v {
+				ok = true
+				break
+			}
+		}
+		if !ok {
+			return fmt.Errorf("plan: illegal move %d→%d at step %d", u, v, i)
+		}
+	}
+	return nil
+}
 
 func TestExtractRoutesValidAndCovering(t *testing.T) {
 	park := planPark(t)

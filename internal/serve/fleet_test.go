@@ -103,11 +103,11 @@ func TestAdmissionControlShedsJobs(t *testing.T) {
 	// One running + one queued fills the queue to the bound.
 	var ids []string
 	for i := 0; i < 2; i++ {
-		id, err := s.jobs.Submit("block", blocker)
+		sub, err := s.jobs.Submit("block", blocker)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
+		ids = append(ids, sub.ID)
 	}
 	status, raw, rec := doRec(t, s, http.MethodPost, "/v1/jobs", JobSubmitRequest{Kind: "riskmap", RiskMap: &RiskMapRequest{Effort: 1}})
 	if status != http.StatusTooManyRequests {

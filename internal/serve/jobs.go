@@ -522,7 +522,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	snap, err := s.jobs.SubmitSnapshot(req.Kind, s.traceJobFn(r, req.Kind, withTimeout(fn, timeoutMS)))
+	snap, err := s.jobs.Submit(req.Kind, s.traceJobFn(r, req.Kind, withTimeout(fn, timeoutMS)))
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -30,11 +30,11 @@ func TestErrorEnvelopeCarriesTraceID(t *testing.T) {
 	}
 	var ids []string
 	for i := 0; i < 2; i++ {
-		id, err := s.jobs.Submit("block", blocker)
+		sub, err := s.jobs.Submit("block", blocker)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
+		ids = append(ids, sub.ID)
 	}
 	t.Cleanup(func() {
 		close(release)

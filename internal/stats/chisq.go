@@ -72,20 +72,6 @@ func ChiSquaredSF(x, k float64) float64 {
 	return GammaQ(k/2, x/2)
 }
 
-// GammaP returns the regularized lower incomplete gamma function P(a, x).
-func GammaP(a, x float64) float64 {
-	if x < 0 || a <= 0 {
-		return math.NaN()
-	}
-	if x == 0 {
-		return 0
-	}
-	if x < a+1 {
-		return gammaPSeries(a, x)
-	}
-	return 1 - gammaQContinued(a, x)
-}
-
 // GammaQ returns the regularized upper incomplete gamma function Q(a, x).
 func GammaQ(a, x float64) float64 {
 	if x < 0 || a <= 0 {

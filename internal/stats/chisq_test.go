@@ -77,32 +77,37 @@ func TestChiSquaredSFKnownValues(t *testing.T) {
 	}
 }
 
+// TestGammaPQComplement holds GammaQ's two evaluators to each other: the
+// power series for P and the continued fraction for Q must sum to one
+// where both converge (x from a/2 to 2a+2, around the x = a+1 switch), so
+// Q cannot jump where GammaQ changes branch. GammaQ stays in [0, 1].
 func TestGammaPQComplement(t *testing.T) {
-	f := func(a, x float64) bool {
+	f := func(a, x, u float64) bool {
 		a = 0.5 + math.Mod(math.Abs(a), 10)
 		x = math.Mod(math.Abs(x), 20)
-		p := GammaP(a, x)
 		q := GammaQ(a, x)
-		return math.Abs(p+q-1) < 1e-10 && p >= -1e-12 && p <= 1+1e-12
+		near := a/2 + math.Mod(math.Abs(u), 1)*(1.5*a+2)
+		sum := gammaPSeries(a, near) + gammaQContinued(a, near)
+		return math.Abs(sum-1) < 1e-10 && q >= -1e-12 && q <= 1+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestGammaPKnown(t *testing.T) {
-	// P(1, x) = 1 - exp(-x).
+func TestGammaQKnown(t *testing.T) {
+	// Q(1, x) = exp(-x).
 	for _, x := range []float64{0.1, 1, 2, 5} {
-		want := 1 - math.Exp(-x)
-		if got := GammaP(1, x); math.Abs(got-want) > 1e-10 {
-			t.Fatalf("GammaP(1,%v) = %v want %v", x, got, want)
+		want := math.Exp(-x)
+		if got := GammaQ(1, x); math.Abs(got-want) > 1e-10 {
+			t.Fatalf("GammaQ(1,%v) = %v want %v", x, got, want)
 		}
 	}
-	if GammaP(1, 0) != 0 {
-		t.Fatal("GammaP(a, 0) should be 0")
+	if GammaQ(1, 0) != 1 {
+		t.Fatal("GammaQ(a, 0) should be 1")
 	}
-	if !math.IsNaN(GammaP(-1, 1)) {
-		t.Fatal("GammaP with a<=0 should be NaN")
+	if !math.IsNaN(GammaQ(-1, 1)) {
+		t.Fatal("GammaQ with a<=0 should be NaN")
 	}
 }
 

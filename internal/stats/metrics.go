@@ -1,6 +1,6 @@
 // Package stats provides the statistical substrate for the PAWS pipeline:
-// classifier metrics (AUC, log loss, Brier), descriptive statistics,
-// percentiles, Pearson correlation, and the chi-squared independence test
+// AUC, the mean, percentiles, Pearson correlation, the logistic function,
+// bootstrap confidence intervals, and the chi-squared independence test
 // used to evaluate field-test results.
 package stats
 
@@ -55,45 +55,6 @@ func AUC(labels []int, scores []float64) float64 {
 	return u / (float64(nPos) * float64(nNeg))
 }
 
-// LogLoss computes the mean negative log-likelihood of binary labels under
-// predicted probabilities, clipping probabilities to [eps, 1-eps].
-func LogLoss(labels []int, probs []float64) float64 {
-	if len(labels) != len(probs) {
-		panic(fmt.Sprintf("stats: LogLoss length mismatch %d vs %d", len(labels), len(probs)))
-	}
-	if len(labels) == 0 {
-		return 0
-	}
-	const eps = 1e-12
-	var s float64
-	for i, y := range labels {
-		p := math.Min(1-eps, math.Max(eps, probs[i]))
-		if y == 1 {
-			s -= math.Log(p)
-		} else {
-			s -= math.Log(1 - p)
-		}
-	}
-	return s / float64(len(labels))
-}
-
-// Brier computes the mean squared error between binary labels and predicted
-// probabilities.
-func Brier(labels []int, probs []float64) float64 {
-	if len(labels) != len(probs) {
-		panic(fmt.Sprintf("stats: Brier length mismatch %d vs %d", len(labels), len(probs)))
-	}
-	if len(labels) == 0 {
-		return 0
-	}
-	var s float64
-	for i, y := range labels {
-		d := probs[i] - float64(y)
-		s += d * d
-	}
-	return s / float64(len(labels))
-}
-
 // Pearson computes the Pearson correlation coefficient between x and y.
 // It returns 0 if either series has zero variance.
 func Pearson(x, y []float64) float64 {
@@ -135,23 +96,6 @@ func Mean(v []float64) float64 {
 	}
 	return s / float64(len(v))
 }
-
-// Variance returns the population variance of v (0 for fewer than 2 points).
-func Variance(v []float64) float64 {
-	if len(v) < 2 {
-		return 0
-	}
-	m := Mean(v)
-	var s float64
-	for _, x := range v {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(v))
-}
-
-// StdDev returns the population standard deviation of v.
-func StdDev(v []float64) float64 { return math.Sqrt(Variance(v)) }
 
 // Percentile returns the p-th percentile (p in [0,100]) of v using linear
 // interpolation between closest ranks. v is not modified.
@@ -197,13 +141,6 @@ func Logistic(x float64) float64 {
 	}
 	e := math.Exp(x)
 	return e / (1 + e)
-}
-
-// Logit is the inverse of Logistic, with clipping away from {0,1}.
-func Logit(p float64) float64 {
-	const eps = 1e-12
-	p = math.Min(1-eps, math.Max(eps, p))
-	return math.Log(p / (1 - p))
 }
 
 // Clamp limits x to [lo, hi].

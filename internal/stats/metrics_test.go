@@ -74,30 +74,6 @@ func TestAUCInvariantToMonotoneTransform(t *testing.T) {
 	}
 }
 
-func TestLogLoss(t *testing.T) {
-	// Perfect confident predictions → near 0; wrong confident → large.
-	ll := LogLoss([]int{1, 0}, []float64{0.9, 0.1})
-	want := -(math.Log(0.9) + math.Log(0.9)) / 2
-	if math.Abs(ll-want) > 1e-12 {
-		t.Fatalf("LogLoss = %v want %v", ll, want)
-	}
-	if LogLoss(nil, nil) != 0 {
-		t.Fatal("empty LogLoss should be 0")
-	}
-	bad := LogLoss([]int{1}, []float64{0})
-	if math.IsInf(bad, 0) || math.IsNaN(bad) {
-		t.Fatal("LogLoss must clip probabilities")
-	}
-}
-
-func TestBrier(t *testing.T) {
-	b := Brier([]int{1, 0}, []float64{0.8, 0.3})
-	want := (0.04 + 0.09) / 2
-	if math.Abs(b-want) > 1e-12 {
-		t.Fatalf("Brier = %v want %v", b, want)
-	}
-}
-
 func TestPearson(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	y := []float64{2, 4, 6, 8}
@@ -131,19 +107,13 @@ func TestPearsonBounded(t *testing.T) {
 	}
 }
 
-func TestMeanVarianceStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	v := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if Mean(v) != 5 {
 		t.Fatalf("Mean = %v", Mean(v))
 	}
-	if Variance(v) != 4 {
-		t.Fatalf("Variance = %v", Variance(v))
-	}
-	if StdDev(v) != 2 {
-		t.Fatalf("StdDev = %v", StdDev(v))
-	}
-	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
-		t.Fatal("degenerate inputs should give 0")
+	if Mean(nil) != 0 {
+		t.Fatal("the mean of no values should be 0")
 	}
 }
 
@@ -196,8 +166,8 @@ func TestLogisticLogitRoundTrip(t *testing.T) {
 		if p <= 0 || p >= 1 {
 			t.Fatalf("Logistic(%v) = %v out of (0,1)", x, p)
 		}
-		if math.Abs(Logit(p)-x) > 1e-9 {
-			t.Fatalf("Logit(Logistic(%v)) = %v", x, Logit(p))
+		if logit := math.Log(p / (1 - p)); math.Abs(logit-x) > 1e-9 {
+			t.Fatalf("logit(Logistic(%v)) = %v", x, logit)
 		}
 	}
 	if Logistic(0) != 0.5 {

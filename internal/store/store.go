@@ -100,9 +100,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // HashBytes returns the sha256 hex digest used as a blob's identity.
 func HashBytes(blob []byte) string {
 	sum := sha256.Sum256(blob)

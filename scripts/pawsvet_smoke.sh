@@ -2,7 +2,9 @@
 # pawsvet smoke test: build the analyzer, prove every check still fires on a
 # scratch module seeded with one violation per check, plus maporder's
 # map-range arg-max (so a check cannot be removed or neutered without CI
-# failing), and assert the repository itself is pawsvet-clean. Used by CI and runnable locally:
+# failing), prove testonly tells a function only a _test.go file calls from
+# one that another package calls, and assert the repository itself is
+# pawsvet-clean. Used by CI and runnable locally:
 # ./scripts/pawsvet_smoke.sh
 set -euo pipefail
 
@@ -15,7 +17,7 @@ go build -o "$BIN" ./cmd/pawsvet
 
 echo "== pawsvet -list names every check"
 LIST="$("$BIN" -list)"
-for check in wallclock globalrand maporder goroutine errenvelope; do
+for check in wallclock globalrand maporder goroutine errenvelope testonly; do
   if ! grep -q "^$check\b" <<<"$LIST"; then
     echo "FAIL: check $check missing from pawsvet -list:"
     echo "$LIST"
@@ -25,7 +27,7 @@ done
 
 echo "== seed a scratch module with one violation per check"
 SCRATCH="$WORKDIR/scratch"
-mkdir -p "$SCRATCH"/internal/{env,ml,campaign,stats,serve}
+mkdir -p "$SCRATCH"/internal/{env,ml,campaign,stats,serve} "$SCRATCH"/cmd/tool
 cat >"$SCRATCH/go.mod" <<'EOF'
 module scratch
 
@@ -83,8 +85,29 @@ func Handle(w http.ResponseWriter, r *http.Request) {
 	http.Error(w, "nope", http.StatusBadRequest)
 }
 EOF
+cat >"$SCRATCH/internal/stats/calls.go" <<'EOF'
+package stats
 
-echo "== pawsvet must fail the seeded module with one finding per check"
+func OnlyTest() int { return 1 }
+
+func Called() int { return 2 }
+EOF
+cat >"$SCRATCH/internal/stats/calls_test.go" <<'EOF'
+package stats
+
+import "testing"
+
+func TestOnlyTest(t *testing.T) { _ = OnlyTest() }
+EOF
+cat >"$SCRATCH/cmd/tool/main.go" <<'EOF'
+package main
+
+import "scratch/internal/stats"
+
+func main() { println(stats.Called()) }
+EOF
+
+echo "== pawsvet must fail the seeded module with findings from every check"
 set +e
 (cd "$SCRATCH" && "$BIN" ./...) >"$WORKDIR/findings.txt" 2>&1
 STATUS=$?
@@ -94,7 +117,7 @@ if [[ "$STATUS" -ne 1 ]]; then
   cat "$WORKDIR/findings.txt"
   exit 1
 fi
-for check in wallclock globalrand maporder goroutine errenvelope; do
+for check in wallclock globalrand maporder goroutine errenvelope testonly; do
   if ! grep -q ": $check: " "$WORKDIR/findings.txt"; then
     echo "FAIL: seeded violation for $check not reported:"
     cat "$WORKDIR/findings.txt"
@@ -104,6 +127,17 @@ done
 
 if ! grep -q "argmax.go:.*: maporder: .* under a comparison" "$WORKDIR/findings.txt"; then
   echo "FAIL: seeded map-range arg-max not reported by maporder:"
+  cat "$WORKDIR/findings.txt"
+  exit 1
+fi
+
+if ! grep -q "calls.go:.*: testonly: exported func stats.OnlyTest " "$WORKDIR/findings.txt"; then
+  echo "FAIL: a function only a _test.go file calls not reported by testonly:"
+  cat "$WORKDIR/findings.txt"
+  exit 1
+fi
+if grep -q "stats\.Called " "$WORKDIR/findings.txt"; then
+  echo "FAIL: testonly reported a function that cmd/tool calls:"
   cat "$WORKDIR/findings.txt"
   exit 1
 fi
